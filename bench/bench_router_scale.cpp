@@ -8,10 +8,11 @@
 //   serial     incremental off: full-grid windows, every net rerouted
 //              serially each iteration against live paths — structurally
 //              the seed's loop, sharing the A* core (A/B reference)
-//   default    windowed A* + incremental batch-parallel rip-up.  Slower
-//              than `serial` on this small die (the pre-rip snapshot
-//              costs extra conflict iterations) but the geometry it
-//              converges to is straighter and more loosely packed, which
+//   default    windowed A* + incremental batch-parallel rip-up, on one
+//              thread.  Slower than `serial` on this small die (ripping
+//              every pending net first costs extra conflict iterations)
+//              but the geometry it converges to is straighter and more
+//              loosely packed, which
 //              the decomposed rails' capacitance balance depends on
 //              (DESIGN.md section 15) — and it is the only mode that
 //              parallelizes
@@ -125,8 +126,10 @@ int main(int argc, char** argv) {
              static_cast<long long>(reference.stats.expanded_nodes),
              static_cast<long long>(reference.stats.wirelength_dbu));
 
-  // Default: windowed A* + incremental batch-parallel rip-up.
-  const RouteOptions fast;
+  // Default: windowed A* + incremental batch-parallel rip-up, on one
+  // thread (RouteOptions{} would resolve to every hardware thread).
+  RouteOptions fast;
+  fast.parallelism.n_threads = 1;
   const MazeRun optimized = run_maze(des, fast);
   bench::row("  %-22s %8.1f %6d %10lld %12lld", "default(1 thread)",
              optimized.ms, optimized.stats.iterations,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -65,48 +68,130 @@ struct NetTask {
   int escalations = 0;  // reroutes attempted with a grown window
 };
 
-/// Persistent per-thread search scratch, full-grid sized but never
-/// refilled between searches: a slot is valid only while its generation
-/// stamp matches the current epoch, so starting a new search or moving to
-/// the next net is O(1) and steady-state routing allocates nothing.
-class RouterSearchState {
+/// What a search reads at one grid node, packed so that relaxing an edge
+/// touches one record: the pin owner (-1 = none), the negotiated history
+/// cost, and the present usage (every net's distinct pins once, plus
+/// every node of every committed path).
+struct NodeCost {
+  int owner = -1;
+  int history = 0;
+  int usage = 0;
+};
+
+/// True when a node of `nodes` is occupied by more than one net.
+bool overused(const std::vector<int>& nodes,
+              const std::vector<NodeCost>& cost) {
+  for (int n : nodes) {
+    if (cost[n].usage > 1) return true;
+  }
+  return false;
+}
+
+/// 4-ary min-heap of packed A* keys `(f << 32) | node`, which order
+/// exactly as the (f, node) pairs they encode.  Half the depth of a
+/// binary heap, and a slot's four children are adjacent in memory.
+class QuadHeap {
  public:
-  void prepare(int n_nodes) {
-    if (static_cast<int>(dist_.size()) != n_nodes) {
-      dist_.assign(static_cast<std::size_t>(n_nodes), 0);
-      prev_.assign(static_cast<std::size_t>(n_nodes), -1);
-      search_mark_.assign(static_cast<std::size_t>(n_nodes), 0);
-      tree_mark_.assign(static_cast<std::size_t>(n_nodes), 0);
-      pin_mark_.assign(static_cast<std::size_t>(n_nodes), 0);
-      search_epoch_ = tree_epoch_ = pin_epoch_ = 0;
+  bool empty() const { return keys_.empty(); }
+  void clear() { keys_.clear(); }
+
+  /// Add a key without restoring heap order; heapify() must follow
+  /// before the next push or pop.
+  void append(std::uint64_t key) { keys_.push_back(key); }
+  /// Floyd's bottom-up build: O(n) for everything appended.
+  void heapify() {
+    if (keys_.size() < 2) return;
+    for (std::size_t i = (keys_.size() - 2) / 4 + 1; i-- > 0;) {
+      sift_down(i, keys_[i]);
     }
   }
 
-  void begin_search() {
-    bump(search_epoch_, search_mark_);
+  void push(std::uint64_t key) {
+    std::size_t i = keys_.size();
+    keys_.push_back(key);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 4;
+      if (keys_[parent] <= key) break;
+      keys_[i] = keys_[parent];
+      i = parent;
+    }
+    keys_[i] = key;
+  }
+
+  std::uint64_t pop() {
+    const std::uint64_t top = keys_.front();
+    const std::uint64_t last = keys_.back();
+    keys_.pop_back();
+    if (!keys_.empty()) sift_down(0, last);
+    return top;
+  }
+
+ private:
+  /// Place `key` at slot `i` or below, moving smaller children up.
+  void sift_down(std::size_t i, std::uint64_t key) {
+    std::uint64_t* const k = keys_.data();
+    const std::size_t n = keys_.size();
+    for (std::size_t c = 4 * i + 1; c < n; c = 4 * i + 1) {
+      std::size_t best = c;
+      if (c + 4 <= n) {  // all four children: a branch-free tournament
+        const std::size_t lo = k[c + 1] < k[c] ? c + 1 : c;
+        const std::size_t hi = k[c + 3] < k[c + 2] ? c + 3 : c + 2;
+        best = k[hi] < k[lo] ? hi : lo;
+      } else {
+        for (std::size_t j = c + 1; j < n; ++j) {
+          if (k[j] < k[best]) best = j;
+        }
+      }
+      if (key <= k[best]) break;
+      k[i] = k[best];
+      i = best;
+    }
+    k[i] = key;
+  }
+
+  std::vector<std::uint64_t> keys_;
+};
+
+/// Full-grid search scratch (20 bytes per node), never refilled between
+/// searches: a slot is valid only while its generation stamp matches the
+/// current epoch, so starting a new search or moving to the next net is
+/// O(1) and routing with a warm state allocates nothing.
+class RouterSearchState {
+ public:
+  /// One node's slot in the current search.
+  struct Record {
+    std::uint32_t stamp = 0;  // equals the search epoch once visited
+    int g = 0;                // best known cost from the tree
+    int prev = -1;            // predecessor on that path; -1 = tree seed
+  };
+
+  explicit RouterSearchState(int n_nodes)
+      : records_(static_cast<std::size_t>(n_nodes)),
+        tree_mark_(static_cast<std::size_t>(n_nodes), 0),
+        pin_mark_(static_cast<std::size_t>(n_nodes), 0) {}
+
+  /// Start a search; returns the stamp its visited records carry.
+  std::uint32_t begin_search() {
+    if (++search_epoch_ == 0) {  // wrapped: stale stamps could alias
+      for (Record& r : records_) r.stamp = 0;
+      search_epoch_ = 1;
+    }
     heap_.clear();
+    return search_epoch_;
   }
   void begin_net() {
     bump(tree_epoch_, tree_mark_);
     bump(pin_epoch_, pin_mark_);
   }
 
-  bool visited(int n) const { return search_mark_[n] == search_epoch_; }
-  int dist(int n) const { return dist_[n]; }
-  int prev(int n) const { return prev_[n]; }
-  void set(int n, int d, int from) {
-    dist_[n] = d;
-    prev_[n] = from;
-    search_mark_[n] = search_epoch_;
-  }
+  Record* records() { return records_.data(); }
+  QuadHeap& heap() { return heap_; }
 
   bool in_tree(int n) const { return tree_mark_[n] == tree_epoch_; }
   void add_tree(int n) { tree_mark_[n] = tree_epoch_; }
   bool is_self_pin(int n) const { return pin_mark_[n] == pin_epoch_; }
   void mark_self_pin(int n) { pin_mark_[n] = pin_epoch_; }
 
-  /// Min-heap of (f = g + h, node), reused across searches.
-  std::vector<std::pair<int, int>>& heap() { return heap_; }
   /// Scratch for the nodes a search adds to the tree, reused across nets.
   std::vector<int>& new_nodes() { return new_nodes_; }
 
@@ -118,115 +203,150 @@ class RouterSearchState {
     }
   }
 
-  std::vector<int> dist_;
-  std::vector<int> prev_;
-  std::vector<std::uint32_t> search_mark_;
+  std::vector<Record> records_;
   std::vector<std::uint32_t> tree_mark_;
   std::vector<std::uint32_t> pin_mark_;
   std::uint32_t search_epoch_ = 0, tree_epoch_ = 0, pin_epoch_ = 0;
-  std::vector<std::pair<int, int>> heap_;
+  QuadHeap heap_;
   std::vector<int> new_nodes_;
 };
 
-/// Each pool worker (and the caller) keeps one persistent state; the
-/// routed result never depends on a state's history thanks to the epoch
-/// stamps, so which thread routes which net is invisible in the output.
-RouterSearchState& thread_state() {
-  thread_local RouterSearchState state;
-  return state;
-}
+/// The search states of one route_design call.  A routing thread takes a
+/// state for one net and gives it back; the states are freed when the
+/// call returns, so no thread keeps a full-grid state once routing ends.
+/// Every read of a state is stamp-guarded, so which state routes which
+/// net never shows in the output.
+class SearchStatePool {
+ public:
+  explicit SearchStatePool(int n_nodes) : n_nodes_(n_nodes) {}
 
-/// Admissible (and consistent) cost-to-go lower bound on the via-cost
-/// grid: every planar step enters a node costing >= 1, reaching the
-/// target's layer takes >= |dL| via edges costing >= via_cost + 1 each,
-/// and a same-layer detour through another layer (needed when movement in
-/// the required direction is impossible on this layer) costs two more via
-/// edges.  See DESIGN.md §15 for the admissibility argument.
-int heuristic(const Grid& g, int u, int txi, int tyi, int tlayer,
-              int via_cost) {
-  const int dx = std::abs(g.xi_of(u) - txi);
-  const int dy = std::abs(g.yi_of(u) - tyi);
-  const int layer = g.layer_of(u);
-  int h = dx + dy + std::abs(layer - tlayer) * (via_cost + 1);
-  if (layer == tlayer && ((dx > 0 && !g.horizontal(layer)) ||
-                          (dy > 0 && g.horizontal(layer)))) {
-    h += 2 * (via_cost + 1);
+  std::unique_ptr<RouterSearchState> take() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        std::unique_ptr<RouterSearchState> st = std::move(free_.back());
+        free_.pop_back();
+        return st;
+      }
+    }
+    return std::make_unique<RouterSearchState>(n_nodes_);
   }
-  return h;
-}
+
+  void give(std::unique_ptr<RouterSearchState> st) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(st));
+  }
+
+ private:
+  const int n_nodes_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<RouterSearchState>> free_;  // guarded by mu_
+};
 
 /// A* from the net's current tree (sources, g = 0) to `target`, expanding
 /// only nodes inside `win`.  On success fills st.new_nodes() with the
 /// found path's nodes that are not yet in the tree (source-to-target
-/// order, target included) and returns true.  Reads the shared
-/// usage/history arrays only at nodes inside the window.
+/// order, target included) and returns true.  Reads the shared cost
+/// records only at nodes inside the window.
+///
+/// Every heap key is unique within a search, because a node is re-pushed
+/// only with a strictly smaller g.  The pop sequence is therefore fixed by
+/// the keys alone, whatever exact priority queue holds them (DESIGN.md
+/// §15).
 bool astar_connect(const Grid& g, RouterSearchState& st,
                    const std::vector<int>& tree, int target,
-                   const Window& win, const RouteOptions& opts,
-                   const std::vector<int>& usage,
-                   const std::vector<int>& history,
-                   const std::vector<int>& pin_owner, int self,
+                   const Window& win, int via_cost,
+                   const std::vector<NodeCost>& cost, int self,
                    int iteration, std::int64_t& expanded) {
-  st.begin_search();
-  auto& heap = st.heap();
-  const int txi = g.xi_of(target), tyi = g.yi_of(target);
-  const int tlayer = g.layer_of(target);
-  const auto h_of = [&](int n) {
-    return heuristic(g, n, txi, tyi, tlayer, opts.via_cost);
-  };
-  const auto push = [&](int n, int d, int from) {
-    st.set(n, d, from);
-    heap.emplace_back(d + h_of(n), n);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>());
-  };
-  const int congestion_penalty = 8 * iteration + 8;
-  const auto node_cost = [&](int n) {
-    int c = 1 + history[n];
-    const int foreign = usage[n] - (st.is_self_pin(n) ? 1 : 0);
-    if (foreign > 0) c += foreign * congestion_penalty;
-    return c;
-  };
-  for (int s : tree) push(s, 0, -1);
+  const std::uint32_t epoch = st.begin_search();
+  RouterSearchState::Record* const rec = st.records();
+  QuadHeap& heap = st.heap();
+  const int nx = g.nx;
+  const int plane = g.nx * g.ny;
+  const int via_step = via_cost + 1;
+  const int tlayer = target / plane;
+  const int tyi = (target - tlayer * plane) / nx;
+  const int txi = target - tlayer * plane - tyi * nx;
 
+  // Admissible (and consistent) cost-to-go lower bound on the via-cost
+  // grid: every planar step enters a node costing >= 1, reaching the
+  // target's layer takes >= |dL| via edges costing >= via_cost + 1 each,
+  // and a same-layer detour through another layer (needed when movement
+  // in the required direction is impossible on this layer) costs two more
+  // via edges.  See DESIGN.md §15 for the admissibility argument.
+  const auto h = [&](int layer, int yi, int xi) {
+    const int dx = std::abs(xi - txi);
+    const int dy = std::abs(yi - tyi);
+    int est = dx + dy + std::abs(layer - tlayer) * via_step;
+    if (layer == tlayer && (g.horizontal(layer) ? dy > 0 : dx > 0)) {
+      est += 2 * via_step;
+    }
+    return est;
+  };
+  const auto key = [](int f, int n) {
+    return static_cast<std::uint64_t>(f) << 32 | static_cast<std::uint32_t>(n);
+  };
+
+  for (const int s : tree) {
+    const int layer = s / plane;
+    const int yi = (s - layer * plane) / nx;
+    rec[s] = {epoch, 0, -1};
+    heap.append(key(h(layer, yi, s - layer * plane - yi * nx), s));
+  }
+  heap.heapify();
+
+  const int congestion_penalty = 8 * iteration + 8;
+  std::int64_t pops = 0;
   while (!heap.empty()) {
-    const auto [f, u] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    heap.pop_back();
-    if (f != st.dist(u) + h_of(u)) continue;  // stale heap entry
-    ++expanded;
+    const std::uint64_t top = heap.pop();
+    const int u = static_cast<int>(top & 0xffffffffu);
+    const int layer = u / plane;
+    const int yi = (u - layer * plane) / nx;
+    const int xi = u - layer * plane - yi * nx;
+    const int d = rec[u].g;
+    if (static_cast<int>(top >> 32) != d + h(layer, yi, xi)) continue;  // stale
+    ++pops;
     if (u == target) {
       // Walk the prev chain back to the tree, collecting the new nodes.
       auto& fresh = st.new_nodes();
       fresh.clear();
-      for (int n = target; n != -1 && !st.in_tree(n); n = st.prev(n)) {
+      for (int n = target; n != -1 && !st.in_tree(n); n = rec[n].prev) {
         fresh.push_back(n);
       }
       std::reverse(fresh.begin(), fresh.end());
+      expanded += pops;
       return true;
     }
-    const int d = st.dist(u);
-    const int layer = g.layer_of(u);
-    const int xi = g.xi_of(u);
-    const int yi = g.yi_of(u);
-    const auto relax = [&](int v, int extra) {
+    const auto relax = [&](int v, int v_layer, int v_yi, int v_xi,
+                           int extra) {
       // Another net's pin node is a hard obstacle: its owner can never
       // move it, so a conflict there is unresolvable by negotiation.
       // Pins exist only on layer 0 and every layer-0 node has a pin-free
       // via neighbor above, so blocking them cannot trap a net.
-      if (pin_owner[v] >= 0 && pin_owner[v] != self) return;
-      const int nd = d + node_cost(v) + extra;
-      if (!st.visited(v) || nd < st.dist(v)) push(v, nd, u);
+      const NodeCost& c = cost[v];
+      if (c.owner >= 0 && c.owner != self) return;
+      int nd = d + 1 + c.history + extra;
+      if (c.usage > 0) {  // only a used node can charge foreign usage
+        const int foreign = c.usage - (st.is_self_pin(v) ? 1 : 0);
+        if (foreign > 0) nd += foreign * congestion_penalty;
+      }
+      RouterSearchState::Record& r = rec[v];
+      if (r.stamp != epoch || nd < r.g) {
+        r = {epoch, nd, u};
+        heap.push(key(nd + h(v_layer, v_yi, v_xi), v));
+      }
     };
     if (g.horizontal(layer)) {
-      if (xi > win.x0) relax(u - 1, 0);
-      if (xi < win.x1) relax(u + 1, 0);
+      if (xi > win.x0) relax(u - 1, layer, yi, xi - 1, 0);
+      if (xi < win.x1) relax(u + 1, layer, yi, xi + 1, 0);
     } else {
-      if (yi > win.y0) relax(u - g.nx, 0);
-      if (yi < win.y1) relax(u + g.nx, 0);
+      if (yi > win.y0) relax(u - nx, layer, yi - 1, xi, 0);
+      if (yi < win.y1) relax(u + nx, layer, yi + 1, xi, 0);
     }
-    if (layer > 0) relax(u - g.nx * g.ny, opts.via_cost);
-    if (layer + 1 < g.layers) relax(u + g.nx * g.ny, opts.via_cost);
+    if (layer > 0) relax(u - plane, layer - 1, yi, xi, via_cost);
+    if (layer + 1 < g.layers) relax(u + plane, layer + 1, yi, xi, via_cost);
   }
+  expanded += pops;
   return false;
 }
 
@@ -239,16 +359,12 @@ struct PassResult {
   std::int64_t expanded = 0;
 };
 
-/// Route every sink of `t` inside `win` against the current usage and
-/// history.  Pure with respect to shared arrays: reads only nodes inside
-/// the window, writes nothing global.
-PassResult route_net_pass(const Grid& g, const NetTask& t, const Window& win,
-                          const RouteOptions& opts,
-                          const std::vector<int>& usage,
-                          const std::vector<int>& history,
-                          const std::vector<int>& pin_owner, int iteration) {
-  RouterSearchState& st = thread_state();
-  st.prepare(g.nodes());
+/// Route every sink of `t` inside `win` against the current cost records.
+/// Pure with respect to shared state: reads only nodes inside the window,
+/// writes nothing global.
+PassResult route_net_pass(const Grid& g, RouterSearchState& st,
+                          const NetTask& t, const Window& win, int via_cost,
+                          const std::vector<NodeCost>& cost, int iteration) {
   st.begin_net();
   for (int n : t.distinct_pins) st.mark_self_pin(n);
 
@@ -258,8 +374,8 @@ PassResult route_net_pass(const Grid& g, const NetTask& t, const Window& win,
   for (std::size_t pi = 1; pi < t.pin_nodes.size(); ++pi) {
     const int target = t.pin_nodes[pi];
     if (st.in_tree(target)) continue;
-    if (!astar_connect(g, st, tree, target, win, opts, usage, history,
-                       pin_owner, static_cast<int>(t.net_index), iteration,
+    if (!astar_connect(g, st, tree, target, win, via_cost, cost,
+                       static_cast<int>(t.net_index), iteration,
                        r.expanded)) {
       return r;  // window too small (cannot happen once it spans the grid)
     }
@@ -419,6 +535,49 @@ BatchPlan plan_batches(const Grid& g, const std::vector<Window>& windows,
   return plan;
 }
 
+/// The message of a run that did not converge: how far negotiation got,
+/// the (up to five) nets on the most shared nodes, and the DBU bounding
+/// box of the shared nodes.
+std::string congestion_report(const Grid& g, const std::vector<NodeCost>& cost,
+                              const std::vector<NetTask>& tasks,
+                              const DefDesign& placed, int iterations) {
+  constexpr std::size_t kMaxNamed = 5;
+  int shared = 0;
+  Point lo, hi;
+  for (int n = 0; n < g.nodes(); ++n) {
+    if (cost[n].usage <= 1) continue;
+    const Point p = g.pos(n);
+    lo = shared == 0 ? p : Point{std::min(lo.x, p.x), std::min(lo.y, p.y)};
+    hi = shared == 0 ? p : Point{std::max(hi.x, p.x), std::max(hi.y, p.y)};
+    ++shared;
+  }
+  std::string msg = "routing failed to converge after " +
+                    std::to_string(iterations) + " iteration(s): " +
+                    std::to_string(shared) + " nodes still shared";
+  if (shared == 0) return msg;
+
+  std::vector<std::pair<int, const NetTask*>> congested;  // (shared, net)
+  for (const NetTask& t : tasks) {
+    int on_shared = 0;
+    for (int n : t.distinct_pins) on_shared += cost[n].usage > 1 ? 1 : 0;
+    for (int n : t.path) on_shared += cost[n].usage > 1 ? 1 : 0;
+    if (on_shared > 0) congested.emplace_back(on_shared, &t);
+  }
+  std::stable_sort(congested.begin(), congested.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  msg += "; congested nets: ";
+  for (std::size_t i = 0; i < std::min(kMaxNamed, congested.size()); ++i) {
+    msg += (i > 0 ? ", " : "") + placed.nets[congested[i].second->net_index].name +
+           " (" + std::to_string(congested[i].first) + " shared)";
+  }
+  if (congested.size() > kMaxNamed) {
+    msg += " and " + std::to_string(congested.size() - kMaxNamed) + " more";
+  }
+  return msg + "; shared nodes within (" + std::to_string(lo.x) + ", " +
+         std::to_string(lo.y) + ")-(" + std::to_string(hi.x) + ", " +
+         std::to_string(hi.y) + ") DBU";
+}
+
 }  // namespace
 
 RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
@@ -437,9 +596,9 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
 
   // Pin landing nodes, with conflict-avoiding spiral search on M1.  The
   // radius escalates deterministically until a free node is found or the
-  // whole grid has been scanned.  The owner array lives on after landing:
-  // the search treats foreign-owned pin nodes as hard obstacles.
-  std::vector<int> owner(static_cast<std::size_t>(g.nodes()), -1);
+  // whole grid has been scanned.  The owners live on after landing: the
+  // search treats foreign-owned pin nodes as hard obstacles.
+  std::vector<NodeCost> cost(static_cast<std::size_t>(g.nodes()));
   std::vector<NetTask> tasks;
   std::unordered_map<std::string, std::size_t> net_index;
   for (std::size_t i = 0; i < placed.nets.size(); ++i) {
@@ -472,7 +631,7 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
             const int xi = base_xi + dx, yi = base_yi + dy;
             if (xi < 0 || xi >= g.nx || yi < 0 || yi >= g.ny) continue;
             const int node = g.node(0, xi, yi);
-            if (owner[node] == -1 || owner[node] == self) {
+            if (cost[node].owner == -1 || cost[node].owner == self) {
               found = node;
             } else {
               ++occupied;
@@ -487,7 +646,7 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
           " grid near (" + std::to_string(pos.x) + ", " +
           std::to_string(pos.y) + ") is owned by another net (" +
           std::to_string(occupied) + " occupied nodes scanned)");
-      owner[found] = self;
+      cost[found].owner = self;
       task.pin_nodes.push_back(found);
     }
     task.distinct_pins = task.pin_nodes;
@@ -509,12 +668,11 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
 
   // Incrementally maintained congestion state: usage counts every net's
   // distinct pin nodes once, plus every node of every committed path.
-  std::vector<int> usage(static_cast<std::size_t>(g.nodes()), 0);
-  std::vector<int> history(static_cast<std::size_t>(g.nodes()), 0);
   for (const NetTask& t : tasks) {
-    for (int n : t.distinct_pins) ++usage[n];
+    for (int n : t.distinct_pins) ++cost[n].usage;
   }
 
+  SearchStatePool states(g.nodes());
   RouteStats stats;
   bool converged = tasks.empty();
   // Pending nets for the current iteration (all of them initially; after
@@ -547,33 +705,35 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
     }
 
     const auto rip = [&](NetTask& t) {
-      for (int n : t.path) --usage[n];
+      for (int n : t.path) --cost[n].usage;
       t.path.clear();
     };
     const auto commit = [&](PassResult& r, NetTask& t) {
       SECFLOW_CHECK(r.ok, "maze router: unreachable pin on net " +
                               placed.nets[t.net_index].name);
       stats.expanded_nodes += r.expanded;
-      for (int n : r.path) ++usage[n];
+      for (int n : r.path) ++cost[n].usage;
       t.path = std::move(r.path);
     };
-
-    // Batch-parallel routing: each batch's nets have pairwise-disjoint
-    // windows, so routing them concurrently reads/writes disjoint node
-    // sets and the committed result is bit-identical to routing them one
-    // by one.  Commit happens serially in batch order after the join.
     const auto route_one = [&](std::size_t pi) {
-      return route_net_pass(g, tasks[pending[pi]], windows[pi], opts,
-                            usage, history, owner, iter);
+      std::unique_ptr<RouterSearchState> st = states.take();
+      PassResult r = route_net_pass(g, *st, tasks[pending[pi]], windows[pi],
+                                    opts.via_cost, cost, iter);
+      states.give(std::move(st));
+      return r;
     };
     if (opts.incremental) {
-      // Rip every pending net before any search starts, so the usage the
-      // searches read is independent of the order within this iteration
-      // and the whole iteration routes against one clean snapshot.  Nets
-      // take their simultaneous shortest paths and negotiate purely
-      // through history — which keeps the converged geometry straight and
-      // loosely packed, a property the differential decomposition's rail
-      // balance depends on (DESIGN.md §15).
+      // Rip every pending net before any search starts, so no pending
+      // net's search sees another pending net's old path.  The batches
+      // then route and commit one after another, each seeing the commits
+      // of the batches before it; the serial tail routes against the one
+      // snapshot the last batch leaves and commits after all its
+      // searches.  Where every window overlaps (the DES module), each
+      // batch holds one net: the first <= 32 pending nets route one at a
+      // time and only the tail shares a snapshot.  The geometry this
+      // converges to is straight and loosely packed, a property the
+      // differential decomposition's rail balance depends on (DESIGN.md
+      // §15).
       for (std::size_t ti : pending) rip(tasks[ti]);
 
       // Batch-parallel routing: each batch's nets have pairwise-disjoint
@@ -602,9 +762,9 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
         }
       }
       if (!plan.serial_tail.empty()) {
-        // The tail routes against the same pre-rip snapshot as the
-        // batches (routes first, commits after), so whether a net landed
-        // in a batch or the tail does not change what its search sees.
+        // Every tail net routes against the same snapshot (all searches
+        // first, commits after), so the tail's order within itself does
+        // not change what any of its searches sees.
         Span tail_span("route.serial_tail", "pnr");
         tail_span.arg("nets", static_cast<int>(plan.serial_tail.size()));
         std::vector<PassResult> results;
@@ -636,10 +796,10 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
     // shared when more than one net occupies it; pins are unique per net
     // by construction, so usage > 1 always means a genuine conflict).
     int shared = 0;
-    for (int n = 0; n < g.nodes(); ++n) {
-      if (usage[n] > 1) {
+    for (NodeCost& c : cost) {
+      if (c.usage > 1) {
         ++shared;
-        history[n] += 1 + iter / 2;
+        c.history += 1 + iter / 2;
       }
     }
     converged = shared == 0;
@@ -653,13 +813,8 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
       pending.clear();
       for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
         NetTask& t = tasks[ti];
-        const auto overused = [&](const std::vector<int>& nodes) {
-          for (int n : nodes) {
-            if (usage[n] > 1) return true;
-          }
-          return false;
-        };
-        const bool congested = overused(t.distinct_pins) || overused(t.path);
+        const bool congested =
+            overused(t.distinct_pins, cost) || overused(t.path, cost);
         if (congested && was_pending[ti]) ++t.escalations;
         if (congested || !opts.incremental) pending.push_back(ti);
       }
@@ -675,7 +830,9 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
                    LogField("shared_nodes", shared),
                    LogField("pending", static_cast<int>(pending.size())));
   }
-  SECFLOW_CHECK(converged, "routing failed to converge (congestion)");
+  if (!converged) {
+    throw Error(congestion_report(g, cost, tasks, placed, stats.iterations));
+  }
 
   // Emit geometry.
   GeometryEmitter emitter(g);

@@ -7,8 +7,9 @@
 //
 // Layers: M1/M3 horizontal, M2 vertical.  Negotiated-congestion routing
 // (PathFinder-style) with a throughput-oriented core (DESIGN.md §15):
-//  * allocation-free A* search over persistent epoch-stamped state — no
-//    per-sink full-grid refills, admissible Manhattan + via lower bound;
+//  * A* over epoch-stamped search state that lives for one route_design
+//    call — no per-sink full-grid refills, a 4-ary heap of packed keys,
+//    admissible Manhattan + via lower bound;
 //  * bounded search windows around each net's pin bounding box, grown on
 //    a deterministic escalation schedule until they cover the full grid;
 //  * incremental rip-up-and-reroute — after the first iteration only nets
@@ -41,8 +42,11 @@ struct RouteOptions {
   /// Multiplier applied to the window margin per escalation step (>= 2).
   int window_escalation = 4;
   /// After the first full iteration, rip up and reroute only the nets that
-  /// overlap congested (shared) nodes instead of every net; every
-  /// iteration routes batch-parallel against one pre-rip usage snapshot.
+  /// overlap congested (shared) nodes instead of every net.  An iteration
+  /// rips all its pending nets before any search, then routes them in up
+  /// to 32 batches of disjoint windows, each batch committed before the
+  /// next starts and so seeing the earlier batches' paths; the nets that
+  /// fit no batch route in a serial tail against one shared snapshot.
   /// Off = the classic serial reroute-everything loop where each net is
   /// ripped just before its search and negotiates against everyone
   /// else's live path (the bench's A/B reference).
@@ -73,7 +77,10 @@ struct RouteStats {
 };
 
 /// Route all multi-pin nets of `nl` into `placed` (wires filled in).
-/// Throws Error when congestion cannot be resolved.
+/// Throws Error when congestion cannot be resolved within
+/// `max_iterations`; the message names the iterations run, the shared
+/// node count, up to five congested nets and the shared nodes' DBU
+/// bounding box.
 RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
                         DefDesign& placed, const RouteOptions& opts = {});
 

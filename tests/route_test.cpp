@@ -8,6 +8,8 @@
 //    so window pruning never costs completeness;
 //  * the serial reroute-everything reference (incremental off) is equally
 //    clean — the A/B pair the bench measures;
+//  * a run that cannot converge throws an Error naming congested nets and
+//    the region of the shared nodes;
 //  * the decomposed rails of the default geometry stay capacitance-
 //    balanced, the security property that constrains rip-up discipline.
 #include "pnr/route.h"
@@ -16,8 +18,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <regex>
 #include <string>
 
+#include "base/error.h"
 #include "base/units.h"
 #include "crypto/des.h"
 #include "extract/extract.h"
@@ -171,12 +175,49 @@ TEST_F(RouterOnFatDes, SerialReferenceIsDrcClean) {
   expect_drc_clean(def);
 }
 
+TEST_F(RouterOnFatDes, NonConvergenceNamesCongestedNetsAndRegion) {
+  // One iteration cannot resolve fat DES (the default run needs several):
+  // the Error must say how far it got, name nets of the design and give
+  // the shared nodes' bounding box inside the die.
+  RouteOptions opts;
+  opts.parallelism.n_threads = 1;
+  opts.max_iterations = 1;
+  std::string msg;
+  try {
+    route_copy(opts, nullptr);
+  } catch (const Error& e) {
+    msg = e.what();
+  }
+  ASSERT_FALSE(msg.empty()) << "one iteration unexpectedly converged";
+  EXPECT_NE(msg.find("after 1 iteration"), std::string::npos) << msg;
+
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(msg, m, std::regex("congested nets: ([^ ,;]+)")))
+      << msg;
+  const std::string first = m[1].str();
+  EXPECT_TRUE(std::any_of(placed_->nets.begin(), placed_->nets.end(),
+                          [&](const DefNet& n) { return n.name == first; }))
+      << "'" << first << "' is not a net of the design: " << msg;
+
+  ASSERT_TRUE(std::regex_search(
+      msg, m, std::regex(R"(\((-?\d+), (-?\d+)\)-\((-?\d+), (-?\d+)\) DBU)")))
+      << msg;
+  const Point lo{std::stoll(m[1].str()), std::stoll(m[2].str())};
+  const Point hi{std::stoll(m[3].str()), std::stoll(m[4].str())};
+  EXPECT_LE(lo.x, hi.x);
+  EXPECT_LE(lo.y, hi.y);
+  EXPECT_GE(lo.x, placed_->die.lo.x);
+  EXPECT_GE(lo.y, placed_->die.lo.y);
+  EXPECT_LE(hi.x, placed_->die.hi.x);
+  EXPECT_LE(hi.y, placed_->die.hi.y);
+}
+
 TEST_F(RouterOnFatDes, DecomposedRailsStayCapacitanceBalanced) {
   // The security property that constrains the rip-up discipline: after
   // decomposition the _t/_f rails must carry matched capacitance.  The
   // geometry is translation-identical (symmetry check), so any residual
-  // mismatch is lateral coupling to other nets — the term the Jacobi
-  // batch discipline keeps small (DESIGN.md section 15).
+  // mismatch is lateral coupling to other nets — the term the rip-first
+  // incremental discipline keeps small (DESIGN.md section 15).
   const Process018 pr;
   const std::int64_t fine_pitch = um_to_dbu(pr.wire_pitch_um);
   const DefDesign diff = decompose_interconnect(
