@@ -264,9 +264,15 @@ bool astar_connect(const Grid& g, RouterSearchState& st,
   const int nx = g.nx;
   const int plane = g.nx * g.ny;
   const int via_step = via_cost + 1;
-  const int tlayer = target / plane;
-  const int tyi = (target - tlayer * plane) / nx;
-  const int txi = target - tlayer * plane - tyi * nx;
+  struct Coords {
+    int layer, yi, xi;
+  };
+  const auto coords = [&](int n) {
+    const int layer = n / plane;
+    const int yi = (n - layer * plane) / nx;
+    return Coords{layer, yi, n - layer * plane - yi * nx};
+  };
+  const Coords t = coords(target);
 
   // Admissible (and consistent) cost-to-go lower bound on the via-cost
   // grid: every planar step enters a node costing >= 1, reaching the
@@ -275,10 +281,10 @@ bool astar_connect(const Grid& g, RouterSearchState& st,
   // in the required direction is impossible on this layer) costs two more
   // via edges.  See DESIGN.md §15 for the admissibility argument.
   const auto h = [&](int layer, int yi, int xi) {
-    const int dx = std::abs(xi - txi);
-    const int dy = std::abs(yi - tyi);
-    int est = dx + dy + std::abs(layer - tlayer) * via_step;
-    if (layer == tlayer && (g.horizontal(layer) ? dy > 0 : dx > 0)) {
+    const int dx = std::abs(xi - t.xi);
+    const int dy = std::abs(yi - t.yi);
+    int est = dx + dy + std::abs(layer - t.layer) * via_step;
+    if (layer == t.layer && (g.horizontal(layer) ? dy > 0 : dx > 0)) {
       est += 2 * via_step;
     }
     return est;
@@ -288,10 +294,9 @@ bool astar_connect(const Grid& g, RouterSearchState& st,
   };
 
   for (const int s : tree) {
-    const int layer = s / plane;
-    const int yi = (s - layer * plane) / nx;
+    const Coords c = coords(s);
     rec[s] = {epoch, 0, -1};
-    heap.append(key(h(layer, yi, s - layer * plane - yi * nx), s));
+    heap.append(key(h(c.layer, c.yi, c.xi), s));
   }
   heap.heapify();
 
@@ -300,9 +305,7 @@ bool astar_connect(const Grid& g, RouterSearchState& st,
   while (!heap.empty()) {
     const std::uint64_t top = heap.pop();
     const int u = static_cast<int>(top & 0xffffffffu);
-    const int layer = u / plane;
-    const int yi = (u - layer * plane) / nx;
-    const int xi = u - layer * plane - yi * nx;
+    const auto [layer, yi, xi] = coords(u);
     const int d = rec[u].g;
     if (static_cast<int>(top >> 32) != d + h(layer, yi, xi)) continue;  // stale
     ++pops;
