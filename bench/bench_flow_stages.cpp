@@ -47,23 +47,24 @@ int main() {
              "-");
   bench::row("%-28s rtl.v: %4zu cells, %4zu nets %14.1f", "logic synthesis",
              secure.rtl.n_instances(), secure.rtl.n_nets(),
-             secure.timings.synthesis_ms);
+             secure.timings.stage_ms(FlowStage::kSynthesis));
   bench::row("%-28s fat.v: %4zu compounds (+diff) %12.1f",
              "cell substitution*", secure.fat.n_instances(),
-             secure.timings.substitution_ms);
+             secure.timings.stage_ms(FlowStage::kSubstitution));
   bench::row("%-28s %-34s %10s", "", "  (LEC fat.v == rtl.v: pass)", "");
   bench::row("%-28s fat.def: %4zu nets routed %15.1f", "place & route",
              secure.fat_def.nets.size(),
-             secure.timings.place_ms + secure.timings.route_ms);
+             secure.timings.stage_ms(FlowStage::kPlacement) +
+                 secure.timings.stage_ms(FlowStage::kRouting));
   bench::row("%-28s diff.def: %4zu rail nets %15.1f",
              "interconnect decomposition*", secure.def.nets.size(),
-             secure.timings.decomposition_ms);
+             secure.timings.stage_ms(FlowStage::kDecomposition));
   bench::row("%-28s layout + parasitics %20.1f", "stream out / extraction",
-             secure.timings.extraction_ms);
+             secure.timings.stage_ms(FlowStage::kExtraction));
   bench::blank();
   bench::row("* = the two steps the secure flow adds to a regular flow.");
-  const double extra =
-      secure.timings.substitution_ms + secure.timings.decomposition_ms;
+  const double extra = secure.timings.stage_ms(FlowStage::kSubstitution) +
+                       secure.timings.stage_ms(FlowStage::kDecomposition);
   const double total = secure.timings.total_ms();
   bench::row("added steps: %.1f ms of %.1f ms total (%.1f%%) — the paper",
              extra, total, 100.0 * extra / total);

@@ -1,13 +1,16 @@
 // Shared helpers for the reproduction benches: consistent table printing,
-// an optional machine-readable JSON report (`--json <path>`), and the
-// standard flow setup used across experiments.
+// repeated wall-clock timing, an optional machine-readable JSON report
+// (`--json <path>`), and the standard flow setup used across experiments.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "crypto/des.h"
 #include "flow/flow.h"
@@ -30,6 +33,24 @@ inline void row(const char* fmt, ...) {
 }
 
 inline void blank() { std::printf("\n"); }
+
+/// Median wall time in ms of `repeats` (>= 1) calls of `fn`.  A single
+/// shot on a shared host can swing several-fold; the median of a fixed
+/// repeat count does not.
+template <typename Fn>
+double median_ms(int repeats, Fn&& fn) {
+  std::vector<double> ms;
+  for (int i = 0; i < repeats; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  const std::size_t n = ms.size();
+  return n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2;
+}
 
 /// Machine-readable bench results (document `secflow.bench-report/1`).
 /// Pass `--json <path>` (or `--json=<path>`) on a bench's command line to

@@ -1,5 +1,7 @@
 #include "campaign/spec.h"
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
@@ -66,18 +68,26 @@ void opt_number(const JsonValue& obj, const char* key, const char* where,
   }
 }
 
-void opt_int(const JsonValue& obj, const char* key, const char* where,
-             Violations& errs, int& out) {
-  double d = out;
-  opt_number(obj, key, where, errs, d);
-  out = static_cast<int>(d);
-}
-
-void opt_u64(const JsonValue& obj, const char* key, const char* where,
-             Violations& errs, std::uint64_t& out) {
-  double d = static_cast<double>(out);
-  opt_number(obj, key, where, errs, d);
-  out = static_cast<std::uint64_t>(d);
+/// Overwrite `out` when the member exists and is an integer that fits in
+/// T.  A fraction or an out-of-range value is a violation naming the
+/// member, never a silent (or undefined) conversion.
+template <typename T>
+void opt_integer(const JsonValue& obj, const char* key, const char* where,
+                 Violations& errs, T& out) {
+  const JsonValue* v = want(obj, key, JsonValue::Kind::kNumber, where, errs);
+  if (v == nullptr) return;
+  const double d = v->as_number();
+  // [min, 2^digits) — both bounds are exact doubles, unlike max().
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(d >= lo && d < hi) || d != std::trunc(d)) {
+    errs.add(std::string(where) + ": member '" + key +
+             "' must be an integer in [" +
+             std::to_string(std::numeric_limits<T>::min()) + ", " +
+             std::to_string(std::numeric_limits<T>::max()) + "]");
+    return;
+  }
+  out = static_cast<T>(d);
 }
 
 void opt_bool(const JsonValue& obj, const char* key, const char* where,
@@ -174,18 +184,18 @@ void parse_options(const JsonValue& v, const std::string& where,
                   errs);
     opt_number(*p, "aspect_ratio", w.c_str(), errs, o.place.aspect_ratio);
     opt_number(*p, "fill_factor", w.c_str(), errs, o.place.fill_factor);
-    opt_int(*p, "sa_moves_per_instance", w.c_str(), errs,
-            o.place.sa_moves_per_instance);
-    opt_int(*p, "sa_batch", w.c_str(), errs, o.place.sa_batch);
-    opt_int(*p, "margin_tracks", w.c_str(), errs, o.place.margin_tracks);
-    opt_u64(*p, "seed", w.c_str(), errs, o.place.seed);
+    opt_integer(*p, "sa_moves_per_instance", w.c_str(), errs,
+                o.place.sa_moves_per_instance);
+    opt_integer(*p, "sa_batch", w.c_str(), errs, o.place.sa_batch);
+    opt_integer(*p, "margin_tracks", w.c_str(), errs, o.place.margin_tracks);
+    opt_integer(*p, "seed", w.c_str(), errs, o.place.seed);
   }
   if (const JsonValue* r = want(v, "route", JsonValue::Kind::kObject,
                                 where.c_str(), errs)) {
     const std::string w = where + ".route";
     check_members(*r, w.c_str(), {"via_cost", "max_iterations"}, errs);
-    opt_int(*r, "via_cost", w.c_str(), errs, o.route.via_cost);
-    opt_int(*r, "max_iterations", w.c_str(), errs, o.route.max_iterations);
+    opt_integer(*r, "via_cost", w.c_str(), errs, o.route.via_cost);
+    opt_integer(*r, "max_iterations", w.c_str(), errs, o.route.max_iterations);
   }
   if (const JsonValue* e = want(v, "extract", JsonValue::Kind::kObject,
                                 where.c_str(), errs)) {
@@ -196,7 +206,7 @@ void parse_options(const JsonValue& v, const std::string& where,
                o.extract.coupling_max_sep_um);
     opt_number(*e, "variation_sigma", w.c_str(), errs,
                o.extract.variation_sigma);
-    opt_u64(*e, "seed", w.c_str(), errs, o.extract.seed);
+    opt_integer(*e, "seed", w.c_str(), errs, o.extract.seed);
   }
 }
 
@@ -241,7 +251,7 @@ CampaignJob parse_job(const JsonValue& v, std::size_t index,
     errs.add(where + ": missing required member 'flow'");
   }
 
-  opt_u64(v, "seed", where.c_str(), errs, job.seed);
+  opt_integer(v, "seed", where.c_str(), errs, job.seed);
 
   if (const JsonValue* d = want(v, "dpa", JsonValue::Kind::kObject,
                                 where.c_str(), errs)) {
@@ -250,13 +260,11 @@ CampaignJob parse_job(const JsonValue& v, std::size_t index,
     check_members(*d, w.c_str(),
                   {"n_measurements", "noise_ma", "select_bit", "sbox", "key"},
                   errs);
-    opt_int(*d, "n_measurements", w.c_str(), errs, job.dpa.n_measurements);
+    opt_integer(*d, "n_measurements", w.c_str(), errs, job.dpa.n_measurements);
     opt_number(*d, "noise_ma", w.c_str(), errs, job.dpa.noise_ma);
-    opt_int(*d, "select_bit", w.c_str(), errs, job.dpa.select_bit);
-    opt_int(*d, "sbox", w.c_str(), errs, job.dpa.sbox);
-    std::uint64_t key = job.dpa.key;
-    opt_u64(*d, "key", w.c_str(), errs, key);
-    job.dpa.key = static_cast<std::uint32_t>(key);
+    opt_integer(*d, "select_bit", w.c_str(), errs, job.dpa.select_bit);
+    opt_integer(*d, "sbox", w.c_str(), errs, job.dpa.sbox);
+    opt_integer(*d, "key", w.c_str(), errs, job.dpa.key);
   }
 
   if (const JsonValue* o = v.find("options")) {
@@ -289,9 +297,8 @@ void validate_into(const CampaignSpec& spec, Violations& errs) {
                  "remove stop_after or run through extraction");
       }
     }
-    if (job.flow == FlowKind::kRegular && job.options.stop_after &&
-        (*job.options.stop_after == FlowStage::kSubstitution ||
-         *job.options.stop_after == FlowStage::kDecomposition)) {
+    if (job.options.stop_after &&
+        !flow_runs_stage(job.flow, *job.options.stop_after)) {
       errs.add(where + ": stop_after names a secure-only stage but the "
                "flow is regular");
     }
@@ -341,7 +348,7 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
                                 "document", errs)) {
     spec.cache_dir = c->as_string();
   }
-  opt_int(doc, "threads", "document", errs, spec.threads);
+  opt_integer(doc, "threads", "document", errs, spec.threads);
 
   if (const JsonValue* jobs = want(doc, "jobs", JsonValue::Kind::kArray,
                                    "document", errs)) {

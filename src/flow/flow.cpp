@@ -18,21 +18,6 @@
 namespace secflow {
 namespace {
 
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  double lap_ms() {
-    const auto now = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(now - start_).count();
-    start_ = now;
-    return ms;
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// The clock net name of a mapped netlist (net driving flop CK pins), or
 /// empty for combinational designs.
 std::string clock_net_name(const Netlist& nl) {
@@ -46,107 +31,331 @@ std::string clock_net_name(const Netlist& nl) {
   return {};
 }
 
-/// Stage option structs whose thread count is on auto (0) inherit the
-/// flow-level Parallelism, so one knob controls the whole flow while an
-/// explicit per-stage setting still wins.
-FlowOptions resolve_parallelism(const FlowOptions& opts) {
+/// The options a run of `kind` actually uses.  Stage option structs whose
+/// thread count is on auto (0) inherit the flow-level Parallelism, so one
+/// knob controls the whole flow while an explicit per-stage setting still
+/// wins; the secure flow synthesizes to the WDDL gate whitelist unless the
+/// caller restricted the cells itself.
+FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
   if (o.place.parallelism.n_threads == 0) o.place.parallelism = o.parallelism;
   if (o.route.parallelism.n_threads == 0) o.route.parallelism = o.parallelism;
   if (o.extract.parallelism.n_threads == 0)
     o.extract.parallelism = o.parallelism;
+  if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty())
+    o.synth = wddl_synth_constraints();
   return o;
 }
 
 std::size_t stage_idx(FlowStage s) { return static_cast<std::size_t>(s); }
 
-/// Per-run cache driver: records keys and outcomes in StageTimings, loads
-/// hits from the store, persists misses, and enforces resume_from (a stage
-/// before the resume point must hit — recomputing it would defeat the
-/// point of resuming).
-class StageCache {
- public:
-  StageCache(const FlowOptions& o, StageTimings& t) : o_(o), t_(t) {
-    if (!o.cache_dir.empty()) store_.emplace(o.cache_dir);
-  }
+/// One run's artifacts.  Each stage reads what the stages before it left
+/// here and fills in its own members; members of stages that never ran
+/// stay empty.
+struct FlowRun {
+  FlowRun(FlowKind kind, const AigCircuit& circuit,
+          std::shared_ptr<const CellLibrary> library, FlowOptions o)
+      : kind(kind), circuit(circuit), library(std::move(library)),
+        o(std::move(o)) {}
 
-  /// Cache lookup for stage `s` under `key`; the artifact on a hit.
-  std::optional<Artifact> begin(FlowStage s, std::uint64_t key) {
-    t_.cache_key[stage_idx(s)] = key;
-    if (!store_) {
-      t_.cache[stage_idx(s)] = CacheOutcome::kDisabled;
-      return std::nullopt;
-    }
-    std::optional<Artifact> a = store_->load(flow_stage_name(s), key);
-    if (a) {
-      t_.cache[stage_idx(s)] = CacheOutcome::kHit;
-      return a;
-    }
-    SECFLOW_CHECK(!before_resume(s),
-                  std::string("FlowOptions::resume_from: no cached ") +
-                      flow_stage_name(s) + " artifact in " + o_.cache_dir +
-                      " for key " + hash_hex(key) +
-                      " — run the upstream stages without resume_from first");
-    t_.cache[stage_idx(s)] = CacheOutcome::kMiss;
-    return std::nullopt;
-  }
+  FlowKind kind;
+  const AigCircuit& circuit;
+  std::shared_ptr<const CellLibrary> library;
+  FlowOptions o;  ///< resolve_options() of the caller's options
 
-  /// Persist the artifact computed for a missed stage (no-op otherwise).
-  void finish(FlowStage s, Artifact a) {
-    if (!store_ || t_.cache[stage_idx(s)] != CacheOutcome::kMiss) return;
-    a.kind = flow_stage_name(s);
-    a.key = t_.cache_key[stage_idx(s)];
-    store_->save(a);
-  }
+  StageTimings t;
+  std::optional<Netlist> rtl;
+  std::shared_ptr<WddlLibrary> wlib;
+  std::optional<Netlist> fat;
+  std::optional<Netlist> diff;
+  SubstitutionStats sub_stats;
+  LecResult lec;
+  LefLibrary lef;                ///< library of placed(): rtl's, or fat_lib.lef
+  DefDesign def;                 ///< placed, then routed (fat.def if secure)
+  RouteStats rs;
+  LefLibrary diff_lef;
+  DefDesign diff_def;
+  CheckResult stream_check;
+  Extraction ex;
+  CapTable caps;
+  TimingReport timing;
 
-  bool stop_after(FlowStage s) const {
-    return o_.stop_after && *o_.stop_after == s;
-  }
-
- private:
-  bool before_resume(FlowStage s) const {
-    return o_.resume_from && stage_idx(s) < stage_idx(*o_.resume_from);
-  }
-
-  const FlowOptions& o_;
-  StageTimings& t_;
-  std::optional<ArtifactStore> store_;
+  bool secure() const { return kind == FlowKind::kSecure; }
+  /// The netlist placement and routing work on: rtl.v, or fat.v.
+  const Netlist& placed() const { return secure() ? *fat : *rtl; }
 };
 
-/// Span name of one pipeline stage (stable literals — Span keeps the
-/// pointer).
-const char* flow_span_name(FlowStage s) {
-  switch (s) {
-    case FlowStage::kSynthesis: return "flow.synthesis";
-    case FlowStage::kSubstitution: return "flow.substitution";
-    case FlowStage::kPlacement: return "flow.placement";
-    case FlowStage::kRouting: return "flow.routing";
-    case FlowStage::kDecomposition: return "flow.decomposition";
-    case FlowStage::kExtraction: return "flow.extraction";
+/// One pipeline stage: the single place its cache-key link, its work and
+/// its checkpoint format are written down.  run_stages owns everything
+/// else a stage does — span, checkpoint lookup and save,
+/// resume_from/stop_after, wall time and log line.
+struct StageRow {
+  FlowStage stage;
+  /// Folds the options this stage's artifact depends on into its key;
+  /// compute_stage_keys has already added the upstream key and the name.
+  void (*key)(Hasher& h, const FlowOptions& o, FlowKind kind);
+  /// Builds inputs that are never checkpointed (the LEF libraries), on a
+  /// hit as on a miss; null when there are none.
+  void (*prepare)(FlowRun& r) = nullptr;
+  void (*compute)(FlowRun& r);
+  /// Checkpoint serializer and parser (a hit calls load instead of compute).
+  void (*save)(const FlowRun& r, Artifact& a);
+  void (*load)(FlowRun& r, const Artifact& a);
+};
+
+/// Fig 1 in execution order.  The regular flow runs the rows for which
+/// flow_runs_stage() holds: all but substitution and decomposition.
+const StageRow kStages[] = {
+    // Logic synthesis -> rtl.v (restricted to WDDL-supported gates in the
+    // secure flow, see resolve_options).
+    {.stage = FlowStage::kSynthesis,
+     .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
+       h.add(fingerprint(o.synth));
+     },
+     .compute = [](FlowRun& r) {
+       r.rtl = technology_map(r.circuit, r.library, r.o.synth);
+       r.rtl->validate();
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("rtl.v", write_verilog(*r.rtl));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       r.rtl = parse_verilog(a.section("rtl.v"), r.library);
+     }},
+
+    // Cell substitution: rtl.v -> fat.v + differential netlist, verified
+    // equivalent (LEC) before anything downstream consumes it.  The artifact
+    // carries the fat cell library too, so a hit can reparse fat.v without
+    // regenerating the compound inventory.
+    {.stage = FlowStage::kSubstitution,
+     .key = [](Hasher&, const FlowOptions&, FlowKind) {},
+     .compute = [](FlowRun& r) {
+       r.wlib = std::make_shared<WddlLibrary>(r.library);
+       SubstitutionResult sub = substitute_cells(*r.rtl, *r.wlib);
+       r.fat = std::move(sub.fat);
+       r.sub_stats = sub.stats;
+       r.diff = expand_differential(*r.fat, *r.wlib);
+       r.lec = check_equivalence(*r.rtl, *r.fat);
+       SECFLOW_CHECK(r.lec.equivalent,
+                     "secure flow LEC failed: " +
+                         (r.lec.mismatches.empty()
+                              ? std::string("?")
+                              : r.lec.mismatches[0].what));
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("fat_lib", write_cell_library(r.fat->library()));
+       a.add("fat.v", write_verilog(*r.fat));
+       a.add("diff.v", write_verilog(*r.diff));
+       a.add("stats", write_substitution_stats(r.sub_stats));
+       a.add("lec", write_lec_result(r.lec));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       std::shared_ptr<const CellLibrary> fat_lib =
+           std::make_shared<CellLibrary>(
+               parse_cell_library(a.section("fat_lib")));
+       r.fat = parse_verilog(a.section("fat.v"), fat_lib);
+       r.diff = parse_verilog(a.section("diff.v"), r.library);
+       r.sub_stats = parse_substitution_stats(a.section("stats"));
+       r.lec = parse_lec_result(a.section("lec"));
+     }},
+
+    // Placement.  The secure flow places fat cells: doubled pitch and
+    // width — tripled with shielded pairs, reserving a third track for the
+    // shield wire.
+    {.stage = FlowStage::kPlacement,
+     .key = [](Hasher& h, const FlowOptions& o, FlowKind kind) {
+       h.add(fingerprint(o.place)).add(fingerprint(o.extract.process));
+       if (kind == FlowKind::kSecure) h.add(o.shielded_pairs);
+     },
+     .prepare = [](FlowRun& r) {
+       LefGenOptions gen{r.o.extract.process};
+       if (r.secure()) gen.wire_scale = r.o.shielded_pairs ? 3.0 : 2.0;
+       r.lef = generate_lef(r.placed().library(), gen);
+     },
+     .compute = [](FlowRun& r) {
+       r.def = place_design(r.placed(), r.lef, r.o.place);
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("placed.def", write_def(r.def));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       r.def = parse_def(a.section("placed.def"));
+     }},
+
+    // Routing (fat routing in the secure flow).
+    {.stage = FlowStage::kRouting,
+     .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
+       h.add(fingerprint(o.route)).add(static_cast<int>(o.route_mode));
+     },
+     .compute = [](FlowRun& r) {
+       r.rs = r.o.route_mode == RouteMode::kQuickLShaped
+                  ? route_design_quick(r.placed(), r.lef, r.def)
+                  : route_design(r.placed(), r.lef, r.def, r.o.route);
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("routed.def", write_def(r.def));
+       a.add("route_stats", write_route_stats(r.rs));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       r.def = parse_def(a.section("routed.def"));
+       r.rs = parse_route_stats(a.section("route_stats"));
+     }},
+
+    // Interconnect decomposition fat.def -> diff.def, plus stream-out
+    // verification against the differential library (the re-verified
+    // results ride in the checkpoint).
+    {.stage = FlowStage::kDecomposition,
+     .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
+       const Process018& pr = o.extract.process;
+       h.add(pr.wire_pitch_um).add(pr.wire_width_um).add(o.shielded_pairs);
+     },
+     .prepare = [](FlowRun& r) {
+       const Process018& pr = r.o.extract.process;
+       r.diff_lef = make_diff_lef(r.lef, pr.wire_pitch_um, pr.wire_width_um);
+     },
+     .compute = [](FlowRun& r) {
+       const Process018& pr = r.o.extract.process;
+       DecomposeOptions dopts;
+       dopts.add_shields = r.o.shielded_pairs;
+       const std::string clk = clock_net_name(*r.fat);
+       if (!clk.empty()) dopts.single_ended_nets.push_back(clk);
+       r.diff_def = decompose_interconnect(r.def, um_to_dbu(pr.wire_pitch_um),
+                                          um_to_dbu(pr.wire_width_um), dopts);
+
+       // Stream-out verification (the paper's "importing the differential
+       // gate level netlist" check): rail symmetry plus per-rail pin
+       // connectivity against the differential LEF.
+       r.stream_check = check_differential_symmetry(
+           r.diff_def, um_to_dbu(pr.wire_pitch_um));
+       SECFLOW_CHECK(r.stream_check.ok, "decomposition symmetry check failed");
+       const CheckResult rail_check = check_stream_out(
+           *r.fat, r.diff_lef, r.diff_def, 5 * r.lef.track_pitch_dbu());
+       SECFLOW_CHECK(rail_check.ok,
+                     "stream-out rail connectivity check failed: " +
+                         (rail_check.issues.empty()
+                              ? std::string("?")
+                              : rail_check.issues[0].net + " " +
+                                    rail_check.issues[0].what));
+       r.stream_check.nets_checked += rail_check.nets_checked;
+       r.stream_check.pins_checked += rail_check.pins_checked;
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("diff.def", write_def(r.diff_def));
+       a.add("stream_check", write_check_result(r.stream_check));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       r.diff_def = parse_def(a.section("diff.def"));
+       r.stream_check = parse_check_result(a.section("stream_check"));
+     }},
+
+    // Extraction + switched-cap table + STA on the final layout (the
+    // differential one in the secure flow).
+    {.stage = FlowStage::kExtraction,
+     .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
+       h.add(fingerprint(o.extract));
+     },
+     .compute = [](FlowRun& r) {
+       const Netlist& nl = r.secure() ? *r.diff : *r.rtl;
+       r.ex = extract_parasitics(r.secure() ? r.diff_def : r.def, nl,
+                                 r.o.extract);
+       r.caps = build_cap_table(nl, r.ex);
+       r.timing = analyze_timing(nl, r.caps);
+     },
+     .save = [](const FlowRun& r, Artifact& a) {
+       a.add("extraction", write_extraction(r.ex));
+       a.add("caps", write_cap_table(r.caps));
+       a.add("timing", write_timing_report(r.timing));
+     },
+     .load = [](FlowRun& r, const Artifact& a) {
+       r.ex = parse_extraction(a.section("extraction"));
+       r.caps = parse_cap_table(a.section("caps"));
+       r.timing = parse_timing_report(a.section("timing"));
+     }},
+};
+
+/// Runs the kStages rows `kind` runs, in order, and owns what every stage
+/// shares: the flow and stage spans, the checkpoint lookup (a hit loads, a
+/// miss computes and saves), resume_from (a stage before the resume point
+/// must hit — recomputing it would defeat the point of resuming),
+/// stop_after, the per-stage wall time and the log lines.
+FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
+                   std::shared_ptr<const CellLibrary> library,
+                   const FlowOptions& opts) {
+  opts.validate();
+  const auto reject_unrun = [kind](const std::optional<FlowStage>& s,
+                                   const char* which) {
+    SECFLOW_CHECK(
+        !s || flow_runs_stage(kind, *s),
+        std::string("FlowOptions: ") + which + " = " + flow_stage_name(*s) +
+            " names a secure-only stage; the regular flow does not run it");
+  };
+  reject_unrun(opts.resume_from, "resume_from");
+  reject_unrun(opts.stop_after, "stop_after");
+
+  FlowRun r(kind, circuit, std::move(library), resolve_options(kind, opts));
+  const FlowOptions& o = r.o;
+  StageTimings& t = r.t;
+  if (o.log_level) Logger::global().set_level(*o.log_level);
+  t.n_threads = o.parallelism.resolved_threads();
+  std::optional<ArtifactStore> store;
+  if (!o.cache_dir.empty()) store.emplace(o.cache_dir);
+
+  const std::string flow_name = std::string("flow.") + flow_kind_name(kind);
+  Span flow_span(flow_name.c_str(), "flow");
+  flow_span.arg("design", circuit.name);
+  SECFLOW_LOG_INFO("flow", std::string(flow_kind_name(kind)) + " flow start",
+                   LogField("design", circuit.name),
+                   LogField("threads", t.n_threads));
+
+  // Cache-key chain: every stage key hashes the full upstream chain, so a
+  // changed early input re-keys (and re-runs) everything downstream while
+  // an unchanged prefix keeps hitting.  compute_stage_keys is the single
+  // source of truth for the chain (the campaign scheduler keys off it too).
+  const auto keys = compute_stage_keys(kind, circuit, *r.library, o);
+
+  for (const StageRow& row : kStages) {
+    if (!flow_runs_stage(kind, row.stage)) continue;
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t i = stage_idx(row.stage);
+    const char* name = flow_stage_name(row.stage);
+    const std::string span_name = std::string("flow.") + name;
+    Span span(span_name.c_str(), "flow");
+    if (row.prepare != nullptr) row.prepare(r);
+
+    t.cache_key[i] = keys[i];
+    std::optional<Artifact> hit;
+    if (store) hit = store->load(name, keys[i]);
+    if (hit) {
+      t.cache[i] = CacheOutcome::kHit;
+      row.load(r, *hit);
+    } else {
+      SECFLOW_CHECK(!o.resume_from || i >= stage_idx(*o.resume_from),
+                    std::string("FlowOptions::resume_from: no cached ") +
+                        name + " artifact in " + o.cache_dir + " for key " +
+                        hash_hex(keys[i]) +
+                        " — run the upstream stages without resume_from "
+                        "first");
+      t.cache[i] = store ? CacheOutcome::kMiss : CacheOutcome::kDisabled;
+      row.compute(r);
+      // Serialize only when the store keeps the result.
+      if (store) {
+        Artifact a(name, keys[i]);
+        row.save(r, a);
+        store->save(a);
+      }
+    }
+
+    t.ms[i] = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    const char* outcome = cache_outcome_name(t.cache[i]);
+    span.arg("cache", outcome);
+    if (keys[i] != 0) span.arg("key", hash_hex(keys[i]));
+    SECFLOW_LOG_INFO("flow", "stage done", LogField("stage", name),
+                     LogField("ms", t.ms[i]), LogField("cache", outcome));
+    if (o.stop_after == row.stage) break;
   }
-  return "flow.?";
-}
-
-/// Close out one executed stage: record its wall time, attach the cache
-/// verdict to the stage span, and emit one info log line.
-void finish_stage(FlowStage s, Span& span, Stopwatch& sw, StageTimings& t,
-                  double& ms_slot) {
-  ms_slot = sw.lap_ms();
-  const char* outcome = cache_outcome_name(t.outcome(s));
-  span.arg("cache", outcome);
-  if (t.key(s) != 0) span.arg("key", hash_hex(t.key(s)));
-  SECFLOW_LOG_INFO("flow", "stage done",
-                   LogField("stage", flow_stage_name(s)),
-                   LogField("ms", ms_slot), LogField("cache", outcome));
-}
-
-void reject_secure_only_stage(const std::optional<FlowStage>& s,
-                              const char* which) {
-  if (!s) return;
-  SECFLOW_CHECK(
-      *s != FlowStage::kSubstitution && *s != FlowStage::kDecomposition,
-      std::string("FlowOptions: ") + which + " = " + flow_stage_name(*s) +
-          " names a secure-only stage; the regular flow does not run it");
+  return r;
 }
 
 Netlist take_netlist(std::optional<Netlist>&& n,
@@ -154,8 +363,18 @@ Netlist take_netlist(std::optional<Netlist>&& n,
   return n ? std::move(*n) : Netlist("(not run)", lib);
 }
 
-DefDesign take_def(std::optional<DefDesign>&& d) {
-  return d ? std::move(*d) : DefDesign{};
+/// The FlowArtifacts base of a finished run, with `lef`/`def` as its final
+/// layout.
+FlowArtifacts take_artifacts(FlowRun& r, LefLibrary& lef, DefDesign& def) {
+  return {std::move(*r.rtl),
+          std::move(lef),
+          std::move(def),
+          r.rs,
+          std::move(r.ex),
+          std::move(r.caps),
+          r.t,
+          std::move(r.timing),
+          r.o.stop_after.value_or(FlowStage::kExtraction)};
 }
 
 void append_common(std::ostringstream& os, const FlowArtifacts& r) {
@@ -193,6 +412,11 @@ const char* flow_stage_name(FlowStage s) {
   return "?";
 }
 
+bool flow_runs_stage(FlowKind kind, FlowStage s) {
+  return kind == FlowKind::kSecure ||
+         (s != FlowStage::kSubstitution && s != FlowStage::kDecomposition);
+}
+
 const char* cache_outcome_name(CacheOutcome c) {
   switch (c) {
     case CacheOutcome::kNotRun: return "not-run";
@@ -203,16 +427,10 @@ const char* cache_outcome_name(CacheOutcome c) {
   return "?";
 }
 
-double StageTimings::stage_ms(FlowStage s) const {
-  switch (s) {
-    case FlowStage::kSynthesis: return synthesis_ms;
-    case FlowStage::kSubstitution: return substitution_ms;
-    case FlowStage::kPlacement: return place_ms;
-    case FlowStage::kRouting: return route_ms;
-    case FlowStage::kDecomposition: return decomposition_ms;
-    case FlowStage::kExtraction: return extraction_ms;
-  }
-  return 0.0;
+double StageTimings::total_ms() const {
+  double sum = 0.0;
+  for (const double m : ms) sum += m;
+  return sum;
 }
 
 int StageTimings::cache_hits() const {
@@ -249,6 +467,10 @@ void FlowOptions::validate() const {
           "FlowOptions: extract.coupling_max_sep_um must be >= 0");
   require(extract.variation_sigma >= 0.0,
           "FlowOptions: extract.variation_sigma must be >= 0");
+  require(route.via_cost >= 0,
+          "FlowOptions: route.via_cost must be >= 0 — below -1 a via "
+          "up-and-down pair has negative cost and the maze search never "
+          "settles");
   require(route.max_iterations >= 1,
           "FlowOptions: route.max_iterations must be >= 1");
   require(route.window_margin >= 0,
@@ -283,10 +505,7 @@ void FlowOptions::validate() const {
 std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,
     const FlowOptions& opts) {
-  const bool secure = kind == FlowKind::kSecure;
-  SynthConstraints synth = opts.synth;
-  if (secure && synth.allowed_cells.empty()) synth = wddl_synth_constraints();
-
+  const FlowOptions o = resolve_options(kind, opts);
   std::array<std::uint64_t, kNumFlowStages> keys{};
   std::uint64_t chain = Hasher()
                             .add(kCkptFormatVersion)
@@ -294,47 +513,14 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
                             .add(fingerprint(circuit))
                             .add(fingerprint(library))
                             .digest();
-  chain = Hasher().add(chain).add("synthesis").add(fingerprint(synth))
-              .digest();
-  keys[stage_idx(FlowStage::kSynthesis)] = chain;
-
-  if (secure) {
-    chain = Hasher().add(chain).add("substitution").digest();
-    keys[stage_idx(FlowStage::kSubstitution)] = chain;
+  for (const StageRow& row : kStages) {
+    if (!flow_runs_stage(kind, row.stage)) continue;
+    Hasher h;
+    h.add(chain).add(flow_stage_name(row.stage));
+    row.key(h, o, kind);
+    chain = h.digest();
+    keys[stage_idx(row.stage)] = chain;
   }
-
-  Hasher place_h;
-  place_h.add(chain)
-      .add("placement")
-      .add(fingerprint(opts.place))
-      .add(fingerprint(opts.extract.process));
-  if (secure) place_h.add(opts.shielded_pairs);
-  chain = place_h.digest();
-  keys[stage_idx(FlowStage::kPlacement)] = chain;
-
-  chain = Hasher()
-              .add(chain)
-              .add("routing")
-              .add(fingerprint(opts.route))
-              .add(static_cast<int>(opts.route_mode))
-              .digest();
-  keys[stage_idx(FlowStage::kRouting)] = chain;
-
-  if (secure) {
-    const Process018& pr = opts.extract.process;
-    chain = Hasher()
-                .add(chain)
-                .add("decomposition")
-                .add(pr.wire_pitch_um)
-                .add(pr.wire_width_um)
-                .add(opts.shielded_pairs)
-                .digest();
-    keys[stage_idx(FlowStage::kDecomposition)] = chain;
-  }
-
-  chain = Hasher().add(chain).add("extraction").add(fingerprint(opts.extract))
-              .digest();
-  keys[stage_idx(FlowStage::kExtraction)] = chain;
   return keys;
 }
 
@@ -360,334 +546,35 @@ CompiledSimModel compile_power_model(const SecureFlowResult& result,
 RegularFlowResult run_regular_flow(const AigCircuit& circuit,
                                    std::shared_ptr<const CellLibrary> library,
                                    const FlowOptions& opts) {
-  opts.validate();
-  reject_secure_only_stage(opts.resume_from, "resume_from");
-  reject_secure_only_stage(opts.stop_after, "stop_after");
-  const FlowOptions o = resolve_parallelism(opts);
-  if (o.log_level) Logger::global().set_level(*o.log_level);
-  Stopwatch sw;
-  StageTimings t;
-  t.n_threads = o.parallelism.resolved_threads();
-  StageCache cache(o, t);
-  Span flow_span("flow.regular", "flow");
-  flow_span.arg("design", circuit.name);
-  SECFLOW_LOG_INFO("flow", "regular flow start",
-                   LogField("design", circuit.name),
-                   LogField("threads", t.n_threads));
-
-  // Cache-key chain: every stage key hashes the full upstream chain, so a
-  // changed early input re-keys (and re-runs) everything downstream while
-  // an unchanged prefix keeps hitting.  compute_stage_keys is the single
-  // source of truth for the chain (the campaign scheduler keys off it too).
-  const auto keys = compute_stage_keys(FlowKind::kRegular, circuit, *library, o);
-  const auto key_of = [&keys](FlowStage s) { return keys[stage_idx(s)]; };
-
-  // Logic synthesis -> rtl.v.
-  std::optional<Netlist> rtl;
-  {
-    Span span(flow_span_name(FlowStage::kSynthesis), "flow");
-    if (const auto a = cache.begin(FlowStage::kSynthesis,
-                                   key_of(FlowStage::kSynthesis))) {
-      rtl = parse_verilog(a->section("rtl.v"), library);
-    } else {
-      rtl = technology_map(circuit, library, o.synth);
-      rtl->validate();
-      Artifact out;
-      out.add("rtl.v", write_verilog(*rtl));
-      cache.finish(FlowStage::kSynthesis, std::move(out));
-    }
-    finish_stage(FlowStage::kSynthesis, span, sw, t, t.synthesis_ms);
-  }
-  bool done = cache.stop_after(FlowStage::kSynthesis);
-
-  // Placement.
-  LefLibrary lef;
-  std::optional<DefDesign> def;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kPlacement), "flow");
-    lef = generate_lef(*library, LefGenOptions{o.extract.process});
-    if (const auto a = cache.begin(FlowStage::kPlacement,
-                                   key_of(FlowStage::kPlacement))) {
-      def = parse_def(a->section("placed.def"));
-    } else {
-      def = place_design(*rtl, lef, o.place);
-      Artifact out;
-      out.add("placed.def", write_def(*def));
-      cache.finish(FlowStage::kPlacement, std::move(out));
-    }
-    finish_stage(FlowStage::kPlacement, span, sw, t, t.place_ms);
-    done = cache.stop_after(FlowStage::kPlacement);
-  }
-
-  // Routing.
-  RouteStats rs;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kRouting), "flow");
-    if (const auto a = cache.begin(FlowStage::kRouting,
-                                   key_of(FlowStage::kRouting))) {
-      def = parse_def(a->section("routed.def"));
-      rs = parse_route_stats(a->section("route_stats"));
-    } else {
-      rs = o.route_mode == RouteMode::kQuickLShaped
-               ? route_design_quick(*rtl, lef, *def)
-               : route_design(*rtl, lef, *def, o.route);
-      Artifact out;
-      out.add("routed.def", write_def(*def));
-      out.add("route_stats", write_route_stats(rs));
-      cache.finish(FlowStage::kRouting, std::move(out));
-    }
-    finish_stage(FlowStage::kRouting, span, sw, t, t.route_ms);
-    done = cache.stop_after(FlowStage::kRouting);
-  }
-
-  // Extraction + switched-cap table + STA.
-  Extraction ex;
-  CapTable caps;
-  TimingReport timing;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kExtraction), "flow");
-    if (const auto a = cache.begin(FlowStage::kExtraction,
-                                   key_of(FlowStage::kExtraction))) {
-      ex = parse_extraction(a->section("extraction"));
-      caps = parse_cap_table(a->section("caps"));
-      timing = parse_timing_report(a->section("timing"));
-    } else {
-      ex = extract_parasitics(*def, *rtl, o.extract);
-      caps = build_cap_table(*rtl, ex);
-      timing = analyze_timing(*rtl, caps);
-      Artifact out;
-      out.add("extraction", write_extraction(ex));
-      out.add("caps", write_cap_table(caps));
-      out.add("timing", write_timing_report(timing));
-      cache.finish(FlowStage::kExtraction, std::move(out));
-    }
-    finish_stage(FlowStage::kExtraction, span, sw, t, t.extraction_ms);
-  }
-
-  const FlowStage completed = o.stop_after.value_or(FlowStage::kExtraction);
-  return RegularFlowResult{{std::move(*rtl), std::move(lef),
-                            take_def(std::move(def)), rs, std::move(ex),
-                            std::move(caps), t, std::move(timing),
-                            completed}};
+  FlowRun r = run_stages(FlowKind::kRegular, circuit, std::move(library), opts);
+  return RegularFlowResult{take_artifacts(r, r.lef, r.def)};
 }
 
 SecureFlowResult run_secure_flow(const AigCircuit& circuit,
                                  std::shared_ptr<const CellLibrary> library,
                                  const FlowOptions& opts) {
-  opts.validate();
-  Stopwatch sw;
-  StageTimings t;
+  FlowRun r = run_stages(FlowKind::kSecure, circuit, std::move(library), opts);
 
-  FlowOptions o = resolve_parallelism(opts);
-  if (o.log_level) Logger::global().set_level(*o.log_level);
-  t.n_threads = o.parallelism.resolved_threads();
-  if (o.synth.allowed_cells.empty()) o.synth = wddl_synth_constraints();
-  StageCache cache(o, t);
-  Span flow_span("flow.secure", "flow");
-  flow_span.arg("design", circuit.name);
-  SECFLOW_LOG_INFO("flow", "secure flow start",
-                   LogField("design", circuit.name),
-                   LogField("threads", t.n_threads));
-
-  const auto keys = compute_stage_keys(FlowKind::kSecure, circuit, *library, o);
-  const auto key_of = [&keys](FlowStage s) { return keys[stage_idx(s)]; };
-
-  // Logic synthesis, restricted to WDDL-supported gates.
-  std::optional<Netlist> rtl;
-  {
-    Span span(flow_span_name(FlowStage::kSynthesis), "flow");
-    if (const auto a = cache.begin(FlowStage::kSynthesis,
-                                   key_of(FlowStage::kSynthesis))) {
-      rtl = parse_verilog(a->section("rtl.v"), library);
-    } else {
-      rtl = technology_map(circuit, library, o.synth);
-      rtl->validate();
-      Artifact out;
-      out.add("rtl.v", write_verilog(*rtl));
-      cache.finish(FlowStage::kSynthesis, std::move(out));
-    }
-    finish_stage(FlowStage::kSynthesis, span, sw, t, t.synthesis_ms);
-  }
-  bool done = cache.stop_after(FlowStage::kSynthesis);
-
-  // Cell substitution: rtl.v -> fat.v + differential netlist, verified
-  // equivalent (LEC) before anything downstream consumes it.  The artifact
-  // carries the fat cell library too, so a hit can reparse fat.v without
-  // regenerating the compound inventory.
-  std::shared_ptr<WddlLibrary> wlib;
-  std::optional<Netlist> fat;
-  std::optional<Netlist> diff;
-  SubstitutionStats sub_stats;
-  LecResult lec;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kSubstitution), "flow");
-    if (const auto a = cache.begin(FlowStage::kSubstitution,
-                                   key_of(FlowStage::kSubstitution))) {
-      std::shared_ptr<const CellLibrary> fat_lib =
-          std::make_shared<CellLibrary>(
-              parse_cell_library(a->section("fat_lib")));
-      fat = parse_verilog(a->section("fat.v"), fat_lib);
-      diff = parse_verilog(a->section("diff.v"), library);
-      sub_stats = parse_substitution_stats(a->section("stats"));
-      lec = parse_lec_result(a->section("lec"));
-    } else {
-      wlib = std::make_shared<WddlLibrary>(library);
-      SubstitutionResult sub = substitute_cells(*rtl, *wlib);
-      fat = std::move(sub.fat);
-      sub_stats = sub.stats;
-      diff = expand_differential(*fat, *wlib);
-      lec = check_equivalence(*rtl, *fat);
-      SECFLOW_CHECK(lec.equivalent,
-                    "secure flow LEC failed: " +
-                        (lec.mismatches.empty() ? std::string("?")
-                                                : lec.mismatches[0].what));
-      Artifact out;
-      out.add("fat_lib", write_cell_library(fat->library()));
-      out.add("fat.v", write_verilog(*fat));
-      out.add("diff.v", write_verilog(*diff));
-      out.add("stats", write_substitution_stats(sub_stats));
-      out.add("lec", write_lec_result(lec));
-      cache.finish(FlowStage::kSubstitution, std::move(out));
-    }
-    finish_stage(FlowStage::kSubstitution, span, sw, t, t.substitution_ms);
-    done = done || cache.stop_after(FlowStage::kSubstitution);
-  }
-
-  // Fat place: doubled pitch and width — tripled with shielded pairs,
-  // reserving a third track for the shield wire.
-  LefLibrary fat_lef;
-  std::optional<DefDesign> fat_def;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kPlacement), "flow");
-    LefGenOptions fat_gen{o.extract.process};
-    fat_gen.wire_scale = o.shielded_pairs ? 3.0 : 2.0;
-    fat_lef = generate_lef(fat->library(), fat_gen);
-    if (const auto a = cache.begin(FlowStage::kPlacement,
-                                   key_of(FlowStage::kPlacement))) {
-      fat_def = parse_def(a->section("placed.def"));
-    } else {
-      fat_def = place_design(*fat, fat_lef, o.place);
-      Artifact out;
-      out.add("placed.def", write_def(*fat_def));
-      cache.finish(FlowStage::kPlacement, std::move(out));
-    }
-    finish_stage(FlowStage::kPlacement, span, sw, t, t.place_ms);
-    done = cache.stop_after(FlowStage::kPlacement);
-  }
-
-  // Fat route.
-  RouteStats rs;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kRouting), "flow");
-    if (const auto a = cache.begin(FlowStage::kRouting,
-                                   key_of(FlowStage::kRouting))) {
-      fat_def = parse_def(a->section("routed.def"));
-      rs = parse_route_stats(a->section("route_stats"));
-    } else {
-      rs = o.route_mode == RouteMode::kQuickLShaped
-               ? route_design_quick(*fat, fat_lef, *fat_def)
-               : route_design(*fat, fat_lef, *fat_def, o.route);
-      Artifact out;
-      out.add("routed.def", write_def(*fat_def));
-      out.add("route_stats", write_route_stats(rs));
-      cache.finish(FlowStage::kRouting, std::move(out));
-    }
-    finish_stage(FlowStage::kRouting, span, sw, t, t.route_ms);
-    done = cache.stop_after(FlowStage::kRouting);
-  }
-
-  // Interconnect decomposition + stream-out verification with the
-  // differential library (re-verified results ride in the checkpoint).
-  const Process018& pr = o.extract.process;
-  LefLibrary diff_lef;
-  std::optional<DefDesign> diff_def;
-  CheckResult stream_check;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kDecomposition), "flow");
-    diff_lef = make_diff_lef(fat_lef, pr.wire_pitch_um, pr.wire_width_um);
-    if (const auto a = cache.begin(FlowStage::kDecomposition,
-                                   key_of(FlowStage::kDecomposition))) {
-      diff_def = parse_def(a->section("diff.def"));
-      stream_check = parse_check_result(a->section("stream_check"));
-    } else {
-      DecomposeOptions dopts;
-      dopts.add_shields = o.shielded_pairs;
-      const std::string clk = clock_net_name(*fat);
-      if (!clk.empty()) dopts.single_ended_nets.push_back(clk);
-      diff_def = decompose_interconnect(*fat_def, um_to_dbu(pr.wire_pitch_um),
-                                        um_to_dbu(pr.wire_width_um), dopts);
-
-      // Stream-out verification (the paper's "importing the differential
-      // gate level netlist" check): rail symmetry plus per-rail pin
-      // connectivity against the differential LEF.
-      stream_check = check_differential_symmetry(
-          *diff_def, um_to_dbu(pr.wire_pitch_um));
-      SECFLOW_CHECK(stream_check.ok, "decomposition symmetry check failed");
-      const CheckResult rail_check = check_stream_out(
-          *fat, diff_lef, *diff_def, 5 * fat_lef.track_pitch_dbu());
-      SECFLOW_CHECK(rail_check.ok,
-                    "stream-out rail connectivity check failed: " +
-                        (rail_check.issues.empty()
-                             ? std::string("?")
-                             : rail_check.issues[0].net + " " +
-                                   rail_check.issues[0].what));
-      stream_check.nets_checked += rail_check.nets_checked;
-      stream_check.pins_checked += rail_check.pins_checked;
-
-      Artifact out;
-      out.add("diff.def", write_def(*diff_def));
-      out.add("stream_check", write_check_result(stream_check));
-      cache.finish(FlowStage::kDecomposition, std::move(out));
-    }
-    finish_stage(FlowStage::kDecomposition, span, sw, t, t.decomposition_ms);
-    done = cache.stop_after(FlowStage::kDecomposition);
-  }
-
-  // Extraction + switched-cap table + STA on the differential design.
-  Extraction ex;
-  CapTable caps;
-  TimingReport timing;
-  if (!done) {
-    Span span(flow_span_name(FlowStage::kExtraction), "flow");
-    if (const auto a = cache.begin(FlowStage::kExtraction,
-                                   key_of(FlowStage::kExtraction))) {
-      ex = parse_extraction(a->section("extraction"));
-      caps = parse_cap_table(a->section("caps"));
-      timing = parse_timing_report(a->section("timing"));
-    } else {
-      ex = extract_parasitics(*diff_def, *diff, o.extract);
-      caps = build_cap_table(*diff, ex);
-      timing = analyze_timing(*diff, caps);
-      Artifact out;
-      out.add("extraction", write_extraction(ex));
-      out.add("caps", write_cap_table(caps));
-      out.add("timing", write_timing_report(timing));
-      cache.finish(FlowStage::kExtraction, std::move(out));
-    }
-    finish_stage(FlowStage::kExtraction, span, sw, t, t.extraction_ms);
-
-    // The evaluate wave must settle within the first half cycle so the
-    // WDDL masters capture valid differential data at the falling edge.
-    // Cheap, so re-checked even when the timing came from the cache.
+  // The evaluate wave must settle within the first half cycle so the WDDL
+  // masters capture valid differential data at the falling edge.  Cheap,
+  // so re-checked even when the timing came from the cache.
+  if (r.t.outcome(FlowStage::kExtraction) != CacheOutcome::kNotRun) {
     const double half_cycle_ps = SamplingSpec{}.cycle_s() * 1e12 / 2;
-    SECFLOW_CHECK(timing.critical_delay_ps < half_cycle_ps,
+    SECFLOW_CHECK(r.timing.critical_delay_ps < half_cycle_ps,
                   "WDDL evaluation (" +
-                      std::to_string(timing.critical_delay_ps) +
+                      std::to_string(r.timing.critical_delay_ps) +
                       " ps) does not fit the evaluate half-cycle");
   }
 
-  const FlowStage completed = o.stop_after.value_or(FlowStage::kExtraction);
-  return SecureFlowResult{
-      {std::move(*rtl), std::move(diff_lef), take_def(std::move(diff_def)),
-       rs, std::move(ex), std::move(caps), t, std::move(timing), completed},
-      wlib,
-      take_netlist(std::move(fat), library),
-      take_netlist(std::move(diff), library),
-      std::move(fat_lef),
-      take_def(std::move(fat_def)),
-      sub_stats,
-      lec,
-      stream_check};
+  return SecureFlowResult{take_artifacts(r, r.diff_lef, r.diff_def),
+                          r.wlib,
+                          take_netlist(std::move(r.fat), r.library),
+                          take_netlist(std::move(r.diff), r.library),
+                          std::move(r.lef),
+                          std::move(r.def),
+                          r.sub_stats,
+                          r.lec,
+                          r.stream_check};
 }
 
 namespace {

@@ -10,6 +10,12 @@
 // between the fat and original netlists, and a connectivity check between
 // the differential netlist and the decomposed design during stream-out.
 //
+// Both flows run through one stage table (flow.cpp): six rows, one per
+// FlowStage, each holding the stage's cache-key link, its work and its
+// checkpoint format, run by one loop that owns spans, checkpointing,
+// resume_from/stop_after, timing and logging for every row.  The regular
+// flow skips the rows flow_runs_stage() rules out.
+//
 // Both flows return every artifact (netlists, LEFs, DEFs, extraction,
 // switched-capacitance table) so experiments can replay any stage.  The
 // common artifacts live in the FlowArtifacts base — for the secure flow,
@@ -60,8 +66,8 @@ enum class FlowKind {
 const char* flow_kind_name(FlowKind k);
 
 /// The pipeline stages of Fig 1, in execution order.  kSubstitution and
-/// kDecomposition exist only in the secure flow; the regular flow rejects
-/// them as resume/stop points.
+/// kDecomposition exist only in the secure flow (flow_runs_stage); the
+/// regular flow rejects them as resume/stop points.
 enum class FlowStage {
   kSynthesis = 0,
   kSubstitution,
@@ -74,6 +80,10 @@ inline constexpr int kNumFlowStages = 6;
 
 /// Stage name ("synthesis", ...) — also the checkpoint file prefix.
 const char* flow_stage_name(FlowStage s);
+
+/// Whether a flow of `kind` runs stage `s`: the secure flow runs all six,
+/// the regular flow all but kSubstitution and kDecomposition.
+bool flow_runs_stage(FlowKind kind, FlowStage s);
 
 /// What the stage-artifact cache did for one stage of one run.
 enum class CacheOutcome {
@@ -131,7 +141,7 @@ struct FlowOptions {
 /// The per-stage content-address chain a run of `kind` on this
 /// circuit/library/options would use, without running anything: keys[s] is
 /// the cache key stage `s` files its checkpoint under (0 for stages the
-/// kind never runs — substitution/decomposition in the regular flow).
+/// kind never runs, see flow_runs_stage).
 /// stop_after/resume_from are ignored: the chain addresses content, not
 /// control flow.  run_regular_flow / run_secure_flow use this exact
 /// function for their cache lookups, so two option sets agreeing on a key
@@ -141,31 +151,28 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,
     const FlowOptions& opts);
 
+/// Per-stage wall time, cache verdict and cache key of one run; every array
+/// is indexed by FlowStage, and a stage that never ran keeps 0 ms,
+/// CacheOutcome::kNotRun and key 0.
 struct StageTimings {
-  double synthesis_ms = 0.0;
-  double substitution_ms = 0.0;   // secure flow only
-  double place_ms = 0.0;
-  double route_ms = 0.0;
-  double decomposition_ms = 0.0;  // secure flow only
-  double extraction_ms = 0.0;
   /// Threads the flow's parallel stages resolved to (1 = serial).
   int n_threads = 1;
-  /// Per-stage cache verdict, indexed by FlowStage.  On a kHit the stage's
-  /// *_ms above measures deserialization, not computation.
+  /// Wall time per stage in ms.  On a kHit it measures deserialization,
+  /// not computation.
+  std::array<double, kNumFlowStages> ms{};
+  /// Per-stage cache verdict.
   std::array<CacheOutcome, kNumFlowStages> cache{};
-  /// Per-stage cache keys (0 for stages that never ran), indexed by
-  /// FlowStage — the content addresses the checkpoint files live under.
+  /// Per-stage cache keys — the content addresses the checkpoint files
+  /// live under.
   std::array<std::uint64_t, kNumFlowStages> cache_key{};
 
-  double total_ms() const {
-    return synthesis_ms + substitution_ms + place_ms + route_ms +
-           decomposition_ms + extraction_ms;
+  double total_ms() const;
+  double stage_ms(FlowStage s) const {
+    return ms[static_cast<std::size_t>(s)];
   }
   CacheOutcome outcome(FlowStage s) const {
     return cache[static_cast<std::size_t>(s)];
   }
-  /// Wall time of one stage (the *_ms field matching `s`).
-  double stage_ms(FlowStage s) const;
   std::uint64_t key(FlowStage s) const {
     return cache_key[static_cast<std::size_t>(s)];
   }

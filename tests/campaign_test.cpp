@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -190,6 +191,27 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
               })");
             }).find("job 'badfill'"),
             std::string::npos);
+  // A number that does not fit its integer member is rejected by name,
+  // not truncated, wrapped or cast out of range.
+  const std::pair<const char*, const char*> bad_integers[] = {
+      {R"("options": {"route": {"max_iterations": 2.5}})", "max_iterations"},
+      {R"("options": {"route": {"via_cost": 1e10}})", "via_cost"},
+      {R"("seed": -1)", "seed"},
+      {R"("options": {"place": {"seed": 1e30}})", "seed"},
+      {R"("dpa": {"key": 4294967342})", "key"},
+  };
+  for (const auto& [member, name] : bad_integers) {
+    const std::string spec =
+        std::string(R"({"schema": "secflow.campaign/1", "name": "x",
+                        "jobs": [{"circuit": {"builtin": "des-dpa"},
+                                  "flow": "secure", )") +
+        member + "}]}";
+    EXPECT_NE(error_message([&] { parse_campaign_spec(spec); })
+                  .find(std::string("member '") + name +
+                        "' must be an integer"),
+              std::string::npos)
+        << member;
+  }
   // Empty campaign.
   EXPECT_NE(error_message([] {
               parse_campaign_spec(R"({

@@ -9,9 +9,14 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
+#include "campaign/campaign.h"
+#include "ckpt/hash.h"
 #include "ckpt/serialize.h"
 #include "ckpt/store.h"
 #include "liberty/builtin_lib.h"
@@ -59,6 +64,56 @@ void expect_outcomes(const StageTimings& t,
 constexpr CacheOutcome H = CacheOutcome::kHit;
 constexpr CacheOutcome M = CacheOutcome::kMiss;
 constexpr CacheOutcome N = CacheOutcome::kNotRun;
+
+/// A netlist reparsed from a checkpoint numbers its nets differently (ports
+/// first) than the one built in memory, and DEF nets and STA arrivals are
+/// listed in NetId order.  Sorting an artifact's lines drops that order and
+/// keeps everything else.
+std::string sorted_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+using Digests = std::vector<std::pair<std::string, std::string>>;
+
+/// Replace the digest of artifact `name` by that of its sorted lines.
+void ignore_net_order(Digests& digests, const std::string& name,
+                      const std::string& text) {
+  for (auto& [artifact, digest] : digests) {
+    if (artifact == name) digest = hash_hex(fnv1a(sorted_lines(text)));
+  }
+}
+
+/// What a run of either flow kind reports, for tests that loop over both:
+/// artifact_digests(), with the NetId-ordered artifacts up to net order.
+struct RunSummary {
+  StageTimings timings;
+  FlowStage completed_through;
+  Digests digests;
+};
+
+RunSummary run_flow(FlowKind kind, const AigCircuit& circuit,
+                    const std::shared_ptr<const CellLibrary>& lib,
+                    const FlowOptions& opts) {
+  if (kind == FlowKind::kSecure) {
+    const SecureFlowResult r = run_secure_flow(circuit, lib, opts);
+    RunSummary sum{r.timings, r.completed_through, artifact_digests(r)};
+    ignore_net_order(sum.digests, "fat.def", write_def(r.fat_def));
+    ignore_net_order(sum.digests, "diff.def", write_def(r.def));
+    ignore_net_order(sum.digests, "timing", write_timing_report(r.timing));
+    return sum;
+  }
+  const RegularFlowResult r = run_regular_flow(circuit, lib, opts);
+  RunSummary sum{r.timings, r.completed_through, artifact_digests(r)};
+  ignore_net_order(sum.digests, "design.def", write_def(r.def));
+  ignore_net_order(sum.digests, "timing", write_timing_report(r.timing));
+  return sum;
+}
 
 /// Shared fixture: one cold cached secure run of the mid design per test
 /// binary; warm-run tests reuse its cache directory read-only.
@@ -221,7 +276,7 @@ TEST_F(FlowCkpt, StopAfterThenResumeReproducesTheFullRun) {
   EXPECT_EQ(ArtifactStore(dir.string()).size(), 3u);
   // Later-stage artifacts are placeholders.
   EXPECT_TRUE(head.def.nets.empty());
-  EXPECT_EQ(head.timings.route_ms, 0.0);
+  EXPECT_EQ(head.timings.stage_ms(FlowStage::kRouting), 0.0);
   EXPECT_EQ(head.timings.key(FlowStage::kRouting), 0u);
   // The checkpointed prefix matches the full run's: same placement key,
   // and byte-identical placed.def (cold_->fat_def itself was later mutated
@@ -256,6 +311,64 @@ TEST_F(FlowCkpt, StopAfterThenResumeReproducesTheFullRun) {
   std::sort(ca.begin(), ca.end());
   EXPECT_EQ(ta, ca);
 
+  fs::remove_all(dir);
+}
+
+TEST_F(FlowCkpt, StopAfterAndResumeFromEveryStageOfBothFlows) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "flow_stage_cache";
+  for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+    const RunSummary one_shot = run_flow(kind, *circuit_, lib_, {});
+    std::vector<FlowStage> stages;
+    for (int i = 0; i < kNumFlowStages; ++i) {
+      const FlowStage s = static_cast<FlowStage>(i);
+      if (flow_runs_stage(kind, s)) stages.push_back(s);
+    }
+    for (std::size_t k = 0; k < stages.size(); ++k) {
+      const FlowStage stop = stages[k];
+      const std::string ctx = std::string(flow_kind_name(kind)) +
+                              " stop_after " + flow_stage_name(stop);
+      fs::remove_all(dir);
+      FlowOptions head_opts;
+      head_opts.cache_dir = dir.string();
+      head_opts.stop_after = stop;
+      const RunSummary head = run_flow(kind, *circuit_, lib_, head_opts);
+      EXPECT_EQ(head.completed_through, stop) << ctx;
+      // The store holds exactly the checkpointed prefix.
+      const ArtifactStore store(dir.string());
+      EXPECT_EQ(store.size(), k + 1) << ctx;
+      for (int i = 0; i < kNumFlowStages; ++i) {
+        const FlowStage s = static_cast<FlowStage>(i);
+        const bool ran = flow_runs_stage(kind, s) && s <= stop;
+        EXPECT_EQ(head.timings.outcome(s), ran ? M : N)
+            << ctx << ": " << flow_stage_name(s);
+        if (ran) {
+          EXPECT_TRUE(store.contains(flow_stage_name(s), head.timings.key(s)))
+              << ctx << ": " << flow_stage_name(s);
+        } else {
+          EXPECT_EQ(head.timings.key(s), 0u)
+              << ctx << ": " << flow_stage_name(s);
+        }
+      }
+      if (k + 1 == stages.size()) continue;  // stopped after the last stage
+
+      // Resuming at the next stage loads the prefix and finishes the run
+      // with the one-shot run's artifacts.
+      const FlowStage resume = stages[k + 1];
+      FlowOptions tail_opts;
+      tail_opts.cache_dir = dir.string();
+      tail_opts.resume_from = resume;
+      const RunSummary tail = run_flow(kind, *circuit_, lib_, tail_opts);
+      for (int i = 0; i < kNumFlowStages; ++i) {
+        const FlowStage s = static_cast<FlowStage>(i);
+        const CacheOutcome want =
+            !flow_runs_stage(kind, s) ? N : (s < resume ? H : M);
+        EXPECT_EQ(tail.timings.outcome(s), want)
+            << ctx << ", resume_from: " << flow_stage_name(s);
+      }
+      EXPECT_EQ(tail.completed_through, FlowStage::kExtraction) << ctx;
+      EXPECT_EQ(tail.digests, one_shot.digests) << ctx;
+    }
+  }
   fs::remove_all(dir);
 }
 

@@ -77,6 +77,14 @@ TEST(FlowOptionsValidate, RoutingRanges) {
   expect_invalid(o, "max_iterations");
 
   o = FlowOptions{};
+  o.route.via_cost = -2;  // a via up-and-down pair would cost < 0
+  expect_invalid(o, "via_cost");
+  o.route.via_cost = -1;
+  expect_invalid(o, "via_cost");
+  o.route.via_cost = 0;  // boundary: legal
+  EXPECT_NO_THROW(o.validate());
+
+  o = FlowOptions{};
   o.route.window_margin = -1;
   expect_invalid(o, "window_margin");
   o.route.window_margin = 0;  // boundary: legal (pin bounding box itself)

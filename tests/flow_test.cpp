@@ -258,10 +258,10 @@ TEST(FlowSmall, TimingsArePopulated) {
       assign y = a & b;
     endmodule)");
   const SecureFlowResult sec = run_secure_flow(c, lib);
-  EXPECT_GT(sec.timings.synthesis_ms, 0.0);
-  EXPECT_GT(sec.timings.substitution_ms, 0.0);
-  EXPECT_GT(sec.timings.route_ms, 0.0);
-  EXPECT_GT(sec.timings.decomposition_ms, 0.0);
+  EXPECT_GT(sec.timings.stage_ms(FlowStage::kSynthesis), 0.0);
+  EXPECT_GT(sec.timings.stage_ms(FlowStage::kSubstitution), 0.0);
+  EXPECT_GT(sec.timings.stage_ms(FlowStage::kRouting), 0.0);
+  EXPECT_GT(sec.timings.stage_ms(FlowStage::kDecomposition), 0.0);
 }
 
 }  // namespace
