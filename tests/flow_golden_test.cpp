@@ -6,6 +6,8 @@
 // tests/golden/flow_small.golden.  Any behavioural drift in
 // synthesis, substitution, placement, routing, decomposition or extraction
 // shows up as a per-stage hash mismatch, keyed `<design>.<flow>.<stage>`.
+// The same file pins the report writers: `report.<schema>` hashes the
+// JSON bytes of the fixed sample reports in report_samples.h.
 //
 // When a change is *intentional*, regenerate the golden file with:
 //
@@ -26,6 +28,7 @@
 #include "ckpt/store.h"
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
+#include "report_samples.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -102,6 +105,22 @@ std::map<std::string, std::string> run_and_hash(const std::string& design,
   return hashes;
 }
 
+/// Writer bytes of the sample reports (full and bare forms together),
+/// keyed `report.<schema>`.
+std::map<std::string, std::string> report_hashes() {
+  namespace samples = report_samples;
+  const auto hash = [](const std::string& bytes) {
+    return hash_hex(fnv1a(bytes));
+  };
+  return {
+      {"report.flow", hash(flow_report_json(samples::full_flow()) +
+                           flow_report_json(samples::bare_flow()))},
+      {"report.leakage", hash(leakage_report_json(samples::full_leakage()) +
+                              leakage_report_json(samples::bare_leakage()))},
+      {"report.campaign", hash(campaign_report_json(samples::campaign()))},
+  };
+}
+
 std::map<std::string, std::string> run_all() {
   const AigCircuit small = parse_hdl(kSmallDesign);
   const AigCircuit des = make_des_dpa_circuit();
@@ -115,6 +134,7 @@ std::map<std::string, std::string> run_all() {
   // serializes expanded_nodes, so these hashes pin the exact A* pop order.
   hashes.merge(run_and_hash("des", des, FlowKind::kSecure));
   hashes.merge(run_and_hash("des", des, FlowKind::kRegular));
+  hashes.merge(report_hashes());
   return hashes;
 }
 
