@@ -1,206 +1,120 @@
 #include "campaign/report.h"
 
-#include "base/error.h"
+#include "obs/json_fields.h"
 
 namespace secflow {
 namespace {
 
-const char* const kCacheVocabulary[] = {"not-run", "off", "miss", "hit"};
+/// One job's row of the cache matrix: its six stage verdicts.
+struct CacheRow {
+  std::string job;
+  std::vector<std::string> stages;
+};
 
-/// The cache row of one job: six stage verdicts, "not-run" for jobs whose
-/// flow never produced a report (failed before the first stage).
-JsonValue cache_row(const JobOutcome& job) {
-  JsonValue stages = JsonValue::array();
-  if (job.ok) {
-    for (const StageEntry& s : job.report.stages) stages.push_back(s.cache);
-  } else {
-    for (int i = 0; i < kNumFlowStages; ++i) stages.push_back("not-run");
+/// The cache section, derived from the per-job stage entries so it can
+/// never disagree with the reports.
+struct CacheMatrix {
+  int hits = 0;
+  int misses = 0;
+  std::vector<CacheRow> rows;
+};
+
+CacheMatrix cache_matrix(const std::vector<JobOutcome>& jobs) {
+  CacheMatrix m;
+  for (const JobOutcome& job : jobs) {
+    CacheRow& row = m.rows.emplace_back();
+    row.job = job.name;
+    if (!job.ok) {
+      // The flow never produced a report: every stage is "not-run".
+      row.stages.assign(kNumFlowStages, "not-run");
+      continue;
+    }
+    for (const StageEntry& s : job.report.stages) {
+      row.stages.push_back(s.cache);
+      m.hits += s.cache == "hit" ? 1 : 0;
+      m.misses += s.cache == "miss" ? 1 : 0;
+    }
   }
-  JsonValue row = JsonValue::object();
-  row.set("job", job.name);
-  row.set("stages", std::move(stages));
-  return row;
+  return m;
 }
 
-const JsonValue& member(const JsonValue& obj, std::string_view key,
-                        JsonValue::Kind kind, const char* where) {
-  const JsonValue* v = obj.find(key);
-  SECFLOW_CHECK(v != nullptr, std::string("campaign report: ") + where +
-                                  " lacks required member '" +
-                                  std::string(key) + "'");
-  SECFLOW_CHECK(v->kind() == kind, std::string("campaign report: ") + where +
-                                       " member '" + std::string(key) +
-                                       "' has the wrong type");
-  return *v;
+/// The secflow.campaign-report/1 field list (obs/json_fields.h).  The
+/// derived members (schema, n_jobs, cache, status) are computed from the
+/// result on write and checked against it on read.
+template <class Io, class R>
+void fields(Io& io, R& r) {
+  std::string schema = kCampaignReportSchema;
+  io.field("schema", schema);
+  io.check(schema == kCampaignReportSchema, [&] {
+    return "unknown schema '" + schema + "' (want " + kCampaignReportSchema +
+           ")";
+  });
+  io.field("campaign", r.campaign);
+  std::size_t n_jobs = r.jobs.size();
+  io.field("n_jobs", n_jobs);
+  io.field("n_ok", r.n_ok);
+  io.field("n_failed", r.n_failed);
+  io.field("wall_ms", r.wall_ms);
+  CacheMatrix cache = cache_matrix(r.jobs);
+  io.object("cache", [&] {
+    io.field("hits", cache.hits);
+    io.field("misses", cache.misses);
+    io.array("matrix", cache.rows, "cache matrix row", [&](auto& row) {
+      io.field("job", row.job);
+      io.field("stages", row.stages);
+      io.check(row.stages.size() == kNumFlowStages,
+               "cache matrix row must have one entry per pipeline stage");
+      for (const std::string& s : row.stages) {
+        io.check(is_cache_verdict(s),
+                 [&] { return "unknown cache verdict '" + s + "'"; });
+      }
+    });
+  });
+  io.array("jobs", r.jobs, "job", [&](auto& job) {
+    io.field("name", job.name);
+    std::string status = job.ok ? "ok" : "error";
+    io.field("status", status);
+    io.check(status == "ok" || status == "error", [&] {
+      return "job status must be 'ok' or 'error', got '" + status + "'";
+    });
+    io.field("error", job.error);
+    io.field("wall_ms", job.wall_ms);
+    io.field("waited_on", job.waited_on);
+    io.map("artifacts", job.artifacts);
+    for (const auto& [name, digest] : job.artifacts) {
+      io.check(digest.size() == 16, [&] {
+        return "artifact '" + name + "' digest must be 16 hex digits";
+      });
+    }
+    io.embed("report", job.ok, job.report, flow_report_to_json,
+             flow_report_from_json);
+    io.check(job.ok == (status == "ok"),
+             "ok jobs carry a report, failed jobs carry null");
+  });
+  io.check(r.jobs.size() == n_jobs, "n_jobs disagrees with the jobs array");
+  io.check(cache.rows.size() == n_jobs,
+           "cache matrix must have one row per job");
 }
 
-double num(const JsonValue& obj, std::string_view key, const char* where) {
-  return member(obj, key, JsonValue::Kind::kNumber, where).as_number();
-}
-
-std::string str(const JsonValue& obj, std::string_view key,
-                const char* where) {
-  return member(obj, key, JsonValue::Kind::kString, where).as_string();
+CampaignResult read_report(const JsonValue& doc) {
+  JsonReader io(doc, "campaign report");
+  CampaignResult r;
+  fields(io, r);
+  return r;
 }
 
 }  // namespace
 
 std::string campaign_report_json(const CampaignResult& r) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", kCampaignReportSchema);
-  doc.set("campaign", r.campaign);
-  doc.set("n_jobs", static_cast<std::int64_t>(r.jobs.size()));
-  doc.set("n_ok", r.n_ok);
-  doc.set("n_failed", r.n_failed);
-  doc.set("wall_ms", r.wall_ms);
-
-  // Cache totals + the jobs × stages matrix, derived from the per-job
-  // stage entries so the matrix can never disagree with the reports.
-  int hits = 0;
-  int misses = 0;
-  JsonValue matrix = JsonValue::array();
-  for (const JobOutcome& job : r.jobs) {
-    if (job.ok) {
-      for (const StageEntry& s : job.report.stages) {
-        hits += s.cache == "hit" ? 1 : 0;
-        misses += s.cache == "miss" ? 1 : 0;
-      }
-    }
-    matrix.push_back(cache_row(job));
-  }
-  JsonValue cache = JsonValue::object();
-  cache.set("hits", hits);
-  cache.set("misses", misses);
-  cache.set("matrix", std::move(matrix));
-  doc.set("cache", std::move(cache));
-
-  JsonValue jobs = JsonValue::array();
-  for (const JobOutcome& job : r.jobs) {
-    JsonValue jv = JsonValue::object();
-    jv.set("name", job.name);
-    jv.set("status", job.ok ? "ok" : "error");
-    jv.set("error", job.error);
-    jv.set("wall_ms", job.wall_ms);
-    JsonValue waited = JsonValue::array();
-    for (const std::string& producer : job.waited_on) {
-      waited.push_back(producer);
-    }
-    jv.set("waited_on", std::move(waited));
-    JsonValue artifacts = JsonValue::object();
-    for (const auto& [name, digest] : job.artifacts) {
-      artifacts.set(name, digest);
-    }
-    jv.set("artifacts", std::move(artifacts));
-    jv.set("report", job.ok ? flow_report_to_json(job.report) : JsonValue());
-    jobs.push_back(std::move(jv));
-  }
-  doc.set("jobs", std::move(jobs));
-  return json_dump(doc, 2) + "\n";
+  JsonWriter io;
+  fields(io, r);
+  return json_dump(io.take(), 2) + "\n";
 }
 
-void validate_campaign_report(const JsonValue& doc) {
-  SECFLOW_CHECK(doc.is_object(),
-                "campaign report: document is not an object");
-  const std::string schema = str(doc, "schema", "document");
-  SECFLOW_CHECK(schema == kCampaignReportSchema,
-                "campaign report: unknown schema '" + schema + "' (want " +
-                    kCampaignReportSchema + ")");
-  str(doc, "campaign", "document");
-  const auto n_jobs = static_cast<std::size_t>(num(doc, "n_jobs", "document"));
-  num(doc, "n_ok", "document");
-  num(doc, "n_failed", "document");
-  num(doc, "wall_ms", "document");
-
-  const JsonValue& jobs =
-      member(doc, "jobs", JsonValue::Kind::kArray, "document");
-  SECFLOW_CHECK(jobs.items().size() == n_jobs,
-                "campaign report: n_jobs disagrees with the jobs array");
-  for (const JsonValue& j : jobs.items()) {
-    SECFLOW_CHECK(j.is_object(),
-                  "campaign report: job entry is not an object");
-    str(j, "name", "job");
-    const std::string status = str(j, "status", "job");
-    SECFLOW_CHECK(status == "ok" || status == "error",
-                  "campaign report: job status must be 'ok' or 'error', "
-                  "got '" + status + "'");
-    str(j, "error", "job");
-    num(j, "wall_ms", "job");
-    const JsonValue& waited =
-        member(j, "waited_on", JsonValue::Kind::kArray, "job");
-    for (const JsonValue& w : waited.items()) {
-      SECFLOW_CHECK(w.is_string(),
-                    "campaign report: waited_on entries must be strings");
-    }
-    const JsonValue& artifacts =
-        member(j, "artifacts", JsonValue::Kind::kObject, "job");
-    for (const auto& [name, digest] : artifacts.members()) {
-      SECFLOW_CHECK(digest.is_string() && digest.as_string().size() == 16,
-                    "campaign report: artifact '" + name +
-                        "' digest must be 16 hex digits");
-    }
-    const JsonValue* report = j.find("report");
-    SECFLOW_CHECK(report != nullptr &&
-                      (report->is_null() || report->is_object()),
-                  "campaign report: job report must be null or an object");
-    SECFLOW_CHECK((status == "ok") == report->is_object(),
-                  "campaign report: ok jobs carry a report, failed jobs "
-                  "carry null");
-    if (report->is_object()) validate_flow_report(*report);
-  }
-
-  const JsonValue& cache =
-      member(doc, "cache", JsonValue::Kind::kObject, "document");
-  num(cache, "hits", "cache");
-  num(cache, "misses", "cache");
-  const JsonValue& matrix =
-      member(cache, "matrix", JsonValue::Kind::kArray, "cache");
-  SECFLOW_CHECK(matrix.items().size() == n_jobs,
-                "campaign report: cache matrix must have one row per job");
-  for (const JsonValue& row : matrix.items()) {
-    SECFLOW_CHECK(row.is_object(),
-                  "campaign report: cache matrix row is not an object");
-    str(row, "job", "cache matrix row");
-    const JsonValue& stages =
-        member(row, "stages", JsonValue::Kind::kArray, "cache matrix row");
-    SECFLOW_CHECK(static_cast<int>(stages.items().size()) == kNumFlowStages,
-                  "campaign report: cache matrix row must have one entry "
-                  "per pipeline stage");
-    for (const JsonValue& s : stages.items()) {
-      SECFLOW_CHECK(s.is_string(),
-                    "campaign report: cache verdicts must be strings");
-      bool known = false;
-      for (const char* v : kCacheVocabulary) known = known || s.as_string() == v;
-      SECFLOW_CHECK(known, "campaign report: unknown cache verdict '" +
-                               s.as_string() + "'");
-    }
-  }
-}
+void validate_campaign_report(const JsonValue& doc) { read_report(doc); }
 
 CampaignResult parse_campaign_report(const std::string& json) {
-  const JsonValue doc = json_parse(json);
-  validate_campaign_report(doc);
-
-  CampaignResult r;
-  r.campaign = str(doc, "campaign", "document");
-  r.n_ok = static_cast<int>(num(doc, "n_ok", "document"));
-  r.n_failed = static_cast<int>(num(doc, "n_failed", "document"));
-  r.wall_ms = num(doc, "wall_ms", "document");
-  for (const JsonValue& j : doc.find("jobs")->items()) {
-    JobOutcome out;
-    out.name = str(j, "name", "job");
-    out.ok = str(j, "status", "job") == "ok";
-    out.error = str(j, "error", "job");
-    out.wall_ms = num(j, "wall_ms", "job");
-    for (const JsonValue& w : j.find("waited_on")->items()) {
-      out.waited_on.push_back(w.as_string());
-    }
-    for (const auto& [name, digest] : j.find("artifacts")->members()) {
-      out.artifacts.emplace_back(name, digest.as_string());
-    }
-    if (out.ok) out.report = flow_report_from_json(*j.find("report"));
-    r.jobs.push_back(std::move(out));
-  }
-  return r;
+  return read_report(json_parse(json));
 }
 
 }  // namespace secflow

@@ -7,9 +7,11 @@
 // scheduler deduplicated.  `secflow_cli campaign ... --out report.json`
 // dumps it, CI archives it, and scripts diff digests across runs.
 //
-// Schema identifier: "secflow.campaign-report/1".  Per-job flow reports
-// embed as secflow.flow-report/1 objects and are validated by the same
-// validator the single-flow path uses.
+// Schema identifier: "secflow.campaign-report/1".  One field list in
+// report.cpp drives the writer, the reader and the validator
+// (obs/json_fields.h).  Per-job flow reports embed as
+// secflow.flow-report/1 objects and are read by the same reader the
+// single-flow path uses.
 #pragma once
 
 #include <string>
@@ -28,11 +30,13 @@ std::string campaign_report_json(const CampaignResult& r);
 /// Check a parsed document against the secflow.campaign-report/1 schema:
 /// required members with the right types, job statuses from the known
 /// vocabulary, cache-matrix rows matching the job list, digests 16 hex
-/// digits, embedded flow reports valid.  Throws Error on violation.
+/// digits, embedded flow reports valid.  This is parse_campaign_report
+/// on a parsed document, with the result dropped.  Throws Error naming
+/// the first violation.
 void validate_campaign_report(const JsonValue& doc);
 
-/// Inverse of campaign_report_json; validates first.  Throws
-/// Error/ParseError on malformed or schema-violating input.
+/// Inverse of campaign_report_json.  Throws ParseError on malformed JSON
+/// and Error on schema-violating input.
 CampaignResult parse_campaign_report(const std::string& json);
 
 }  // namespace secflow

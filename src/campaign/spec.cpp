@@ -1,13 +1,11 @@
 #include "campaign/spec.h"
 
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "base/error.h"
-#include "obs/json.h"
+#include "obs/json_fields.h"
 
 namespace secflow {
 namespace {
@@ -76,18 +74,12 @@ void opt_integer(const JsonValue& obj, const char* key, const char* where,
                  Violations& errs, T& out) {
   const JsonValue* v = want(obj, key, JsonValue::Kind::kNumber, where, errs);
   if (v == nullptr) return;
-  const double d = v->as_number();
-  // [min, 2^digits) — both bounds are exact doubles, unlike max().
-  const double lo = static_cast<double>(std::numeric_limits<T>::min());
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  if (!(d >= lo && d < hi) || d != std::trunc(d)) {
+  if (const std::optional<T> n = json_integer<T>(v->as_number())) {
+    out = *n;
+  } else {
     errs.add(std::string(where) + ": member '" + key +
-             "' must be an integer in [" +
-             std::to_string(std::numeric_limits<T>::min()) + ", " +
-             std::to_string(std::numeric_limits<T>::max()) + "]");
-    return;
+             "' must be an integer in " + json_integer_range<T>());
   }
-  out = static_cast<T>(d);
 }
 
 void opt_bool(const JsonValue& obj, const char* key, const char* where,

@@ -9,7 +9,7 @@
 #include "ckpt/hash.h"
 #include "fuzz/generator.h"
 #include "fuzz/minimize.h"
-#include "obs/json.h"
+#include "obs/json_fields.h"
 
 namespace secflow {
 namespace {
@@ -37,40 +37,16 @@ void write_file(const std::string& path, const std::string& content) {
   SECFLOW_CHECK(out.good(), "write to '" + path + "' failed");
 }
 
-JsonValue oracle_options_json(const OracleOptions& o) {
-  JsonValue j = JsonValue::object();
-  j.set("seed", hash_hex(o.seed));
-  j.set("n_vectors", o.n_vectors);
-  j.set("n_cycles", o.n_cycles);
-  j.set("cap_worst_ff", o.cap_worst_ff);
-  j.set("cap_mean_ff", o.cap_mean_ff);
-  j.set("deep", o.deep);
-  j.set("inject", fault_kind_name(o.inject));
-  return j;
-}
-
-OracleOptions oracle_options_from_json(const JsonValue& j) {
-  OracleOptions o;
-  const JsonValue* v = nullptr;
-  SECFLOW_CHECK((v = j.find("seed")) && v->is_string(), "repro: bad seed");
-  o.seed = parse_hash_hex(v->as_string());
-  SECFLOW_CHECK((v = j.find("n_vectors")) && v->is_number(),
-                "repro: bad n_vectors");
-  o.n_vectors = static_cast<int>(v->as_number());
-  SECFLOW_CHECK((v = j.find("n_cycles")) && v->is_number(),
-                "repro: bad n_cycles");
-  o.n_cycles = static_cast<int>(v->as_number());
-  SECFLOW_CHECK((v = j.find("cap_worst_ff")) && v->is_number(),
-                "repro: bad cap_worst_ff");
-  o.cap_worst_ff = v->as_number();
-  SECFLOW_CHECK((v = j.find("cap_mean_ff")) && v->is_number(),
-                "repro: bad cap_mean_ff");
-  o.cap_mean_ff = v->as_number();
-  SECFLOW_CHECK((v = j.find("deep")) && v->is_bool(), "repro: bad deep");
-  o.deep = v->as_bool();
-  SECFLOW_CHECK((v = j.find("inject")) && v->is_string(), "repro: bad inject");
-  o.inject = parse_fault_kind(v->as_string());
-  return o;
+/// The reproducer's oracle_options field list (obs/json_fields.h).
+template <class Io, class R>
+void fields(Io& io, R& o) {
+  io.text("seed", o.seed, hash_hex, parse_hash_hex);
+  io.field("n_vectors", o.n_vectors);
+  io.field("n_cycles", o.n_cycles);
+  io.field("cap_worst_ff", o.cap_worst_ff);
+  io.field("cap_mean_ff", o.cap_mean_ff);
+  io.field("deep", o.deep);
+  io.text("inject", o.inject, fault_kind_name, parse_fault_kind);
 }
 
 }  // namespace
@@ -91,7 +67,9 @@ std::string write_repro_json(const FuzzProgram& original,
   j.set("design_seed", hash_hex(c.design_seed));
   j.set("oracle", c.oracle);
   j.set("detail", c.detail);
-  j.set("oracle_options", oracle_options_json(oracle_opts));
+  JsonWriter options;
+  fields(options, oracle_opts);
+  j.set("oracle_options", options.take());
   j.set("battery_digest", hash_hex(battery_digest));
   j.set("hdl", emit_hdl(original));
   j.set("minimized_hdl", emit_hdl(minimized));
@@ -188,9 +166,12 @@ ReplayResult replay_repro(const std::string& path) {
   SECFLOW_CHECK(stored && stored->is_string(),
                 "repro: missing battery_digest");
 
+  JsonReader options(*oo, "repro", "oracle_options");
+  OracleOptions oracle_opts;
+  fields(options, oracle_opts);
+
   const FuzzProgram program = parse_fuzz_program(hdl->as_string());
-  const OracleReport rep =
-      run_oracle_battery(program, oracle_options_from_json(*oo));
+  const OracleReport rep = run_oracle_battery(program, oracle_opts);
 
   ReplayResult res;
   res.stored_digest = parse_hash_hex(stored->as_string());

@@ -1,85 +1,81 @@
 #include "leakage/report.h"
 
-#include <utility>
-
-#include "base/error.h"
+#include "obs/json_fields.h"
 
 namespace secflow {
 namespace {
 
-/// Required typed member access with schema-style error messages.
-const JsonValue& member(const JsonValue& obj, std::string_view key,
-                        JsonValue::Kind kind, const char* where) {
-  const JsonValue* v = obj.find(key);
-  SECFLOW_CHECK(v != nullptr, std::string("leakage report: ") + where +
-                                  " lacks required member '" +
-                                  std::string(key) + "'");
-  SECFLOW_CHECK(v->kind() == kind, std::string("leakage report: ") + where +
-                                       " member '" + std::string(key) +
-                                       "' has the wrong type");
-  return *v;
-}
-
-double num(const JsonValue& obj, std::string_view key, const char* where) {
-  return member(obj, key, JsonValue::Kind::kNumber, where).as_number();
-}
-
-std::int64_t integer(const JsonValue& obj, std::string_view key,
-                     const char* where) {
-  return static_cast<std::int64_t>(num(obj, key, where));
-}
-
-std::string str(const JsonValue& obj, std::string_view key,
-                const char* where) {
-  return member(obj, key, JsonValue::Kind::kString, where).as_string();
-}
-
-bool boolean(const JsonValue& obj, std::string_view key, const char* where) {
-  return member(obj, key, JsonValue::Kind::kBool, where).as_bool();
-}
-
-/// An optional section: required member that is null or an object.
-const JsonValue* section(const JsonValue& doc, std::string_view key) {
-  const JsonValue* v = doc.find(key);
-  SECFLOW_CHECK(v != nullptr, "leakage report: document lacks required "
-                              "member '" + std::string(key) + "'");
-  SECFLOW_CHECK(v->is_null() || v->is_object(),
-                "leakage report: '" + std::string(key) +
-                    "' must be null or an object");
-  return v;
-}
-
-template <typename T>
-JsonValue num_array(const std::vector<T>& xs) {
-  JsonValue a = JsonValue::array();
-  for (const T& x : xs) a.push_back(x);
-  return a;
-}
-
-std::vector<std::int64_t> int_array(const JsonValue& obj,
-                                    std::string_view key, const char* where) {
-  std::vector<std::int64_t> out;
-  for (const JsonValue& v :
-       member(obj, key, JsonValue::Kind::kArray, where).items()) {
-    SECFLOW_CHECK(v.is_number(), std::string("leakage report: ") + where +
-                                     " member '" + std::string(key) +
-                                     "' has a non-number element");
-    out.push_back(static_cast<std::int64_t>(v.as_number()));
-  }
-  return out;
-}
-
-std::vector<double> double_array(const JsonValue& obj, std::string_view key,
-                                 const char* where) {
-  std::vector<double> out;
-  for (const JsonValue& v :
-       member(obj, key, JsonValue::Kind::kArray, where).items()) {
-    SECFLOW_CHECK(v.is_number(), std::string("leakage report: ") + where +
-                                     " member '" + std::string(key) +
-                                     "' has a non-number element");
-    out.push_back(v.as_number());
-  }
-  return out;
+/// The secflow.leakage-report/1 field list (obs/json_fields.h).
+template <class Io, class R>
+void fields(Io& io, R& r) {
+  io.field("schema", r.schema);
+  io.check(r.schema == kLeakageReportSchema, [&] {
+    return "unknown schema '" + r.schema + "' (want " +
+           kLeakageReportSchema + ")";
+  });
+  io.field("flow", r.flow);
+  io.check(r.flow == "regular" || r.flow == "secure", [&] {
+    return "flow must be 'regular' or 'secure', got '" + r.flow + "'";
+  });
+  io.field("design", r.design);
+  io.field("seed", r.seed);
+  io.field("n_threads", r.n_threads);
+  io.field("noise_ma", r.noise_ma);
+  io.section("tvla", r.tvla.present, [&] {
+    io.field("n_fixed", r.tvla.n_fixed);
+    io.field("n_random", r.tvla.n_random);
+    io.field("n_samples", r.tvla.n_samples);
+    io.field("threshold", r.tvla.threshold);
+    io.field("max_abs_t", r.tvla.max_abs_t);
+    io.field("leaky_samples", r.tvla.leaky_samples);
+    io.field("leaks", r.tvla.leaks);
+  });
+  io.section("cpa", r.cpa.present, [&] {
+    io.field("model", r.cpa.model);
+    io.check(r.cpa.model == "hw" || r.cpa.model == "hd", [&] {
+      return "cpa model must be 'hw' or 'hd', got '" + r.cpa.model + "'";
+    });
+    io.field("n_traces", r.cpa.n_traces);
+    io.field("best_guess", r.cpa.best_guess);
+    io.field("best_score", r.cpa.best_score);
+    io.field("runner_up_score", r.cpa.runner_up_score);
+    io.field("correct_key", r.cpa.correct_key);
+    io.field("correct_rank", r.cpa.correct_rank);
+    io.check(r.cpa.correct_rank >= 1, "cpa correct_rank must be >= 1");
+    io.field("disclosed", r.cpa.disclosed);
+  });
+  io.section("guessing_entropy", r.ge.present, [&] {
+    io.field("n_campaigns", r.ge.n_campaigns);
+    io.check(r.ge.n_campaigns >= 1, "guessing_entropy needs >= 1 campaign");
+    io.field("trace_grid", r.ge.trace_grid);
+    io.field("guessing_entropy", r.ge.guessing_entropy);
+    io.field("success_rate", r.ge.success_rate);
+    const std::size_t n = r.ge.trace_grid.size();
+    io.check(r.ge.guessing_entropy.size() == n && r.ge.success_rate.size() == n,
+             "guessing_entropy curve length mismatch");
+    for (const double sr : r.ge.success_rate) {
+      io.check(sr >= 0.0 && sr <= 1.0, "success_rate outside [0, 1]");
+    }
+  });
+  io.section("mtd", r.mtd.present, [&] {
+    io.field("mtd", r.mtd.mtd);
+    io.field("max_traces", r.mtd.max_traces);
+    io.check(r.mtd.mtd == -1 ||
+                 (r.mtd.mtd >= 1 && r.mtd.mtd <= r.mtd.max_traces),
+             "mtd must be -1 or within [1, max_traces]");
+    io.field("step", r.mtd.step);
+    io.field("persist", r.mtd.persist);
+    io.field("traces_fed", r.mtd.traces_fed);
+    io.field("disclosed", r.mtd.disclosed);
+    io.field("checkpoints", r.mtd.checkpoints);
+    io.field("ranks", r.mtd.ranks);
+    io.check(r.mtd.checkpoints.size() == r.mtd.ranks.size(),
+             "mtd checkpoints/ranks length mismatch");
+  });
+  io.object("trace_cache", [&] {
+    io.field("hits", r.trace_cache_hits);
+    io.field("misses", r.trace_cache_misses);
+  });
 }
 
 }  // namespace
@@ -89,156 +85,13 @@ std::string leakage_report_json(const LeakageReport& r) {
 }
 
 JsonValue leakage_report_to_json(const LeakageReport& r) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", r.schema);
-  doc.set("flow", r.flow);
-  doc.set("design", r.design);
-  doc.set("seed", r.seed);
-  doc.set("n_threads", r.n_threads);
-  doc.set("noise_ma", r.noise_ma);
-
-  if (r.tvla.present) {
-    JsonValue t = JsonValue::object();
-    t.set("n_fixed", r.tvla.n_fixed);
-    t.set("n_random", r.tvla.n_random);
-    t.set("n_samples", r.tvla.n_samples);
-    t.set("threshold", r.tvla.threshold);
-    t.set("max_abs_t", r.tvla.max_abs_t);
-    t.set("leaky_samples", r.tvla.leaky_samples);
-    t.set("leaks", r.tvla.leaks);
-    doc.set("tvla", std::move(t));
-  } else {
-    doc.set("tvla", JsonValue());
-  }
-
-  if (r.cpa.present) {
-    JsonValue c = JsonValue::object();
-    c.set("model", r.cpa.model);
-    c.set("n_traces", r.cpa.n_traces);
-    c.set("best_guess", r.cpa.best_guess);
-    c.set("best_score", r.cpa.best_score);
-    c.set("runner_up_score", r.cpa.runner_up_score);
-    c.set("correct_key", r.cpa.correct_key);
-    c.set("correct_rank", r.cpa.correct_rank);
-    c.set("disclosed", r.cpa.disclosed);
-    doc.set("cpa", std::move(c));
-  } else {
-    doc.set("cpa", JsonValue());
-  }
-
-  if (r.ge.present) {
-    JsonValue g = JsonValue::object();
-    g.set("n_campaigns", r.ge.n_campaigns);
-    g.set("trace_grid", num_array(r.ge.trace_grid));
-    g.set("guessing_entropy", num_array(r.ge.guessing_entropy));
-    g.set("success_rate", num_array(r.ge.success_rate));
-    doc.set("guessing_entropy", std::move(g));
-  } else {
-    doc.set("guessing_entropy", JsonValue());
-  }
-
-  if (r.mtd.present) {
-    JsonValue m = JsonValue::object();
-    m.set("mtd", r.mtd.mtd);
-    m.set("max_traces", r.mtd.max_traces);
-    m.set("step", r.mtd.step);
-    m.set("persist", r.mtd.persist);
-    m.set("traces_fed", r.mtd.traces_fed);
-    m.set("disclosed", r.mtd.disclosed);
-    m.set("checkpoints", num_array(r.mtd.checkpoints));
-    m.set("ranks", num_array(r.mtd.ranks));
-    doc.set("mtd", std::move(m));
-  } else {
-    doc.set("mtd", JsonValue());
-  }
-
-  JsonValue cache = JsonValue::object();
-  cache.set("hits", r.trace_cache_hits);
-  cache.set("misses", r.trace_cache_misses);
-  doc.set("trace_cache", std::move(cache));
-  return doc;
+  JsonWriter io;
+  fields(io, r);
+  return io.take();
 }
 
 void validate_leakage_report(const JsonValue& doc) {
-  SECFLOW_CHECK(doc.is_object(),
-                "leakage report: document is not an object");
-  const std::string schema = str(doc, "schema", "document");
-  SECFLOW_CHECK(schema == kLeakageReportSchema,
-                "leakage report: unknown schema '" + schema + "' (want " +
-                    kLeakageReportSchema + ")");
-  const std::string flow = str(doc, "flow", "document");
-  SECFLOW_CHECK(flow == "regular" || flow == "secure",
-                "leakage report: flow must be 'regular' or 'secure', got '" +
-                    flow + "'");
-  str(doc, "design", "document");
-  num(doc, "seed", "document");
-  num(doc, "n_threads", "document");
-  num(doc, "noise_ma", "document");
-
-  const JsonValue* tvla = section(doc, "tvla");
-  if (tvla->is_object()) {
-    num(*tvla, "n_fixed", "tvla");
-    num(*tvla, "n_random", "tvla");
-    num(*tvla, "n_samples", "tvla");
-    num(*tvla, "threshold", "tvla");
-    num(*tvla, "max_abs_t", "tvla");
-    num(*tvla, "leaky_samples", "tvla");
-    boolean(*tvla, "leaks", "tvla");
-  }
-
-  const JsonValue* cpa = section(doc, "cpa");
-  if (cpa->is_object()) {
-    const std::string model = str(*cpa, "model", "cpa");
-    SECFLOW_CHECK(model == "hw" || model == "hd",
-                  "leakage report: cpa model must be 'hw' or 'hd', got '" +
-                      model + "'");
-    num(*cpa, "n_traces", "cpa");
-    num(*cpa, "best_guess", "cpa");
-    num(*cpa, "best_score", "cpa");
-    num(*cpa, "runner_up_score", "cpa");
-    num(*cpa, "correct_key", "cpa");
-    const std::int64_t rank = integer(*cpa, "correct_rank", "cpa");
-    SECFLOW_CHECK(rank >= 1, "leakage report: cpa correct_rank must be >= 1");
-    boolean(*cpa, "disclosed", "cpa");
-  }
-
-  const JsonValue* ge = section(doc, "guessing_entropy");
-  if (ge->is_object()) {
-    const std::int64_t k = integer(*ge, "n_campaigns", "guessing_entropy");
-    SECFLOW_CHECK(k >= 1,
-                  "leakage report: guessing_entropy needs >= 1 campaign");
-    const auto grid = int_array(*ge, "trace_grid", "guessing_entropy");
-    const auto gent = double_array(*ge, "guessing_entropy",
-                                   "guessing_entropy");
-    const auto sr = double_array(*ge, "success_rate", "guessing_entropy");
-    SECFLOW_CHECK(grid.size() == gent.size() && grid.size() == sr.size(),
-                  "leakage report: guessing_entropy curve length mismatch");
-    for (double v : sr) {
-      SECFLOW_CHECK(v >= 0.0 && v <= 1.0,
-                    "leakage report: success_rate outside [0, 1]");
-    }
-  }
-
-  const JsonValue* mtd = section(doc, "mtd");
-  if (mtd->is_object()) {
-    const std::int64_t value = integer(*mtd, "mtd", "mtd");
-    const std::int64_t max_traces = integer(*mtd, "max_traces", "mtd");
-    SECFLOW_CHECK(value == -1 || (value >= 1 && value <= max_traces),
-                  "leakage report: mtd must be -1 or within [1, max_traces]");
-    num(*mtd, "step", "mtd");
-    num(*mtd, "persist", "mtd");
-    num(*mtd, "traces_fed", "mtd");
-    boolean(*mtd, "disclosed", "mtd");
-    const auto cps = int_array(*mtd, "checkpoints", "mtd");
-    const auto ranks = int_array(*mtd, "ranks", "mtd");
-    SECFLOW_CHECK(cps.size() == ranks.size(),
-                  "leakage report: mtd checkpoints/ranks length mismatch");
-  }
-
-  const JsonValue& cache =
-      member(doc, "trace_cache", JsonValue::Kind::kObject, "document");
-  num(cache, "hits", "trace_cache");
-  num(cache, "misses", "trace_cache");
+  leakage_report_from_json(doc);
 }
 
 LeakageReport parse_leakage_report(const std::string& json) {
@@ -246,68 +99,9 @@ LeakageReport parse_leakage_report(const std::string& json) {
 }
 
 LeakageReport leakage_report_from_json(const JsonValue& doc) {
-  validate_leakage_report(doc);
-
+  JsonReader io(doc, "leakage report");
   LeakageReport r;
-  r.schema = str(doc, "schema", "document");
-  r.flow = str(doc, "flow", "document");
-  r.design = str(doc, "design", "document");
-  r.seed = integer(doc, "seed", "document");
-  r.n_threads = integer(doc, "n_threads", "document");
-  r.noise_ma = num(doc, "noise_ma", "document");
-
-  const JsonValue* tvla = doc.find("tvla");
-  if (tvla->is_object()) {
-    r.tvla.present = true;
-    r.tvla.n_fixed = integer(*tvla, "n_fixed", "tvla");
-    r.tvla.n_random = integer(*tvla, "n_random", "tvla");
-    r.tvla.n_samples = integer(*tvla, "n_samples", "tvla");
-    r.tvla.threshold = num(*tvla, "threshold", "tvla");
-    r.tvla.max_abs_t = num(*tvla, "max_abs_t", "tvla");
-    r.tvla.leaky_samples = integer(*tvla, "leaky_samples", "tvla");
-    r.tvla.leaks = boolean(*tvla, "leaks", "tvla");
-  }
-
-  const JsonValue* cpa = doc.find("cpa");
-  if (cpa->is_object()) {
-    r.cpa.present = true;
-    r.cpa.model = str(*cpa, "model", "cpa");
-    r.cpa.n_traces = integer(*cpa, "n_traces", "cpa");
-    r.cpa.best_guess = integer(*cpa, "best_guess", "cpa");
-    r.cpa.best_score = num(*cpa, "best_score", "cpa");
-    r.cpa.runner_up_score = num(*cpa, "runner_up_score", "cpa");
-    r.cpa.correct_key = integer(*cpa, "correct_key", "cpa");
-    r.cpa.correct_rank = integer(*cpa, "correct_rank", "cpa");
-    r.cpa.disclosed = boolean(*cpa, "disclosed", "cpa");
-  }
-
-  const JsonValue* ge = doc.find("guessing_entropy");
-  if (ge->is_object()) {
-    r.ge.present = true;
-    r.ge.n_campaigns = integer(*ge, "n_campaigns", "guessing_entropy");
-    r.ge.trace_grid = int_array(*ge, "trace_grid", "guessing_entropy");
-    r.ge.guessing_entropy =
-        double_array(*ge, "guessing_entropy", "guessing_entropy");
-    r.ge.success_rate = double_array(*ge, "success_rate", "guessing_entropy");
-  }
-
-  const JsonValue* mtd = doc.find("mtd");
-  if (mtd->is_object()) {
-    r.mtd.present = true;
-    r.mtd.mtd = integer(*mtd, "mtd", "mtd");
-    r.mtd.max_traces = integer(*mtd, "max_traces", "mtd");
-    r.mtd.step = integer(*mtd, "step", "mtd");
-    r.mtd.persist = integer(*mtd, "persist", "mtd");
-    r.mtd.traces_fed = integer(*mtd, "traces_fed", "mtd");
-    r.mtd.disclosed = boolean(*mtd, "disclosed", "mtd");
-    r.mtd.checkpoints = int_array(*mtd, "checkpoints", "mtd");
-    r.mtd.ranks = int_array(*mtd, "ranks", "mtd");
-  }
-
-  const JsonValue& cache =
-      member(doc, "trace_cache", JsonValue::Kind::kObject, "document");
-  r.trace_cache_hits = integer(cache, "hits", "trace_cache");
-  r.trace_cache_misses = integer(cache, "misses", "trace_cache");
+  fields(io, r);
   return r;
 }
 

@@ -7,9 +7,10 @@
 // dumps it, CI archives it, and attach_leakage folds a digest into the
 // flow report so campaign aggregation sees the verdicts without parsing a
 // second document.  Schema identifier: "secflow.leakage-report/1";
-// validate/parse follow the flow-report conventions (optional sections
-// are null-or-object, strict type checks, Error naming the first
-// violation).
+// one field list in report.cpp drives the writer, the reader and the
+// validator, as for the flow report (obs/json_fields.h): optional
+// sections are null-or-object, types and integer ranges are strict, and
+// Error names the first violation.
 #pragma once
 
 #include <cstdint>
@@ -102,13 +103,15 @@ struct LeakageReport {
 /// The report as pretty-printed JSON (ends with a newline).
 std::string leakage_report_json(const LeakageReport& r);
 
-/// Inverse of leakage_report_json; validates first.
+/// Inverse of leakage_report_json.  Throws ParseError on malformed JSON
+/// and Error on schema-violating input.
 LeakageReport parse_leakage_report(const std::string& json);
 
 /// The report as a JSON document — what leakage_report_json serializes.
 JsonValue leakage_report_to_json(const LeakageReport& r);
 
-/// Inverse of leakage_report_to_json; validates against the schema first.
+/// Inverse of leakage_report_to_json.  Throws Error naming the first
+/// violation of the schema.
 LeakageReport leakage_report_from_json(const JsonValue& doc);
 
 /// Check a parsed document against the secflow.leakage-report/1 schema.

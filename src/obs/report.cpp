@@ -1,81 +1,98 @@
 #include "obs/report.h"
 
-#include "base/error.h"
+#include "obs/json_fields.h"
 
 namespace secflow {
 namespace {
 
-const char* const kCacheVocabulary[] = {"not-run", "off", "miss", "hit"};
-
-JsonValue metrics_to_json(const MetricsSnapshot& m) {
-  JsonValue counters = JsonValue::object();
-  for (const auto& [name, v] : m.counters) counters.set(name, v);
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, v] : m.gauges) gauges.set(name, v);
-  JsonValue hists = JsonValue::object();
-  for (const auto& [name, h] : m.histograms) {
-    JsonValue hv = JsonValue::object();
-    hv.set("count", h.count).set("sum", h.sum);
-    hv.set("min", h.min).set("max", h.max);
-    hists.set(name, std::move(hv));
-  }
-  JsonValue out = JsonValue::object();
-  out.set("counters", std::move(counters));
-  out.set("gauges", std::move(gauges));
-  out.set("histograms", std::move(hists));
-  return out;
-}
-
-/// Required typed member access with schema-style error messages.
-const JsonValue& member(const JsonValue& obj, std::string_view key,
-                        JsonValue::Kind kind, const char* where) {
-  const JsonValue* v = obj.find(key);
-  SECFLOW_CHECK(v != nullptr, std::string("flow report: ") + where +
-                                  " lacks required member '" +
-                                  std::string(key) + "'");
-  SECFLOW_CHECK(v->kind() == kind, std::string("flow report: ") + where +
-                                       " member '" + std::string(key) +
-                                       "' has the wrong type");
-  return *v;
-}
-
-double num(const JsonValue& obj, std::string_view key, const char* where) {
-  return member(obj, key, JsonValue::Kind::kNumber, where).as_number();
-}
-
-std::string str(const JsonValue& obj, std::string_view key,
-                const char* where) {
-  return member(obj, key, JsonValue::Kind::kString, where).as_string();
-}
-
-bool boolean(const JsonValue& obj, std::string_view key, const char* where) {
-  return member(obj, key, JsonValue::Kind::kBool, where).as_bool();
-}
-
-MetricsSnapshot metrics_from_json(const JsonValue& v) {
-  MetricsSnapshot m;
-  for (const auto& [name, c] :
-       member(v, "counters", JsonValue::Kind::kObject, "metrics").members()) {
-    m.counters[name] = static_cast<std::uint64_t>(c.as_number());
-  }
-  for (const auto& [name, g] :
-       member(v, "gauges", JsonValue::Kind::kObject, "metrics").members()) {
-    m.gauges[name] = g.as_number();
-  }
-  for (const auto& [name, h] :
-       member(v, "histograms", JsonValue::Kind::kObject, "metrics")
-           .members()) {
-    HistogramStat stat;
-    stat.count = static_cast<std::uint64_t>(num(h, "count", "histogram"));
-    stat.sum = num(h, "sum", "histogram");
-    stat.min = num(h, "min", "histogram");
-    stat.max = num(h, "max", "histogram");
-    m.histograms[name] = stat;
-  }
-  return m;
+/// The secflow.flow-report/1 field list (obs/json_fields.h).
+template <class Io, class R>
+void fields(Io& io, R& r) {
+  io.field("schema", r.schema);
+  io.check(r.schema == kFlowReportSchema, [&] {
+    return "unknown schema '" + r.schema + "' (want " + kFlowReportSchema +
+           ")";
+  });
+  io.field("flow", r.flow);
+  io.check(r.flow == "regular" || r.flow == "secure", [&] {
+    return "flow must be 'regular' or 'secure', got '" + r.flow + "'";
+  });
+  io.field("design", r.design);
+  io.field("completed_through", r.completed_through);
+  io.field("n_threads", r.n_threads);
+  io.object("design_stats", [&] {
+    io.field("cells", r.cells);
+    io.field("cell_area_um2", r.cell_area_um2);
+    io.field("die_area_um2", r.die_area_um2);
+    io.field("wirelength_um", r.wirelength_um);
+    io.field("vias", r.vias);
+  });
+  io.object("route", [&] {
+    io.field("nets", r.route_nets);
+    io.field("iterations", r.route_iterations);
+  });
+  io.object("timing",
+            [&] { io.field("critical_delay_ps", r.critical_delay_ps); });
+  io.array("stages", r.stages, "stage", [&](auto& s) {
+    io.field("name", s.name);
+    io.field("ms", s.ms);
+    io.field("cache", s.cache);
+    io.check(is_cache_verdict(s.cache), [&] {
+      return "unknown stage cache verdict '" + s.cache + "'";
+    });
+    io.field("cache_key", s.cache_key);
+    io.check(s.cache_key.empty() || s.cache_key.size() == 16,
+             "cache_key must be empty or 16 hex digits");
+  });
+  io.check(!r.stages.empty(), "stages is empty");
+  io.field("total_ms", r.total_ms);
+  io.section("secure", r.secure.present, [&] {
+    io.field("fat_cells", r.secure.fat_cells);
+    io.field("diff_cells", r.secure.diff_cells);
+    io.field("inverters_removed", r.secure.inverters_removed);
+    io.field("lec_equivalent", r.secure.lec_equivalent);
+    io.field("lec_points", r.secure.lec_points);
+    io.field("stream_check_ok", r.secure.stream_check_ok);
+  });
+  io.section("dpa", r.dpa.present, [&] {
+    io.field("n_measurements", r.dpa.n_measurements);
+    io.field("best_guess", r.dpa.best_guess);
+    io.field("disclosed", r.dpa.disclosed);
+    io.field("best_peak", r.dpa.best_peak);
+    io.field("runner_up_peak", r.dpa.runner_up_peak);
+    io.field("mean_cycle_energy_pj", r.dpa.mean_cycle_energy_pj);
+  });
+  io.section("leakage", r.leakage.present, [&] {
+    io.field("model", r.leakage.model);
+    io.check(r.leakage.model.empty() || r.leakage.model == "hw" ||
+                 r.leakage.model == "hd",
+             "leakage model must be '', 'hw' or 'hd'");
+    io.field("cpa_traces", r.leakage.cpa_traces);
+    io.field("cpa_best_guess", r.leakage.cpa_best_guess);
+    io.field("cpa_correct_rank", r.leakage.cpa_correct_rank);
+    io.field("cpa_disclosed", r.leakage.cpa_disclosed);
+    io.field("tvla_max_abs_t", r.leakage.tvla_max_abs_t);
+    io.field("tvla_leaks", r.leakage.tvla_leaks);
+    io.field("mtd", r.leakage.mtd);
+    io.field("mtd_max_traces", r.leakage.mtd_max_traces);
+  });
+  io.object("metrics", [&] {
+    io.map("counters", r.metrics.counters);
+    io.map("gauges", r.metrics.gauges);
+    io.map("histograms", r.metrics.histograms, "histogram", [&](auto& h) {
+      io.field("count", h.count);
+      io.field("sum", h.sum);
+      io.field("min", h.min);
+      io.field("max", h.max);
+    });
+  });
 }
 
 }  // namespace
+
+bool is_cache_verdict(std::string_view v) {
+  return v == "not-run" || v == "off" || v == "miss" || v == "hit";
+}
 
 void attach_metrics(FlowReport& r, const MetricsSnapshot& snapshot) {
   r.metrics = snapshot;
@@ -86,263 +103,21 @@ std::string flow_report_json(const FlowReport& r) {
 }
 
 JsonValue flow_report_to_json(const FlowReport& r) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", r.schema);
-  doc.set("flow", r.flow);
-  doc.set("design", r.design);
-  doc.set("completed_through", r.completed_through);
-  doc.set("n_threads", r.n_threads);
-
-  JsonValue design = JsonValue::object();
-  design.set("cells", r.cells);
-  design.set("cell_area_um2", r.cell_area_um2);
-  design.set("die_area_um2", r.die_area_um2);
-  design.set("wirelength_um", r.wirelength_um);
-  design.set("vias", r.vias);
-  doc.set("design_stats", std::move(design));
-
-  JsonValue route = JsonValue::object();
-  route.set("nets", r.route_nets);
-  route.set("iterations", r.route_iterations);
-  doc.set("route", std::move(route));
-
-  doc.set("timing",
-          JsonValue::object().set("critical_delay_ps", r.critical_delay_ps));
-
-  JsonValue stages = JsonValue::array();
-  for (const StageEntry& s : r.stages) {
-    JsonValue sv = JsonValue::object();
-    sv.set("name", s.name).set("ms", s.ms).set("cache", s.cache);
-    sv.set("cache_key", s.cache_key);
-    stages.push_back(std::move(sv));
-  }
-  doc.set("stages", std::move(stages));
-  doc.set("total_ms", r.total_ms);
-
-  if (r.secure.present) {
-    JsonValue sec = JsonValue::object();
-    sec.set("fat_cells", r.secure.fat_cells);
-    sec.set("diff_cells", r.secure.diff_cells);
-    sec.set("inverters_removed", r.secure.inverters_removed);
-    sec.set("lec_equivalent", r.secure.lec_equivalent);
-    sec.set("lec_points", r.secure.lec_points);
-    sec.set("stream_check_ok", r.secure.stream_check_ok);
-    doc.set("secure", std::move(sec));
-  } else {
-    doc.set("secure", JsonValue());
-  }
-
-  if (r.dpa.present) {
-    JsonValue dpa = JsonValue::object();
-    dpa.set("n_measurements", r.dpa.n_measurements);
-    dpa.set("best_guess", r.dpa.best_guess);
-    dpa.set("disclosed", r.dpa.disclosed);
-    dpa.set("best_peak", r.dpa.best_peak);
-    dpa.set("runner_up_peak", r.dpa.runner_up_peak);
-    dpa.set("mean_cycle_energy_pj", r.dpa.mean_cycle_energy_pj);
-    doc.set("dpa", std::move(dpa));
-  } else {
-    doc.set("dpa", JsonValue());
-  }
-
-  if (r.leakage.present) {
-    JsonValue lk = JsonValue::object();
-    lk.set("model", r.leakage.model);
-    lk.set("cpa_traces", r.leakage.cpa_traces);
-    lk.set("cpa_best_guess", r.leakage.cpa_best_guess);
-    lk.set("cpa_correct_rank", r.leakage.cpa_correct_rank);
-    lk.set("cpa_disclosed", r.leakage.cpa_disclosed);
-    lk.set("tvla_max_abs_t", r.leakage.tvla_max_abs_t);
-    lk.set("tvla_leaks", r.leakage.tvla_leaks);
-    lk.set("mtd", r.leakage.mtd);
-    lk.set("mtd_max_traces", r.leakage.mtd_max_traces);
-    doc.set("leakage", std::move(lk));
-  } else {
-    doc.set("leakage", JsonValue());
-  }
-
-  doc.set("metrics", metrics_to_json(r.metrics));
-  return doc;
+  JsonWriter io;
+  fields(io, r);
+  return io.take();
 }
 
-void validate_flow_report(const JsonValue& doc) {
-  SECFLOW_CHECK(doc.is_object(), "flow report: document is not an object");
-  const std::string schema = str(doc, "schema", "document");
-  SECFLOW_CHECK(schema == kFlowReportSchema,
-                "flow report: unknown schema '" + schema + "' (want " +
-                    kFlowReportSchema + ")");
-  const std::string flow = str(doc, "flow", "document");
-  SECFLOW_CHECK(flow == "regular" || flow == "secure",
-                "flow report: flow must be 'regular' or 'secure', got '" +
-                    flow + "'");
-  str(doc, "design", "document");
-  str(doc, "completed_through", "document");
-  num(doc, "n_threads", "document");
-  num(doc, "total_ms", "document");
-
-  const JsonValue& design =
-      member(doc, "design_stats", JsonValue::Kind::kObject, "document");
-  for (const char* key :
-       {"cells", "cell_area_um2", "die_area_um2", "wirelength_um", "vias"}) {
-    num(design, key, "design_stats");
-  }
-  const JsonValue& route =
-      member(doc, "route", JsonValue::Kind::kObject, "document");
-  num(route, "nets", "route");
-  num(route, "iterations", "route");
-  num(member(doc, "timing", JsonValue::Kind::kObject, "document"),
-      "critical_delay_ps", "timing");
-
-  const JsonValue& stages =
-      member(doc, "stages", JsonValue::Kind::kArray, "document");
-  SECFLOW_CHECK(!stages.items().empty(), "flow report: stages is empty");
-  for (const JsonValue& s : stages.items()) {
-    SECFLOW_CHECK(s.is_object(), "flow report: stage entry is not an object");
-    str(s, "name", "stage");
-    num(s, "ms", "stage");
-    const std::string cache = str(s, "cache", "stage");
-    bool known = false;
-    for (const char* v : kCacheVocabulary) known = known || cache == v;
-    SECFLOW_CHECK(known,
-                  "flow report: unknown stage cache verdict '" + cache + "'");
-    const std::string key = str(s, "cache_key", "stage");
-    SECFLOW_CHECK(key.empty() || key.size() == 16,
-                  "flow report: cache_key must be empty or 16 hex digits");
-  }
-
-  const JsonValue* secure = doc.find("secure");
-  SECFLOW_CHECK(secure != nullptr && (secure->is_null() || secure->is_object()),
-                "flow report: secure must be null or an object");
-  if (secure->is_object()) {
-    num(*secure, "fat_cells", "secure");
-    num(*secure, "diff_cells", "secure");
-    num(*secure, "inverters_removed", "secure");
-    boolean(*secure, "lec_equivalent", "secure");
-    num(*secure, "lec_points", "secure");
-    boolean(*secure, "stream_check_ok", "secure");
-  }
-  const JsonValue* dpa = doc.find("dpa");
-  SECFLOW_CHECK(dpa != nullptr && (dpa->is_null() || dpa->is_object()),
-                "flow report: dpa must be null or an object");
-  if (dpa->is_object()) {
-    num(*dpa, "n_measurements", "dpa");
-    num(*dpa, "best_guess", "dpa");
-    boolean(*dpa, "disclosed", "dpa");
-    num(*dpa, "best_peak", "dpa");
-    num(*dpa, "runner_up_peak", "dpa");
-    num(*dpa, "mean_cycle_energy_pj", "dpa");
-  }
-  const JsonValue* leakage = doc.find("leakage");
-  SECFLOW_CHECK(
-      leakage != nullptr && (leakage->is_null() || leakage->is_object()),
-      "flow report: leakage must be null or an object");
-  if (leakage->is_object()) {
-    const std::string model = str(*leakage, "model", "leakage");
-    SECFLOW_CHECK(model.empty() || model == "hw" || model == "hd",
-                  "flow report: leakage model must be '', 'hw' or 'hd'");
-    num(*leakage, "cpa_traces", "leakage");
-    num(*leakage, "cpa_best_guess", "leakage");
-    num(*leakage, "cpa_correct_rank", "leakage");
-    boolean(*leakage, "cpa_disclosed", "leakage");
-    num(*leakage, "tvla_max_abs_t", "leakage");
-    num(*leakage, "tvla_leaks", "leakage");
-    num(*leakage, "mtd", "leakage");
-    num(*leakage, "mtd_max_traces", "leakage");
-  }
-  metrics_from_json(member(doc, "metrics", JsonValue::Kind::kObject,
-                           "document"));  // type-checks every entry
-}
+void validate_flow_report(const JsonValue& doc) { flow_report_from_json(doc); }
 
 FlowReport parse_flow_report(const std::string& json) {
   return flow_report_from_json(json_parse(json));
 }
 
 FlowReport flow_report_from_json(const JsonValue& doc) {
-  validate_flow_report(doc);
-
+  JsonReader io(doc, "flow report");
   FlowReport r;
-  r.schema = str(doc, "schema", "document");
-  r.flow = str(doc, "flow", "document");
-  r.design = str(doc, "design", "document");
-  r.completed_through = str(doc, "completed_through", "document");
-  r.n_threads = static_cast<std::int64_t>(num(doc, "n_threads", "document"));
-
-  const JsonValue& design =
-      member(doc, "design_stats", JsonValue::Kind::kObject, "document");
-  r.cells = static_cast<std::uint64_t>(num(design, "cells", "design_stats"));
-  r.cell_area_um2 = num(design, "cell_area_um2", "design_stats");
-  r.die_area_um2 = num(design, "die_area_um2", "design_stats");
-  r.wirelength_um = num(design, "wirelength_um", "design_stats");
-  r.vias = static_cast<std::int64_t>(num(design, "vias", "design_stats"));
-
-  const JsonValue& route =
-      member(doc, "route", JsonValue::Kind::kObject, "document");
-  r.route_nets = static_cast<std::int64_t>(num(route, "nets", "route"));
-  r.route_iterations =
-      static_cast<std::int64_t>(num(route, "iterations", "route"));
-  r.critical_delay_ps =
-      num(member(doc, "timing", JsonValue::Kind::kObject, "document"),
-          "critical_delay_ps", "timing");
-  r.total_ms = num(doc, "total_ms", "document");
-
-  for (const JsonValue& s : doc.find("stages")->items()) {
-    StageEntry e;
-    e.name = str(s, "name", "stage");
-    e.ms = num(s, "ms", "stage");
-    e.cache = str(s, "cache", "stage");
-    e.cache_key = str(s, "cache_key", "stage");
-    r.stages.push_back(std::move(e));
-  }
-
-  const JsonValue* secure = doc.find("secure");
-  if (secure->is_object()) {
-    r.secure.present = true;
-    r.secure.fat_cells =
-        static_cast<std::uint64_t>(num(*secure, "fat_cells", "secure"));
-    r.secure.diff_cells =
-        static_cast<std::uint64_t>(num(*secure, "diff_cells", "secure"));
-    r.secure.inverters_removed = static_cast<std::int64_t>(
-        num(*secure, "inverters_removed", "secure"));
-    r.secure.lec_equivalent = boolean(*secure, "lec_equivalent", "secure");
-    r.secure.lec_points =
-        static_cast<std::int64_t>(num(*secure, "lec_points", "secure"));
-    r.secure.stream_check_ok = boolean(*secure, "stream_check_ok", "secure");
-  }
-
-  const JsonValue* dpa = doc.find("dpa");
-  if (dpa->is_object()) {
-    r.dpa.present = true;
-    r.dpa.n_measurements =
-        static_cast<std::int64_t>(num(*dpa, "n_measurements", "dpa"));
-    r.dpa.best_guess =
-        static_cast<std::int64_t>(num(*dpa, "best_guess", "dpa"));
-    r.dpa.disclosed = boolean(*dpa, "disclosed", "dpa");
-    r.dpa.best_peak = num(*dpa, "best_peak", "dpa");
-    r.dpa.runner_up_peak = num(*dpa, "runner_up_peak", "dpa");
-    r.dpa.mean_cycle_energy_pj = num(*dpa, "mean_cycle_energy_pj", "dpa");
-  }
-
-  const JsonValue* leakage = doc.find("leakage");
-  if (leakage->is_object()) {
-    r.leakage.present = true;
-    r.leakage.model = str(*leakage, "model", "leakage");
-    r.leakage.cpa_traces =
-        static_cast<std::int64_t>(num(*leakage, "cpa_traces", "leakage"));
-    r.leakage.cpa_best_guess = static_cast<std::int64_t>(
-        num(*leakage, "cpa_best_guess", "leakage"));
-    r.leakage.cpa_correct_rank = static_cast<std::int64_t>(
-        num(*leakage, "cpa_correct_rank", "leakage"));
-    r.leakage.cpa_disclosed = boolean(*leakage, "cpa_disclosed", "leakage");
-    r.leakage.tvla_max_abs_t = num(*leakage, "tvla_max_abs_t", "leakage");
-    r.leakage.tvla_leaks =
-        static_cast<std::int64_t>(num(*leakage, "tvla_leaks", "leakage"));
-    r.leakage.mtd = static_cast<std::int64_t>(num(*leakage, "mtd", "leakage"));
-    r.leakage.mtd_max_traces = static_cast<std::int64_t>(
-        num(*leakage, "mtd_max_traces", "leakage"));
-  }
-
-  r.metrics = metrics_from_json(
-      member(doc, "metrics", JsonValue::Kind::kObject, "document"));
+  fields(io, r);
   return r;
 }
 

@@ -12,13 +12,15 @@
 // The document is plain data (strings and numbers only), so this header
 // depends on nothing above base; the builders that know about flow/sca
 // types live in those layers (build_flow_report in flow/, attach_dpa in
-// sca/).  Schema identifier: "secflow.flow-report/1".  validate checks a
-// parsed document against that schema; parse_flow_report round-trips the
-// JSON back into the struct.
+// sca/).  Schema identifier: "secflow.flow-report/1".  One field list in
+// report.cpp drives the writer, the reader and the validator
+// (obs/json_fields.h); parse_flow_report round-trips the JSON back into
+// the struct.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -39,6 +41,9 @@ struct StageEntry {
 
   bool operator==(const StageEntry&) const = default;
 };
+
+/// Whether `v` is a stage cache verdict: "not-run", "off", "miss", "hit".
+bool is_cache_verdict(std::string_view v);
 
 /// Secure-flow-only section (present == false for the regular flow).
 struct SecureSection {
@@ -115,8 +120,8 @@ struct FlowReport {
 /// The report as pretty-printed JSON (ends with a newline).
 std::string flow_report_json(const FlowReport& r);
 
-/// Inverse of flow_report_json; validates first.  Throws Error/ParseError
-/// on malformed or schema-violating input.
+/// Inverse of flow_report_json.  Throws ParseError on malformed JSON and
+/// Error on schema-violating input.
 FlowReport parse_flow_report(const std::string& json);
 
 /// The report as a JSON document — what flow_report_json serializes.
@@ -124,13 +129,14 @@ FlowReport parse_flow_report(const std::string& json);
 /// per-job flow reports as objects instead of re-parsing strings.
 JsonValue flow_report_to_json(const FlowReport& r);
 
-/// Inverse of flow_report_to_json; validates against the schema first.
+/// Inverse of flow_report_to_json.  Throws Error naming the first
+/// violation of the schema.
 FlowReport flow_report_from_json(const JsonValue& doc);
 
 /// Check a parsed document against the secflow.flow-report/1 schema:
-/// required members present with the right types, stage cache verdicts
-/// from the known vocabulary, metrics section well-formed.  Throws Error
-/// naming the first violation.
+/// required members present with the right types, integers in range,
+/// stage cache verdicts from the known vocabulary, metrics section
+/// well-formed.  This is flow_report_from_json with the result dropped.
 void validate_flow_report(const JsonValue& doc);
 
 /// Fold a metrics snapshot into the report (normally Metrics::global()'s,

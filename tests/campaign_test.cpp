@@ -489,6 +489,13 @@ TEST_F(CampaignE2E, ReportRoundTripsThroughSchemaValidator) {
   JsonValue bad = json_parse(json);
   bad.set("schema", "secflow.campaign-report/9");
   EXPECT_THROW(validate_campaign_report(bad), Error);
+
+  // Integers are range-checked, never cast (3e9 does not fit an int).
+  JsonValue huge = json_parse(json);
+  huge.set("n_failed", JsonValue(3e9));
+  EXPECT_NE(error_message([&] { validate_campaign_report(huge); })
+                .find("member 'n_failed' must be an integer"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

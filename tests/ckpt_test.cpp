@@ -315,8 +315,12 @@ TEST(Serialize, ParsersRejectMalformedInput) {
 
 class StoreTest : public ::testing::Test {
  protected:
+  // ctest runs every case as its own process, possibly in parallel, so
+  // each case gets its own directory.
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "ckpt_store_test";
+    dir_ = fs::path(::testing::TempDir()) /
+           (std::string("ckpt_store_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

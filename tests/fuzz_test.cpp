@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "base/error.h"
 #include "base/rng.h"
 #include "ckpt/fingerprint.h"
 #include "flow/flow.h"
@@ -297,6 +298,20 @@ TEST_F(FuzzRunTest, InjectedFaultYieldsAReplayableReproducer) {
   EXPECT_TRUE(r1.still_fails);
   EXPECT_EQ(r1.oracle, failed->oracle);
   EXPECT_EQ(r1.replayed_digest, r2.replayed_digest);
+
+  // A tampered count fails on read, naming the member, instead of being
+  // cast to an int.
+  JsonValue tampered = j;
+  tampered.find("oracle_options")->set("n_vectors", JsonValue(1e12));
+  const std::string tampered_path = corpus_ + "/tampered.json";
+  std::ofstream(tampered_path) << json_dump(tampered, 2);
+  try {
+    replay_repro(tampered_path);
+    ADD_FAILURE() << "replayed a reproducer with n_vectors = 1e12";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("member 'n_vectors'"),
+              std::string::npos) << e.what();
+  }
 }
 
 TEST_F(FuzzRunTest, RunsAreDeterministicInTheSeed) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "base/error.h"
 #include "base/rng.h"
 #include "crypto/des.h"
 #include "flow/flow.h"
@@ -23,6 +24,7 @@
 #include "leakage/tvla.h"
 #include "liberty/builtin_lib.h"
 #include "obs/report.h"
+#include "report_samples.h"
 #include "sca/selection.h"
 #include "synth/hdl.h"
 
@@ -502,6 +504,28 @@ TEST_F(DesLeakage, GuessingEntropyCurvesConvergeOnRegularFlow) {
     EXPECT_GE(sr, 0.0);
     EXPECT_LE(sr, 1.0);
   }
+}
+
+TEST(LeakageReport, RejectsNonIntegerCounts) {
+  // A fractional MTD or rank would otherwise be truncated on read.
+  const JsonValue good = leakage_report_to_json(report_samples::full_leakage());
+  const auto rejection = [](const JsonValue& doc) -> std::string {
+    try {
+      validate_leakage_report(doc);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  JsonValue bad_mtd = good;
+  bad_mtd.find("mtd")->set("mtd", JsonValue(200.5));
+  const std::string mtd_msg = rejection(bad_mtd);
+  EXPECT_NE(mtd_msg.find("member 'mtd' must be an integer"),
+            std::string::npos) << mtd_msg;
+  JsonValue bad_ranks = good;
+  bad_ranks.find("mtd")->find("ranks")->items()[0] = JsonValue(0.25);
+  const std::string ranks_msg = rejection(bad_ranks);
+  EXPECT_NE(ranks_msg.find("member 'ranks'"), std::string::npos) << ranks_msg;
 }
 
 TEST_F(DesLeakage, ReportRoundTripsAndAttachesToFlowReport) {

@@ -388,6 +388,28 @@ TEST(FlowReport, ValidatorRejectsSchemaViolations) {
   JsonValue bad_key = json_parse(good);
   bad_key.find("stages")->items()[0].set("cache_key", JsonValue("zz"));
   EXPECT_THROW(validate_flow_report(bad_key), Error);
+
+  // Integers are range-checked, never cast: a fraction, a negative count
+  // and a value beyond int64 each fail naming the member.
+  const auto rejection = [](const JsonValue& doc) -> std::string {
+    try {
+      validate_flow_report(doc);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const double cells : {2.5, -1.0}) {
+    JsonValue bad_cells = json_parse(good);
+    bad_cells.find("design_stats")->set("cells", JsonValue(cells));
+    const std::string msg = rejection(bad_cells);
+    EXPECT_NE(msg.find("member 'cells' must be an integer"),
+              std::string::npos) << cells << ": " << msg;
+  }
+  JsonValue huge_threads = json_parse(good);
+  huge_threads.set("n_threads", JsonValue(1e30));
+  EXPECT_NE(rejection(huge_threads).find("member 'n_threads'"),
+            std::string::npos);
 }
 
 TEST(FlowReport, AttachMetricsFoldsSnapshot) {

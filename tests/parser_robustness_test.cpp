@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "base/error.h"
+#include "campaign/report.h"
 #include "campaign/spec.h"
 #include "leakage/report.h"
 #include "lef/lef_io.h"
@@ -13,6 +14,7 @@
 #include "netlist/verilog_parser.h"
 #include "obs/report.h"
 #include "pnr/def.h"
+#include "report_samples.h"
 #include "sca/trace_io.h"
 #include "synth/hdl.h"
 
@@ -257,10 +259,29 @@ TEST(ParserRobustness, LeakageReport) {
   sweep_mutations(doc, parse);
 }
 
-TEST(ParserRobustness, LeakageReportRoundTrip) {
-  const std::string doc = sample_leakage_report_json();
-  const LeakageReport parsed = parse_leakage_report(doc);
-  EXPECT_EQ(leakage_report_json(parsed), doc);
+TEST(ParserRobustness, CampaignReport) {
+  // The campaign reader also reads every embedded flow report.
+  const std::string doc = campaign_report_json(report_samples::campaign());
+  auto parse = [](const std::string& s) { parse_campaign_report(s); };
+  sweep_truncations(doc, parse);
+  sweep_mutations(doc, parse);
+}
+
+TEST(ParserRobustness, ReportsRoundTripByteIdentical) {
+  namespace samples = report_samples;
+  for (const FlowReport& r : {samples::full_flow(), samples::bare_flow()}) {
+    const std::string doc = flow_report_json(r);
+    EXPECT_EQ(flow_report_json(parse_flow_report(doc)), doc);
+  }
+  for (const LeakageReport& r :
+       {samples::full_leakage(), samples::bare_leakage()}) {
+    const std::string doc = leakage_report_json(r);
+    EXPECT_EQ(leakage_report_json(parse_leakage_report(doc)), doc);
+  }
+  const std::string leakage = sample_leakage_report_json();
+  EXPECT_EQ(leakage_report_json(parse_leakage_report(leakage)), leakage);
+  const std::string campaign = campaign_report_json(samples::campaign());
+  EXPECT_EQ(campaign_report_json(parse_campaign_report(campaign)), campaign);
 }
 
 TEST(ParserRobustness, TracesCsv) {
@@ -306,6 +327,8 @@ TEST(ParserRobustness, ValidDocumentsStillParse) {
   EXPECT_NO_THROW(parse_campaign_spec(kCampaignSpec));
   EXPECT_NO_THROW(parse_flow_report(sample_flow_report_json()));
   EXPECT_NO_THROW(parse_leakage_report(sample_leakage_report_json()));
+  EXPECT_NO_THROW(
+      parse_campaign_report(campaign_report_json(report_samples::campaign())));
   EXPECT_NO_THROW(parse_traces_csv(kTracesCsv));
 }
 

@@ -1,12 +1,13 @@
 // Fixed sample reports for the report-schema tests.
 //
-// Every member holds a distinct non-default value, the numbers include
-// fractions, negatives and values that need all 17 significant digits,
-// and each schema comes in a full form (every optional section present)
-// and a bare form (every optional section null).  The campaign sample
-// carries both kinds of flow report plus a failed job whose error text
-// needs escaping.  flow_golden_test pins the writer's bytes for these
-// documents; the parser tests round-trip and mutate them.
+// Each schema comes in a full form, where every optional section is
+// present and every member holds a distinct non-default value, and a
+// bare form, where every optional section is null.  The numbers include
+// fractions, negatives and values that need all 17 significant digits.
+// The campaign sample carries both kinds of flow report plus a failed
+// job whose error text needs escaping.  flow_golden_test pins the
+// writer's bytes for these documents; the parser tests round-trip and
+// mutate them.
 #pragma once
 
 #include <cstdint>
