@@ -3,21 +3,18 @@
 // method turns differential-pair routing into ordinary gridded routing, so
 // routing throughput is the flow's scaling bottleneck.  This bench
 // measures the maze router at module scale (the DES design example's fat
-// netlist) in three configurations:
+// netlist) in two configurations:
 //
 //   serial     incremental off: full-grid windows, every net rerouted
 //              serially each iteration against live paths — structurally
 //              the seed's loop, sharing the A* core (A/B reference)
-//   default    windowed A* + incremental batch-parallel rip-up, on one
-//              thread.  Slower than `serial` on this small die (ripping
-//              every pending net first costs extra conflict iterations)
-//              but the geometry it converges to is straighter and more
-//              loosely packed, which
-//              the decomposed rails' capacitance balance depends on
-//              (DESIGN.md section 15) — and it is the only mode that
-//              parallelizes
-//   threads=N  the default router on N threads; the routed DEF must be
-//              byte-identical to the single-threaded one
+//   default    windowed A* + incremental rip-up: a serial head of 32
+//              nets, then a snapshot tail.  Slower than `serial` on this
+//              small die (ripping every pending net first costs extra
+//              conflict iterations) but the geometry it converges to is
+//              straighter and more loosely packed, which the decomposed
+//              rails' capacitance balance depends on (DESIGN.md
+//              section 15)
 //
 // The seed implementation (per-search allocation, full-grid Dijkstra,
 // no incremental rip-up) measured 24153 ms on this same workload; both
@@ -92,18 +89,13 @@ FatDesign make_fat_aes(int n_boxes) {
 struct MazeRun {
   double ms = 0.0;
   RouteStats stats;
-  std::string def;  // routed geometry, for bit-identity checks
 };
 
 MazeRun run_maze(const FatDesign& d, const RouteOptions& opts) {
   DefDesign def = d.placed;
   const auto t0 = std::chrono::steady_clock::now();
   const RouteStats rs = route_design(d.fat, d.fat_lef, def, opts);
-  MazeRun r;
-  r.ms = ms_since(t0);
-  r.stats = rs;
-  r.def = write_def(def);
-  return r;
+  return MazeRun{ms_since(t0), rs};
 }
 
 }  // namespace
@@ -126,12 +118,9 @@ int main(int argc, char** argv) {
              static_cast<long long>(reference.stats.expanded_nodes),
              static_cast<long long>(reference.stats.wirelength_dbu));
 
-  // Default: windowed A* + incremental batch-parallel rip-up, on one
-  // thread (RouteOptions{} would resolve to every hardware thread).
-  RouteOptions fast;
-  fast.parallelism.n_threads = 1;
-  const MazeRun optimized = run_maze(des, fast);
-  bench::row("  %-22s %8.1f %6d %10lld %12lld", "default(1 thread)",
+  // Default: windowed A* + incremental rip-up.
+  const MazeRun optimized = run_maze(des, RouteOptions{});
+  bench::row("  %-22s %8.1f %6d %10lld %12lld", "default(windowed)",
              optimized.ms, optimized.stats.iterations,
              static_cast<long long>(optimized.stats.expanded_nodes),
              static_cast<long long>(optimized.stats.wirelength_dbu));
@@ -145,22 +134,6 @@ int main(int argc, char** argv) {
   report.metric("maze.iterations", optimized.stats.iterations);
   report.metric("maze.expanded_nodes",
                 static_cast<double>(optimized.stats.expanded_nodes));
-
-  // Thread sweep: the routed DEF must be byte-identical at any count.
-  bench::blank();
-  bench::row("  %-22s %8s %s", "threads", "ms", "geometry");
-  bool all_identical = true;
-  for (const int n : {2, 4, 8}) {
-    RouteOptions topts;
-    topts.parallelism.n_threads = n;
-    const MazeRun run = run_maze(des, topts);
-    const bool same = run.def == optimized.def;
-    all_identical = all_identical && same;
-    bench::row("  %-22d %8.1f %s", n, run.ms,
-               same ? "bit-identical" : "DIVERGED");
-    report.metric("maze.threads" + std::to_string(n) + "_ms", run.ms);
-  }
-  report.note("maze.bit_identical", all_identical ? "true" : "false");
 
   bench::header("route-scale", "fat L-route + decompose vs design size");
   const Process018 pr;
@@ -181,5 +154,5 @@ int main(int argc, char** argv) {
 
   report.note("design", "des_dpa fat (WDDL)");
   bench::blank();
-  return all_identical ? 0 : 1;
+  return 0;
 }

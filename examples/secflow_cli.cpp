@@ -30,7 +30,7 @@
 //       the model-free TVLA; writes a secflow.leakage-report/1 document
 //
 // Every subcommand accepts --help.  Options take either `--key value`
-// or `--key=value`.
+// or `--key=value`; a numeric option must be a whole number in its range.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -43,6 +43,11 @@
 using namespace secflow;
 
 namespace {
+
+// Upper bounds of the numeric options: the thread pool never runs more
+// than 1024 workers, and every trace of a budget is held in memory.
+constexpr int kMaxThreads = 1024;
+constexpr int kMaxTraces = 1'000'000;
 
 int usage() {
   std::fprintf(stderr,
@@ -199,7 +204,7 @@ int cmd_campaign(int argc, char** argv) {
   text << in.rdbuf();
   CampaignSpec spec = parse_campaign_spec(text.str());
   if (args.has("cache")) spec.cache_dir = args.get("cache");
-  if (args.has("threads")) spec.threads = std::stoi(args.get("threads"));
+  spec.threads = args.get_number("threads", spec.threads, 0, kMaxThreads);
   if (args.has("log")) {
     const LogLevel lvl = parse_log_or_throw(args.get("log"));
     for (CampaignJob& job : spec.jobs) job.options.log_level = lvl;
@@ -261,9 +266,9 @@ int cmd_fuzz(int argc, char** argv) {
   }
 
   FuzzOptions opts;
-  if (args.has("seed")) opts.seed = std::stoull(args.get("seed"));
-  if (args.has("count")) opts.count = std::stoi(args.get("count"));
-  if (args.has("deep-every")) opts.deep_every = std::stoi(args.get("deep-every"));
+  opts.seed = args.get_number("seed", opts.seed);
+  opts.count = args.get_number("count", opts.count, 1);
+  opts.deep_every = args.get_number("deep-every", opts.deep_every, 0);
   opts.corpus_dir = args.get("corpus", "fuzz-corpus");
   if (args.has("inject")) opts.inject = parse_fault_kind(args.get("inject"));
   opts.stop_on_failure = !args.has("keep-going");
@@ -327,22 +332,24 @@ int cmd_leakage(int argc, char** argv) {
   const bool secure = flow_kind == "secure";
 
   LeakageSetup setup;
-  if (args.has("seed")) setup.seed = std::stoull(args.get("seed"));
-  if (args.has("traces")) setup.cpa_traces = std::stoi(args.get("traces"));
-  if (args.has("tvla-traces"))
-    setup.tvla_traces = std::stoi(args.get("tvla-traces"));
-  if (args.has("noise")) setup.noise_ma = std::stod(args.get("noise"));
+  setup.seed = args.get_number("seed", setup.seed);
+  setup.cpa_traces =
+      args.get_number("traces", setup.cpa_traces, 1, kMaxTraces);
+  setup.tvla_traces =
+      args.get_number("tvla-traces", setup.tvla_traces, 4, kMaxTraces);
+  setup.noise_ma = args.get_number("noise", setup.noise_ma, 0.0);
   if (args.has("model")) {
     const auto model = parse_power_model(args.get("model"));
     SECFLOW_CHECK(model.has_value(),
                   "--model must be hw or hd, got '" + args.get("model") + "'");
     setup.model = *model;
   }
-  if (args.has("mtd-max")) setup.mtd.max_traces = std::stoi(args.get("mtd-max"));
-  if (args.has("mtd-step")) setup.mtd.step = std::stoi(args.get("mtd-step"));
-  if (args.has("ge")) setup.ge_campaigns = std::stoi(args.get("ge"));
-  if (args.has("threads"))
-    setup.parallelism.n_threads = std::stoi(args.get("threads"));
+  setup.mtd.max_traces =
+      args.get_number("mtd-max", setup.mtd.max_traces, 1, kMaxTraces);
+  setup.mtd.step = args.get_number("mtd-step", setup.mtd.step, 1, kMaxTraces);
+  setup.ge_campaigns = args.get_number("ge", setup.ge_campaigns, 0);
+  setup.parallelism.n_threads = args.get_number(
+      "threads", setup.parallelism.n_threads, 0, kMaxThreads);
   setup.cache_dir = args.get("cache");
 
   FlowOptions opts;

@@ -4,7 +4,8 @@
 // parse().  Both `--key value` and `--key=value` spellings are accepted
 // for options; `--help` is always available and prints the generated
 // usage text.  Unknown arguments, missing option values and missing
-// required positionals raise Error with a message naming the offender.
+// required positionals raise Error with a message naming the offender,
+// and so does a numeric option whose value is malformed or out of range.
 //
 //   ArgParser p("secflow_cli flow", "run the flow on a design");
 //   p.positional("design.v", "mini-HDL input file");
@@ -13,8 +14,11 @@
 //   if (!p.parse(argc, argv)) return 0;   // --help was printed
 //   if (p.has("regular")) ...
 //   std::string dir = p.get("out", "default_out");
+//   int n = p.get_number("count", 100, 1, 1000);  // 100 when not passed
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,6 +51,17 @@ class ArgParser {
 
   /// The option's value, or `fallback` when it was not passed.
   std::string get(std::string_view name, std::string fallback = "") const;
+
+  /// The option's value as a T in [min, max], or `fallback` when it was
+  /// not passed.  The whole value must parse: a decimal integer for an
+  /// integral T (no sign on an unsigned one), a decimal or exponent
+  /// number for a floating T.  A malformed or out-of-range value throws
+  /// Error naming the option and the value.  Defined for int,
+  /// std::uint64_t and double.
+  template <typename T>
+  T get_number(std::string_view name, T fallback,
+               T min = std::numeric_limits<T>::lowest(),
+               T max = std::numeric_limits<T>::max()) const;
 
   /// The positional's value ("" when an optional one was omitted).
   std::string pos(std::string_view name) const;

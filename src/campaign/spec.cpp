@@ -185,9 +185,16 @@ void parse_options(const JsonValue& v, const std::string& where,
   if (const JsonValue* r = want(v, "route", JsonValue::Kind::kObject,
                                 where.c_str(), errs)) {
     const std::string w = where + ".route";
-    check_members(*r, w.c_str(), {"via_cost", "max_iterations"}, errs);
+    check_members(*r, w.c_str(),
+                  {"via_cost", "max_iterations", "incremental",
+                   "window_margin", "window_escalation"},
+                  errs);
     opt_integer(*r, "via_cost", w.c_str(), errs, o.route.via_cost);
     opt_integer(*r, "max_iterations", w.c_str(), errs, o.route.max_iterations);
+    opt_bool(*r, "incremental", w.c_str(), errs, o.route.incremental);
+    opt_integer(*r, "window_margin", w.c_str(), errs, o.route.window_margin);
+    opt_integer(*r, "window_escalation", w.c_str(), errs,
+                o.route.window_escalation);
   }
   if (const JsonValue* e = want(v, "extract", JsonValue::Kind::kObject,
                                 where.c_str(), errs)) {

@@ -30,7 +30,9 @@
 //           "place":   {"aspect_ratio": 1.0, "fill_factor": 0.8,
 //                       "sa_moves_per_instance": 60, "sa_batch": 16,
 //                       "margin_tracks": 8, "seed": 1},
-//           "route":   {"via_cost": 3, "max_iterations": 48},
+//           "route":   {"via_cost": 3, "max_iterations": 48,
+//                       "incremental": true, "window_margin": 64,
+//                       "window_escalation": 4},
 //           "extract": {"coupling_max_sep_um": 1.2,
 //                       "variation_sigma": 0.0, "seed": 7}
 //         }

@@ -31,8 +31,7 @@ std::uint64_t fingerprint(const Process018& p);
 std::uint64_t fingerprint(const SynthConstraints& c);
 /// Excludes PlaceOptions::parallelism (does not change the placement).
 std::uint64_t fingerprint(const PlaceOptions& o);
-/// Excludes RouteOptions::verbose (logging only) and ::parallelism (the
-/// routed geometry is bit-identical at any thread count).
+/// Every member: each one changes the routed geometry.
 std::uint64_t fingerprint(const RouteOptions& o);
 /// Excludes ExtractOptions::parallelism; includes the process constants.
 std::uint64_t fingerprint(const ExtractOptions& o);

@@ -39,7 +39,6 @@ std::string clock_net_name(const Netlist& nl) {
 FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
   if (o.place.parallelism.n_threads == 0) o.place.parallelism = o.parallelism;
-  if (o.route.parallelism.n_threads == 0) o.route.parallelism = o.parallelism;
   if (o.extract.parallelism.n_threads == 0)
     o.extract.parallelism = o.parallelism;
   if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty())
@@ -480,7 +479,6 @@ void FlowOptions::validate() const {
           "window must grow on escalation or congested nets never reach "
           "full-grid search");
   require(parallelism.n_threads >= 0 && place.parallelism.n_threads >= 0 &&
-              route.parallelism.n_threads >= 0 &&
               extract.parallelism.n_threads >= 0,
           "FlowOptions: thread counts must be >= 0 (0 = auto)");
   require(!(resume_from && cache_dir.empty()),

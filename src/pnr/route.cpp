@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,7 +9,6 @@
 #include <vector>
 
 #include "base/error.h"
-#include "base/parallel.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -50,13 +47,9 @@ struct Grid {
 
 /// Inclusive rectangle of grid columns/rows (all layers) a net's search
 /// may touch.  Both the A* expansion and the committed path stay inside
-/// the window, so two nets with disjoint windows never read or write the
-/// same grid node — the invariant batch-parallel routing relies on.
+/// the window.
 struct Window {
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-  bool contains(int xi, int yi) const {
-    return xi >= x0 && xi <= x1 && yi >= y0 && yi <= y1;
-  }
 };
 
 struct NetTask {
@@ -155,7 +148,8 @@ class QuadHeap {
 /// Full-grid search scratch (20 bytes per node), never refilled between
 /// searches: a slot is valid only while its generation stamp matches the
 /// current epoch, so starting a new search or moving to the next net is
-/// O(1) and routing with a warm state allocates nothing.
+/// O(1) and routing with a warm state allocates nothing.  route_design
+/// owns one for the whole call and frees it on return.
 class RouterSearchState {
  public:
   /// One node's slot in the current search.
@@ -209,38 +203,6 @@ class RouterSearchState {
   std::uint32_t search_epoch_ = 0, tree_epoch_ = 0, pin_epoch_ = 0;
   QuadHeap heap_;
   std::vector<int> new_nodes_;
-};
-
-/// The search states of one route_design call.  A routing thread takes a
-/// state for one net and gives it back; the states are freed when the
-/// call returns, so no thread keeps a full-grid state once routing ends.
-/// Every read of a state is stamp-guarded, so which state routes which
-/// net never shows in the output.
-class SearchStatePool {
- public:
-  explicit SearchStatePool(int n_nodes) : n_nodes_(n_nodes) {}
-
-  std::unique_ptr<RouterSearchState> take() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<RouterSearchState> st = std::move(free_.back());
-        free_.pop_back();
-        return st;
-      }
-    }
-    return std::make_unique<RouterSearchState>(n_nodes_);
-  }
-
-  void give(std::unique_ptr<RouterSearchState> st) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(st));
-  }
-
- private:
-  const int n_nodes_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<RouterSearchState>> free_;  // guarded by mu_
 };
 
 /// A* from the net's current tree (sources, g = 0) to `target`, expanding
@@ -353,9 +315,8 @@ bool astar_connect(const Grid& g, RouterSearchState& st,
   return false;
 }
 
-/// Outcome of routing one net inside its window.  Workers fill these
-/// without touching shared state; the caller commits them in fixed net
-/// order after the batch joins.
+/// Outcome of routing one net inside its window, committed by the caller
+/// (at once in the serial head, after every search in the snapshot tail).
 struct PassResult {
   bool ok = false;
   std::vector<int> path;  // new tree nodes beyond the pins
@@ -473,70 +434,10 @@ Window window_of(const Grid& g, const NetTask& t, const RouteOptions& opts,
   return w;
 }
 
-/// Greedy first-fit coloring of the pending nets' windows into batches of
-/// pairwise-disjoint windows (conservatively at coarse-tile granularity).
-/// Deterministic: depends only on the pending order and the windows.
-/// Nets that do not fit in `kMaxBatches` go to the serial tail.
-struct BatchPlan {
-  std::vector<std::vector<std::size_t>> batches;  // indices into pending
-  std::vector<std::size_t> serial_tail;
-};
-
-BatchPlan plan_batches(const Grid& g, const std::vector<Window>& windows,
-                       std::size_t n_pending) {
-  constexpr std::size_t kMaxBatches = 32;
-  constexpr int kTile = 32;  // grid cells per tile edge
-  const int tx = (g.nx + kTile - 1) / kTile;
-  const int ty = (g.ny + kTile - 1) / kTile;
-  const std::size_t words =
-      (static_cast<std::size_t>(tx) * static_cast<std::size_t>(ty) + 63) / 64;
-
-  BatchPlan plan;
-  std::vector<std::vector<std::uint64_t>> occupancy;
-  for (std::size_t i = 0; i < n_pending; ++i) {
-    const Window& w = windows[i];
-    const int tx0 = w.x0 / kTile, tx1 = w.x1 / kTile;
-    const int ty0 = w.y0 / kTile, ty1 = w.y1 / kTile;
-    const auto tiles_clear = [&](const std::vector<std::uint64_t>& occ) {
-      for (int yt = ty0; yt <= ty1; ++yt) {
-        for (int xt = tx0; xt <= tx1; ++xt) {
-          const std::size_t bit =
-              static_cast<std::size_t>(yt) * static_cast<std::size_t>(tx) +
-              static_cast<std::size_t>(xt);
-          if ((occ[bit >> 6] >> (bit & 63)) & 1u) return false;
-        }
-      }
-      return true;
-    };
-    const auto tiles_set = [&](std::vector<std::uint64_t>& occ) {
-      for (int yt = ty0; yt <= ty1; ++yt) {
-        for (int xt = tx0; xt <= tx1; ++xt) {
-          const std::size_t bit =
-              static_cast<std::size_t>(yt) * static_cast<std::size_t>(tx) +
-              static_cast<std::size_t>(xt);
-          occ[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-        }
-      }
-    };
-    bool placed = false;
-    for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-      if (tiles_clear(occupancy[b])) {
-        tiles_set(occupancy[b]);
-        plan.batches[b].push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed && plan.batches.size() < kMaxBatches) {
-      occupancy.emplace_back(words, 0u);
-      tiles_set(occupancy.back());
-      plan.batches.emplace_back(1, i);
-      placed = true;
-    }
-    if (!placed) plan.serial_tail.push_back(i);
-  }
-  return plan;
-}
+/// Pending nets an incremental iteration routes one at a time, each
+/// committed before the next search starts; the nets after them share one
+/// snapshot (DESIGN.md §15).
+constexpr std::size_t kSerialHead = 32;
 
 /// The message of a run that did not converge: how far negotiation got,
 /// the (up to five) nets on the most shared nodes, and the DBU bounding
@@ -675,7 +576,7 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
     for (int n : t.distinct_pins) ++cost[n].usage;
   }
 
-  SearchStatePool states(g.nodes());
+  RouterSearchState st(g.nodes());
   RouteStats stats;
   bool converged = tasks.empty();
   // Pending nets for the current iteration (all of them initially; after
@@ -719,72 +620,50 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
       t.path = std::move(r.path);
     };
     const auto route_one = [&](std::size_t pi) {
-      std::unique_ptr<RouterSearchState> st = states.take();
-      PassResult r = route_net_pass(g, *st, tasks[pending[pi]], windows[pi],
-                                    opts.via_cost, cost, iter);
-      states.give(std::move(st));
-      return r;
+      return route_net_pass(g, st, tasks[pending[pi]], windows[pi],
+                            opts.via_cost, cost, iter);
     };
     if (opts.incremental) {
       // Rip every pending net before any search starts, so no pending
-      // net's search sees another pending net's old path.  The batches
-      // then route and commit one after another, each seeing the commits
-      // of the batches before it; the serial tail routes against the one
-      // snapshot the last batch leaves and commits after all its
-      // searches.  Where every window overlaps (the DES module), each
-      // batch holds one net: the first <= 32 pending nets route one at a
-      // time and only the tail shares a snapshot.  The geometry this
-      // converges to is straight and loosely packed, a property the
+      // net's search sees another pending net's old path.  The first
+      // kSerialHead pending nets then route one at a time, each committed
+      // before the next search; the tail routes against the one snapshot
+      // the head leaves and commits after all its searches.  The geometry
+      // this converges to is straight and loosely packed, a property the
       // differential decomposition's rail balance depends on (DESIGN.md
       // §15).
       for (std::size_t ti : pending) rip(tasks[ti]);
 
-      // Batch-parallel routing: each batch's nets have pairwise-disjoint
-      // windows, so routing them concurrently reads/writes disjoint node
-      // sets and the committed result is bit-identical to routing them
-      // one by one.  Commit happens serially in batch order after the
-      // join.
-      const BatchPlan plan = plan_batches(g, windows, pending.size());
-      for (std::size_t b = 0; b < plan.batches.size(); ++b) {
-        Span batch_span("route.batch", "pnr");
-        batch_span.arg("iter", iter);
-        batch_span.arg("batch", static_cast<int>(b));
-        batch_span.arg("nets", static_cast<int>(plan.batches[b].size()));
-        const std::vector<std::size_t>& batch = plan.batches[b];
-        std::vector<PassResult> results;
-        if (batch.size() > 1) {
-          results = parallel_map(batch.size(), opts.parallelism,
-                                 [&](std::size_t k) {
-                                   return route_one(batch[k]);
-                                 });
-        } else {
-          results.push_back(route_one(batch.front()));
-        }
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          commit(results[k], tasks[pending[batch[k]]]);
+      const std::size_t head = std::min(kSerialHead, pending.size());
+      {
+        Span head_span("route.serial_head", "pnr");
+        head_span.arg("nets", static_cast<int>(head));
+        for (std::size_t pi = 0; pi < head; ++pi) {
+          PassResult r = route_one(pi);
+          commit(r, tasks[pending[pi]]);
         }
       }
-      if (!plan.serial_tail.empty()) {
+      if (head < pending.size()) {
         // Every tail net routes against the same snapshot (all searches
         // first, commits after), so the tail's order within itself does
         // not change what any of its searches sees.
         Span tail_span("route.serial_tail", "pnr");
-        tail_span.arg("nets", static_cast<int>(plan.serial_tail.size()));
+        tail_span.arg("nets", static_cast<int>(pending.size() - head));
         std::vector<PassResult> results;
-        results.reserve(plan.serial_tail.size());
-        for (std::size_t pi : plan.serial_tail) {
+        results.reserve(pending.size() - head);
+        for (std::size_t pi = head; pi < pending.size(); ++pi) {
           results.push_back(route_one(pi));
         }
-        for (std::size_t k = 0; k < plan.serial_tail.size(); ++k) {
-          commit(results[k], tasks[pending[plan.serial_tail[k]]]);
+        for (std::size_t pi = head; pi < pending.size(); ++pi) {
+          commit(results[pi - head], tasks[pending[pi]]);
         }
       }
     } else {
       // Non-incremental mode reroutes every net each iteration with
       // one-at-a-time negotiation: each net is ripped just before its
       // search and committed right after, so it routes against everyone
-      // else's current path.  Serial and trivially deterministic; this is
-      // the reference loop the bench compares the incremental router to.
+      // else's current path.  This is the reference loop the bench
+      // compares the incremental router to.
       Span span("route.serial_reroute", "pnr");
       span.arg("nets", static_cast<int>(pending.size()));
       for (std::size_t pi = 0; pi < pending.size(); ++pi) {
@@ -827,11 +706,9 @@ RouteStats route_design(const Netlist& nl, const LefLibrary& lef,
     Metrics::global().add("pnr.route.iterations");
     Metrics::global().add("pnr.route.shared_nodes",
                           static_cast<std::uint64_t>(shared));
-    // verbose promotes the per-iteration line to info; silent by default.
-    SECFLOW_LOG_AT(opts.verbose ? LogLevel::kInfo : LogLevel::kDebug, "pnr",
-                   "route iteration", LogField("iter", iter),
-                   LogField("shared_nodes", shared),
-                   LogField("pending", static_cast<int>(pending.size())));
+    SECFLOW_LOG_DEBUG("pnr", "route iteration", LogField("iter", iter),
+                      LogField("shared_nodes", shared),
+                      LogField("pending", static_cast<int>(pending.size())));
   }
   if (!converged) {
     throw Error(congestion_report(g, cost, tasks, placed, stats.iterations));

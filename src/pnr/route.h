@@ -15,16 +15,16 @@
 //  * incremental rip-up-and-reroute — after the first iteration only nets
 //    overlapping congested nodes are ripped, usage is maintained
 //    incrementally;
-//  * deterministic parallel net routing — spatially disjoint window
-//    batches routed concurrently, committed in fixed net order, so the
-//    routed geometry is bit-identical at any SECFLOW_THREADS.
+//  * a serial head and a snapshot tail per iteration — the first 32
+//    pending nets route one at a time, each seeing the commits before it;
+//    the rest route against the one snapshot the head leaves.  Routing
+//    runs on the calling thread, so the geometry is fixed by the inputs.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "base/parallel.h"
 #include "netlist/netlist.h"
 #include "pnr/def.h"
 
@@ -43,19 +43,14 @@ struct RouteOptions {
   int window_escalation = 4;
   /// After the first full iteration, rip up and reroute only the nets that
   /// overlap congested (shared) nodes instead of every net.  An iteration
-  /// rips all its pending nets before any search, then routes them in up
-  /// to 32 batches of disjoint windows, each batch committed before the
-  /// next starts and so seeing the earlier batches' paths; the nets that
-  /// fit no batch route in a serial tail against one shared snapshot.
+  /// rips all its pending nets before any search.  The first 32 then route
+  /// one at a time, each committed before the next search starts; the rest
+  /// route against the one snapshot the first 32 leave and commit after
+  /// all their searches.
   /// Off = the classic serial reroute-everything loop where each net is
   /// ripped just before its search and negotiates against everyone
   /// else's live path (the bench's A/B reference).
   bool incremental = true;
-  /// Threads for in-iteration batch routing; 0 = auto (SECFLOW_THREADS,
-  /// else hardware).  Results are bit-identical at any thread count.
-  Parallelism parallelism;
-  /// Print per-iteration congestion to stderr (debugging).
-  bool verbose = false;
   /// Nets to skip entirely (e.g. power; empty by default).
   std::vector<std::string> skip_nets;
 };

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "base/arg_parser.h"
 #include "base/error.h"
 #include "base/geometry.h"
 #include "base/id.h"
@@ -293,6 +297,80 @@ TEST(Rng, StreamsAreDeterministicAndIndependent) {
   EXPECT_EQ(firsts.size(), 256u);
   // A different master seed reshuffles every stream.
   EXPECT_NE(Rng::stream(123, 0).next_u64(), Rng::stream(124, 0).next_u64());
+}
+
+// --- ArgParser ---------------------------------------------------------------
+
+/// A parser with one option per numeric type, fed `args`.
+ArgParser parse_numbers(std::vector<std::string> args) {
+  ArgParser p("prog", "numeric options");
+  p.option("n", "N", "an int").option("seed", "N", "a uint64");
+  p.option("x", "X", "a double");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  p.parse(static_cast<int>(argv.size()), argv.data());
+  return p;
+}
+
+/// The Error message of reading `--n value` as an int in [1, 100], or "".
+std::string int_error(const std::string& value) {
+  try {
+    parse_numbers({"--n", value}).get_number("n", 7, 1, 100);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ArgParser, NumbersAcceptBothSpellingsAndFallBack) {
+  const ArgParser p = parse_numbers({"--n", "42", "--x=2.5", "--seed=9"});
+  EXPECT_EQ(p.get_number("n", 7, 1, 100), 42);
+  EXPECT_DOUBLE_EQ(p.get_number("x", 0.0), 2.5);
+  EXPECT_EQ(p.get_number<std::uint64_t>("seed", 1), 9u);
+
+  const ArgParser none = parse_numbers({});
+  EXPECT_EQ(none.get_number("n", 7, 1, 100), 7);
+  EXPECT_EQ(none.get_number<std::uint64_t>("seed", 1), 1u);
+  // A getter on an option that was never declared is a programming error.
+  EXPECT_THROW(none.get_number("m", 0), Error);
+}
+
+TEST(ArgParser, NumbersMustParseWhole) {
+  for (const char* bad : {"abc", "1e3", "12abc", "3.0", "", " 5", "+5",
+                          "0x10"}) {
+    const std::string msg = int_error(bad);
+    EXPECT_NE(msg.find("'--n'"), std::string::npos) << bad << ": " << msg;
+    EXPECT_NE(msg.find(std::string("got '") + bad + "'"), std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(int_error("100"), "");
+
+  const ArgParser p = parse_numbers({"--x", "1e3", "--seed", "-1"});
+  EXPECT_DOUBLE_EQ(p.get_number("x", 0.0), 1000.0);  // exponents are fine
+  EXPECT_THROW(p.get_number<std::uint64_t>("seed", 1), Error);  // no sign
+  EXPECT_THROW(parse_numbers({"--x", "2.5mA"}).get_number("x", 0.0), Error);
+}
+
+TEST(ArgParser, NumbersAreRangeChecked) {
+  EXPECT_EQ(int_error("1"), "");
+  EXPECT_NE(int_error("0").find("needs an integer in [1, 100], got '0'"),
+            std::string::npos)
+      << int_error("0");
+  EXPECT_NE(int_error("-5").find("got '-5'"), std::string::npos);
+  EXPECT_NE(int_error("101").find("got '101'"), std::string::npos);
+  // Beyond the type's own range too, never wrapped.
+  EXPECT_NE(int_error("99999999999").find("got '99999999999'"),
+            std::string::npos);
+  EXPECT_THROW(parse_numbers({"--seed", "18446744073709551616"})
+                   .get_number<std::uint64_t>("seed", 1),
+               Error);
+  EXPECT_EQ(parse_numbers({"--seed", "18446744073709551615"})
+                .get_number<std::uint64_t>("seed", 1),
+            18446744073709551615u);
+  for (const char* bad : {"-0.5", "nan", "inf"}) {
+    EXPECT_THROW(parse_numbers({"--x", bad}).get_number("x", 1.0, 0.0), Error)
+        << bad;
+  }
 }
 
 }  // namespace

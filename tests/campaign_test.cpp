@@ -74,7 +74,8 @@ TEST(CampaignSpec, ParsesFullDocument) {
                "sbox": 2, "key": 11},
        "options": {"route_mode": "quick", "shielded_pairs": false,
                    "place": {"seed": 5, "sa_batch": 8},
-                   "route": {"via_cost": 4},
+                   "route": {"via_cost": 4, "incremental": false,
+                             "window_margin": 16, "window_escalation": 8},
                    "extract": {"variation_sigma": 0.01}}},
       {"circuit": {"hdl": "module m(input a, output y); assign y = a; endmodule"},
        "flow": "regular",
@@ -102,6 +103,9 @@ TEST(CampaignSpec, ParsesFullDocument) {
   EXPECT_EQ(a.options.place.seed, 5u);
   EXPECT_EQ(a.options.place.sa_batch, 8);
   EXPECT_EQ(a.options.route.via_cost, 4);
+  EXPECT_FALSE(a.options.route.incremental);
+  EXPECT_EQ(a.options.route.window_margin, 16);
+  EXPECT_EQ(a.options.route.window_escalation, 8);
   EXPECT_DOUBLE_EQ(a.options.extract.variation_sigma, 0.01);
 
   const CampaignJob& b = spec.jobs[1];
@@ -191,11 +195,32 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
               })");
             }).find("job 'badfill'"),
             std::string::npos);
+  // A window that cannot grow is rejected by FlowOptions::validate, and
+  // the message names the member; so is a non-boolean incremental.
+  EXPECT_NE(error_message([] {
+              parse_campaign_spec(R"({
+                "schema": "secflow.campaign/1", "name": "x",
+                "jobs": [{"circuit": {"builtin": "des-dpa"}, "flow": "secure",
+                          "options": {"route": {"window_escalation": 1}}}]
+              })");
+            }).find("route.window_escalation must be >= 2"),
+            std::string::npos);
+  EXPECT_NE(error_message([] {
+              parse_campaign_spec(R"({
+                "schema": "secflow.campaign/1", "name": "x",
+                "jobs": [{"circuit": {"builtin": "des-dpa"}, "flow": "secure",
+                          "options": {"route": {"incremental": 1}}}]
+              })");
+            }).find("member 'incremental' has the wrong type"),
+            std::string::npos);
   // A number that does not fit its integer member is rejected by name,
   // not truncated, wrapped or cast out of range.
   const std::pair<const char*, const char*> bad_integers[] = {
       {R"("options": {"route": {"max_iterations": 2.5}})", "max_iterations"},
       {R"("options": {"route": {"via_cost": 1e10}})", "via_cost"},
+      {R"("options": {"route": {"window_margin": 2.5}})", "window_margin"},
+      {R"("options": {"route": {"window_escalation": 1e10}})",
+       "window_escalation"},
       {R"("seed": -1)", "seed"},
       {R"("options": {"place": {"seed": 1e30}})", "seed"},
       {R"("dpa": {"key": 4294967342})", "key"},

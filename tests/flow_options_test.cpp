@@ -108,9 +108,6 @@ TEST(FlowOptionsValidate, ThreadCounts) {
   o.extract.parallelism.n_threads = -1;
   expect_invalid(o, "thread");
   o = FlowOptions{};
-  o.route.parallelism.n_threads = -2;
-  expect_invalid(o, "thread");
-  o = FlowOptions{};
   o.parallelism.n_threads = 16;  // explicit counts are fine
   EXPECT_NO_THROW(o.validate());
 }
