@@ -1,10 +1,10 @@
 #include "base/arg_parser.h"
 
-#include <charconv>
 #include <cstdio>
 #include <type_traits>
 
 #include "base/error.h"
+#include "base/lexer.h"
 
 namespace secflow {
 
@@ -114,31 +114,12 @@ std::string ArgParser::get(std::string_view name, std::string fallback) const {
   return s->seen ? s->value : std::move(fallback);
 }
 
-namespace {
-
-template <typename T>
-std::string number_text(T v) {
-  if constexpr (std::is_integral_v<T>) {
-    return std::to_string(v);
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return buf;
-  }
-}
-
-}  // namespace
-
 template <typename T>
 T ArgParser::get_number(std::string_view name, T fallback, T min,
                         T max) const {
   const std::string text = get(name);  // throws on an undeclared name
   if (!has(name)) return fallback;
-  T v{};
-  const char* const end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  // Written so that a NaN fails the range test.
-  if (ec == std::errc{} && stop == end && v >= min && v <= max) return v;
+  if (const std::optional<T> v = parse_number(text, min, max)) return *v;
   throw Error(program_ + ": option '--" + std::string(name) + "' needs " +
               (std::is_integral_v<T> ? "an integer" : "a number") + " in [" +
               number_text(min) + ", " + number_text(max) + "], got '" + text +

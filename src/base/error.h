@@ -18,7 +18,8 @@ class Error : public std::runtime_error {
 };
 
 /// Error raised while parsing one of the text formats (Verilog subset,
-/// Liberty-lite, LEF-lite, DEF-lite, mini-HDL).  Carries a location string.
+/// Liberty-lite, LEF-lite, DEF-lite, mini-HDL, checkpoint payloads, JSON).
+/// Carries a location string, "<format> <line>:<column>" (base/lexer.h).
 class ParseError : public Error {
  public:
   ParseError(const std::string& where, const std::string& what)

@@ -1,53 +1,9 @@
 #include "base/strings.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
 namespace secflow {
-
-std::vector<std::string> split(std::string_view s, std::string_view delims) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || delims.find(s[i]) != std::string_view::npos) {
-      if (i > start) out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-bool is_identifier(std::string_view s) {
-  if (s.empty()) return false;
-  const auto head = static_cast<unsigned char>(s[0]);
-  if (!std::isalpha(head) && s[0] != '_') return false;
-  for (char c : s.substr(1)) {
-    const auto u = static_cast<unsigned char>(c);
-    if (!std::isalnum(u) && c != '_' && c != '$') return false;
-  }
-  return true;
-}
 
 std::string strfmt(const char* fmt, ...) {
   va_list args;

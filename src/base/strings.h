@@ -1,27 +1,9 @@
-// Small string helpers shared by the text-format parsers and report
-// writers.  Kept minimal; anything format-specific lives with its parser.
+// printf-style formatting into a std::string (WDDL cell names).
 #pragma once
 
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace secflow {
-
-/// Split on any character in `delims`, dropping empty fields.
-std::vector<std::string> split(std::string_view s, std::string_view delims);
-
-/// Trim ASCII whitespace from both ends.
-std::string_view trim(std::string_view s);
-
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Join with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
-/// Case-sensitive identifier check: [A-Za-z_][A-Za-z0-9_$]*.
-bool is_identifier(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

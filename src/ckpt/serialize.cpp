@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "base/error.h"
+#include "base/lexer.h"
 #include "ckpt/hash.h"
 
 namespace secflow {
@@ -25,68 +27,52 @@ void put_str(std::ostream& os, const std::string& s) {
   os << s.size() << ':' << s;
 }
 
-/// Whitespace-token reader over a serializer payload.
-class TokenReader {
- public:
-  TokenReader(const std::string& text, std::string what)
-      : is_(text), what_(std::move(what)) {}
+// Payload readers: keywords and punctuation are tokens, names and numbers
+// whitespace-separated words, and put_str strings length-prefixed bytes.
 
-  void expect(const char* kw) {
-    const std::string t = word();
-    if (t != kw) {
-      fail("expected '" + std::string(kw) + "', got '" + t + "'");
-    }
+template <typename T>
+T integer(Lexer& lex) {
+  return lex.number<T>(lex.word(), "integer", std::numeric_limits<T>::min(),
+                       std::numeric_limits<T>::max());
+}
+
+double real(Lexer& lex) {
+  return lex.number<double>(lex.word(), "number",
+                            std::numeric_limits<double>::lowest(),
+                            std::numeric_limits<double>::max());
+}
+
+bool flag(Lexer& lex) {
+  return lex.number<int>(lex.word(), "0/1 flag", 0, 1) == 1;
+}
+
+/// A record count, bounded by the size of the payload that holds them.
+std::size_t count(Lexer& lex, std::string_view text) {
+  return lex.number<std::size_t>(lex.word(), "count", 0, text.size());
+}
+
+/// Inverse of put_str.
+std::string sized_str(Lexer& lex) {
+  const std::size_t n = lex.number<std::size_t>(
+      "string length", 0, std::numeric_limits<std::size_t>::max());
+  lex.expect(":");
+  return std::string(lex.take(n));
+}
+
+std::uint64_t hash(Lexer& lex) {
+  const Token t = lex.word();
+  try {
+    return parse_hash_hex(t.text);
+  } catch (const ParseError& e) {
+    lex.fail(t.pos, e.what());
   }
+}
 
-  std::string word() {
-    std::string t;
-    if (!(is_ >> t)) fail("unexpected end of input");
-    return t;
+void done(Lexer& lex) {
+  if (lex.peek().kind != Token::Kind::kEnd) {
+    lex.fail("trailing data '" + std::string(lex.peek().text) + "'");
   }
-
-  long long integer() {
-    long long v = 0;
-    if (!(is_ >> v)) fail("expected integer");
-    return v;
-  }
-
-  double real() {
-    double v = 0;
-    if (!(is_ >> v)) fail("expected number");
-    return v;
-  }
-
-  bool boolean() {
-    const long long v = integer();
-    if (v != 0 && v != 1) fail("expected 0/1 flag");
-    return v == 1;
-  }
-
-  /// Inverse of put_str.
-  std::string sized_str() {
-    std::size_t n = 0;
-    if (!(is_ >> n)) fail("expected string length");
-    if (is_.get() != ':') fail("expected ':' after string length");
-    std::string s(n, '\0');
-    if (n > 0 && !is_.read(s.data(), static_cast<std::streamsize>(n))) {
-      fail("truncated string payload");
-    }
-    return s;
-  }
-
-  void done() {
-    std::string t;
-    if (is_ >> t) fail("trailing data '" + t + "'");
-  }
-
-  [[noreturn]] void fail(const std::string& msg) {
-    throw ParseError("ckpt:" + what_, msg);
-  }
-
- private:
-  std::istringstream is_;
-  std::string what_;
-};
+}
 
 }  // namespace
 
@@ -114,39 +100,36 @@ std::string write_cell_library(const CellLibrary& lib) {
 }
 
 CellLibrary parse_cell_library(const std::string& text) {
-  TokenReader ts(text, "cell_library");
-  ts.expect("CELLLIB");
-  CellLibrary lib(ts.sized_str());
-  const long long n = ts.integer();
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("CELL");
+  Lexer lex(text, "ckpt:cell_library");
+  lex.expect("CELLLIB");
+  CellLibrary lib(sized_str(lex));
+  const std::size_t n = count(lex, text);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("CELL");
     CellType c;
-    c.name = ts.word();
-    const long long kind = ts.integer();
-    if (kind < 0 || kind > 2) ts.fail("bad cell kind");
-    c.kind = static_cast<CellKind>(kind);
-    c.negedge_clock = ts.boolean();
-    const int fn_inputs = static_cast<int>(ts.integer());
-    const std::uint64_t table = parse_hash_hex(ts.word());
-    c.function = LogicFn(fn_inputs, table);
-    c.area_um2 = ts.real();
-    c.width_um = ts.real();
-    c.height_um = ts.real();
-    c.intrinsic_delay_ps = ts.real();
-    c.drive_res_kohm = ts.real();
-    c.internal_cap_ff = ts.real();
-    const long long npins = ts.integer();
-    for (long long p = 0; p < npins; ++p) {
-      ts.expect("PIN");
+    c.name = lex.word().text;
+    c.kind = static_cast<CellKind>(lex.number<int>(lex.word(), "cell kind", 0, 2));
+    c.negedge_clock = flag(lex);
+    const int fn_inputs = integer<int>(lex);
+    c.function = LogicFn(fn_inputs, hash(lex));
+    c.area_um2 = real(lex);
+    c.width_um = real(lex);
+    c.height_um = real(lex);
+    c.intrinsic_delay_ps = real(lex);
+    c.drive_res_kohm = real(lex);
+    c.internal_cap_ff = real(lex);
+    const std::size_t npins = count(lex, text);
+    for (std::size_t p = 0; p < npins; ++p) {
+      lex.expect("PIN");
       PinDef pin;
-      pin.name = ts.word();
-      pin.dir = ts.boolean() ? PinDir::kOutput : PinDir::kInput;
-      pin.cap_ff = ts.real();
+      pin.name = lex.word().text;
+      pin.dir = flag(lex) ? PinDir::kOutput : PinDir::kInput;
+      pin.cap_ff = real(lex);
       c.pins.push_back(std::move(pin));
     }
     lib.add(std::move(c));
   }
-  ts.done();
+  done(lex);
   lib.validate();
   return lib;
 }
@@ -175,32 +158,32 @@ std::string write_extraction(const Extraction& ex) {
 }
 
 Extraction parse_extraction(const std::string& text) {
-  TokenReader ts(text, "extraction");
-  ts.expect("EXTRACTION");
-  const long long n = ts.integer();
+  Lexer lex(text, "ckpt:extraction");
+  lex.expect("EXTRACTION");
+  const std::size_t n = count(lex, text);
   Extraction ex;
-  ex.nets.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("NET");
-    const std::string name = ts.word();
+  ex.nets.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("NET");
+    const Token name = lex.word();
     NetParasitics p;
-    p.wire_cap_ff = ts.real();
-    p.pin_cap_ff = ts.real();
-    p.coupling_cap_ff = ts.real();
-    p.res_kohm = ts.real();
-    const long long nc = ts.integer();
-    p.couplings.reserve(static_cast<std::size_t>(nc));
-    for (long long c = 0; c < nc; ++c) {
-      ts.expect("COUPLE");
-      const std::string other = ts.word();
-      const double cc = ts.real();
+    p.wire_cap_ff = real(lex);
+    p.pin_cap_ff = real(lex);
+    p.coupling_cap_ff = real(lex);
+    p.res_kohm = real(lex);
+    const std::size_t nc = count(lex, text);
+    p.couplings.reserve(nc);
+    for (std::size_t c = 0; c < nc; ++c) {
+      lex.expect("COUPLE");
+      const std::string_view other = lex.word().text;
+      const double cc = real(lex);
       p.couplings.emplace_back(other, cc);
     }
-    if (!ex.nets.emplace(name, std::move(p)).second) {
-      ts.fail("duplicate net '" + name + "'");
+    if (!ex.nets.emplace(name.text, std::move(p)).second) {
+      lex.fail(name.pos, "duplicate net '" + std::string(name.text) + "'");
     }
   }
-  ts.done();
+  done(lex);
   return ex;
 }
 
@@ -222,20 +205,20 @@ std::string write_cap_table(const CapTable& caps) {
 }
 
 CapTable parse_cap_table(const std::string& text) {
-  TokenReader ts(text, "cap_table");
-  ts.expect("CAPTABLE");
-  const long long n = ts.integer();
+  Lexer lex(text, "ckpt:cap_table");
+  lex.expect("CAPTABLE");
+  const std::size_t n = count(lex, text);
   CapTable caps;
-  caps.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("CAP");
-    const std::string name = ts.word();
-    const double ff = ts.real();
-    if (!caps.emplace(name, ff).second) {
-      ts.fail("duplicate net '" + name + "'");
+  caps.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("CAP");
+    const Token name = lex.word();
+    const double ff = real(lex);
+    if (!caps.emplace(name.text, ff).second) {
+      lex.fail(name.pos, "duplicate net '" + std::string(name.text) + "'");
     }
   }
-  ts.done();
+  done(lex);
   return caps;
 }
 
@@ -260,31 +243,31 @@ std::string write_timing_report(const TimingReport& r) {
 }
 
 TimingReport parse_timing_report(const std::string& text) {
-  TokenReader ts(text, "timing_report");
+  Lexer lex(text, "ckpt:timing_report");
   TimingReport r;
-  ts.expect("TIMING");
-  r.critical_delay_ps = ts.real();
-  r.min_period_ps = ts.real();
-  r.endpoint = ts.sized_str();
-  ts.expect("PATH");
-  const long long np = ts.integer();
-  r.critical_path.reserve(static_cast<std::size_t>(np));
-  for (long long i = 0; i < np; ++i) {
-    ts.expect("NODE");
+  lex.expect("TIMING");
+  r.critical_delay_ps = real(lex);
+  r.min_period_ps = real(lex);
+  r.endpoint = sized_str(lex);
+  lex.expect("PATH");
+  const std::size_t np = count(lex, text);
+  r.critical_path.reserve(np);
+  for (std::size_t i = 0; i < np; ++i) {
+    lex.expect("NODE");
     PathNode n;
-    n.instance = ts.sized_str();
-    n.net = ts.sized_str();
-    n.arrival_ps = ts.real();
+    n.instance = sized_str(lex);
+    n.net = sized_str(lex);
+    n.arrival_ps = real(lex);
     r.critical_path.push_back(std::move(n));
   }
-  ts.expect("ARRIVALS");
-  const long long na = ts.integer();
-  r.net_arrival_ps.reserve(static_cast<std::size_t>(na));
-  for (long long i = 0; i < na; ++i) {
-    ts.expect("A");
-    r.net_arrival_ps.push_back(ts.real());
+  lex.expect("ARRIVALS");
+  const std::size_t na = count(lex, text);
+  r.net_arrival_ps.reserve(na);
+  for (std::size_t i = 0; i < na; ++i) {
+    lex.expect("A");
+    r.net_arrival_ps.push_back(real(lex));
   }
-  ts.done();
+  done(lex);
   return r;
 }
 
@@ -300,18 +283,18 @@ std::string write_route_stats(const RouteStats& s) {
 }
 
 RouteStats parse_route_stats(const std::string& text) {
-  TokenReader ts(text, "route_stats");
-  ts.expect("ROUTESTATS");
+  Lexer lex(text, "ckpt:route_stats");
+  lex.expect("ROUTESTATS");
   RouteStats s;
-  s.wirelength_dbu = ts.integer();
-  s.vias = static_cast<int>(ts.integer());
-  s.nets_routed = static_cast<int>(ts.integer());
-  s.iterations = static_cast<int>(ts.integer());
-  s.expanded_nodes = ts.integer();
-  s.window_escalations = static_cast<int>(ts.integer());
-  s.full_grid_searches = static_cast<int>(ts.integer());
-  s.nets_ripped = ts.integer();
-  ts.done();
+  s.wirelength_dbu = integer<std::int64_t>(lex);
+  s.vias = integer<int>(lex);
+  s.nets_routed = integer<int>(lex);
+  s.iterations = integer<int>(lex);
+  s.expanded_nodes = integer<std::int64_t>(lex);
+  s.window_escalations = integer<int>(lex);
+  s.full_grid_searches = integer<int>(lex);
+  s.nets_ripped = integer<std::int64_t>(lex);
+  done(lex);
   return s;
 }
 
@@ -324,16 +307,16 @@ std::string write_substitution_stats(const SubstitutionStats& s) {
 }
 
 SubstitutionStats parse_substitution_stats(const std::string& text) {
-  TokenReader ts(text, "substitution_stats");
-  ts.expect("SUBSTATS");
+  Lexer lex(text, "ckpt:substitution_stats");
+  lex.expect("SUBSTATS");
   SubstitutionStats s;
-  s.inverters_removed = static_cast<int>(ts.integer());
-  s.buffers_removed = static_cast<int>(ts.integer());
-  s.gates_substituted = static_cast<int>(ts.integer());
-  s.flops_substituted = static_cast<int>(ts.integer());
-  s.ties_substituted = static_cast<int>(ts.integer());
-  s.port_buffers_added = static_cast<int>(ts.integer());
-  ts.done();
+  s.inverters_removed = integer<int>(lex);
+  s.buffers_removed = integer<int>(lex);
+  s.gates_substituted = integer<int>(lex);
+  s.flops_substituted = integer<int>(lex);
+  s.ties_substituted = integer<int>(lex);
+  s.port_buffers_added = integer<int>(lex);
+  done(lex);
   return s;
 }
 
@@ -352,21 +335,21 @@ std::string write_lec_result(const LecResult& r) {
 }
 
 LecResult parse_lec_result(const std::string& text) {
-  TokenReader ts(text, "lec_result");
-  ts.expect("LEC");
+  Lexer lex(text, "ckpt:lec_result");
+  lex.expect("LEC");
   LecResult r;
-  r.equivalent = ts.boolean();
-  r.compared_points = static_cast<int>(ts.integer());
-  const long long n = ts.integer();
-  r.mismatches.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("MISMATCH");
+  r.equivalent = flag(lex);
+  r.compared_points = integer<int>(lex);
+  const std::size_t n = count(lex, text);
+  r.mismatches.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("MISMATCH");
     LecMismatch m;
-    m.what = ts.sized_str();
-    m.counterexample = ts.sized_str();
+    m.what = sized_str(lex);
+    m.counterexample = sized_str(lex);
     r.mismatches.push_back(std::move(m));
   }
-  ts.done();
+  done(lex);
   return r;
 }
 
@@ -385,22 +368,22 @@ std::string write_check_result(const CheckResult& r) {
 }
 
 CheckResult parse_check_result(const std::string& text) {
-  TokenReader ts(text, "check_result");
-  ts.expect("CHECK");
+  Lexer lex(text, "ckpt:check_result");
+  lex.expect("CHECK");
   CheckResult r;
-  r.ok = ts.boolean();
-  r.nets_checked = static_cast<int>(ts.integer());
-  r.pins_checked = static_cast<int>(ts.integer());
-  const long long n = ts.integer();
-  r.issues.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("ISSUE");
+  r.ok = flag(lex);
+  r.nets_checked = integer<int>(lex);
+  r.pins_checked = integer<int>(lex);
+  const std::size_t n = count(lex, text);
+  r.issues.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("ISSUE");
     CheckIssue issue;
-    issue.net = ts.sized_str();
-    issue.what = ts.sized_str();
+    issue.net = sized_str(lex);
+    issue.what = sized_str(lex);
     r.issues.push_back(std::move(issue));
   }
-  ts.done();
+  done(lex);
   return r;
 }
 
@@ -414,15 +397,15 @@ std::string write_energy_stats(const EnergyStats& s) {
 }
 
 EnergyStats parse_energy_stats(const std::string& text) {
-  TokenReader ts(text, "energy_stats");
-  ts.expect("ENERGY");
+  Lexer lex(text, "ckpt:energy_stats");
+  lex.expect("ENERGY");
   EnergyStats s;
-  s.mean_pj = ts.real();
-  s.min_pj = ts.real();
-  s.max_pj = ts.real();
-  s.ned = ts.real();
-  s.nsd = ts.real();
-  ts.done();
+  s.mean_pj = real(lex);
+  s.min_pj = real(lex);
+  s.max_pj = real(lex);
+  s.ned = real(lex);
+  s.nsd = real(lex);
+  done(lex);
   return s;
 }
 
@@ -435,19 +418,19 @@ std::string write_dpa_result(const DpaResult& r) {
 }
 
 DpaResult parse_dpa_result(const std::string& text) {
-  TokenReader ts(text, "dpa_result");
-  ts.expect("DPA");
+  Lexer lex(text, "ckpt:dpa_result");
+  lex.expect("DPA");
   DpaResult r;
-  r.n_measurements = static_cast<int>(ts.integer());
-  r.best_guess = static_cast<int>(ts.integer());
-  r.disclosed = ts.boolean();
-  const long long n = ts.integer();
-  r.peak_to_peak.reserve(static_cast<std::size_t>(n));
-  for (long long i = 0; i < n; ++i) {
-    ts.expect("P");
-    r.peak_to_peak.push_back(ts.real());
+  r.n_measurements = integer<int>(lex);
+  r.best_guess = integer<int>(lex);
+  r.disclosed = flag(lex);
+  const std::size_t n = count(lex, text);
+  r.peak_to_peak.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lex.expect("P");
+    r.peak_to_peak.push_back(real(lex));
   }
-  ts.done();
+  done(lex);
   return r;
 }
 

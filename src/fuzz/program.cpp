@@ -1,12 +1,13 @@
 #include "fuzz/program.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "base/error.h"
+#include "base/lexer.h"
 #include "base/rng.h"
 
 namespace secflow {
@@ -139,90 +140,93 @@ namespace {
 
 class ProgramParser {
  public:
-  explicit ProgramParser(const std::string& src) : src_(src) {}
+  explicit ProgramParser(const std::string& src) : lex_(src, "fuzz-program") {}
 
   FuzzProgram parse() {
     FuzzProgram p;
-    keyword("module");
-    p.name = ident();
-    punct("(");
+    lex_.expect("module");
+    p.name = ident().text;
+    lex_.expect("(");
     bool first = true;
-    while (!peek_punct(")")) {
-      if (!first) punct(",");
+    while (!lex_.at(")")) {
+      if (!first) lex_.expect(",");
       first = false;
-      const std::string dir = ident();
+      const Token dir = ident();
       FuzzSignal s;
       s.width = opt_range();
-      s.name = ident();
-      if (dir == "input") {
+      s.name = ident().text;
+      if (dir.text == "input") {
         if (s.name == "clk") {
           if (s.width != 1 || p.has_clk || !p.ports_in.empty())
-            fail("clk must be the first scalar input");
+            lex_.fail(dir.pos, "clk must be the first scalar input");
           p.has_clk = true;
         } else {
           p.ports_in.push_back(std::move(s));
         }
-      } else if (dir == "output") {
+      } else if (dir.text == "output") {
         p.ports_out.push_back(std::move(s));
       } else {
-        fail("expected input/output, got '" + dir + "'");
+        lex_.fail(dir.pos,
+                  "expected input/output, got '" + std::string(dir.text) + "'");
       }
     }
-    punct(")");
-    punct(";");
+    lex_.expect(")");
+    lex_.expect(";");
     bool saw_always = false;
-    while (!peek_keyword("endmodule")) {
-      const std::string head = ident();
-      if (head == "wire" || head == "reg") {
+    while (!lex_.at("endmodule")) {
+      const Token head = ident();
+      if (head.text == "wire" || head.text == "reg") {
         FuzzSignal s;
         s.width = opt_range();
-        s.name = ident();
-        punct(";");
-        (head == "wire" ? p.wires : p.regs).push_back(std::move(s));
-      } else if (head == "assign") {
+        s.name = ident().text;
+        lex_.expect(";");
+        (head.text == "wire" ? p.wires : p.regs).push_back(std::move(s));
+      } else if (head.text == "assign") {
         p.comb.push_back(stmt("="));
-        punct(";");
-      } else if (head == "always") {
-        punct("@");
-        punct("(");
-        keyword("posedge");
-        keyword("clk");
-        punct(")");
-        if (peek_keyword("begin")) {
-          keyword("begin");
-          if (saw_always) fail("multiple begin/end always blocks");
-          while (!peek_keyword("end")) {
+        lex_.expect(";");
+      } else if (head.text == "always") {
+        lex_.expect("@");
+        lex_.expect("(");
+        lex_.expect("posedge");
+        lex_.expect("clk");
+        lex_.expect(")");
+        if (lex_.at("begin")) {
+          if (saw_always) lex_.fail("multiple begin/end always blocks");
+          lex_.next();
+          while (!lex_.at("end")) {
             p.seq.push_back(stmt("<="));
-            punct(";");
+            lex_.expect(";");
           }
-          keyword("end");
+          lex_.expect("end");
         } else {
           p.split_always = true;
           p.seq.push_back(stmt("<="));
-          punct(";");
+          lex_.expect(";");
         }
         saw_always = true;
       } else {
-        fail("unexpected item '" + head + "'");
+        lex_.fail(head.pos,
+                  "unexpected item '" + std::string(head.text) + "'");
       }
     }
-    keyword("endmodule");
-    skip_ws();
-    if (pos_ != src_.size()) fail("trailing input after endmodule");
-    if (!p.seq.empty() && !p.has_clk) fail("sequential program without clk");
+    lex_.expect("endmodule");
+    if (lex_.peek().kind != Token::Kind::kEnd)
+      lex_.fail("trailing input after endmodule");
+    if (!p.seq.empty() && !p.has_clk)
+      lex_.fail("sequential program without clk");
     return p;
   }
 
  private:
   FuzzStmt stmt(const char* op) {
     FuzzStmt st;
-    st.target = ident();
-    if (peek_punct("[")) {
-      punct("[");
-      st.target_bit = number();
-      punct("]");
+    st.target = ident().text;
+    if (lex_.at("[")) {
+      lex_.next();
+      st.target_bit = number("bit index");
+      lex_.expect("]");
     }
-    punct(op);
+    lex_.expect(op);
     st.rhs = expr();
     return st;
   }
@@ -230,60 +234,58 @@ class ProgramParser {
   // The emitter parenthesizes every binary/mux node, so an expression is:
   //   primary | ~expr | ( expr OP expr ) | ( expr ? expr : expr )
   FuzzExpr expr() {
-    skip_ws();
     FuzzExpr e;
-    if (peek_punct("~")) {
-      punct("~");
+    if (lex_.at("~")) {
+      lex_.next();
       e.kind = FuzzExpr::Kind::kNot;
       e.kids.push_back(expr());
       return e;
     }
-    if (peek_punct("(")) {
-      punct("(");
+    if (lex_.at("(")) {
+      lex_.next();
       FuzzExpr lhs = expr();
-      skip_ws();
-      if (peek_punct("?")) {
-        punct("?");
+      if (lex_.at("?")) {
+        lex_.next();
         e.kind = FuzzExpr::Kind::kMux;
         e.kids.push_back(std::move(lhs));
         e.kids.push_back(expr());
-        punct(":");
+        lex_.expect(":");
         e.kids.push_back(expr());
       } else {
-        if (peek_punct("&")) {
-          punct("&");
+        if (lex_.at("&")) {
           e.kind = FuzzExpr::Kind::kAnd;
-        } else if (peek_punct("|")) {
-          punct("|");
+        } else if (lex_.at("|")) {
           e.kind = FuzzExpr::Kind::kOr;
-        } else if (peek_punct("^")) {
-          punct("^");
+        } else if (lex_.at("^")) {
           e.kind = FuzzExpr::Kind::kXor;
         } else {
-          fail("expected binary operator");
+          lex_.fail("expected binary operator");
         }
+        lex_.next();
         e.kids.push_back(std::move(lhs));
         e.kids.push_back(expr());
       }
-      punct(")");
+      lex_.expect(")");
       return e;
     }
-    if (std::isdigit(static_cast<unsigned char>(cur()))) {
-      const int width = number();
-      punct("'");
-      if (cur() != 'd') fail("expected decimal literal");
-      ++pos_;
+    if (lex_.peek().kind == Token::Kind::kNumber) {
+      // WIDTH'dVALUE: the value's digits follow the `d` of one token.
       e.kind = FuzzExpr::Kind::kConst;
-      e.bit = width;
-      e.value = static_cast<std::uint64_t>(number64());
+      e.bit = lex_.number<int>("literal width", 1, 64);
+      lex_.expect("'");
+      const Token value = lex_.next();
+      if (value.kind != Token::Kind::kIdent || value.text[0] != 'd')
+        lex_.fail(value.pos, "expected decimal literal");
+      e.value = lex_.number<std::uint64_t>(value.tail(1), "literal value", 0,
+                                           UINT64_MAX);
       return e;
     }
-    e.ref = ident();
-    if (peek_punct("[")) {
-      punct("[");
+    e.ref = ident().text;
+    if (lex_.at("[")) {
+      lex_.next();
       e.kind = FuzzExpr::Kind::kBitSel;
-      e.bit = number();
-      punct("]");
+      e.bit = number("bit index");
+      lex_.expect("]");
     } else {
       e.kind = FuzzExpr::Kind::kRef;
     }
@@ -292,83 +294,25 @@ class ProgramParser {
 
   // [W-1:0] or nothing.
   int opt_range() {
-    skip_ws();
-    if (!peek_punct("[")) return 1;
-    punct("[");
-    const int msb = number();
-    punct(":");
-    if (number() != 0) fail("range must end at bit 0");
-    punct("]");
+    if (!lex_.at("[")) return 1;
+    lex_.next();
+    const int msb = number("range msb");
+    lex_.expect(":");
+    lex_.number<int>("range lsb", 0, 0);
+    lex_.expect("]");
     return msb + 1;
   }
 
-  char cur() { return pos_ < src_.size() ? src_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < src_.size() &&
-           std::isspace(static_cast<unsigned char>(src_[pos_])))
-      ++pos_;
+  Token ident() {
+    const Token t = lex_.next();
+    if (t.kind != Token::Kind::kIdent || t.text[0] == '\\')
+      lex_.fail(t.pos, "expected identifier, got '" + std::string(t.text) + "'");
+    return t;
   }
 
-  bool peek_punct(const std::string& tok) {
-    skip_ws();
-    return src_.compare(pos_, tok.size(), tok) == 0;
-  }
+  int number(const char* what) { return lex_.number<int>(what, 0, 1'000'000); }
 
-  void punct(const std::string& tok) {
-    if (!peek_punct(tok)) fail("expected '" + tok + "'");
-    pos_ += tok.size();
-  }
-
-  std::string ident() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < src_.size() &&
-           (std::isalnum(static_cast<unsigned char>(src_[pos_])) ||
-            src_[pos_] == '_'))
-      ++pos_;
-    if (pos_ == start) fail("expected identifier");
-    return src_.substr(start, pos_ - start);
-  }
-
-  bool peek_keyword(const std::string& kw) {
-    skip_ws();
-    if (src_.compare(pos_, kw.size(), kw) != 0) return false;
-    const std::size_t after = pos_ + kw.size();
-    if (after < src_.size() &&
-        (std::isalnum(static_cast<unsigned char>(src_[after])) ||
-         src_[after] == '_'))
-      return false;
-    return true;
-  }
-
-  void keyword(const std::string& kw) {
-    if (!peek_keyword(kw)) fail("expected '" + kw + "'");
-    pos_ += kw.size();
-  }
-
-  int number() {
-    const std::int64_t v = number64();
-    if (v > 1'000'000) fail("number out of range");
-    return static_cast<int>(v);
-  }
-
-  std::int64_t number64() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < src_.size() &&
-           std::isdigit(static_cast<unsigned char>(src_[pos_])))
-      ++pos_;
-    if (pos_ == start) fail("expected number");
-    return std::stoll(src_.substr(start, pos_ - start));
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw ParseError("fuzz-program:" + std::to_string(pos_), what);
-  }
-
-  const std::string& src_;
-  std::size_t pos_ = 0;
+  Lexer lex_;
 };
 
 /// Fisher–Yates with the repo's deterministic Rng.

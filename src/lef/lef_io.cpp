@@ -1,53 +1,30 @@
 #include "lef/lef_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/error.h"
-#include "base/strings.h"
+#include "base/lexer.h"
 
 namespace secflow {
 namespace {
 
-/// Whitespace token stream with one-token lookahead.
-class TokenStream {
- public:
-  explicit TokenStream(const std::string& text) {
-    std::istringstream is(text);
-    std::string tok;
-    while (is >> tok) tokens_.push_back(tok);
-  }
+// Bound on every LEF length, so that um_to_dbu cannot overflow.
+constexpr double kMaxMicrons = 1e9;
 
-  bool done() const { return pos_ >= tokens_.size(); }
-  const std::string& peek() const {
-    static const std::string kEnd = "<eof>";
-    return done() ? kEnd : tokens_[pos_];
-  }
-  std::string next() {
-    SECFLOW_CHECK(!done(), "unexpected end of LEF");
-    return tokens_[pos_++];
-  }
-  void expect(const std::string& kw) {
-    const std::string t = next();
-    if (t != kw) {
-      throw ParseError("lef token " + std::to_string(pos_),
-                       "expected '" + kw + "', got '" + t + "'");
-    }
-  }
-  double number() {
-    const std::string t = next();
-    try {
-      return std::stod(t);
-    } catch (const std::exception&) {
-      throw ParseError("lef token " + std::to_string(pos_),
-                       "expected number, got '" + t + "'");
-    }
-  }
+double microns(Lexer& lex, const char* what) {
+  return lex.number<double>(lex.word(), what, 0.0, kMaxMicrons);
+}
 
- private:
-  std::vector<std::string> tokens_;
-  std::size_t pos_ = 0;
-};
+/// The next word, which must close the block opened as `name`.
+void expect_end_name(Lexer& lex, const std::string& name) {
+  const Token t = lex.word();
+  if (t.text != name) {
+    lex.fail(t.pos, "expected 'END " + name + "', got '" +
+                        std::string(t.text) + "'");
+  }
+}
 
 }  // namespace
 
@@ -86,69 +63,77 @@ void write_lef_file(const LefLibrary& lib, const std::string& path) {
 }
 
 LefLibrary parse_lef(const std::string& text, const std::string& name) {
-  TokenStream ts(text);
+  Lexer lex(text, "lef");
   LefLibrary lib(name);
-  while (!ts.done()) {
-    const std::string kw = ts.next();
-    if (kw == "VERSION") {
-      ts.number();
-      ts.expect(";");
-    } else if (kw == "LAYER") {
+  while (lex.peek().kind != Token::Kind::kEnd) {
+    const Token kw = lex.next();
+    if (kw.text == "VERSION") {
+      lex.number<double>(lex.word(), "version", 0.0,
+                         std::numeric_limits<double>::max());
+      lex.expect(";");
+    } else if (kw.text == "LAYER") {
       LefLayer layer;
-      layer.name = ts.next();
-      while (ts.peek() != "END") {
-        const std::string attr = ts.next();
-        if (attr == "DIRECTION") {
-          const std::string d = ts.next();
-          layer.dir = (d == "VERTICAL") ? LayerDir::kVertical
-                                        : LayerDir::kHorizontal;
-          ts.expect(";");
-        } else if (attr == "PITCH") {
-          layer.pitch_um = ts.number();
-          ts.expect(";");
-        } else if (attr == "WIDTH") {
-          layer.width_um = ts.number();
-          ts.expect(";");
+      layer.name = lex.word().text;
+      while (!lex.at("END")) {
+        const Token attr = lex.next();
+        if (attr.text == "DIRECTION") {
+          const Token d = lex.word();
+          if (d.text != "HORIZONTAL" && d.text != "VERTICAL") {
+            lex.fail(d.pos, "expected HORIZONTAL or VERTICAL, got '" +
+                                std::string(d.text) + "'");
+          }
+          layer.dir = d.text == "VERTICAL" ? LayerDir::kVertical
+                                           : LayerDir::kHorizontal;
+        } else if (attr.text == "PITCH") {
+          layer.pitch_um = microns(lex, "pitch");
+        } else if (attr.text == "WIDTH") {
+          layer.width_um = microns(lex, "width");
         } else {
-          throw ParseError("lef", "unknown layer attribute: " + attr);
+          lex.fail(attr.pos,
+                   "unknown layer attribute: " + std::string(attr.text));
         }
+        lex.expect(";");
       }
-      ts.expect("END");
-      ts.expect(layer.name);
+      lex.expect("END");
+      expect_end_name(lex, layer.name);
       lib.add_layer(std::move(layer));
-    } else if (kw == "MACRO") {
+    } else if (kw.text == "MACRO") {
       LefMacro m;
-      m.name = ts.next();
-      while (ts.peek() != "END") {
-        const std::string attr = ts.next();
-        if (attr == "SIZE") {
-          m.width_dbu = um_to_dbu(ts.number());
-          ts.expect("BY");
-          m.height_dbu = um_to_dbu(ts.number());
-          ts.expect(";");
-        } else if (attr == "PIN") {
+      m.name = lex.word().text;
+      while (!lex.at("END")) {
+        const Token attr = lex.next();
+        if (attr.text == "SIZE") {
+          m.width_dbu = um_to_dbu(microns(lex, "width"));
+          lex.expect("BY");
+          m.height_dbu = um_to_dbu(microns(lex, "height"));
+        } else if (attr.text == "PIN") {
           LefPin p;
-          p.name = ts.next();
-          ts.expect("DIRECTION");
-          const std::string d = ts.next();
-          p.dir = (d == "OUTPUT") ? PinDir::kOutput : PinDir::kInput;
-          ts.expect("ORIGIN");
-          p.offset.x = um_to_dbu(ts.number());
-          p.offset.y = um_to_dbu(ts.number());
-          ts.expect(";");
+          p.name = lex.word().text;
+          lex.expect("DIRECTION");
+          const Token d = lex.word();
+          if (d.text != "INPUT" && d.text != "OUTPUT") {
+            lex.fail(d.pos, "expected INPUT or OUTPUT, got '" +
+                                std::string(d.text) + "'");
+          }
+          p.dir = d.text == "OUTPUT" ? PinDir::kOutput : PinDir::kInput;
+          lex.expect("ORIGIN");
+          p.offset.x = um_to_dbu(microns(lex, "pin x"));
+          p.offset.y = um_to_dbu(microns(lex, "pin y"));
           m.pins.push_back(std::move(p));
         } else {
-          throw ParseError("lef", "unknown macro attribute: " + attr);
+          lex.fail(attr.pos,
+                   "unknown macro attribute: " + std::string(attr.text));
         }
+        lex.expect(";");
       }
-      ts.expect("END");
-      ts.expect(m.name);
+      lex.expect("END");
+      expect_end_name(lex, m.name);
       lib.add_macro(std::move(m));
-    } else if (kw == "END") {
-      ts.expect("LIBRARY");
+    } else if (kw.text == "END") {
+      lex.expect("LIBRARY");
       break;
     } else {
-      throw ParseError("lef", "unknown keyword: " + kw);
+      lex.fail(kw.pos, "unknown keyword: " + std::string(kw.text));
     }
   }
   return lib;

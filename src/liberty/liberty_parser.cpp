@@ -1,105 +1,15 @@
 #include "liberty/liberty_parser.h"
 
-#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/error.h"
+#include "base/lexer.h"
 #include "liberty/bool_expr.h"
 
 namespace secflow {
 namespace {
-
-class LibertyLexer {
- public:
-  explicit LibertyLexer(const std::string& text) : text_(text) {}
-
-  struct Token {
-    enum Kind { kIdent, kNumber, kString, kPunct, kEnd } kind = kEnd;
-    std::string text;
-    int line = 0;
-  };
-
-  Token next() {
-    skip();
-    if (pos_ >= text_.size()) return {Token::kEnd, "", line_};
-    const char c = text_[pos_];
-    if (c == '"') {
-      ++pos_;
-      std::string s;
-      while (pos_ < text_.size() && text_[pos_] != '"') {
-        if (text_[pos_] == '\n') ++line_;
-        s += text_[pos_++];
-      }
-      if (pos_ >= text_.size()) {
-        throw ParseError("liberty line " + std::to_string(line_),
-                         "unterminated string");
-      }
-      ++pos_;
-      return {Token::kString, s, line_};
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string s;
-      while (pos_ < text_.size()) {
-        const char d = text_[pos_];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_') {
-          s += d;
-          ++pos_;
-        } else {
-          break;
-        }
-      }
-      return {Token::kIdent, s, line_};
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '.') {
-      std::string s;
-      while (pos_ < text_.size()) {
-        const char d = text_[pos_];
-        if (std::isdigit(static_cast<unsigned char>(d)) || d == '.' ||
-            d == '-' || d == '+' || d == 'e' || d == 'E') {
-          s += d;
-          ++pos_;
-        } else {
-          break;
-        }
-      }
-      return {Token::kNumber, s, line_};
-    }
-    ++pos_;
-    return {Token::kPunct, std::string(1, c), line_};
-  }
-
- private:
-  void skip() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < text_.size() &&
-               !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
-          if (text_[pos_] == '\n') ++line_;
-          ++pos_;
-        }
-        pos_ = std::min(pos_ + 2, text_.size());
-      } else {
-        break;
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
 
 struct PinSpec {
   PinDef def;
@@ -108,67 +18,68 @@ struct PinSpec {
 
 class LibertyParser {
  public:
-  explicit LibertyParser(const std::string& text) : lexer_(text) { advance(); }
+  explicit LibertyParser(const std::string& text) : lex_(text, "liberty") {}
 
   std::shared_ptr<CellLibrary> parse() {
-    expect_ident("library");
-    expect_punct("(");
-    const std::string lib_name = expect_name("library name");
-    expect_punct(")");
-    expect_punct("{");
+    lex_.expect("library");
+    lex_.expect("(");
+    const std::string lib_name(name("library name").text);
+    lex_.expect(")");
+    lex_.expect("{");
     auto lib = std::make_shared<CellLibrary>(lib_name);
-    while (!at_punct("}")) {
-      expect_ident("cell");
+    while (!lex_.at("}")) {
+      lex_.expect("cell");
       lib->add(parse_cell());
     }
-    expect_punct("}");
+    lex_.expect("}");
     lib->validate();
     return lib;
   }
 
  private:
   CellType parse_cell() {
-    expect_punct("(");
+    lex_.expect("(");
     CellType cell;
-    cell.name = expect_name("cell name");
-    expect_punct(")");
-    expect_punct("{");
+    const SourcePos cell_pos = lex_.peek().pos;
+    cell.name = name("cell name").text;
+    lex_.expect(")");
+    lex_.expect("{");
     std::vector<PinSpec> pins;
     bool is_ff = false, is_tie = false;
-    while (!at_punct("}")) {
-      const std::string key = expect_name("attribute or pin");
-      if (key == "pin") {
+    while (!lex_.at("}")) {
+      const Token key = name("attribute or pin");
+      if (key.text == "pin") {
         pins.push_back(parse_pin());
         continue;
       }
-      expect_punct(":");
-      const std::string value = expect_value();
-      expect_punct(";");
-      if (key == "area") {
-        cell.area_um2 = to_double(value);
-      } else if (key == "width") {
-        cell.width_um = to_double(value);
-      } else if (key == "height") {
-        cell.height_um = to_double(value);
-      } else if (key == "intrinsic_delay") {
-        cell.intrinsic_delay_ps = to_double(value);
-      } else if (key == "drive_resistance") {
-        cell.drive_res_kohm = to_double(value);
-      } else if (key == "internal_cap") {
-        cell.internal_cap_ff = to_double(value);
-      } else if (key == "ff") {
-        is_ff = (value == "true" || value == "1");
-      } else if (key == "ff_negedge") {
-        if (value == "true" || value == "1") {
+      lex_.expect(":");
+      if (key.text == "area") {
+        cell.area_um2 = number(key.text);
+      } else if (key.text == "width") {
+        cell.width_um = number(key.text);
+      } else if (key.text == "height") {
+        cell.height_um = number(key.text);
+      } else if (key.text == "intrinsic_delay") {
+        cell.intrinsic_delay_ps = number(key.text);
+      } else if (key.text == "drive_resistance") {
+        cell.drive_res_kohm = number(key.text);
+      } else if (key.text == "internal_cap") {
+        cell.internal_cap_ff = number(key.text);
+      } else if (key.text == "ff") {
+        is_ff = is_true(value());
+      } else if (key.text == "ff_negedge") {
+        if (is_true(value())) {
           is_ff = true;
           cell.negedge_clock = true;
         }
-      } else if (key == "tie") {
-        is_tie = (value == "true" || value == "1");
+      } else if (key.text == "tie") {
+        is_tie = is_true(value());
+      } else {
+        value();  // Unknown attributes are ignored (Liberty files carry many).
       }
-      // Unknown attributes are ignored (Liberty files carry many).
+      lex_.expect(";");
     }
-    expect_punct("}");
+    lex_.expect("}");
 
     SECFLOW_CHECK(!(is_ff && is_tie), "cell " + cell.name + " ff and tie");
     cell.kind = is_ff    ? CellKind::kFlop
@@ -187,7 +98,7 @@ class LibertyParser {
     switch (cell.kind) {
       case CellKind::kCombinational:
         if (out_function.empty()) {
-          fail("cell " + cell.name + " output has no function");
+          lex_.fail(cell_pos, "cell " + cell.name + " output has no function");
         }
         cell.function = parse_bool_expr(out_function, input_names);
         break;
@@ -196,7 +107,8 @@ class LibertyParser {
         break;
       case CellKind::kTie:
         if (out_function.empty()) {
-          fail("tie cell " + cell.name + " needs function \"0\" or \"1\"");
+          lex_.fail(cell_pos,
+                    "tie cell " + cell.name + " needs function \"0\" or \"1\"");
         }
         cell.function = parse_bool_expr(out_function, {});
         break;
@@ -208,83 +120,72 @@ class LibertyParser {
   }
 
   PinSpec parse_pin() {
-    expect_punct("(");
+    lex_.expect("(");
     PinSpec pin;
-    pin.def.name = expect_name("pin name");
-    expect_punct(")");
-    expect_punct("{");
-    while (!at_punct("}")) {
-      const std::string key = expect_name("pin attribute");
-      expect_punct(":");
-      const std::string value = expect_value();
-      expect_punct(";");
-      if (key == "direction") {
-        if (value == "input") {
+    pin.def.name = name("pin name").text;
+    lex_.expect(")");
+    lex_.expect("{");
+    while (!lex_.at("}")) {
+      const Token key = name("pin attribute");
+      lex_.expect(":");
+      if (key.text == "direction") {
+        const Token dir = value();
+        if (dir.text == "input") {
           pin.def.dir = PinDir::kInput;
-        } else if (value == "output") {
+        } else if (dir.text == "output") {
           pin.def.dir = PinDir::kOutput;
         } else {
-          fail("bad pin direction: " + value);
+          lex_.fail(dir.pos, "bad pin direction: " + std::string(dir.text));
         }
-      } else if (key == "capacitance") {
-        pin.def.cap_ff = to_double(value);
-      } else if (key == "function") {
-        pin.function = value;
+      } else if (key.text == "capacitance") {
+        pin.def.cap_ff = number(key.text);
+      } else if (key.text == "function") {
+        pin.function = value().text;
+      } else {
+        value();  // clock : true etc. (CK is found by name).
       }
-      // clock : true etc. are accepted and ignored (CK is found by name).
+      lex_.expect(";");
     }
-    expect_punct("}");
+    lex_.expect("}");
     return pin;
   }
 
-  double to_double(const std::string& s) {
-    try {
-      return std::stod(s);
-    } catch (const std::exception&) {
-      fail("expected number, got '" + s + "'");
-    }
+  static bool is_true(const Token& t) {
+    return t.text == "true" || t.text == "1";
   }
 
-  void advance() { cur_ = lexer_.next(); }
-  [[noreturn]] void fail(const std::string& msg) {
-    throw ParseError("liberty line " + std::to_string(cur_.line), msg);
+  /// A signed number; the lexer reads its minus sign as a token of its own.
+  double number(std::string_view what) {
+    const bool negative = lex_.at("-");
+    if (negative) lex_.next();
+    const double v = lex_.number<double>(what, 0.0, kMaxValue);
+    return negative ? -v : v;
   }
-  bool at_punct(const std::string& p) const {
-    return cur_.kind == LibertyLexer::Token::kPunct && cur_.text == p;
-  }
-  void expect_punct(const std::string& p) {
-    if (!at_punct(p)) fail("expected '" + p + "', got '" + cur_.text + "'");
-    advance();
-  }
-  void expect_ident(const std::string& s) {
-    if (cur_.kind != LibertyLexer::Token::kIdent || cur_.text != s) {
-      fail("expected '" + s + "', got '" + cur_.text + "'");
+
+  /// An attribute value read as text: identifier, string or (signed)
+  /// number.
+  Token value() {
+    if (lex_.at("-")) lex_.next();
+    const Token t = lex_.next();
+    if (t.kind == Token::Kind::kPunct || t.kind == Token::Kind::kEnd) {
+      lex_.fail(t.pos, "expected value, got '" + std::string(t.text) + "'");
     }
-    advance();
+    return t;
   }
+
   /// Identifier or number token (cell names like AOI32 lex as ident).
-  std::string expect_name(const std::string& what) {
-    if (cur_.kind != LibertyLexer::Token::kIdent &&
-        cur_.kind != LibertyLexer::Token::kNumber) {
-      fail("expected " + what + ", got '" + cur_.text + "'");
+  Token name(const char* what) {
+    const Token t = lex_.next();
+    if (t.kind != Token::Kind::kIdent && t.kind != Token::Kind::kNumber) {
+      lex_.fail(t.pos, std::string("expected ") + what + ", got '" +
+                           std::string(t.text) + "'");
     }
-    std::string s = cur_.text;
-    advance();
-    return s;
-  }
-  /// Attribute value: ident, number or quoted string.
-  std::string expect_value() {
-    if (cur_.kind == LibertyLexer::Token::kEnd ||
-        cur_.kind == LibertyLexer::Token::kPunct) {
-      fail("expected value, got '" + cur_.text + "'");
-    }
-    std::string s = cur_.text;
-    advance();
-    return s;
+    return t;
   }
 
-  LibertyLexer lexer_;
-  LibertyLexer::Token cur_;
+  static constexpr double kMaxValue = std::numeric_limits<double>::max();
+
+  Lexer lex_;
 };
 
 }  // namespace

@@ -1,216 +1,115 @@
 #include "netlist/verilog_parser.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
 
 #include "base/error.h"
-#include "base/strings.h"
+#include "base/lexer.h"
 
 namespace secflow {
 namespace {
 
-struct Token {
-  enum Kind { kIdent, kPunct, kEnd } kind = kEnd;
-  std::string text;
-  int line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
-
-  Token next() {
-    skip_ws_and_comments();
-    if (pos_ >= text_.size()) return Token{Token::kEnd, "", line_};
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '\\') {
-      return lex_ident();
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      // Allow numeric-literal-ish tokens (e.g. 1'b0) as identifiers so
-      // callers can reject them with a useful message.
-      return lex_ident();
-    }
-    ++pos_;
-    return Token{Token::kPunct, std::string(1, c), line_};
-  }
-
- private:
-  void skip_ws_and_comments() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < text_.size() &&
-               !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
-          if (text_[pos_] == '\n') ++line_;
-          ++pos_;
-        }
-        pos_ = std::min(pos_ + 2, text_.size());
-      } else {
-        break;
-      }
-    }
-  }
-
-  Token lex_ident() {
-    const int line = line_;
-    std::string s;
-    if (text_[pos_] == '\\') {
-      // Escaped identifier: up to whitespace.
-      ++pos_;
-      while (pos_ < text_.size() &&
-             !std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-        s += text_[pos_++];
-      }
-      return Token{Token::kIdent, s, line};
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '$' || c == '\'') {
-        s += c;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    return Token{Token::kIdent, s, line};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
-
 class Parser {
  public:
   Parser(const std::string& text, std::shared_ptr<const CellLibrary> library)
-      : lexer_(text), library_(std::move(library)) {
-    advance();
-  }
+      : lex_(text, "verilog"), library_(std::move(library)) {}
 
   Netlist parse() {
-    expect_ident("module");
-    const std::string mod_name = expect_any_ident("module name");
+    lex_.expect("module");
+    const std::string mod_name = name("module name");
     Netlist nl(mod_name, library_);
-    expect_punct("(");
+    lex_.expect("(");
     std::vector<std::string> port_order;
-    if (!at_punct(")")) {
+    if (!lex_.at(")")) {
       for (;;) {
-        port_order.push_back(expect_any_ident("port name"));
-        if (at_punct(")")) break;
-        expect_punct(",");
+        port_order.push_back(name("port name"));
+        if (lex_.at(")")) break;
+        lex_.expect(",");
       }
     }
-    expect_punct(")");
-    expect_punct(";");
+    lex_.expect(")");
+    lex_.expect(";");
 
-    while (!at_ident("endmodule")) {
-      if (cur_.kind == Token::kEnd) fail("unexpected end of file");
-      const std::string head = expect_any_ident("statement");
+    while (!lex_.at("endmodule")) {
+      if (lex_.peek().kind == Token::Kind::kEnd) {
+        lex_.fail("unexpected end of file");
+      }
+      const SourcePos head_pos = lex_.peek().pos;
+      const std::string head = name("statement");
       if (head == "input" || head == "output") {
         const PinDir dir =
             head == "input" ? PinDir::kInput : PinDir::kOutput;
         for (;;) {
-          const std::string name = expect_any_ident("port name");
-          const NetId net = nl.get_or_add_net(name);
-          nl.add_port(name, dir, net);
-          if (at_punct(";")) break;
-          expect_punct(",");
+          const std::string port = name("port name");
+          const NetId net = nl.get_or_add_net(port);
+          nl.add_port(port, dir, net);
+          if (lex_.at(";")) break;
+          lex_.expect(",");
         }
-        expect_punct(";");
+        lex_.expect(";");
       } else if (head == "wire") {
         for (;;) {
-          const std::string name = expect_any_ident("wire name");
-          nl.get_or_add_net(name);
-          if (at_punct(";")) break;
-          expect_punct(",");
+          nl.get_or_add_net(name("wire name"));
+          if (lex_.at(";")) break;
+          lex_.expect(",");
         }
-        expect_punct(";");
+        lex_.expect(";");
       } else {
-        parse_instance(nl, head);
+        parse_instance(nl, head, head_pos);
       }
     }
-    expect_ident("endmodule");
+    const SourcePos end_pos = lex_.peek().pos;
+    lex_.expect("endmodule");
     // Every port named in the header must have been declared.
     for (const std::string& p : port_order) {
       if (!nl.find_port(p).valid()) {
-        fail("port " + p + " named in header but never declared");
+        lex_.fail(end_pos, "port " + p + " named in header but never declared");
       }
     }
     return nl;
   }
 
  private:
-  void parse_instance(Netlist& nl, const std::string& cell_name) {
+  void parse_instance(Netlist& nl, const std::string& cell_name,
+                      SourcePos at) {
     const CellTypeId cell = library_->find(cell_name);
-    if (!cell.valid()) fail("unknown cell type: " + cell_name);
+    if (!cell.valid()) lex_.fail(at, "unknown cell type: " + cell_name);
     const CellType& type = library_->cell(cell);
-    const std::string inst_name = expect_any_ident("instance name");
-    const InstId inst = nl.add_instance(inst_name, cell);
-    expect_punct("(");
-    if (!at_punct(")")) {
+    const InstId inst = nl.add_instance(name("instance name"), cell);
+    lex_.expect("(");
+    if (!lex_.at(")")) {
       for (;;) {
-        expect_punct(".");
-        const std::string pin_name = expect_any_ident("pin name");
+        lex_.expect(".");
+        const SourcePos pin_pos = lex_.peek().pos;
+        const std::string pin_name = name("pin name");
         const int pin = type.pin_index(pin_name);
         if (pin < 0) {
-          fail("cell " + cell_name + " has no pin " + pin_name);
+          lex_.fail(pin_pos, "cell " + cell_name + " has no pin " + pin_name);
         }
-        expect_punct("(");
-        const std::string net_name = expect_any_ident("net name");
-        expect_punct(")");
-        nl.connect(inst, pin, nl.get_or_add_net(net_name));
-        if (at_punct(")")) break;
-        expect_punct(",");
+        lex_.expect("(");
+        const NetId net = nl.get_or_add_net(name("net name"));
+        lex_.expect(")");
+        nl.connect(inst, pin, net);
+        if (lex_.at(")")) break;
+        lex_.expect(",");
       }
     }
-    expect_punct(")");
-    expect_punct(";");
+    lex_.expect(")");
+    lex_.expect(";");
   }
 
-  void advance() { cur_ = lexer_.next(); }
-
-  [[noreturn]] void fail(const std::string& msg) {
-    throw ParseError("verilog line " + std::to_string(cur_.line), msg);
-  }
-
-  bool at_punct(const std::string& p) const {
-    return cur_.kind == Token::kPunct && cur_.text == p;
-  }
-  bool at_ident(const std::string& s) const {
-    return cur_.kind == Token::kIdent && cur_.text == s;
-  }
-  void expect_punct(const std::string& p) {
-    if (!at_punct(p)) fail("expected '" + p + "', got '" + cur_.text + "'");
-    advance();
-  }
-  void expect_ident(const std::string& s) {
-    if (!at_ident(s)) fail("expected '" + s + "', got '" + cur_.text + "'");
-    advance();
-  }
-  std::string expect_any_ident(const std::string& what) {
-    if (cur_.kind != Token::kIdent) {
-      fail("expected " + what + ", got '" + cur_.text + "'");
+  /// The next token, which must be an identifier; an escaped one loses its
+  /// backslash.
+  std::string name(const char* what) {
+    const Token t = lex_.next();
+    if (t.kind != Token::Kind::kIdent) {
+      lex_.fail(t.pos, std::string("expected ") + what + ", got '" +
+                           std::string(t.text) + "'");
     }
-    std::string s = cur_.text;
-    advance();
-    return s;
+    return std::string(t.text.substr(t.text[0] == '\\' ? 1 : 0));
   }
 
-  Lexer lexer_;
-  Token cur_;
+  Lexer lex_;
   std::shared_ptr<const CellLibrary> library_;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "base/error.h"
+#include "base/lexer.h"
 
 namespace secflow {
 namespace {
@@ -125,7 +126,7 @@ class Parser {
 
  private:
   [[noreturn]] void fail(const std::string& what) {
-    throw ParseError("json:" + std::to_string(pos_), what);
+    throw_parse_error("json", SourcePos::of(text_, pos_), what);
   }
 
   void skip_ws() {

@@ -84,7 +84,7 @@ class JsonValue {
 std::string json_dump(const JsonValue& v, int indent = 0);
 
 /// Strict parse of a complete JSON document (trailing garbage is an
-/// error).  Throws ParseError with a byte offset on malformed input.
+/// error).  Throws ParseError at "json <line>:<column>" on malformed input.
 JsonValue json_parse(std::string_view text);
 
 }  // namespace secflow

@@ -1,9 +1,11 @@
 #include "pnr/def.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/error.h"
+#include "base/lexer.h"
 #include "base/units.h"
 
 namespace secflow {
@@ -96,131 +98,109 @@ void write_def_file(const DefDesign& d, const std::string& path) {
 
 namespace {
 
-class DefTokens {
- public:
-  explicit DefTokens(const std::string& text) {
-    std::istringstream is(text);
-    std::string t;
-    while (is >> t) toks_.push_back(t);
-  }
-  bool done() const { return pos_ >= toks_.size(); }
-  const std::string& peek() const {
-    static const std::string kEnd = "<eof>";
-    return done() ? kEnd : toks_[pos_];
-  }
-  std::string next() {
-    SECFLOW_CHECK(!done(), "unexpected end of DEF");
-    return toks_[pos_++];
-  }
-  void expect(const std::string& kw) {
-    const std::string t = next();
-    if (t != kw) {
-      throw ParseError("def", "expected '" + kw + "', got '" + t + "'");
-    }
-  }
-  std::int64_t integer() {
-    const std::string t = next();
-    try {
-      return std::stoll(t);
-    } catch (const std::exception&) {
-      throw ParseError("def", "expected integer, got '" + t + "'");
-    }
-  }
-  Point point() {
-    expect("(");
-    const std::int64_t x = integer();
-    const std::int64_t y = integer();
-    expect(")");
-    return Point{x, y};
-  }
-  int layer() {
-    const std::string t = next();
-    if (t.size() < 2 || t[0] != 'M') {
-      throw ParseError("def", "expected layer, got '" + t + "'");
-    }
-    try {
-      return std::stoi(t.substr(1)) - 1;
-    } catch (const std::exception&) {
-      throw ParseError("def", "bad layer name '" + t + "'");
-    }
-  }
+std::int64_t integer(Lexer& lex, const char* what) {
+  return lex.number<std::int64_t>(lex.word(), what,
+                                  std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max());
+}
 
- private:
-  std::vector<std::string> toks_;
-  std::size_t pos_ = 0;
-};
+Point point(Lexer& lex) {
+  lex.expect("(");
+  const std::int64_t x = integer(lex, "x coordinate");
+  const std::int64_t y = integer(lex, "y coordinate");
+  lex.expect(")");
+  return Point{x, y};
+}
+
+/// A routing layer, written M1, M2, ...; returns its 0-based index.
+int layer(Lexer& lex) {
+  const Token t = lex.word();
+  if (t.text[0] != 'M') {
+    lex.fail(t.pos, "expected layer, got '" + std::string(t.text) + "'");
+  }
+  return lex.number<int>(t.tail(1), "layer number", 1,
+                         std::numeric_limits<int>::max()) -
+         1;
+}
+
+/// An item count, bounded by the size of the text that holds the items.
+std::int64_t count(Lexer& lex, std::string_view text) {
+  return lex.number<std::int64_t>(lex.word(), "count", 0,
+                                  static_cast<std::int64_t>(text.size()));
+}
 
 }  // namespace
 
 DefDesign parse_def(const std::string& text) {
-  DefTokens ts(text);
+  Lexer lex(text, "def");
   DefDesign d;
-  ts.expect("DESIGN");
-  d.name = ts.next();
-  ts.expect(";");
-  while (!ts.done()) {
-    const std::string kw = ts.next();
-    if (kw == "DIEAREA") {
-      d.die.lo = ts.point();
-      d.die.hi = ts.point();
-      ts.expect(";");
-    } else if (kw == "ROWHEIGHT") {
-      d.row_height_dbu = ts.integer();
-      ts.expect(";");
-    } else if (kw == "TRACKPITCH") {
-      d.track_pitch_dbu = ts.integer();
-      ts.expect(";");
-    } else if (kw == "COMPONENTS") {
-      const std::int64_t n = ts.integer();
-      ts.expect(";");
+  lex.expect("DESIGN");
+  d.name = lex.word().text;
+  lex.expect(";");
+  while (lex.peek().kind != Token::Kind::kEnd) {
+    const Token kw = lex.next();
+    if (kw.text == "DIEAREA") {
+      d.die.lo = point(lex);
+      d.die.hi = point(lex);
+      lex.expect(";");
+    } else if (kw.text == "ROWHEIGHT") {
+      d.row_height_dbu = integer(lex, "row height");
+      lex.expect(";");
+    } else if (kw.text == "TRACKPITCH") {
+      d.track_pitch_dbu = integer(lex, "track pitch");
+      lex.expect(";");
+    } else if (kw.text == "COMPONENTS") {
+      const std::int64_t n = count(lex, text);
+      lex.expect(";");
       for (std::int64_t i = 0; i < n; ++i) {
-        ts.expect("-");
+        lex.expect("-");
         DefComponent c;
-        c.name = ts.next();
-        c.macro = ts.next();
-        ts.expect("PLACED");
-        c.origin = ts.point();
-        ts.expect(";");
+        c.name = lex.word().text;
+        c.macro = lex.word().text;
+        lex.expect("PLACED");
+        c.origin = point(lex);
+        lex.expect(";");
         d.components.push_back(std::move(c));
       }
-      ts.expect("END");
-      ts.expect("COMPONENTS");
-    } else if (kw == "NETS") {
-      const std::int64_t n = ts.integer();
-      ts.expect(";");
+      lex.expect("END");
+      lex.expect("COMPONENTS");
+    } else if (kw.text == "NETS") {
+      const std::int64_t n = count(lex, text);
+      lex.expect(";");
       for (std::int64_t i = 0; i < n; ++i) {
-        ts.expect("-");
+        lex.expect("-");
         DefNet net;
-        net.name = ts.next();
-        while (ts.peek() != ";") {
-          const std::string item = ts.next();
-          if (item == "ROUTED") {
+        net.name = lex.word().text;
+        while (!lex.at(";")) {
+          const Token item = lex.next();
+          if (item.text == "ROUTED") {
             Segment s;
-            s.layer = ts.layer();
-            s.width = ts.integer();
-            s.a = ts.point();
-            s.b = ts.point();
+            s.layer = layer(lex);
+            s.width = integer(lex, "wire width");
+            s.a = point(lex);
+            s.b = point(lex);
             net.wires.push_back(s);
-          } else if (item == "VIA") {
+          } else if (item.text == "VIA") {
             DefVia v;
-            v.from_layer = ts.layer();
-            v.to_layer = ts.layer();
-            v.at = ts.point();
+            v.from_layer = layer(lex);
+            v.to_layer = layer(lex);
+            v.at = point(lex);
             net.vias.push_back(v);
           } else {
-            throw ParseError("def", "unknown net item: " + item);
+            lex.fail(item.pos,
+                     "unknown net item: " + std::string(item.text));
           }
         }
-        ts.expect(";");
+        lex.expect(";");
         d.nets.push_back(std::move(net));
       }
-      ts.expect("END");
-      ts.expect("NETS");
-    } else if (kw == "END") {
-      ts.expect("DESIGN");
+      lex.expect("END");
+      lex.expect("NETS");
+    } else if (kw.text == "END") {
+      lex.expect("DESIGN");
       break;
     } else {
-      throw ParseError("def", "unknown keyword: " + kw);
+      lex.fail(kw.pos, "unknown keyword: " + std::string(kw.text));
     }
   }
   return d;

@@ -1,6 +1,6 @@
 #include "synth/hdl.h"
 
-#include <cctype>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -9,102 +9,10 @@
 #include <unordered_map>
 
 #include "base/error.h"
+#include "base/lexer.h"
 
 namespace secflow {
 namespace {
-
-// --- lexer ------------------------------------------------------------------
-
-struct Token {
-  enum Kind { kIdent, kLiteral, kNumber, kPunct, kEnd } kind = kEnd;
-  std::string text;
-  int line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(const std::string& text) : text_(text) {}
-
-  Token next() {
-    skip();
-    if (pos_ >= text_.size()) return {Token::kEnd, "", line_};
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string s;
-      while (pos_ < text_.size()) {
-        const char d = text_[pos_];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_' ||
-            d == '$') {
-          s += d;
-          ++pos_;
-        } else {
-          break;
-        }
-      }
-      return {Token::kIdent, s, line_};
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::string s;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        s += text_[pos_++];
-      }
-      if (pos_ < text_.size() && text_[pos_] == '\'') {
-        // Sized literal: WIDTH'b0101 / WIDTH'd46.
-        s += text_[pos_++];
-        while (pos_ < text_.size()) {
-          const char d = text_[pos_];
-          if (std::isalnum(static_cast<unsigned char>(d)) || d == '_') {
-            s += d;
-            ++pos_;
-          } else {
-            break;
-          }
-        }
-        return {Token::kLiteral, s, line_};
-      }
-      return {Token::kNumber, s, line_};
-    }
-    // Two-character operator <=.
-    if (c == '<' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '=') {
-      pos_ += 2;
-      return {Token::kPunct, "<=", line_};
-    }
-    ++pos_;
-    return {Token::kPunct, std::string(1, c), line_};
-  }
-
- private:
-  void skip() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '/') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == '/' && pos_ + 1 < text_.size() &&
-                 text_[pos_ + 1] == '*') {
-        pos_ += 2;
-        while (pos_ + 1 < text_.size() &&
-               !(text_[pos_] == '*' && text_[pos_ + 1] == '/')) {
-          if (text_[pos_] == '\n') ++line_;
-          ++pos_;
-        }
-        pos_ = std::min(pos_ + 2, text_.size());
-      } else {
-        break;
-      }
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
 
 // --- AST ---------------------------------------------------------------------
 
@@ -115,14 +23,14 @@ struct Expr {
   int bit = -1;                  // kBitSel
   char op = 0;                   // kBinary: & | ^
   std::unique_ptr<Expr> a, b, c;
-  int line = 0;
+  SourcePos pos;
 };
 
 struct Assign {
   std::string name;
   int bit = -1;  // -1 = whole signal
   std::unique_ptr<Expr> rhs;
-  int line = 0;
+  SourcePos pos;
 };
 
 enum class SigKind { kInput, kOutput, kWire, kReg };
@@ -130,6 +38,7 @@ enum class SigKind { kInput, kOutput, kWire, kReg };
 struct Signal {
   SigKind kind = SigKind::kWire;
   int width = 1;
+  SourcePos pos;  // of the declared name
 };
 
 struct Module {
@@ -139,151 +48,162 @@ struct Module {
   std::vector<Assign> assigns;      // continuous
   std::vector<Assign> reg_assigns;  // nonblocking, single clock domain
   std::string clock;
+  SourcePos clock_pos;  // of the first `posedge` clock name
 };
 
 // --- parser ------------------------------------------------------------------
 
+// Highest vector bit and bit index, far enough from INT_MAX that msb + 1
+// cannot overflow.
+constexpr int kMaxBit = (1 << 20) - 1;
+
 class HdlParser {
  public:
-  explicit HdlParser(const std::string& text) : lexer_(text) { advance(); }
+  explicit HdlParser(const std::string& text) : lex_(text, "hdl") {}
 
   Module parse() {
     Module m;
-    expect_ident("module");
-    m.name = expect_name("module name");
-    expect_punct("(");
-    if (!at_punct(")")) {
+    lex_.expect("module");
+    m.name = name("module name").text;
+    lex_.expect("(");
+    if (!lex_.at(")")) {
       for (;;) {
         parse_port_decl(m);
-        if (at_punct(")")) break;
-        expect_punct(",");
+        if (lex_.at(")")) break;
+        lex_.expect(",");
       }
     }
-    expect_punct(")");
-    expect_punct(";");
-    while (!at_ident("endmodule")) {
-      if (cur_.kind == Token::kEnd) fail("unexpected end of file");
+    lex_.expect(")");
+    lex_.expect(";");
+    while (!lex_.at("endmodule")) {
+      if (lex_.peek().kind == Token::Kind::kEnd) {
+        lex_.fail("unexpected end of file");
+      }
       parse_item(m);
     }
-    expect_ident("endmodule");
+    lex_.expect("endmodule");
     return m;
   }
 
  private:
-  void declare(Module& m, const std::string& name, Signal sig) {
-    if (m.signals.contains(name)) fail("duplicate signal: " + name);
-    m.signals.emplace(name, sig);
-    m.decl_order.emplace_back(name, sig);
+  void declare(Module& m, const Token& name, Signal sig) {
+    std::string n(name.text);
+    if (m.signals.contains(n)) lex_.fail(name.pos, "duplicate signal: " + n);
+    sig.pos = name.pos;
+    m.signals.emplace(n, sig);
+    m.decl_order.emplace_back(std::move(n), sig);
   }
 
   int parse_optional_range() {
-    if (!at_punct("[")) return 1;
-    advance();
-    const int msb = expect_int("range msb");
-    expect_punct(":");
-    const int lsb = expect_int("range lsb");
-    expect_punct("]");
-    if (lsb != 0 || msb < 0) fail("only [N:0] ranges are supported");
+    if (!lex_.at("[")) return 1;
+    lex_.next();
+    const int msb = lex_.number<int>("range msb", 0, kMaxBit);
+    lex_.expect(":");
+    lex_.number<int>("range lsb", 0, 0);  // only [N:0] ranges
+    lex_.expect("]");
     return msb + 1;
   }
 
   void parse_port_decl(Module& m) {
-    const std::string dir = expect_name("port direction");
-    if (dir != "input" && dir != "output") {
-      fail("expected input/output, got '" + dir + "'");
+    const Token dir = name("port direction");
+    if (dir.text != "input" && dir.text != "output") {
+      lex_.fail(dir.pos,
+                "expected input/output, got '" + std::string(dir.text) + "'");
     }
     Signal sig;
-    sig.kind = dir == "input" ? SigKind::kInput : SigKind::kOutput;
+    sig.kind = dir.text == "input" ? SigKind::kInput : SigKind::kOutput;
     sig.width = parse_optional_range();
-    const std::string name = expect_name("port name");
-    declare(m, name, sig);
+    declare(m, name("port name"), sig);
   }
 
   void parse_item(Module& m) {
-    const std::string head = expect_name("item");
-    if (head == "wire" || head == "reg") {
+    const Token head = name("item");
+    if (head.text == "wire" || head.text == "reg") {
       Signal sig;
-      sig.kind = head == "wire" ? SigKind::kWire : SigKind::kReg;
+      sig.kind = head.text == "wire" ? SigKind::kWire : SigKind::kReg;
       sig.width = parse_optional_range();
       for (;;) {
-        declare(m, expect_name("signal name"), sig);
-        if (at_punct(";")) break;
-        expect_punct(",");
+        declare(m, name("signal name"), sig);
+        if (lex_.at(";")) break;
+        lex_.expect(",");
       }
-      expect_punct(";");
-    } else if (head == "assign") {
+      lex_.expect(";");
+    } else if (head.text == "assign") {
       Assign a = parse_assign_target();
-      expect_punct("=");
+      lex_.expect("=");
       a.rhs = parse_expr();
-      expect_punct(";");
+      lex_.expect(";");
       m.assigns.push_back(std::move(a));
-    } else if (head == "always") {
+    } else if (head.text == "always") {
       parse_always(m);
     } else {
-      fail("unsupported construct: '" + head + "'");
+      lex_.fail(head.pos,
+                "unsupported construct: '" + std::string(head.text) + "'");
     }
   }
 
   Assign parse_assign_target() {
     Assign a;
-    a.line = cur_.line;
-    a.name = expect_name("assignment target");
-    if (at_punct("[")) {
-      advance();
-      a.bit = expect_int("bit index");
-      expect_punct("]");
+    const Token target = name("assignment target");
+    a.name = target.text;
+    a.pos = target.pos;
+    if (lex_.at("[")) {
+      lex_.next();
+      a.bit = lex_.number<int>("bit index", 0, kMaxBit);
+      lex_.expect("]");
     }
     return a;
   }
 
   void parse_always(Module& m) {
-    expect_punct("@");
-    expect_punct("(");
-    expect_ident("posedge");
-    const std::string clk = expect_name("clock name");
+    lex_.expect("@");
+    lex_.expect("(");
+    lex_.expect("posedge");
+    const Token clk = name("clock name");
     if (m.clock.empty()) {
-      m.clock = clk;
-    } else if (m.clock != clk) {
-      fail("multiple clock domains are not supported");
+      m.clock = clk.text;
+      m.clock_pos = clk.pos;
+    } else if (m.clock != clk.text) {
+      lex_.fail(clk.pos, "multiple clock domains are not supported");
     }
-    expect_punct(")");
-    const bool block = at_ident("begin");
-    if (block) advance();
+    lex_.expect(")");
+    const bool block = lex_.at("begin");
+    if (block) lex_.next();
     do {
       Assign a = parse_assign_target();
-      expect_punct("<=");
+      lex_.expect("<=");
       a.rhs = parse_expr();
-      expect_punct(";");
+      lex_.expect(";");
       m.reg_assigns.push_back(std::move(a));
-    } while (block && !at_ident("end"));
-    if (block) expect_ident("end");
+    } while (block && !lex_.at("end"));
+    if (block) lex_.expect("end");
+  }
+
+  /// A node of `kind` at the next token (its operator), which it consumes.
+  std::unique_ptr<Expr> operator_node(Expr::Kind kind, char op = 0) {
+    auto e = std::make_unique<Expr>();
+    e->kind = kind;
+    e->op = op;
+    e->pos = lex_.next().pos;
+    return e;
   }
 
   // Precedence (lowest first): ?: , | , ^ , & , ~/primary.
   std::unique_ptr<Expr> parse_expr() {
     auto cond = parse_or();
-    if (at_punct("?")) {
-      advance();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kTernary;
-      e->line = cur_.line;
-      e->a = std::move(cond);
-      e->b = parse_expr();
-      expect_punct(":");
-      e->c = parse_expr();
-      return e;
-    }
-    return cond;
+    if (!lex_.at("?")) return cond;
+    auto e = operator_node(Expr::kTernary);
+    e->a = std::move(cond);
+    e->b = parse_expr();
+    lex_.expect(":");
+    e->c = parse_expr();
+    return e;
   }
 
   std::unique_ptr<Expr> parse_or() {
     auto lhs = parse_xor();
-    while (at_punct("|")) {
-      advance();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kBinary;
-      e->op = '|';
-      e->line = cur_.line;
+    while (lex_.at("|")) {
+      auto e = operator_node(Expr::kBinary, '|');
       e->a = std::move(lhs);
       e->b = parse_xor();
       lhs = std::move(e);
@@ -293,12 +213,8 @@ class HdlParser {
 
   std::unique_ptr<Expr> parse_xor() {
     auto lhs = parse_and();
-    while (at_punct("^")) {
-      advance();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kBinary;
-      e->op = '^';
-      e->line = cur_.line;
+    while (lex_.at("^")) {
+      auto e = operator_node(Expr::kBinary, '^');
       e->a = std::move(lhs);
       e->b = parse_and();
       lhs = std::move(e);
@@ -308,12 +224,8 @@ class HdlParser {
 
   std::unique_ptr<Expr> parse_and() {
     auto lhs = parse_unary();
-    while (at_punct("&")) {
-      advance();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kBinary;
-      e->op = '&';
-      e->line = cur_.line;
+    while (lex_.at("&")) {
+      auto e = operator_node(Expr::kBinary, '&');
       e->a = std::move(lhs);
       e->b = parse_unary();
       lhs = std::move(e);
@@ -322,124 +234,81 @@ class HdlParser {
   }
 
   std::unique_ptr<Expr> parse_unary() {
-    if (at_punct("~")) {
-      advance();
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kNot;
-      e->line = cur_.line;
+    if (lex_.at("~")) {
+      auto e = operator_node(Expr::kNot);
       e->a = parse_unary();
       return e;
     }
-    if (at_punct("(")) {
-      advance();
+    if (lex_.at("(")) {
+      lex_.next();
       auto e = parse_expr();
-      expect_punct(")");
+      lex_.expect(")");
       return e;
     }
-    if (cur_.kind == Token::kLiteral) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::kConst;
-      e->line = cur_.line;
-      e->const_bits = parse_literal(cur_.text);
-      advance();
-      return e;
+    if (lex_.peek().kind == Token::Kind::kNumber) return parse_literal();
+    const Token id = name("expression");
+    auto e = std::make_unique<Expr>();
+    e->kind = Expr::kIdent;
+    e->ident = id.text;
+    e->pos = id.pos;
+    if (lex_.at("[")) {
+      lex_.next();
+      e->kind = Expr::kBitSel;
+      e->bit = lex_.number<int>("bit index", 0, kMaxBit);
+      lex_.expect("]");
     }
-    if (cur_.kind == Token::kIdent) {
-      auto e = std::make_unique<Expr>();
-      e->line = cur_.line;
-      e->ident = cur_.text;
-      advance();
-      if (at_punct("[")) {
-        advance();
-        e->kind = Expr::kBitSel;
-        e->bit = expect_int("bit index");
-        expect_punct("]");
-      } else {
-        e->kind = Expr::kIdent;
-      }
-      return e;
-    }
-    fail("expected expression, got '" + cur_.text + "'");
+    return e;
   }
 
-  std::vector<bool> parse_literal(const std::string& text) {
-    const std::size_t q = text.find('\'');
-    SECFLOW_CHECK(q != std::string::npos, "literal without '");
-    const int width = std::stoi(text.substr(0, q));
-    if (width < 1 || width > 64) fail("literal width out of range");
-    const char base = text[q + 1];
-    const std::string digits = text.substr(q + 2);
+  // A sized literal, WIDTH'<base><digits> with base b, d or h (4'b0101,
+  // 6'd46, 8'h2E); '_' may separate digits.  Digits beyond WIDTH bits are
+  // dropped, as in Verilog, but the value must fit 64 bits.
+  std::unique_ptr<Expr> parse_literal() {
+    auto e = std::make_unique<Expr>();
+    e->kind = Expr::kConst;
+    e->pos = lex_.peek().pos;
+    const int width = lex_.number<int>("literal width", 1, 64);
+    lex_.expect("'");
+    const Token body = lex_.next();
+    const char b = body.kind == Token::Kind::kIdent ? body.text[0] : '\0';
+    const int base = (b == 'b' || b == 'B')   ? 2
+                     : (b == 'd' || b == 'D') ? 10
+                     : (b == 'h' || b == 'H') ? 16
+                                              : 0;
+    if (base == 0) {
+      lex_.fail(body.pos, "expected b, d or h and literal digits, got '" +
+                              std::string(body.text) + "'");
+    }
+    std::string digits;
+    for (const char c : body.text.substr(1)) {
+      if (c != '_') digits += c;
+    }
     std::uint64_t value = 0;
-    if (base == 'b' || base == 'B') {
-      for (char c : digits) {
-        if (c == '_') continue;
-        if (c != '0' && c != '1') fail("bad binary literal: " + text);
-        value = (value << 1) | static_cast<std::uint64_t>(c - '0');
-      }
-    } else if (base == 'd' || base == 'D') {
-      for (char c : digits) {
-        if (c == '_') continue;
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-          fail("bad decimal literal: " + text);
-        }
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-    } else if (base == 'h' || base == 'H') {
-      for (char c : digits) {
-        if (c == '_') continue;
-        if (!std::isxdigit(static_cast<unsigned char>(c))) {
-          fail("bad hex literal: " + text);
-        }
-        const int d = std::isdigit(static_cast<unsigned char>(c))
-                          ? c - '0'
-                          : std::tolower(c) - 'a' + 10;
-        value = (value << 4) | static_cast<std::uint64_t>(d);
-      }
-    } else {
-      fail("unsupported literal base in " + text);
+    const char* const end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, value, base);
+    if (ec != std::errc{} || stop != end) {
+      lex_.fail(body.pos, "expected base-" + std::to_string(base) +
+                              " digits fitting 64 bits, got '" +
+                              std::string(body.text) + "'");
     }
-    std::vector<bool> bits(static_cast<std::size_t>(width));
-    for (int i = 0; i < width; ++i) bits[static_cast<std::size_t>(i)] = (value >> i) & 1;
-    return bits;
+    e->const_bits.resize(static_cast<std::size_t>(width));
+    for (int i = 0; i < width; ++i) {
+      e->const_bits[static_cast<std::size_t>(i)] = (value >> i) & 1;
+    }
+    return e;
   }
 
-  void advance() { cur_ = lexer_.next(); }
-  [[noreturn]] void fail(const std::string& msg) {
-    throw ParseError("hdl line " + std::to_string(cur_.line), msg);
-  }
-  bool at_punct(const std::string& p) const {
-    return cur_.kind == Token::kPunct && cur_.text == p;
-  }
-  bool at_ident(const std::string& s) const {
-    return cur_.kind == Token::kIdent && cur_.text == s;
-  }
-  void expect_punct(const std::string& p) {
-    if (!at_punct(p)) fail("expected '" + p + "', got '" + cur_.text + "'");
-    advance();
-  }
-  void expect_ident(const std::string& s) {
-    if (!at_ident(s)) fail("expected '" + s + "', got '" + cur_.text + "'");
-    advance();
-  }
-  std::string expect_name(const std::string& what) {
-    if (cur_.kind != Token::kIdent) {
-      fail("expected " + what + ", got '" + cur_.text + "'");
+  /// The next token, which must be a plain (unescaped) identifier.
+  Token name(const char* what) {
+    const Token t = lex_.next();
+    if (t.kind != Token::Kind::kIdent || t.text[0] == '\\') {
+      lex_.fail(t.pos, std::string("expected ") + what + ", got '" +
+                           std::string(t.text) + "'");
     }
-    std::string s = cur_.text;
-    advance();
-    return s;
-  }
-  int expect_int(const std::string& what) {
-    if (cur_.kind != Token::kNumber) {
-      fail("expected " + what + ", got '" + cur_.text + "'");
-    }
-    const int v = std::stoi(cur_.text);
-    advance();
-    return v;
+    return t;
   }
 
-  Lexer lexer_;
-  Token cur_;
+  Lexer lex_;
 };
 
 // --- elaboration -------------------------------------------------------------
@@ -494,14 +363,14 @@ class Elaborator {
           }
         }
         SECFLOW_CHECK(reg != nullptr, "internal: reg bit lost");
-        reg->next = reg_next_bit(name, i, sig.width);
+        reg->next = reg_next_bit(name, sig, i);
       }
     }
 
     // Output ports.
     for (const auto& [name, sig] : m_.decl_order) {
       if (sig.kind != SigKind::kOutput) continue;
-      const std::vector<AigLit> bits = signal_value(name);
+      const std::vector<AigLit> bits = signal_value(name, sig.pos);
       for (int i = 0; i < sig.width; ++i) {
         c.outputs.push_back(
             CircuitBit{circuit_bit_name(name, i, sig.width),
@@ -517,28 +386,25 @@ class Elaborator {
     const auto it = m_.signals.find(m_.clock);
     if (it == m_.signals.end() || it->second.kind != SigKind::kInput ||
         it->second.width != 1) {
-      throw ParseError("hdl", "clock " + m_.clock +
-                                  " must be a scalar input port");
+      fail(m_.clock_pos, "clock " + m_.clock + " must be a scalar input port");
     }
   }
 
   void index_assigns() {
     for (const Assign& a : m_.assigns) {
-      const Signal& sig = signal(a.name, a.line);
+      const Signal& sig = signal(a.name, a.pos);
       if (sig.kind == SigKind::kInput) {
-        throw ParseError(loc(a.line), "cannot assign input " + a.name);
+        fail(a.pos, "cannot assign input " + a.name);
       }
       if (sig.kind == SigKind::kReg) {
-        throw ParseError(loc(a.line),
-                         "reg " + a.name + " must be assigned with <=");
+        fail(a.pos, "reg " + a.name + " must be assigned with <=");
       }
       register_target(comb_assign_, a, sig);
     }
     for (const Assign& a : m_.reg_assigns) {
-      const Signal& sig = signal(a.name, a.line);
+      const Signal& sig = signal(a.name, a.pos);
       if (sig.kind != SigKind::kReg) {
-        throw ParseError(loc(a.line),
-                         "<= target " + a.name + " must be a reg");
+        fail(a.pos, "<= target " + a.name + " must be a reg");
       }
       register_target(reg_assign_, a, sig);
     }
@@ -547,13 +413,13 @@ class Elaborator {
   void register_target(std::map<std::pair<std::string, int>, const Assign*>& dst,
                        const Assign& a, const Signal& sig) {
     if (a.bit >= sig.width) {
-      throw ParseError(loc(a.line), "bit index out of range: " + a.name);
+      fail(a.pos, "bit index out of range: " + a.name);
     }
     const auto key = std::make_pair(a.name, a.bit);
     if (dst.contains(key) ||
         (a.bit == -1 && has_any_bit(dst, a.name)) ||
         (a.bit >= 0 && dst.contains(std::make_pair(a.name, -1)))) {
-      throw ParseError(loc(a.line), "multiple drivers for " + a.name);
+      fail(a.pos, "multiple drivers for " + a.name);
     }
     dst.emplace(key, &a);
   }
@@ -565,67 +431,61 @@ class Elaborator {
     return it != dst.end() && it->first.first == name;
   }
 
-  const Signal& signal(const std::string& name, int line) {
+  const Signal& signal(const std::string& name, SourcePos at) {
     const auto it = m_.signals.find(name);
-    if (it == m_.signals.end()) {
-      throw ParseError(loc(line), "undefined signal: " + name);
-    }
+    if (it == m_.signals.end()) fail(at, "undefined signal: " + name);
     return it->second;
   }
 
-  AigLit reg_next_bit(const std::string& name, int bit, int width) {
+  AigLit reg_next_bit(const std::string& name, const Signal& sig, int bit) {
     const auto whole = reg_assign_.find(std::make_pair(name, -1));
     if (whole != reg_assign_.end()) {
       const std::vector<AigLit> rhs = eval(*whole->second->rhs);
-      if (static_cast<int>(rhs.size()) != width) {
-        throw ParseError(loc(whole->second->line),
-                         "width mismatch assigning " + name);
+      if (static_cast<int>(rhs.size()) != sig.width) {
+        fail(whole->second->pos, "width mismatch assigning " + name);
       }
       return rhs[static_cast<std::size_t>(bit)];
     }
     const auto one = reg_assign_.find(std::make_pair(name, bit));
     if (one == reg_assign_.end()) {
-      throw ParseError("hdl", "reg bit never assigned: " + name + "[" +
-                                  std::to_string(bit) + "]");
+      fail(sig.pos, "reg bit never assigned: " + name + "[" +
+                        std::to_string(bit) + "]");
     }
     const std::vector<AigLit> rhs = eval(*one->second->rhs);
     if (rhs.size() != 1) {
-      throw ParseError(loc(one->second->line),
-                       "bit assignment needs 1-bit rhs: " + name);
+      fail(one->second->pos, "bit assignment needs 1-bit rhs: " + name);
     }
     return rhs[0];
   }
 
-  /// Value of a whole signal, computing wire assignments on demand.
-  std::vector<AigLit> signal_value(const std::string& name) {
+  /// Value of a whole signal, computing wire assignments on demand; `at`
+  /// is the reference or declaration that asks for it.
+  std::vector<AigLit> signal_value(const std::string& name, SourcePos at) {
     const auto it = values_.find(name);
     if (it != values_.end() && resolved_.contains(name)) return it->second;
     if (in_flight_.contains(name)) {
-      throw ParseError("hdl", "combinational loop through " + name);
+      fail(at, "combinational loop through " + name);
     }
-    const Signal& sig = signal(name, 0);
+    const Signal& sig = signal(name, at);
     in_flight_.insert(name);
     std::vector<AigLit> bits(static_cast<std::size_t>(sig.width));
     const auto whole = comb_assign_.find(std::make_pair(name, -1));
     if (whole != comb_assign_.end()) {
       const std::vector<AigLit> rhs = eval(*whole->second->rhs);
       if (static_cast<int>(rhs.size()) != sig.width) {
-        throw ParseError(loc(whole->second->line),
-                         "width mismatch assigning " + name);
+        fail(whole->second->pos, "width mismatch assigning " + name);
       }
       bits = rhs;
     } else {
       for (int i = 0; i < sig.width; ++i) {
         const auto one = comb_assign_.find(std::make_pair(name, i));
         if (one == comb_assign_.end()) {
-          throw ParseError("hdl", "signal never assigned: " + name +
-                                      (sig.width > 1 ? "[" + std::to_string(i) + "]"
-                                                     : ""));
+          fail(sig.pos, "signal never assigned: " + name +
+                            (sig.width > 1 ? "[" + std::to_string(i) + "]" : ""));
         }
         const std::vector<AigLit> rhs = eval(*one->second->rhs);
         if (rhs.size() != 1) {
-          throw ParseError(loc(one->second->line),
-                           "bit assignment needs 1-bit rhs: " + name);
+          fail(one->second->pos, "bit assignment needs 1-bit rhs: " + name);
         }
         bits[static_cast<std::size_t>(i)] = rhs[0];
       }
@@ -646,14 +506,14 @@ class Elaborator {
       }
       case Expr::kIdent: {
         if (e.ident == m_.clock) {
-          throw ParseError(loc(e.line), "clock used in expression");
+          fail(e.pos, "clock used in expression");
         }
-        return signal_value(e.ident);
+        return signal_value(e.ident, e.pos);
       }
       case Expr::kBitSel: {
-        const std::vector<AigLit> v = signal_value(e.ident);
+        const std::vector<AigLit> v = signal_value(e.ident, e.pos);
         if (e.bit < 0 || e.bit >= static_cast<int>(v.size())) {
-          throw ParseError(loc(e.line), "bit index out of range: " + e.ident);
+          fail(e.pos, "bit index out of range: " + e.ident);
         }
         return {v[static_cast<std::size_t>(e.bit)]};
       }
@@ -666,7 +526,7 @@ class Elaborator {
         const std::vector<AigLit> a = eval(*e.a);
         const std::vector<AigLit> b = eval(*e.b);
         if (a.size() != b.size()) {
-          throw ParseError(loc(e.line), "operand width mismatch");
+          fail(e.pos, "operand width mismatch");
         }
         std::vector<AigLit> out(a.size());
         for (std::size_t i = 0; i < a.size(); ++i) {
@@ -674,7 +534,7 @@ class Elaborator {
             case '&': out[i] = aig_->land(a[i], b[i]); break;
             case '|': out[i] = aig_->lor(a[i], b[i]); break;
             case '^': out[i] = aig_->lxor(a[i], b[i]); break;
-            default: throw ParseError(loc(e.line), "bad operator");
+            default: fail(e.pos, "bad operator");
           }
         }
         return out;
@@ -682,12 +542,12 @@ class Elaborator {
       case Expr::kTernary: {
         const std::vector<AigLit> cond = eval(*e.a);
         if (cond.size() != 1) {
-          throw ParseError(loc(e.line), "ternary condition must be 1 bit");
+          fail(e.pos, "ternary condition must be 1 bit");
         }
         const std::vector<AigLit> t = eval(*e.b);
         const std::vector<AigLit> f = eval(*e.c);
         if (t.size() != f.size()) {
-          throw ParseError(loc(e.line), "ternary arm width mismatch");
+          fail(e.pos, "ternary arm width mismatch");
         }
         std::vector<AigLit> out(t.size());
         for (std::size_t i = 0; i < t.size(); ++i) {
@@ -696,11 +556,11 @@ class Elaborator {
         return out;
       }
     }
-    throw ParseError(loc(e.line), "bad expression");
+    fail(e.pos, "bad expression");
   }
 
-  static std::string loc(int line) {
-    return "hdl line " + std::to_string(line);
+  [[noreturn]] static void fail(SourcePos at, const std::string& what) {
+    throw_parse_error("hdl", at, what);
   }
 
   Module m_;

@@ -11,6 +11,7 @@
 #include "base/error.h"
 #include "base/geometry.h"
 #include "base/id.h"
+#include "base/lexer.h"
 #include "base/parallel.h"
 #include "base/rng.h"
 #include "base/strings.h"
@@ -188,35 +189,95 @@ TEST(Rng, ForkIndependence) {
   EXPECT_NE(a.next_u64(), child.next_u64());
 }
 
-TEST(Strings, Split) {
-  EXPECT_EQ(split("a,b,,c", ","), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split("  x y ", " "), (std::vector<std::string>{"x", "y"}));
-  EXPECT_TRUE(split("", ",").empty());
-}
-
-TEST(Strings, TrimAndStartsWith) {
-  EXPECT_EQ(trim("  hi \t\n"), "hi");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_TRUE(starts_with("module foo", "module"));
-  EXPECT_FALSE(starts_with("mod", "module"));
-}
-
-TEST(Strings, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ", "), "");
-}
-
-TEST(Strings, IsIdentifier) {
-  EXPECT_TRUE(is_identifier("abc_12$"));
-  EXPECT_TRUE(is_identifier("_x"));
-  EXPECT_FALSE(is_identifier("9x"));
-  EXPECT_FALSE(is_identifier(""));
-  EXPECT_FALSE(is_identifier("a-b"));
-}
-
 TEST(Strings, Strfmt) {
   EXPECT_EQ(strfmt("%d/%s/%.2f", 3, "x", 1.5), "3/x/1.50");
   EXPECT_EQ(strfmt("empty"), "empty");
+}
+
+/// "<kind> <text> <line>:<column>" of a token, for compact checks.
+std::string describe(const Token& t) {
+  return std::to_string(static_cast<int>(t.kind)) + " " + std::string(t.text) +
+         " " + std::to_string(t.pos.line) + ":" + std::to_string(t.pos.column);
+}
+
+/// The where() of the ParseError `fn` throws, or "no error".
+template <typename Fn>
+std::string where_of(Fn fn) {
+  try {
+    fn();
+  } catch (const ParseError& e) {
+    return e.where();
+  }
+  return "no error";
+}
+
+TEST(Lexer, TokensCarryLineAndColumn) {
+  Lexer lex("module m; // c\n  a <= \\b$c  \"s t\"\n/* x\n */ 4'b01 1.5e-3",
+            "t");
+  using K = Token::Kind;
+  const auto d = [](K k, const char* text, const char* pos) {
+    return std::to_string(static_cast<int>(k)) + " " + text + " " + pos;
+  };
+  EXPECT_EQ(describe(lex.next()), d(K::kIdent, "module", "1:1"));
+  EXPECT_EQ(describe(lex.next()), d(K::kIdent, "m", "1:8"));
+  EXPECT_EQ(describe(lex.next()), d(K::kPunct, ";", "1:9"));
+  EXPECT_EQ(describe(lex.next()), d(K::kIdent, "a", "2:3"));
+  EXPECT_TRUE(lex.at("<="));
+  EXPECT_EQ(describe(lex.next()), d(K::kPunct, "<=", "2:5"));
+  EXPECT_EQ(describe(lex.next()), d(K::kIdent, "\\b$c", "2:8"));
+  EXPECT_FALSE(lex.at("s t"));  // a string never reads as a keyword
+  EXPECT_EQ(describe(lex.next()), d(K::kString, "s t", "2:14"));
+  EXPECT_EQ(describe(lex.next()), d(K::kNumber, "4", "4:5"));
+  EXPECT_EQ(describe(lex.next()), d(K::kPunct, "'", "4:6"));
+  EXPECT_EQ(describe(lex.next()), d(K::kIdent, "b01", "4:7"));
+  EXPECT_EQ(describe(lex.next()), d(K::kNumber, "1.5e-3", "4:11"));
+  EXPECT_EQ(describe(lex.next()), d(K::kEnd, "", "4:17"));
+
+  EXPECT_EQ(where_of([] {
+              Lexer lex("x \"abc", "t");
+              lex.next();
+              lex.next();
+            }),
+            "t 1:3");
+  EXPECT_EQ(where_of([] {
+              Lexer lex("x\n /* abc", "t");
+              lex.next();
+              lex.next();
+            }),
+            "t 2:2");
+  EXPECT_EQ(where_of([] { Lexer("a b", "t").expect("b"); }), "t 1:1");
+}
+
+TEST(Lexer, WordsAndRawBytes) {
+  Lexer lex("NET a/b[0] -1.5\n5:x y\nEND", "t");
+  lex.expect("NET");
+  const Token name = lex.word();
+  EXPECT_EQ(name.text, "a/b[0]");
+  EXPECT_EQ(name.pos.column, 5);
+  EXPECT_EQ(lex.number<double>(lex.word(), "value", -10.0, 10.0), -1.5);
+  EXPECT_EQ(lex.number<std::size_t>("length", 0, 9), 5u);
+  lex.expect(":");
+  EXPECT_EQ(lex.take(3), "x y");
+  EXPECT_EQ(describe(lex.next()), "1 END 3:1");
+  EXPECT_EQ(lex.peek().kind, Token::Kind::kEnd);
+  EXPECT_EQ(where_of([&] { lex.word(); }), "t 3:4");
+  EXPECT_EQ(where_of([&] { lex.take(1); }), "t 3:4");
+}
+
+TEST(Lexer, NumbersParseWholeAndInRange) {
+  Lexer lex("12 12abc 0x10 1e400 300 -1", "t");
+  EXPECT_EQ(lex.number<int>("n", 0, 99), 12);
+  EXPECT_EQ(where_of([&] { lex.number<int>("n", 0, 99); }), "t 1:4");
+  EXPECT_EQ(where_of([&] { lex.number<int>("n", 0, 99); }), "t 1:10");
+  EXPECT_EQ(where_of([&] { lex.number<double>(lex.word(), "x", 0, 1e9); }),
+            "t 1:15");
+  EXPECT_EQ(where_of([&] { lex.number<int>("n", 0, 99); }), "t 1:21");
+  EXPECT_EQ(where_of([&] {
+              lex.number<std::uint64_t>(lex.word(), "n", 0, 99);
+            }),
+            "t 1:25");
+  EXPECT_EQ(SourcePos::of("ab\ncd", 4).column, 2);
+  EXPECT_EQ(SourcePos::of("ab\ncd", 4).line, 2);
 }
 
 TEST(Parallel, ResolvedThreadsAlwaysPositive) {

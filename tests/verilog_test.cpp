@@ -88,8 +88,7 @@ TEST_F(VerilogTest, ErrorCarriesLineNumber) {
     parse_verilog(src, lib_);
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(e.where(), "verilog 3:1") << e.what();
   }
 }
 
