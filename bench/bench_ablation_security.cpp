@@ -27,8 +27,9 @@ struct Outcome {
 Outcome attack(const Netlist& diff, const CapTable& caps, int n) {
   DesDpaSetup setup;
   setup.n_measurements = n;
-  const DpaAnalysis dpa = run_des_dpa_secure(diff, caps, setup);
-  const DpaResult r = dpa.analyze(setup.key);
+  const DpaResult r =
+      run_des_dpa_campaign(diff, caps, setup, /*differential=*/true)
+          .dpa.analyze(setup.key);
   double band = 0.0;
   for (int g = 0; g < 64; ++g) {
     if (g != static_cast<int>(setup.key)) {

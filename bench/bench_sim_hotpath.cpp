@@ -15,7 +15,7 @@
 
 #include "base/rng.h"
 #include "bench_util.h"
-#include "sim/trace_sim.h"
+#include "sca/dpa_experiment.h"
 
 using namespace secflow;
 
@@ -26,75 +26,21 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-std::vector<PortId> resolve(const Netlist& nl, const std::string& base,
-                            int width, const char* suffix) {
-  std::vector<PortId> ids;
-  for (int i = 0; i < width; ++i) {
-    const PortId p = nl.find_port(base + "_" + std::to_string(i) + suffix);
-    if (p.valid()) ids.push_back(p);
-  }
-  return ids;
-}
-
-/// The DES testbench interface of one netlist, resolved to ids once.
-struct DesPorts {
-  std::vector<PortId> k, pl, pr;
-  bool differential = false;
-  std::vector<PortId> k_f, pl_f, pr_f;
-
-  explicit DesPorts(const Netlist& nl) {
-    k = resolve(nl, "k", 6, "");
-    differential = k.empty();
-    const char* t = differential ? "_t" : "";
-    k = resolve(nl, "k", 6, t);
-    pl = resolve(nl, "pl", 4, t);
-    pr = resolve(nl, "pr", 6, t);
-    if (differential) {
-      k_f = resolve(nl, "k", 6, "_f");
-      pl_f = resolve(nl, "pl", 4, "_f");
-      pr_f = resolve(nl, "pr", 6, "_f");
-    }
-  }
-
-  void drive(PowerSimulator& sim, std::uint32_t kv, std::uint32_t plv,
-             std::uint32_t prv) const {
-    auto set = [&](const std::vector<PortId>& t, const std::vector<PortId>& f,
-                   std::uint32_t v) {
-      for (std::size_t i = 0; i < t.size(); ++i) {
-        const bool b = (v >> i) & 1;
-        sim.set_input(t[i], b);
-        if (differential) sim.set_input(f[i], !b);
-      }
-    };
-    set(k, k_f, kv);
-    set(pl, pl_f, plv);
-    set(pr, pr_f, prv);
-  }
-};
-
 /// One trace = the 4-cycle DPA mini-campaign of sca/dpa_experiment.
-double dpa4_trace(PowerSimulator& sim, const DesPorts& ports, Rng& rng) {
-  ports.drive(sim, 46, static_cast<std::uint32_t>(rng.next_below(16)),
-              static_cast<std::uint32_t>(rng.next_below(64)));
-  sim.settle();
-  sim.run_cycle();
-  ports.drive(sim, 46, static_cast<std::uint32_t>(rng.next_below(16)),
-              static_cast<std::uint32_t>(rng.next_below(64)));
-  sim.run_cycle();
-  const CycleTrace t = sim.run_cycle();
-  sim.run_cycle();
-  return t.energy_pj;
+double dpa4_trace(PowerSimulator& sim, const DesPortMap& ports, Rng& rng) {
+  return des_trace(sim, rng, ports, 46, 0.0).cycle.energy_pj;
 }
 
 /// One trace = a single recorded cycle (the finest trace granularity:
 /// per-cycle energy signatures, glitch-period probes).
-double cycle_trace(PowerSimulator& sim, const DesPorts& ports, Rng& rng) {
-  ports.drive(sim, 46, static_cast<std::uint32_t>(rng.next_below(16)),
-              static_cast<std::uint32_t>(rng.next_below(64)));
+double cycle_trace(PowerSimulator& sim, const DesPortMap& ports, Rng& rng) {
+  ports.drive(sim, ports.k, 46);
+  ports.drive(sim, ports.pl, static_cast<std::uint32_t>(rng.next_below(16)));
+  ports.drive(sim, ports.pr, static_cast<std::uint32_t>(rng.next_below(64)));
   return sim.run_cycle().energy_pj;
 }
 
-using TraceFn = double (*)(PowerSimulator&, const DesPorts&, Rng&);
+using TraceFn = double (*)(PowerSimulator&, const DesPortMap&, Rng&);
 
 struct WorkloadResult {
   double cold_tps = 0.0;    ///< traces/sec, pre-split engine per trace
@@ -108,7 +54,7 @@ struct WorkloadResult {
 WorkloadResult run_workload(const Netlist& nl, const CapTable& caps,
                             const PowerSimOptions& opts,
                             const CompiledSimModel& model,
-                            const DesPorts& ports, TraceFn trace, int n_cold,
+                            const DesPortMap& ports, TraceFn trace, int n_cold,
                             int n_reused) {
   WorkloadResult r;
   {  // cold: per-trace construction, as the engine behaved before the
@@ -150,7 +96,8 @@ HotpathResult run_hotpath(const Netlist& nl, const CapTable& caps,
                           int n_reused) {
   HotpathResult r;
   const CompiledSimModel model(nl, caps, opts);
-  const DesPorts ports(model.netlist());
+  const DesPortMap ports =
+      DesPortMap::resolve(model.netlist(), opts.precharge_inputs);
 
   {  // model build cost
     const int n = 50;

@@ -12,7 +12,7 @@ using namespace secflow;
 
 namespace {
 
-void report(const char* label, const DpaAnalysis& dpa,
+void report(const char* label, const DpaAccumulator& dpa,
             const DesDpaSetup& setup) {
   const DpaResult r = dpa.analyze(setup.key);
   std::vector<std::pair<double, int>> ranked;
@@ -54,16 +54,17 @@ int main(int argc, char** argv) {
   std::printf("collecting %d power traces per implementation "
               "(125 MHz, 800 samples/cycle)...\n",
               setup.n_measurements);
-  const DpaAnalysis ref =
-      run_des_dpa_regular(regular.rtl, regular.caps, setup);
-  const DpaAnalysis sec = run_des_dpa_secure(secure.diff, secure.caps, setup);
+  const DesDpaCampaign ref = run_des_dpa_campaign(
+      regular.rtl, regular.caps, setup, /*differential=*/false);
+  const DesDpaCampaign sec = run_des_dpa_campaign(
+      secure.diff, secure.caps, setup, /*differential=*/true);
 
-  report("regular CMOS implementation", ref, setup);
-  report("WDDL secure implementation", sec, setup);
+  report("regular CMOS implementation", ref.dpa, setup);
+  report("WDDL secure implementation", sec.dpa, setup);
 
   std::printf("\ndifferential trace of the correct key (regular flow), "
               "max |sample|:\n  ");
-  const auto diff = ref.differential_trace(setup.key);
+  const auto diff = ref.dpa.differential(setup.key);
   const auto peak = std::max_element(
       diff.begin(), diff.end(),
       [](double a, double b) { return std::abs(a) < std::abs(b); });
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> cols;
   for (int g = 0; g < 64; g += 21) {
     names.push_back("guess" + std::to_string(g));
-    cols.push_back(ref.differential_trace(static_cast<std::uint32_t>(g)));
+    cols.push_back(ref.dpa.differential(static_cast<std::uint32_t>(g)));
   }
   names.push_back("key46");
   cols.push_back(diff);

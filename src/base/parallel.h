@@ -30,7 +30,7 @@
 namespace secflow {
 
 /// Per-call parallelism knob carried by the option structs of every
-/// parallelized stage (PlaceOptions, ExtractOptions, DpaOptions, ...).
+/// parallelized stage (PlaceOptions, ExtractOptions, DesDpaSetup, ...).
 struct Parallelism {
   /// Threads to use; 0 = auto (SECFLOW_THREADS env var, else hardware).
   int n_threads = 0;

@@ -290,6 +290,17 @@ void validate_into(const CampaignSpec& spec, Violations& errs) {
       if (job.dpa.noise_ma < 0.0) {
         errs.add(where + ": dpa.noise_ma must be >= 0");
       }
+      // The Fig 4 attack: one bit of the PL nibble, a DES S-box, and a
+      // 6-bit subkey (the hardware drives only the key's low 6 bits).
+      if (job.dpa.select_bit < 0 || job.dpa.select_bit > 3) {
+        errs.add(where + ": dpa.select_bit must be in [0, 3]");
+      }
+      if (job.dpa.sbox < 1 || job.dpa.sbox > 8) {
+        errs.add(where + ": dpa.sbox must be in [1, 8]");
+      }
+      if (job.dpa.key > 63) {
+        errs.add(where + ": dpa.key must be in [0, 63]");
+      }
       if (job.options.stop_after &&
           *job.options.stop_after != FlowStage::kExtraction) {
         errs.add(where + ": dpa needs the extracted capacitance table — "

@@ -387,51 +387,4 @@ CheckResult parse_check_result(const std::string& text) {
   return r;
 }
 
-// --- DPA summaries ---------------------------------------------------------
-
-std::string write_energy_stats(const EnergyStats& s) {
-  std::ostringstream os = make_out();
-  os << "ENERGY " << s.mean_pj << ' ' << s.min_pj << ' ' << s.max_pj << ' '
-     << s.ned << ' ' << s.nsd << '\n';
-  return os.str();
-}
-
-EnergyStats parse_energy_stats(const std::string& text) {
-  Lexer lex(text, "ckpt:energy_stats");
-  lex.expect("ENERGY");
-  EnergyStats s;
-  s.mean_pj = real(lex);
-  s.min_pj = real(lex);
-  s.max_pj = real(lex);
-  s.ned = real(lex);
-  s.nsd = real(lex);
-  done(lex);
-  return s;
-}
-
-std::string write_dpa_result(const DpaResult& r) {
-  std::ostringstream os = make_out();
-  os << "DPA " << r.n_measurements << ' ' << r.best_guess << ' '
-     << (r.disclosed ? 1 : 0) << ' ' << r.peak_to_peak.size() << '\n';
-  for (const double p : r.peak_to_peak) os << "P " << p << '\n';
-  return os.str();
-}
-
-DpaResult parse_dpa_result(const std::string& text) {
-  Lexer lex(text, "ckpt:dpa_result");
-  lex.expect("DPA");
-  DpaResult r;
-  r.n_measurements = integer<int>(lex);
-  r.best_guess = integer<int>(lex);
-  r.disclosed = flag(lex);
-  const std::size_t n = count(lex, text);
-  r.peak_to_peak.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("P");
-    r.peak_to_peak.push_back(real(lex));
-  }
-  done(lex);
-  return r;
-}
-
 }  // namespace secflow

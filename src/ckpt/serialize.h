@@ -17,7 +17,6 @@
 #include "netlist/cell_library.h"
 #include "pnr/check.h"
 #include "pnr/route.h"
-#include "sca/dpa.h"
 #include "sim/power_sim.h"
 #include "sta/sta.h"
 #include "wddl/cell_substitution.h"
@@ -53,13 +52,5 @@ LecResult parse_lec_result(const std::string& text);
 
 std::string write_check_result(const CheckResult& r);
 CheckResult parse_check_result(const std::string& text);
-
-/// DPA-experiment summaries, so side-channel campaigns can be checkpointed
-/// alongside the flow artifacts.
-std::string write_energy_stats(const EnergyStats& s);
-EnergyStats parse_energy_stats(const std::string& text);
-
-std::string write_dpa_result(const DpaResult& r);
-DpaResult parse_dpa_result(const std::string& text);
 
 }  // namespace secflow

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -20,10 +21,10 @@ namespace secflow {
 namespace {
 
 constexpr const char* kTraceKind = "leakage-traces";
-// Fixed-class plaintext of the DES TVLA campaign (any constant works; the
-// test is fixed-VS-random, not about the value itself).
-constexpr std::uint32_t kFixedPl = 0x5;
-constexpr std::uint32_t kFixedPr = 0x2A;
+// Fixed-class plaintext of the DES TVLA campaign, packed pl | pr << 4 (any
+// constant works; the test is fixed-VS-random, not about the value
+// itself).
+constexpr std::uint32_t kFixedPlaintext = 0x5 | (0x2A << 4);
 // TVLA draws from a disjoint stream range so its traces never alias the
 // CPA/MTD traces (which use stream_base 0).
 constexpr std::uint64_t kTvlaStreamBase = 1ull << 40;
@@ -111,17 +112,10 @@ bool unpack_block(const Artifact& a, int expect_n,
   return true;
 }
 
-/// Like TraceTask but indexed by the absolute trace index, with the RNG
-/// already re-keyed to Rng::stream(seed, stream_base + abs_index) — so a
-/// block's traces are identical no matter which batch boundaries fetched
-/// them.
-using AbsTraceTask =
-    std::function<SimTrace(PowerSimulator& sim, Rng& rng, int abs_index)>;
-
 std::vector<CpaMeasurement> fetch_block(
     const CompiledSimModel& model, TraceCache& cache, const char* purpose,
     const LeakageSetup& s, bool differential, std::uint64_t stream_base,
-    int begin, int end, const AbsTraceTask& task) {
+    int begin, int end, const TraceTask& task) {
   SECFLOW_CHECK(end > begin, "leakage: empty trace block");
   const std::uint64_t key =
       block_key(cache, purpose, s, differential, stream_base, begin, end);
@@ -135,14 +129,9 @@ std::vector<CpaMeasurement> fetch_block(
       }
     }
   }
-  std::vector<SimTrace> sims = simulate_traces(
-      model, end - begin, s.seed,
-      [&](PowerSimulator& sim, Rng&, int i) {
-        Rng rng = Rng::stream(
-            s.seed, stream_base + static_cast<std::uint64_t>(begin + i));
-        return task(sim, rng, begin + i);
-      },
-      s.parallelism);
+  std::vector<SimTrace> sims =
+      simulate_traces(model, stream_base + static_cast<std::uint64_t>(begin),
+                      end - begin, s.seed, task, s.parallelism);
   std::vector<CpaMeasurement> out(sims.size());
   for (std::size_t i = 0; i < sims.size(); ++i) {
     out[i].samples = std::move(sims[i].cycle.current_ma);
@@ -162,7 +151,7 @@ std::vector<CpaMeasurement> fetch_block(
 std::vector<CpaMeasurement> fetch_range(
     const CompiledSimModel& model, TraceCache& cache, const char* purpose,
     const LeakageSetup& s, bool differential, std::uint64_t stream_base,
-    int begin, int end, int step, const AbsTraceTask& task) {
+    int begin, int end, int step, const TraceTask& task) {
   std::vector<CpaMeasurement> all;
   all.reserve(static_cast<std::size_t>(end - begin));
   for (int b = begin; b < end; b += step) {
@@ -174,72 +163,9 @@ std::vector<CpaMeasurement> fetch_range(
   return all;
 }
 
-// --- DES campaign tasks ---------------------------------------------------
-
-/// The DPA experiment's four-cycle mini-campaign, extended to read both
-/// ciphertext observables: the previous encryption's result lands in the
-/// CL/CR output registers one cycle before the target's, so prev_ct is
-/// read after the recorded cycle and ct after the next one.  A WDDL
-/// design is observable only during the evaluate phase (output_at_eval).
-SimTrace des_cpa_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
-                       const LeakageSetup& s) {
-  const auto prev_pl = static_cast<std::uint32_t>(rng.next_below(16));
-  const auto prev_pr = static_cast<std::uint32_t>(rng.next_below(64));
-  const auto pl = static_cast<std::uint32_t>(rng.next_below(16));
-  const auto pr = static_cast<std::uint32_t>(rng.next_below(64));
-  ports.drive(sim, ports.k, s.key);
-  ports.drive(sim, ports.pl, prev_pl);
-  ports.drive(sim, ports.pr, prev_pr);
-  sim.settle();
-  sim.run_cycle();
-  ports.drive(sim, ports.pl, pl);
-  ports.drive(sim, ports.pr, pr);
-  sim.run_cycle();
-  SimTrace out;
-  out.cycle = sim.run_cycle();
-  const std::uint32_t prev_ct =
-      ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
-  sim.run_cycle();
-  const std::uint32_t ct =
-      ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
-  out.observable = ct | (prev_ct << 10);
-  if (s.noise_ma > 0.0) {
-    for (double& v : out.cycle.current_ma) {
-      v += s.noise_ma * rng.next_gaussian();
-    }
-  }
-  return out;
-}
-
-/// Fixed-vs-random DES trace: previous plaintext always random, target
-/// plaintext fixed (even indices) or random (odd).  The random draws are
-/// consumed in both classes so the per-trace stream stays aligned.
-SimTrace des_tvla_trace(PowerSimulator& sim, Rng& rng,
-                        const DesPortMap& ports, const LeakageSetup& s,
-                        bool fixed) {
-  const auto prev_pl = static_cast<std::uint32_t>(rng.next_below(16));
-  const auto prev_pr = static_cast<std::uint32_t>(rng.next_below(64));
-  const auto rnd_pl = static_cast<std::uint32_t>(rng.next_below(16));
-  const auto rnd_pr = static_cast<std::uint32_t>(rng.next_below(64));
-  const std::uint32_t pl = fixed ? kFixedPl : rnd_pl;
-  const std::uint32_t pr = fixed ? kFixedPr : rnd_pr;
-  ports.drive(sim, ports.k, s.key);
-  ports.drive(sim, ports.pl, prev_pl);
-  ports.drive(sim, ports.pr, prev_pr);
-  sim.settle();
-  sim.run_cycle();
-  ports.drive(sim, ports.pl, pl);
-  ports.drive(sim, ports.pr, pr);
-  sim.run_cycle();
-  SimTrace out;
-  out.cycle = sim.run_cycle();
-  if (s.noise_ma > 0.0) {
-    for (double& v : out.cycle.current_ma) {
-      v += s.noise_ma * rng.next_gaussian();
-    }
-  }
-  return out;
-}
+/// TVLA's class of the trace at stream index `i`: fixed on even
+/// phase-relative indices, the parity run_tvla_phase labels by.
+bool tvla_fixed(std::uint64_t i) { return (i - kTvlaStreamBase) % 2 == 0; }
 
 // --- generic (model-free) input lanes -------------------------------------
 
@@ -298,7 +224,7 @@ SimTrace generic_tvla_trace(PowerSimulator& sim, Rng& rng,
 
 TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
                            const LeakageSetup& s, bool differential,
-                           const AbsTraceTask& task) {
+                           const TraceTask& task) {
   Span span("leakage.tvla", "leakage");
   span.arg("traces", s.tvla_traces);
   SECFLOW_CHECK(s.tvla_traces >= 4,
@@ -336,14 +262,13 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
 CpaOptions cpa_options(const LeakageSetup& s) {
   CpaOptions opts;
   opts.n_guesses = kDesKeyGuesses;
-  opts.margin = s.margin;
   opts.parallelism = s.parallelism;
   return opts;
 }
 
 CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
                          const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const AbsTraceTask& task) {
+                         const HypothesisFn& hyp, const TraceTask& task) {
   Span span("leakage.cpa", "leakage");
   span.arg("traces", s.cpa_traces);
   span.arg("model", power_model_name(s.model));
@@ -351,7 +276,7 @@ CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
       fetch_range(model, cache, "cpa", s, differential, 0, 0, s.cpa_traces,
                   std::max(s.mtd.step, 1), task);
   const CpaAccumulator acc = accumulate_cpa(traces, hyp, cpa_options(s));
-  const CpaRanking ranking = cpa_ranking(acc);
+  const GuessRanking ranking = rank_guesses(acc.scores());
 
   CpaSummary out;
   out.present = true;
@@ -362,7 +287,7 @@ CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
   out.runner_up_score = ranking.runner_up_score;
   out.correct_key = static_cast<std::int64_t>(s.key);
   out.correct_rank = ranking.rank_of(static_cast<int>(s.key));
-  out.disclosed = ranking.disclosed(s.key, s.margin);
+  out.disclosed = ranking.disclosed(s.key);
   Metrics::global().gauge_max("leakage.cpa.best_score", out.best_score);
   SECFLOW_LOG_INFO("leakage", "CPA done",
                    LogField("best_guess", out.best_guess),
@@ -373,7 +298,7 @@ CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
 
 GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
                        const LeakageSetup& s, bool differential,
-                       const HypothesisFn& hyp, const AbsTraceTask& task) {
+                       const HypothesisFn& hyp, const TraceTask& task) {
   Span span("leakage.guessing_entropy", "leakage");
   span.arg("campaigns", s.ge_campaigns);
   // Grid: quarters of the CPA budget, deduplicated and > 0.
@@ -404,7 +329,7 @@ GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
       }
       acc.merge(accumulate_cpa(chunk, hyp, cpa_options(s)));
       fed = grid[gi];
-      const CpaRanking ranking = cpa_ranking(acc);
+      const GuessRanking ranking = rank_guesses(acc.scores());
       const int rank = ranking.rank_of(static_cast<int>(s.key));
       rank_sum[gi] += rank;
       if (rank == 1) success[gi] += 1.0;
@@ -425,7 +350,7 @@ GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
 
 MtdSummary run_mtd_phase(const CompiledSimModel& model, TraceCache& cache,
                          const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const AbsTraceTask& task) {
+                         const HypothesisFn& hyp, const TraceTask& task) {
   Span span("leakage.mtd", "leakage");
   span.arg("max_traces", s.mtd.max_traces);
   const TraceFeeder feeder = [&](int begin, int end) {
@@ -482,15 +407,19 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
 
   const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
   if (setup.with_tvla) {
-    const AbsTraceTask task = [&](PowerSimulator& sim, Rng& rng, int i) {
-      return des_tvla_trace(sim, rng, ports, setup, (i % 2) == 0);
+    const TraceTask task = [&](PowerSimulator& sim, Rng& rng,
+                               std::uint64_t i) {
+      return des_trace(sim, rng, ports, setup.key, setup.noise_ma,
+                       tvla_fixed(i) ? std::optional(kFixedPlaintext)
+                                     : std::nullopt);
     };
     r.tvla = run_tvla_phase(model, cache, setup, differential, task);
   }
   if (setup.with_cpa) {
     const HypothesisFn hyp = des_hypothesis(setup.model, setup.sbox);
-    const AbsTraceTask task = [&](PowerSimulator& sim, Rng& rng, int) {
-      return des_cpa_trace(sim, rng, ports, setup);
+    const TraceTask task = [&](PowerSimulator& sim, Rng& rng,
+                               std::uint64_t) {
+      return des_trace(sim, rng, ports, setup.key, setup.noise_ma);
     };
     r.cpa = run_cpa_phase(model, cache, setup, differential, hyp, task);
     if (setup.ge_campaigns > 0) {
@@ -530,9 +459,10 @@ LeakageReport assess_tvla_leakage(const CompiledSimModel& model,
   std::vector<char> fixed_bits(lanes.size());
   for (char& b : fixed_bits) b = pattern_rng.next_bool() ? 1 : 0;
 
-  const AbsTraceTask task = [&](PowerSimulator& sim, Rng& rng, int i) {
+  const TraceTask task = [&](PowerSimulator& sim, Rng& rng,
+                             std::uint64_t i) {
     return generic_tvla_trace(sim, rng, lanes, fixed_bits, setup,
-                              (i % 2) == 0);
+                              tvla_fixed(i));
   };
   r.tvla = run_tvla_phase(model, cache, setup, differential, task);
   r.trace_cache_hits = cache.hits;

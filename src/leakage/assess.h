@@ -47,7 +47,6 @@ struct LeakageSetup {
   std::uint32_t key = 46;  ///< the paper's secret key
   int sbox = 1;
   PowerModel model = PowerModel::kHammingDistance;
-  double margin = 0.05;
 
   // Success-rate / guessing-entropy curves; 0 campaigns disables.
   int ge_campaigns = 0;

@@ -59,40 +59,6 @@ CpaAccumulator accumulate_cpa(const std::vector<CpaMeasurement>& traces,
   return total;
 }
 
-int CpaRanking::rank_of(int guess) const {
-  const double mine = scores[static_cast<std::size_t>(guess)];
-  int rank = 1;
-  for (std::size_t g = 0; g < scores.size(); ++g) {
-    if (static_cast<int>(g) == guess) continue;
-    if (scores[g] > mine ||
-        (scores[g] == mine && static_cast<int>(g) < guess)) {
-      ++rank;
-    }
-  }
-  return rank;
-}
-
-bool CpaRanking::disclosed(std::uint32_t correct_key, double margin) const {
-  if (best_guess != static_cast<int>(correct_key)) return false;
-  return best_score > runner_up_score * (1.0 + margin);
-}
-
-CpaRanking cpa_ranking(const CpaAccumulator& acc) {
-  CpaRanking r;
-  r.scores = acc.scores();
-  for (std::size_t g = 0; g < r.scores.size(); ++g) {
-    if (r.best_guess < 0 || r.scores[g] > r.best_score) {
-      r.best_guess = static_cast<int>(g);
-      r.best_score = r.scores[g];
-    }
-  }
-  for (std::size_t g = 0; g < r.scores.size(); ++g) {
-    if (static_cast<int>(g) == r.best_guess) continue;
-    r.runner_up_score = std::max(r.runner_up_score, r.scores[g]);
-  }
-  return r;
-}
-
 MtdResult estimate_mtd(const TraceFeeder& feeder,
                        const HypothesisFn& hypothesis,
                        std::uint32_t correct_key, const MtdOptions& mtd,
@@ -105,8 +71,7 @@ MtdResult estimate_mtd(const TraceFeeder& feeder,
   MtdResult out;
   CpaAccumulator acc;  // shaped on the first batch
   bool have_shape = false;
-  int run_start = -1;  // trace count where the current disclosure run began
-  int run_len = 0;
+  DisclosureRun run;
   for (int fed = 0; fed < mtd.max_traces;) {
     const int begin = fed;
     const int end = std::min(fed + mtd.step, mtd.max_traces);
@@ -129,29 +94,16 @@ MtdResult estimate_mtd(const TraceFeeder& feeder,
     fed = end;
     out.traces_fed = fed;
 
-    const CpaRanking ranking = cpa_ranking(acc);
+    const GuessRanking ranking = rank_guesses(acc.scores());
     out.checkpoints.push_back(fed);
     out.ranks.push_back(ranking.rank_of(static_cast<int>(correct_key)));
-    if (ranking.disclosed(correct_key, mtd.margin)) {
-      if (run_len == 0) run_start = fed;
-      ++run_len;
-      if (run_len >= mtd.persist) {
-        out.mtd = run_start;
-        out.disclosed = true;
-        return out;  // early stop: no need to burn the remaining budget
-      }
-    } else {
-      run_len = 0;
-      run_start = -1;
-    }
+    // Early stop once the run persisted: no need to burn the remaining
+    // budget.  A run still alive at the budget is credited too (the budget
+    // cut it short), the DPA checkpoints' persist-to-last rule.
+    if (run.check(fed, ranking.disclosed(correct_key)) >= mtd.persist) break;
   }
-  // Disclosure held through the final checkpoint without reaching the
-  // persist count: credit the run (the budget cut it short), matching the
-  // DPA persist-to-grid-end semantics.
-  if (run_len > 0) {
-    out.mtd = run_start;
-    out.disclosed = true;
-  }
+  out.mtd = run.mtd();
+  out.disclosed = out.mtd >= 0;
   return out;
 }
 

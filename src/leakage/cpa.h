@@ -8,11 +8,11 @@
 // merges the shards in ascending order — bit-identical statistics at any
 // SECFLOW_THREADS (see leakage/accumulators.h for the contract).
 //
-// cpa_ranking turns the accumulated co-moments into the per-guess
-// distinguisher scores and key ranking; estimate_mtd feeds traces
-// incrementally through a private accumulator and stops early once
-// disclosure has persisted, giving the measurements-to-disclosure figure
-// without simulating the full budget.
+// rank_guesses (sca/selection.h) ranks the accumulated per-guess
+// distinguisher scores; estimate_mtd feeds traces incrementally through a
+// private accumulator and stops early once disclosure has persisted,
+// giving the measurements-to-disclosure figure without simulating the
+// full budget.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +34,6 @@ struct CpaMeasurement {
 
 struct CpaOptions {
   int n_guesses = kDesKeyGuesses;
-  /// Disclosure requires the best guess to beat the runner-up score by
-  /// this relative margin (same convention as DpaOptions::margin).
-  double margin = 0.05;
   /// Shard accumulation parallelism; results are bit-identical for any
   /// thread count.
   Parallelism parallelism;
@@ -47,26 +44,6 @@ struct CpaOptions {
 CpaAccumulator accumulate_cpa(const std::vector<CpaMeasurement>& traces,
                               const HypothesisFn& hypothesis,
                               const CpaOptions& opts);
-
-/// The distinguisher verdict of an accumulated campaign.
-struct CpaRanking {
-  std::vector<double> scores;  ///< per guess: max_s |rho|
-  int best_guess = -1;
-  double best_score = 0.0;
-  double runner_up_score = 0.0;  ///< best score among the other guesses
-
-  /// 1-based rank of `guess`: 1 + the number of strictly better guesses
-  /// (+ equal-scored guesses with a smaller index, so ranks are a
-  /// deterministic permutation).
-  int rank_of(int guess) const;
-  double score_of(int guess) const {
-    return scores[static_cast<std::size_t>(guess)];
-  }
-  /// Correct key ranked first, beating the runner-up by the margin.
-  bool disclosed(std::uint32_t correct_key, double margin) const;
-};
-
-CpaRanking cpa_ranking(const CpaAccumulator& acc);
 
 /// Produces the measurements for trace indices [begin, end) — from the
 /// simulator, a checkpoint cache, or disk.  Indices are absolute, so a
@@ -80,10 +57,9 @@ struct MtdOptions {
   int step = 100;         ///< feed/check granularity
   /// Early stop once disclosure has held for this many consecutive
   /// checkpoints.  Disclosure still reaching the last checkpoint counts
-  /// (the existing DPA grid semantics); a run broken before either bound
+  /// (the DPA checkpoints' rule); a run broken before either bound
   /// resets.
   int persist = 3;
-  double margin = 0.05;
 };
 
 struct MtdResult {

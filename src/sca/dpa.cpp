@@ -1,6 +1,7 @@
 #include "sca/dpa.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/error.h"
 #include "obs/metrics.h"
@@ -14,98 +15,100 @@ double peak_to_peak(const std::vector<double>& trace) {
   return *hi - *lo;
 }
 
-DpaAnalysis::DpaAnalysis(SelectionFn selection, const DpaOptions& opts)
-    : selection_(std::move(selection)), opts_(opts) {
+DpaAccumulator::DpaAccumulator(SelectionFn selection,
+                               std::uint32_t correct_key,
+                               const Parallelism& par)
+    : selection_(std::move(selection)), correct_key_(correct_key), par_(par) {
   SECFLOW_CHECK(selection_ != nullptr, "DPA needs a selection function");
-  SECFLOW_CHECK(opts_.n_key_guesses > 1, "need at least 2 key guesses");
 }
 
-void DpaAnalysis::add_measurement(DpaMeasurement m) {
-  SECFLOW_CHECK(traces_.empty() ||
-                    m.samples.size() == traces_.front().samples.size(),
-                "trace length mismatch");
-  traces_.push_back(std::move(m));
-}
-
-std::vector<double> DpaAnalysis::differential_trace(std::uint32_t guess,
-                                                    int n) const {
-  const std::size_t count =
-      n <= 0 ? traces_.size()
-             : std::min<std::size_t>(static_cast<std::size_t>(n),
-                                     traces_.size());
-  SECFLOW_CHECK(count > 0, "no measurements");
-  const std::size_t len = traces_.front().samples.size();
-  std::vector<double> sum1(len, 0.0), sum0(len, 0.0);
-  std::size_t n1 = 0, n0 = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const DpaMeasurement& m = traces_[i];
-    if (selection_(m.ciphertext, guess)) {
-      ++n1;
-      for (std::size_t s = 0; s < len; ++s) sum1[s] += m.samples[s];
-    } else {
-      ++n0;
-      for (std::size_t s = 0; s < len; ++s) sum0[s] += m.samples[s];
-    }
+void DpaAccumulator::fold(const std::vector<SimTrace>& traces) {
+  if (traces.empty()) return;
+  if (n_ == 0) {
+    n_samples_ = traces.front().cycle.current_ma.size();
+    sums_.assign(2 * kDesKeyGuesses * n_samples_, 0.0);
+    counts_.assign(2 * kDesKeyGuesses, 0);
   }
-  std::vector<double> diff(len, 0.0);
+  for (const SimTrace& t : traces) {
+    SECFLOW_CHECK(t.cycle.current_ma.size() == n_samples_,
+                  "trace length mismatch");
+  }
+  // Fold up to each checkpoint, record it, and go on.
+  for (std::size_t begin = 0; begin < traces.size();) {
+    const std::size_t end = std::min(
+        traces.size(), begin + static_cast<std::size_t>(
+                                   kDpaCheckpointTraces -
+                                   n_ % kDpaCheckpointTraces));
+    fold_range(traces, begin, end);
+    if (n_ % kDpaCheckpointTraces == 0) {
+      checkpoints_.push_back(result(correct_key_));
+      run_.check(n_, checkpoints_.back().disclosed);
+    }
+    begin = end;
+  }
+}
+
+void DpaAccumulator::fold_range(const std::vector<SimTrace>& traces,
+                                std::size_t begin, std::size_t end) {
+  // Each key guess owns its two sum rows, and every guess adds the traces
+  // in trace order, so the sums are identical for any thread count.
+  parallel_for(
+      static_cast<std::size_t>(kDesKeyGuesses), par_,
+      [&](std::size_t g_begin, std::size_t g_end) {
+        Span span("dpa.guess_chunk", "sca");
+        span.arg("begin", static_cast<std::uint64_t>(g_begin));
+        span.arg("end", static_cast<std::uint64_t>(g_end));
+        for (std::size_t g = g_begin; g < g_end; ++g) {
+          for (std::size_t i = begin; i < end; ++i) {
+            const SimTrace& t = traces[i];
+            const bool bit =
+                selection_(t.observable, static_cast<std::uint32_t>(g));
+            const std::size_t row = 2 * g + (bit ? 1 : 0);
+            ++counts_[row];
+            double* sum = sums_.data() + row * n_samples_;
+            const double* x = t.cycle.current_ma.data();
+            for (std::size_t s = 0; s < n_samples_; ++s) sum[s] += x[s];
+          }
+        }
+      });
+  n_ += static_cast<int>(end - begin);
+}
+
+std::vector<double> DpaAccumulator::differential(std::uint32_t guess) const {
+  SECFLOW_CHECK(n_ > 0, "no measurements");
+  SECFLOW_CHECK(guess < static_cast<std::uint32_t>(kDesKeyGuesses),
+                "DPA guess out of range");
+  const std::size_t n0 = counts_[2 * guess];
+  const std::size_t n1 = counts_[2 * guess + 1];
+  std::vector<double> diff(n_samples_, 0.0);
   if (n1 == 0 || n0 == 0) return diff;  // degenerate split: flat trace
-  for (std::size_t s = 0; s < len; ++s) {
+  const double* sum0 = sums_.data() + 2 * guess * n_samples_;
+  const double* sum1 = sum0 + n_samples_;
+  for (std::size_t s = 0; s < n_samples_; ++s) {
     diff[s] = sum1[s] / static_cast<double>(n1) -
               sum0[s] / static_cast<double>(n0);
   }
   return diff;
 }
 
-DpaResult DpaAnalysis::analyze(std::uint32_t correct_key, int n) const {
-  DpaResult r;
-  r.n_measurements =
-      n <= 0 ? static_cast<int>(traces_.size())
-             : std::min<int>(n, static_cast<int>(traces_.size()));
-  // Each key guess partitions and accumulates independently; the ranking
-  // below runs serially over the per-guess results, so the outcome is
-  // identical for any thread count.
-  r.peak_to_peak.assign(static_cast<std::size_t>(opts_.n_key_guesses), 0.0);
-  parallel_for(
-      static_cast<std::size_t>(opts_.n_key_guesses), opts_.parallelism,
-      [&](std::size_t begin, std::size_t end) {
-        Span span("dpa.guess_chunk", "sca");
-        span.arg("begin", static_cast<std::uint64_t>(begin));
-        span.arg("end", static_cast<std::uint64_t>(end));
-        for (std::size_t g = begin; g < end; ++g) {
-          r.peak_to_peak[g] = peak_to_peak(differential_trace(
-              static_cast<std::uint32_t>(g), r.n_measurements));
-        }
-        Metrics::global().add("sca.dpa.guesses",
-                              static_cast<std::uint64_t>(end - begin));
-      });
-  double best = -1.0, second = -1.0;
-  for (int g = 0; g < opts_.n_key_guesses; ++g) {
-    const double pp = r.peak_to_peak[static_cast<std::size_t>(g)];
-    if (pp > best) {
-      second = best;
-      best = pp;
-      r.best_guess = g;
-    } else if (pp > second) {
-      second = pp;
-    }
+DpaResult DpaAccumulator::result(std::uint32_t correct_key) const {
+  std::vector<double> pp(static_cast<std::size_t>(kDesKeyGuesses));
+  for (std::size_t g = 0; g < pp.size(); ++g) {
+    pp[g] = peak_to_peak(differential(static_cast<std::uint32_t>(g)));
   }
-  r.disclosed = r.best_guess == static_cast<int>(correct_key) &&
-                best > second * (1.0 + opts_.margin);
+  GuessRanking ranking = rank_guesses(std::move(pp));
+  DpaResult r;
+  r.n_measurements = n_;
+  r.best_guess = ranking.best_guess;
+  r.disclosed = ranking.disclosed(correct_key);
+  r.peak_to_peak = std::move(ranking.scores);
   return r;
 }
 
-int DpaAnalysis::measurements_to_disclosure(
-    std::uint32_t correct_key, const std::vector<int>& grid) const {
-  int mtd = -1;
-  for (int m : grid) {
-    if (m > n_measurements()) break;
-    if (analyze(correct_key, m).disclosed) {
-      if (mtd < 0) mtd = m;
-    } else {
-      mtd = -1;  // disclosure must persist
-    }
-  }
-  return mtd;
+DpaResult DpaAccumulator::analyze(std::uint32_t correct_key) const {
+  Metrics::global().add("sca.dpa.guesses",
+                        static_cast<std::uint64_t>(kDesKeyGuesses));
+  return result(correct_key);
 }
 
 }  // namespace secflow

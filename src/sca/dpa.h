@@ -6,9 +6,15 @@
 // differential trace is the difference of the two set means.  A wrong
 // guess splits traces randomly and the differential tends to zero; the
 // correct guess produces peaks.  Disclosure is declared when the correct
-// key's peak-to-peak dominates every other guess by a margin, and the MTD
-// (measurements to disclosure) is the smallest trace count from which
-// disclosure persists.
+// key's peak-to-peak dominates every other guess by kDisclosureMargin, and
+// the MTD (measurements to disclosure) is the smallest checkpoint from
+// which disclosure persists to the last one.
+//
+// The engine streams: DpaAccumulator keeps, per key guess, the per-sample
+// sums and the trace count of both sets, so a campaign folds each trace
+// once and drops it.  Summing in trace order makes every differential
+// bit-identical to a from-scratch difference of means over the same
+// traces, at every checkpoint and for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -16,26 +22,13 @@
 
 #include "base/parallel.h"
 #include "sca/selection.h"
+#include "sim/trace_sim.h"
 
 namespace secflow {
 
-/// One power measurement: the supply-current samples of one encryption and
-/// the observables the attacker sees.
-struct DpaMeasurement {
-  std::vector<double> samples;
-  std::uint32_t ciphertext = 0;  ///< packed observable (circuit-specific)
-};
-
-struct DpaOptions {
-  int n_key_guesses = 64;
-  /// Disclosure requires the best guess to beat the runner-up by this
-  /// relative margin.
-  double margin = 0.05;
-  /// Key-guess sweep parallelism: analyze() partitions traces and
-  /// accumulates the differential trace of each guess as an independent
-  /// task, so results are bit-identical for any thread count.
-  Parallelism parallelism;
-};
+/// Fig 6's measurement grid: the correct key is checked after every
+/// kDpaCheckpointTraces folded traces.
+inline constexpr int kDpaCheckpointTraces = 100;
 
 struct DpaResult {
   int n_measurements = 0;
@@ -44,29 +37,52 @@ struct DpaResult {
   bool disclosed = false;  ///< best guess equals the correct key, with margin
 };
 
-class DpaAnalysis {
+/// Streaming difference-of-means state for kDesKeyGuesses key guesses.
+class DpaAccumulator {
  public:
-  DpaAnalysis(SelectionFn selection, const DpaOptions& opts = {});
+  /// `correct_key` is the key the checkpoints are judged against;
+  /// `par` spreads each fold's guess sweep over the thread pool.
+  DpaAccumulator(SelectionFn selection, std::uint32_t correct_key,
+                 const Parallelism& par = {});
 
-  void add_measurement(DpaMeasurement m);
-  int n_measurements() const { return static_cast<int>(traces_.size()); }
+  int n_measurements() const { return n_; }
 
-  /// Analyze the first `n` measurements (0 = all) against `correct_key`.
-  DpaResult analyze(std::uint32_t correct_key, int n = 0) const;
+  /// Fold traces in order: samples from cycle.current_ma, the selection
+  /// function's ciphertext from observable.  Every trace needs the sample
+  /// count of the first one folded.  Each time the trace count reaches a
+  /// multiple of kDpaCheckpointTraces, the correct key's result is
+  /// recorded.
+  void fold(const std::vector<SimTrace>& traces);
 
-  /// Measurements-to-disclosure: the smallest count m in `grid` such that
-  /// analyze(correct_key, m') discloses for every grid point m' >= m.
-  /// Returns -1 when the key is still hidden at the largest grid point.
-  int measurements_to_disclosure(std::uint32_t correct_key,
-                                 const std::vector<int>& grid) const;
+  /// Difference of the two set means for one key guess over every trace
+  /// folded so far; flat when one set is empty.
+  std::vector<double> differential(std::uint32_t guess) const;
 
-  /// Differential trace for one key guess over the first n measurements.
-  std::vector<double> differential_trace(std::uint32_t guess, int n = 0) const;
+  /// Rank every guess by peak-to-peak against `correct_key`.
+  DpaResult analyze(std::uint32_t correct_key) const;
+
+  /// The correct key's result at every checkpoint reached, in order.
+  const std::vector<DpaResult>& checkpoints() const { return checkpoints_; }
+  /// The first checkpoint from which disclosure persisted to the last;
+  /// -1 when the key is still hidden there.
+  int mtd() const { return run_.mtd(); }
 
  private:
+  void fold_range(const std::vector<SimTrace>& traces, std::size_t begin,
+                  std::size_t end);
+  DpaResult result(std::uint32_t correct_key) const;
+
   SelectionFn selection_;
-  DpaOptions opts_;
-  std::vector<DpaMeasurement> traces_;
+  std::uint32_t correct_key_;
+  Parallelism par_;
+  int n_ = 0;
+  std::size_t n_samples_ = 0;
+  /// Per guess g: rows 2g (selection 0) and 2g + 1 (selection 1) of
+  /// n_samples_ sums each, and the matching trace counts.
+  std::vector<double> sums_;
+  std::vector<std::size_t> counts_;
+  std::vector<DpaResult> checkpoints_;
+  DisclosureRun run_;
 };
 
 /// max(trace) - min(trace); 0 for empty traces.

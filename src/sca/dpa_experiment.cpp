@@ -4,10 +4,8 @@
 
 #include "base/error.h"
 #include "base/rng.h"
-#include "crypto/des.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "sim/trace_sim.h"
 
 namespace secflow {
 namespace {
@@ -65,6 +63,41 @@ std::uint32_t DesPortMap::read(const PowerSimulator& sim,
   return v;
 }
 
+SimTrace des_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
+                   std::uint32_t key, double noise_ma,
+                   std::optional<std::uint32_t> fixed_plaintext) {
+  const auto prev_pl = static_cast<std::uint32_t>(rng.next_below(16));
+  const auto prev_pr = static_cast<std::uint32_t>(rng.next_below(64));
+  auto pl = static_cast<std::uint32_t>(rng.next_below(16));
+  auto pr = static_cast<std::uint32_t>(rng.next_below(64));
+  if (fixed_plaintext) {
+    pl = *fixed_plaintext & 0xF;
+    pr = (*fixed_plaintext >> 4) & 0x3F;
+  }
+  ports.drive(sim, ports.k, key);
+  ports.drive(sim, ports.pl, prev_pl);
+  ports.drive(sim, ports.pr, prev_pr);
+  sim.settle();
+  sim.run_cycle();
+  ports.drive(sim, ports.pl, pl);
+  ports.drive(sim, ports.pr, pr);
+  sim.run_cycle();
+  SimTrace out;
+  out.cycle = sim.run_cycle();
+  // The previous encryption's result lands in the CL/CR output registers
+  // one cycle before the target's.
+  const std::uint32_t prev_ct =
+      ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
+  sim.run_cycle();
+  const std::uint32_t ct =
+      ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
+  out.observable = ct | (prev_ct << 10);
+  if (noise_ma > 0.0) {
+    for (double& s : out.cycle.current_ma) s += noise_ma * rng.next_gaussian();
+  }
+  return out;
+}
+
 DesDpaCampaign run_des_dpa_campaign(const CompiledSimModel& model,
                                     const DesDpaSetup& setup,
                                     bool differential) {
@@ -78,53 +111,24 @@ DesDpaCampaign run_des_dpa_campaign(const CompiledSimModel& model,
   // Resolve the Fig 4 interface once; the per-trace task below does no
   // string lookups.
   const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
-
-  // One task per measurement.  The task replays a four-cycle
-  // mini-campaign on a reset simulator so the recorded cycle carries
-  // exactly the register activity the attack targets:
-  //   cycle 1  the previous plaintext reaches the PL/PR registers,
-  //   cycle 2  the target plaintext arrives at the register inputs,
-  //   cycle 3  PL/PR transition previous -> target   (the recorded trace),
-  //   cycle 4  the ciphertext reaches the CL/CR output registers.
-  const TraceTask task = [&](PowerSimulator& sim, Rng& rng, int) {
-    const auto prev_pl = static_cast<std::uint32_t>(rng.next_below(16));
-    const auto prev_pr = static_cast<std::uint32_t>(rng.next_below(64));
-    const auto pl = static_cast<std::uint32_t>(rng.next_below(16));
-    const auto pr = static_cast<std::uint32_t>(rng.next_below(64));
-    ports.drive(sim, ports.k, setup.key);
-    ports.drive(sim, ports.pl, prev_pl);
-    ports.drive(sim, ports.pr, prev_pr);
-    sim.settle();
-    sim.run_cycle();
-    ports.drive(sim, ports.pl, pl);
-    ports.drive(sim, ports.pr, pr);
-    sim.run_cycle();
-    SimTrace out;
-    out.cycle = sim.run_cycle();
-    sim.run_cycle();
-    const std::uint32_t cl = ports.read(sim, ports.cl);
-    const std::uint32_t cr = ports.read(sim, ports.cr);
-    out.observable = cl | (cr << 4);
-    if (setup.noise_ma > 0.0) {
-      for (double& s : out.cycle.current_ma) {
-        s += setup.noise_ma * rng.next_gaussian();
-      }
-    }
-    return out;
+  const TraceTask task = [&](PowerSimulator& sim, Rng& rng, std::uint64_t) {
+    return des_trace(sim, rng, ports, setup.key, setup.noise_ma);
   };
-
-  std::vector<SimTrace> traces = simulate_traces(
-      model, setup.n_measurements, setup.seed, task, setup.parallelism);
-
-  DpaOptions dpa_opts;
-  dpa_opts.parallelism = setup.parallelism;
   DesDpaCampaign campaign{
-      DpaAnalysis(des_selection(setup.select_bit, setup.sbox), dpa_opts), {}};
-  campaign.cycle_energies_pj.reserve(traces.size());
-  for (SimTrace& t : traces) {
-    campaign.cycle_energies_pj.push_back(t.cycle.energy_pj);
-    campaign.dpa.add_measurement(
-        DpaMeasurement{std::move(t.cycle.current_ma), t.observable});
+      DpaAccumulator(des_selection(setup.select_bit, setup.sbox), setup.key,
+                     setup.parallelism),
+      {}};
+  // One checkpoint's traces at a time: simulate, fold, drop.
+  for (int begin = 0; begin < setup.n_measurements;
+       begin += kDpaCheckpointTraces) {
+    const std::vector<SimTrace> block = simulate_traces(
+        model, static_cast<std::uint64_t>(begin),
+        std::min(kDpaCheckpointTraces, setup.n_measurements - begin),
+        setup.seed, task, setup.parallelism);
+    for (const SimTrace& t : block) {
+      campaign.cycle_energies_pj.push_back(t.cycle.energy_pj);
+    }
+    campaign.dpa.fold(block);
   }
   return campaign;
 }
@@ -140,37 +144,20 @@ DesDpaCampaign run_des_dpa_campaign(const Netlist& nl, const CapTable& caps,
 
 void attach_dpa(FlowReport& report, const DpaResult& result,
                 const std::vector<double>& cycle_energies_pj) {
+  const GuessRanking ranking = rank_guesses(result.peak_to_peak);
   DpaSection& d = report.dpa;
   d.present = true;
   d.n_measurements = result.n_measurements;
   d.best_guess = result.best_guess;
   d.disclosed = result.disclosed;
-  d.best_peak = 0.0;
-  d.runner_up_peak = 0.0;
-  for (std::size_t g = 0; g < result.peak_to_peak.size(); ++g) {
-    const double pp = result.peak_to_peak[g];
-    if (static_cast<int>(g) == result.best_guess) {
-      d.best_peak = pp;
-    } else {
-      d.runner_up_peak = std::max(d.runner_up_peak, pp);
-    }
-  }
+  d.best_peak = ranking.best_score;
+  d.runner_up_peak = ranking.runner_up_score;
   d.mean_cycle_energy_pj = 0.0;
   if (!cycle_energies_pj.empty()) {
     double sum = 0.0;
     for (const double e : cycle_energies_pj) sum += e;
     d.mean_cycle_energy_pj = sum / static_cast<double>(cycle_energies_pj.size());
   }
-}
-
-DpaAnalysis run_des_dpa_regular(const Netlist& rtl, const CapTable& caps,
-                                const DesDpaSetup& setup) {
-  return run_des_dpa_campaign(rtl, caps, setup, /*differential=*/false).dpa;
-}
-
-DpaAnalysis run_des_dpa_secure(const Netlist& diff, const CapTable& caps,
-                               const DesDpaSetup& setup) {
-  return run_des_dpa_campaign(diff, caps, setup, /*differential=*/true).dpa;
 }
 
 }  // namespace secflow

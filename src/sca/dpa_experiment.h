@@ -9,17 +9,22 @@
 // Each measurement is an independent simulation task (previous plaintext,
 // target plaintext, and measurement noise all drawn from the per-trace
 // RNG stream Rng::stream(seed, i)), so the campaign parallelizes across
-// traces with bit-identical results at any thread count.
+// traces with bit-identical results at any thread count.  The same trace
+// task (des_trace) feeds the leakage assessment's CPA, GE, MTD and TVLA
+// phases (leakage/assess.h).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/parallel.h"
+#include "base/rng.h"
 #include "netlist/netlist.h"
 #include "obs/report.h"
 #include "sca/dpa.h"
 #include "sim/power_sim.h"
+#include "sim/trace_sim.h"
 
 namespace secflow {
 
@@ -53,6 +58,23 @@ struct DesPortMap {
                      const std::vector<DesBitPorts>& ports) const;
 };
 
+/// One encryption of the paper's DPA experiment, replayed as a four-cycle
+/// mini-campaign on a reset simulator so the recorded cycle carries
+/// exactly the register activity the attacks target:
+///   cycle 1  the previous plaintext reaches the PL/PR registers,
+///   cycle 2  the target plaintext arrives at the register inputs,
+///   cycle 3  PL/PR transition previous -> target   (the recorded trace),
+///   cycle 4  the ciphertext reaches the CL/CR output registers.
+/// Draws the previous PL, PR and the target PL, PR from `rng` in that
+/// order, then `noise_ma` Gaussian noise per sample when positive.
+/// `fixed_plaintext` (packed pl | pr << 4) replaces the drawn target
+/// plaintext: TVLA's fixed class.  The observable packs the ciphertext of
+/// the target encryption and of the previous one, ct | prev_ct << 10, so
+/// its low 10 bits are what every DES selection function reads.
+SimTrace des_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
+                   std::uint32_t key, double noise_ma,
+                   std::optional<std::uint32_t> fixed_plaintext = {});
+
 struct DesDpaSetup {
   std::uint32_t key = 46;      ///< the paper's secret key
   int select_bit = 2;          ///< "3rd bit of PL"
@@ -66,21 +88,17 @@ struct DesDpaSetup {
   Parallelism parallelism;
 };
 
-/// Run the measurement campaign on a regular (single-ended) reduced-DES
-/// netlist with ports pl_*, pr_*, k_*, clk, cl_*, cr_*.
-DpaAnalysis run_des_dpa_regular(const Netlist& rtl, const CapTable& caps,
-                                const DesDpaSetup& setup);
-
-/// Run the campaign on the WDDL differential netlist (rail ports *_t/_f).
-DpaAnalysis run_des_dpa_secure(const Netlist& diff, const CapTable& caps,
-                               const DesDpaSetup& setup);
-
-/// Per-cycle energies recorded during a campaign (for the NED/NSD table).
+/// A finished campaign: the DPA state after its last trace (its checkpoints
+/// are Fig 6's MTD grid, judged against the setup's key) and the energy
+/// of every recorded cycle (for the NED/NSD table).
 struct DesDpaCampaign {
-  DpaAnalysis dpa;
+  DpaAccumulator dpa;
   std::vector<double> cycle_energies_pj;
 };
 
+/// Run the campaign on a reduced-DES netlist with ports pl_*, pr_*, k_*,
+/// clk, cl_*, cr_* (rail ports *_t/_f when `differential`).  Traces are
+/// simulated kDpaCheckpointTraces at a time, folded and dropped.
 DesDpaCampaign run_des_dpa_campaign(const Netlist& nl, const CapTable& caps,
                                     const DesDpaSetup& setup,
                                     bool differential);

@@ -7,7 +7,8 @@
 namespace secflow {
 
 std::vector<SimTrace> simulate_traces(const CompiledSimModel& model,
-                                      int n_traces, std::uint64_t master_seed,
+                                      std::uint64_t first, int n_traces,
+                                      std::uint64_t master_seed,
                                       const TraceTask& task,
                                       const Parallelism& par) {
   SECFLOW_CHECK(n_traces >= 0, "negative trace count");
@@ -26,8 +27,8 @@ std::vector<SimTrace> simulate_traces(const CompiledSimModel& model,
         PowerSimulator sim(model);
         for (std::size_t i = begin; i < end; ++i) {
           if (i != begin) sim.reset();
-          Rng rng = Rng::stream(master_seed, static_cast<std::uint64_t>(i));
-          out[i] = task(sim, rng, static_cast<int>(i));
+          Rng rng = Rng::stream(master_seed, first + i);
+          out[i] = task(sim, rng, first + i);
         }
         Metrics::global().add("sim.traces",
                               static_cast<std::uint64_t>(end - begin));
@@ -41,7 +42,7 @@ std::vector<SimTrace> simulate_traces(const Netlist& nl, const CapTable& caps,
                                       const TraceTask& task,
                                       const Parallelism& par) {
   const CompiledSimModel model(nl, caps, opts);
-  return simulate_traces(model, n_traces, master_seed, task, par);
+  return simulate_traces(model, 0, n_traces, master_seed, task, par);
 }
 
 }  // namespace secflow

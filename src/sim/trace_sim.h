@@ -28,21 +28,25 @@ struct SimTrace {
 };
 
 /// One task: drive `sim` (fresh state, keyed RNG stream) and return the
-/// recorded trace.  Must not touch anything but its arguments.
+/// recorded trace.  `index` is the trace's stream index.  Must not touch
+/// anything but its arguments.
 using TraceTask = std::function<SimTrace(PowerSimulator& sim, Rng& rng,
-                                         int index)>;
+                                         std::uint64_t index)>;
 
-/// Simulate `n_traces` independent tasks against a prebuilt model.
-/// Results are indexed by task, identical for every thread count
-/// (including 1 == serial).
+/// Simulate the `n_traces` tasks at stream indices [first, first +
+/// n_traces) against a prebuilt model; the task at stream index i draws
+/// from Rng::stream(master_seed, i), so a trace is the same whichever
+/// block it is simulated in.  Results are in stream order, identical for
+/// every thread count (including 1 == serial).
 std::vector<SimTrace> simulate_traces(const CompiledSimModel& model,
-                                      int n_traces, std::uint64_t master_seed,
+                                      std::uint64_t first, int n_traces,
+                                      std::uint64_t master_seed,
                                       const TraceTask& task,
                                       const Parallelism& par = {});
 
 /// Convenience: compile the model once from (netlist, caps, options), then
-/// simulate.  Prefer the model overload when running several campaigns on
-/// the same design.
+/// simulate stream indices [0, n_traces).  Prefer the model overload when
+/// running several campaigns on the same design.
 std::vector<SimTrace> simulate_traces(const Netlist& nl, const CapTable& caps,
                                       const PowerSimOptions& opts,
                                       int n_traces, std::uint64_t master_seed,

@@ -246,6 +246,38 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
             std::string::npos);
 }
 
+TEST(CampaignSpec, RejectsDpaParametersOutsideTheFig4Attack) {
+  // The Fig 4 attack selects one bit of the PL nibble through a DES S-box
+  // under a 6-bit subkey.  Out of range, a job ran silently wrong: key 110
+  // drove hardware key 110 & 63 = 46 yet judged disclosure against 110,
+  // and select bit 40 shifted a 32-bit word out of range.
+  const std::pair<const char*, const char*> bad[] = {
+      {R"({"key": 110})", "dpa.key must be in [0, 63]"},
+      {R"({"key": 64})", "dpa.key must be in [0, 63]"},
+      {R"({"select_bit": 40})", "dpa.select_bit must be in [0, 3]"},
+      {R"({"select_bit": -1})", "dpa.select_bit must be in [0, 3]"},
+      {R"({"sbox": 0})", "dpa.sbox must be in [1, 8]"},
+      {R"({"sbox": 9})", "dpa.sbox must be in [1, 8]"},
+  };
+  auto spec = [](const std::string& dpa) {
+    return std::string(R"({"schema": "secflow.campaign/1", "name": "x",
+                           "jobs": [{"circuit": {"builtin": "des-dpa"},
+                                     "flow": "secure", "dpa": )") +
+           dpa + "}]}";
+  };
+  for (const auto& [dpa, what] : bad) {
+    EXPECT_NE(error_message([&] { parse_campaign_spec(spec(dpa)); })
+                  .find(what),
+              std::string::npos)
+        << dpa;
+  }
+  // Both ends of every range are legal.
+  EXPECT_NO_THROW(
+      parse_campaign_spec(spec(R"({"key": 0, "select_bit": 0, "sbox": 1})")));
+  EXPECT_NO_THROW(
+      parse_campaign_spec(spec(R"({"key": 63, "select_bit": 3, "sbox": 8})")));
+}
+
 // ---------------------------------------------------------------------------
 // Failure isolation (cheap: tiny design, no cache).
 

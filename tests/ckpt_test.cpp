@@ -269,21 +269,6 @@ TEST(Serialize, SmallStructsRoundTrip) {
   cr.pins_checked = 77;
   expect_second_generation_identical(cr, write_check_result,
                                      parse_check_result);
-
-  EnergyStats es;
-  es.mean_pj = 27.1;
-  es.ned = 0.066;
-  es.nsd = 0.009;
-  expect_second_generation_identical(es, write_energy_stats,
-                                     parse_energy_stats);
-
-  DpaResult dr;
-  dr.n_measurements = 2000;
-  dr.best_guess = 46;
-  dr.disclosed = true;
-  dr.peak_to_peak = {0.5, 1.25, 0.75};
-  expect_second_generation_identical(dr, write_dpa_result,
-                                     parse_dpa_result);
 }
 
 TEST(Serialize, ParsersRejectMalformedInput) {

@@ -177,12 +177,12 @@ TEST_F(DesFlows, ReferenceLeaksMoreThanSecure) {
   // design's correct-key peak does not.
   DesDpaSetup setup;
   setup.n_measurements = 1600;
-  const DpaAnalysis ref =
-      run_des_dpa_regular(regular_->rtl, regular_->caps, setup);
-  const DpaAnalysis sec =
-      run_des_dpa_secure(secure_->diff, secure_->caps, setup);
-  const DpaResult rr = ref.analyze(setup.key);
-  const DpaResult sr = sec.analyze(setup.key);
+  const DpaResult rr =
+      run_des_dpa_campaign(regular_->rtl, regular_->caps, setup, false)
+          .dpa.analyze(setup.key);
+  const DpaResult sr =
+      run_des_dpa_campaign(secure_->diff, secure_->caps, setup, true)
+          .dpa.analyze(setup.key);
   EXPECT_EQ(rr.best_guess, static_cast<int>(setup.key));
   EXPECT_TRUE(rr.disclosed);
   EXPECT_FALSE(sr.disclosed);

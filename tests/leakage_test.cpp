@@ -263,7 +263,7 @@ TEST(Determinism, TvlaBitIdenticalAcrossThreadCounts) {
 // CPA ranking and MTD semantics on synthetic leakage.
 
 TEST(CpaRanking, RankAndDisclosureSemantics) {
-  CpaRanking r;
+  GuessRanking r;
   r.scores = {0.1, 0.5, 0.3, 0.5};
   r.best_guess = 1;
   r.best_score = 0.5;
@@ -273,11 +273,11 @@ TEST(CpaRanking, RankAndDisclosureSemantics) {
   EXPECT_EQ(r.rank_of(2), 3);
   EXPECT_EQ(r.rank_of(0), 4);
   // A tie never discloses: the margin requires clear separation.
-  EXPECT_FALSE(r.disclosed(1, 0.05));
+  EXPECT_FALSE(r.disclosed(1));
   r.scores = {0.1, 0.5, 0.3, 0.2};
   r.runner_up_score = 0.3;
-  EXPECT_TRUE(r.disclosed(1, 0.05));
-  EXPECT_FALSE(r.disclosed(2, 0.05));  // wrong best guess
+  EXPECT_TRUE(r.disclosed(1));
+  EXPECT_FALSE(r.disclosed(2));  // wrong best guess
 }
 
 TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {

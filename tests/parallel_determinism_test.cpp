@@ -43,7 +43,7 @@ Netlist* ParallelDeterminism::rtl_ = nullptr;
 /// Simulate n random encryptions of the reduced-DES module with the given
 /// thread count; every stochastic choice comes from the per-trace stream.
 std::vector<SimTrace> encrypt_traces(const Netlist& nl, int n, int threads) {
-  const TraceTask task = [](PowerSimulator& sim, Rng& rng, int) {
+  const TraceTask task = [](PowerSimulator& sim, Rng& rng, std::uint64_t) {
     auto drive = [&sim](const std::string& base, int width, std::uint32_t v) {
       for (int i = 0; i < width; ++i) {
         sim.set_input(base + "_" + std::to_string(i), (v >> i) & 1);
@@ -87,7 +87,7 @@ TEST_F(ParallelDeterminism, SimulateTracesBitIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelDeterminism, DpaCampaignBitIdenticalAcrossThreadCounts) {
   DesDpaSetup setup;
-  setup.n_measurements = 30;
+  setup.n_measurements = 230;  // two checkpoints and a ragged tail block
   setup.noise_ma = 0.05;  // exercises the per-trace noise stream too
   auto campaign = [&](int threads) {
     DesDpaSetup s = setup;
@@ -96,6 +96,7 @@ TEST_F(ParallelDeterminism, DpaCampaignBitIdenticalAcrossThreadCounts) {
   };
   const DesDpaCampaign serial = campaign(1);
   const DpaResult serial_r = serial.dpa.analyze(setup.key);
+  ASSERT_EQ(serial.dpa.checkpoints().size(), 2u);
   for (int threads : {2, 8}) {
     const DesDpaCampaign par = campaign(threads);
     ASSERT_EQ(par.cycle_energies_pj, serial.cycle_energies_pj)
@@ -105,30 +106,46 @@ TEST_F(ParallelDeterminism, DpaCampaignBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.disclosed, serial_r.disclosed);
     ASSERT_EQ(r.peak_to_peak, serial_r.peak_to_peak)
         << "@ " << threads << " threads";
+    ASSERT_EQ(par.dpa.checkpoints().size(), serial.dpa.checkpoints().size());
+    for (std::size_t c = 0; c < serial.dpa.checkpoints().size(); ++c) {
+      EXPECT_EQ(par.dpa.checkpoints()[c].peak_to_peak,
+                serial.dpa.checkpoints()[c].peak_to_peak)
+          << "checkpoint " << c << " @ " << threads << " threads";
+    }
+    EXPECT_EQ(par.dpa.mtd(), serial.dpa.mtd());
   }
 }
 
 TEST_F(ParallelDeterminism, GuessSweepBitIdenticalAcrossThreadCounts) {
-  // Synthetic traces; only DpaAnalysis::analyze's guess sweep is parallel.
-  auto analysis = [](int threads) {
-    DpaOptions opts;
-    opts.parallelism.n_threads = threads;
-    DpaAnalysis dpa(des_selection(2), opts);
-    Rng rng(11);
-    for (int i = 0; i < 200; ++i) {
-      DpaMeasurement m;
-      m.ciphertext = static_cast<std::uint32_t>(rng.next_below(1024));
-      m.samples.assign(16, 0.0);
-      for (double& s : m.samples) s = rng.next_gaussian();
-      dpa.add_measurement(std::move(m));
-    }
+  // Synthetic traces; only the fold's guess sweep is parallel.
+  std::vector<SimTrace> traces(250);
+  Rng rng(11);
+  for (SimTrace& t : traces) {
+    t.observable = static_cast<std::uint32_t>(rng.next_below(1024));
+    t.cycle.current_ma.assign(16, 0.0);
+    for (double& s : t.cycle.current_ma) s = rng.next_gaussian();
+  }
+  auto fold = [&](int threads) {
+    Parallelism par;
+    par.n_threads = threads;
+    DpaAccumulator dpa(des_selection(2), 46, par);
+    dpa.fold(traces);
     return dpa;
   };
-  const DpaResult serial = analysis(1).analyze(46);
+  const DpaAccumulator serial = fold(1);
   for (int threads : {2, 8}) {
-    const DpaResult par = analysis(threads).analyze(46);
-    EXPECT_EQ(par.best_guess, serial.best_guess);
-    ASSERT_EQ(par.peak_to_peak, serial.peak_to_peak);
+    const DpaAccumulator par = fold(threads);
+    for (std::uint32_t g = 0; g < kDesKeyGuesses; ++g) {
+      ASSERT_EQ(par.differential(g), serial.differential(g))
+          << "guess " << g << " @ " << threads << " threads";
+    }
+    const DpaResult r = par.analyze(46);
+    EXPECT_EQ(r.best_guess, serial.analyze(46).best_guess);
+    ASSERT_EQ(par.checkpoints().size(), serial.checkpoints().size());
+    for (std::size_t c = 0; c < serial.checkpoints().size(); ++c) {
+      EXPECT_EQ(par.checkpoints()[c].peak_to_peak,
+                serial.checkpoints()[c].peak_to_peak);
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "base/error.h"
@@ -8,10 +9,10 @@
 #include "leakage/cpa.h"
 #include "liberty/builtin_lib.h"
 #include "sca/dfa.h"
-#include "sca/selection.h"
 #include "sca/dpa.h"
 #include "sca/dpa_experiment.h"
 #include "sca/ema.h"
+#include "sca/selection.h"
 #include "sca/trace_io.h"
 #include "synth/hdl.h"
 #include "synth/techmap.h"
@@ -23,61 +24,127 @@ namespace {
 
 // --- DPA engine on synthetic traces -------------------------------------------
 
-/// Synthetic leaky device: the "power" at sample 5 is bias + leak when the
-/// selected bit of S(ct ^ key) is 1, plus noise.
-DpaAnalysis make_synthetic_campaign(std::uint32_t key, double leak,
-                                    double noise, int n, int bit = 0) {
-  auto selection = [bit](std::uint32_t ct, std::uint32_t guess) {
+/// Synthetic selection: bit `bit` of S(ct ^ guess).
+SelectionFn synthetic_selection(int bit) {
+  return [bit](std::uint32_t ct, std::uint32_t guess) {
     return ((des_sbox(1, (ct ^ guess) & 0x3F) >> bit) & 1) != 0;
   };
-  DpaAnalysis dpa(selection);
+}
+
+/// Synthetic leaky device: the "power" at sample 5 is bias + leak when the
+/// selected bit of S(ct ^ key) is 1, plus noise.
+std::vector<SimTrace> synthetic_traces(std::uint32_t key, double leak,
+                                       double noise, int n, int bit = 0) {
+  const SelectionFn selection = synthetic_selection(bit);
   Rng rng(4242);
-  for (int i = 0; i < n; ++i) {
-    const std::uint32_t ct = static_cast<std::uint32_t>(rng.next_below(64));
-    DpaMeasurement m;
-    m.ciphertext = ct;
-    m.samples.assign(16, 0.0);
-    for (double& s : m.samples) s = noise * rng.next_gaussian();
-    if (selection(ct, key)) m.samples[5] += leak;
-    dpa.add_measurement(std::move(m));
+  std::vector<SimTrace> traces(static_cast<std::size_t>(n));
+  for (SimTrace& t : traces) {
+    t.observable = static_cast<std::uint32_t>(rng.next_below(64));
+    t.cycle.current_ma.assign(16, 0.0);
+    for (double& s : t.cycle.current_ma) s = noise * rng.next_gaussian();
+    if (selection(t.observable, key)) t.cycle.current_ma[5] += leak;
   }
+  return traces;
+}
+
+DpaAccumulator make_synthetic_campaign(std::uint32_t key, double leak,
+                                       double noise, int n, int bit = 0) {
+  DpaAccumulator dpa(synthetic_selection(bit), key);
+  dpa.fold(synthetic_traces(key, leak, noise, n, bit));
   return dpa;
 }
 
+/// The reference implementation: difference of means over the first `m`
+/// traces, summed from scratch in trace order.
+std::vector<double> reference_differential(const std::vector<SimTrace>& traces,
+                                           int m, const SelectionFn& sel,
+                                           std::uint32_t guess) {
+  const std::size_t len = traces.front().cycle.current_ma.size();
+  std::vector<double> sum1(len, 0.0), sum0(len, 0.0);
+  std::size_t n1 = 0, n0 = 0;
+  for (int i = 0; i < m; ++i) {
+    const SimTrace& t = traces[static_cast<std::size_t>(i)];
+    const bool bit = sel(t.observable, guess);
+    std::vector<double>& sum = bit ? sum1 : sum0;
+    ++(bit ? n1 : n0);
+    for (std::size_t s = 0; s < len; ++s) sum[s] += t.cycle.current_ma[s];
+  }
+  std::vector<double> diff(len, 0.0);
+  if (n1 == 0 || n0 == 0) return diff;
+  for (std::size_t s = 0; s < len; ++s) {
+    diff[s] = sum1[s] / static_cast<double>(n1) -
+              sum0[s] / static_cast<double>(n0);
+  }
+  return diff;
+}
+
+TEST(Dpa, FoldMatchesFromScratchDifferenceOfMeansAtEveryCheckpoint) {
+  const int n = 5 * kDpaCheckpointTraces;
+  const std::vector<SimTrace> traces = synthetic_traces(46, 0.5, 0.3, n);
+  const SelectionFn sel = synthetic_selection(0);
+  // One accumulator folds checkpoint-sized blocks; the other folds ragged
+  // blocks that straddle every checkpoint.
+  DpaAccumulator aligned(sel, 46);
+  DpaAccumulator ragged(sel, 46);
+  for (int begin = 0; begin < n; begin += 37) {
+    ragged.fold({traces.begin() + begin,
+                 traces.begin() + std::min(begin + 37, n)});
+  }
+  for (int m = kDpaCheckpointTraces; m <= n; m += kDpaCheckpointTraces) {
+    aligned.fold({traces.begin() + (m - kDpaCheckpointTraces),
+                  traces.begin() + m});
+    const std::size_t c =
+        static_cast<std::size_t>(m / kDpaCheckpointTraces - 1);
+    ASSERT_EQ(aligned.checkpoints().size(), c + 1);
+    ASSERT_EQ(ragged.checkpoints().at(c).n_measurements, m);
+    for (std::uint32_t g = 0; g < kDesKeyGuesses; ++g) {
+      const std::vector<double> ref = reference_differential(traces, m, sel, g);
+      EXPECT_EQ(aligned.differential(g), ref) << "guess " << g << " @ " << m;
+      EXPECT_EQ(aligned.checkpoints()[c].peak_to_peak[g], peak_to_peak(ref))
+          << "guess " << g << " @ " << m;
+      EXPECT_EQ(ragged.checkpoints()[c].peak_to_peak[g], peak_to_peak(ref))
+          << "guess " << g << " @ " << m;
+    }
+  }
+  EXPECT_EQ(ragged.differential(46), aligned.differential(46));
+}
+
 TEST(Dpa, RecoversKeyFromLeakyTraces) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 1.0, 0.2, 400);
+  const DpaAccumulator dpa = make_synthetic_campaign(46, 1.0, 0.2, 400);
   const DpaResult r = dpa.analyze(46);
+  EXPECT_EQ(r.n_measurements, 400);
   EXPECT_EQ(r.best_guess, 46);
   EXPECT_TRUE(r.disclosed);
 }
 
 TEST(Dpa, NoLeakNoDisclosure) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 0.0, 0.2, 400);
+  const DpaAccumulator dpa = make_synthetic_campaign(46, 0.0, 0.2, 400);
   const DpaResult r = dpa.analyze(46);
   EXPECT_FALSE(r.disclosed);
 }
 
 TEST(Dpa, MtdShrinksWithStrongerLeak) {
-  const std::vector<int> grid = {25, 50, 100, 200, 400, 800};
-  const int mtd_strong =
-      make_synthetic_campaign(46, 2.0, 0.2, 800).measurements_to_disclosure(
-          46, grid);
-  const int mtd_weak =
-      make_synthetic_campaign(46, 0.35, 0.2, 800).measurements_to_disclosure(
-          46, grid);
-  ASSERT_GT(mtd_strong, 0);
-  ASSERT_GT(mtd_weak, 0);
-  EXPECT_LT(mtd_strong, mtd_weak);
+  const DpaAccumulator strong = make_synthetic_campaign(46, 2.0, 0.2, 800);
+  const DpaAccumulator weak = make_synthetic_campaign(46, 0.1, 0.2, 800);
+  ASSERT_EQ(strong.checkpoints().size(), 8u);
+  ASSERT_GT(strong.mtd(), 0);
+  ASSERT_GT(weak.mtd(), 0);
+  EXPECT_LT(strong.mtd(), weak.mtd());
+  // Disclosure persists from the MTD checkpoint to the last one.
+  for (const DpaResult& r : weak.checkpoints()) {
+    EXPECT_EQ(r.disclosed, r.n_measurements >= weak.mtd()) << r.n_measurements;
+  }
 }
 
 TEST(Dpa, MtdMinusOneWhenHidden) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 0.0, 0.3, 300);
-  EXPECT_EQ(dpa.measurements_to_disclosure(46, {100, 200, 300}), -1);
+  const DpaAccumulator dpa = make_synthetic_campaign(46, 0.0, 0.3, 300);
+  ASSERT_EQ(dpa.checkpoints().size(), 3u);
+  EXPECT_EQ(dpa.mtd(), -1);
 }
 
 TEST(Dpa, DifferentialTraceLocatesLeakSample) {
-  const DpaAnalysis dpa = make_synthetic_campaign(46, 1.0, 0.1, 500);
-  const std::vector<double> diff = dpa.differential_trace(46);
+  const DpaAccumulator dpa = make_synthetic_campaign(46, 1.0, 0.1, 500);
+  const std::vector<double> diff = dpa.differential(46);
   std::size_t argmax = 0;
   for (std::size_t i = 1; i < diff.size(); ++i) {
     if (std::abs(diff[i]) > std::abs(diff[argmax])) argmax = i;
@@ -92,9 +159,12 @@ TEST(Dpa, PeakToPeakHelper) {
 }
 
 TEST(Dpa, RejectsMismatchedTraceLengths) {
-  DpaAnalysis dpa(des_selection(0));
-  dpa.add_measurement({std::vector<double>(8, 0.0), 0});
-  EXPECT_THROW(dpa.add_measurement({std::vector<double>(9, 0.0), 0}), Error);
+  DpaAccumulator dpa(des_selection(0), 46);
+  std::vector<SimTrace> traces(1);
+  traces[0].cycle.current_ma.assign(8, 0.0);
+  dpa.fold(traces);
+  traces[0].cycle.current_ma.assign(9, 0.0);
+  EXPECT_THROW(dpa.fold(traces), Error);
 }
 
 // --- EMA ------------------------------------------------------------------------
@@ -275,6 +345,13 @@ TEST(Selection, DpaSelectionIsABitOfTheSharedPrediction) {
   }
 }
 
+TEST(Selection, DpaSelectionRejectsBitsOutsideTheNibble) {
+  EXPECT_THROW(des_selection(40), Error);
+  EXPECT_THROW(des_selection(4), Error);
+  EXPECT_THROW(des_selection(-1), Error);
+  EXPECT_NO_THROW(des_selection(3));
+}
+
 TEST(Selection, HypothesesAreHwAndHdOfTheSharedPrediction) {
   const HypothesisFn hw = des_hypothesis(PowerModel::kHammingWeight);
   const HypothesisFn hd = des_hypothesis(PowerModel::kHammingDistance);
@@ -306,7 +383,7 @@ TEST(Selection, DpaAndCpaRecoverTheSameKeyThroughTheSharedCore) {
   // des_hypothesis) must both converge on the planted key.
   const std::uint32_t key = 46;
   Rng rng(991);
-  DpaAnalysis dpa(des_selection(0));
+  std::vector<SimTrace> dpa_traces;
   std::vector<CpaMeasurement> cpa_traces;
   for (int i = 0; i < 600; ++i) {
     const std::uint32_t ct = static_cast<std::uint32_t>(rng.next_below(1024));
@@ -315,25 +392,27 @@ TEST(Selection, DpaAndCpaRecoverTheSameKeyThroughTheSharedCore) {
     std::vector<double> samples(8);
     for (double& s : samples) s = 0.3 * rng.next_gaussian();
     samples[3] += leak;
-    DpaMeasurement dm;
-    dm.ciphertext = ct;
-    dm.samples = samples;
-    dpa.add_measurement(std::move(dm));
+    SimTrace dt;
+    dt.observable = ct;
+    dt.cycle.current_ma = samples;
+    dpa_traces.push_back(std::move(dt));
     CpaMeasurement cm;
     cm.ct = ct;
     cm.prev_ct = 0;
     cm.samples = std::move(samples);
     cpa_traces.push_back(std::move(cm));
   }
+  DpaAccumulator dpa(des_selection(0), key);
+  dpa.fold(dpa_traces);
   const DpaResult dr = dpa.analyze(key);
   EXPECT_EQ(dr.best_guess, static_cast<int>(key));
   EXPECT_TRUE(dr.disclosed);
   const CpaAccumulator acc = accumulate_cpa(
       cpa_traces, des_hypothesis(PowerModel::kHammingWeight), {});
-  const CpaRanking cr = cpa_ranking(acc);
+  const GuessRanking cr = rank_guesses(acc.scores());
   EXPECT_EQ(cr.best_guess, static_cast<int>(key));
   EXPECT_EQ(cr.rank_of(static_cast<int>(key)), 1);
-  EXPECT_TRUE(cr.disclosed(key, 0.05));
+  EXPECT_TRUE(cr.disclosed(key));
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TraceTask des_task(const CompiledSimModel& model) {
   ports->push_back(resolve("pl", 4));
   ports->push_back(resolve("pr", 6));
   ports->push_back(resolve("cl", 4));
-  return [ports](PowerSimulator& sim, Rng& rng, int) {
+  return [ports](PowerSimulator& sim, Rng& rng, std::uint64_t) {
     auto drive = [&sim](const std::vector<PortId>& ids, std::uint32_t v) {
       for (std::size_t i = 0; i < ids.size(); ++i) {
         sim.set_input(ids[i], (v >> i) & 1);
@@ -139,7 +139,7 @@ TEST_F(ParallelSimModel, ResetReuseBitIdenticalToFreshConstruction) {
     Parallelism par;
     par.n_threads = threads;
     const std::vector<SimTrace> got =
-        simulate_traces(model, n, seed, task, par);
+        simulate_traces(model, 0, n, seed, task, par);
     expect_traces_equal(got, fresh,
                         "simulate_traces @" + std::to_string(threads));
   }
@@ -153,7 +153,7 @@ TEST_F(ParallelSimModel, SharedModelMatchesLegacyPerCallCompilation) {
   Parallelism par;
   par.n_threads = 8;
   const std::vector<SimTrace> shared =
-      simulate_traces(model, 24, 123, task, par);
+      simulate_traces(model, 0, 24, 123, task, par);
   const std::vector<SimTrace> legacy =
       simulate_traces(*rtl_, {}, PowerSimOptions{}, 24, 123, task, par);
   expect_traces_equal(shared, legacy, "shared vs legacy");
