@@ -6,8 +6,10 @@
 // tests/golden/flow_small.golden.  Any behavioural drift in
 // synthesis, substitution, placement, routing, decomposition or extraction
 // shows up as a per-stage hash mismatch, keyed `<design>.<flow>.<stage>`.
-// The same file pins the report writers: `report.<schema>` hashes the
-// JSON bytes of the fixed sample reports in report_samples.h.
+// `des.<flow>.traces` pins the attack's input: the supply-current traces
+// the DES trace task records on each golden DES layout.  The same file
+// pins the report writers: `report.<schema>` hashes the JSON bytes of the
+// fixed sample reports in report_samples.h.
 //
 // When a change is *intentional*, regenerate the golden file with:
 //
@@ -29,6 +31,7 @@
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
 #include "report_samples.h"
+#include "sca/dpa_experiment.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -71,25 +74,56 @@ constexpr const char* kSeqRstDesign = R"(
     assign p = ~f;
   endmodule)";
 
+/// Digest of the first 64 DES trace-task traces on a DES layout (key 46,
+/// 0.6 mA noise, seed 2025): every sample's bytes, the cycle energy, the
+/// transition count and the observable of each trace.
+std::string des_traces_hash(const CompiledSimModel& model,
+                            bool differential) {
+  const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
+  const TraceTask task = [&](PowerSimulator& sim, Rng& rng, std::uint64_t) {
+    return des_trace(sim, rng, ports, 46, 0.6);
+  };
+  Hasher h;
+  for (const SimTrace& t : simulate_traces(model, 0, 64, 2025, task)) {
+    h.bytes(t.cycle.current_ma.data(),
+            t.cycle.current_ma.size() * sizeof(double));
+    h.add(t.cycle.energy_pj).add(t.cycle.transitions);
+    h.add(static_cast<std::uint64_t>(t.observable));
+  }
+  return hash_hex(h.digest());
+}
+
 /// Run one flow on one design and hash every executed stage's checkpoint,
-/// keyed `<design>.<flow>.<stage>`.
+/// keyed `<design>.<flow>.<stage>`; `with_traces` adds the layout's
+/// `<design>.<flow>.traces` digest.
 std::map<std::string, std::string> run_and_hash(const std::string& design,
                                                 const AigCircuit& circuit,
-                                                FlowKind kind) {
+                                                FlowKind kind,
+                                                bool with_traces = false) {
   const fs::path dir = fs::path(::testing::TempDir()) / "flow_golden_cache";
   fs::remove_all(dir);
   FlowOptions opts;
   opts.cache_dir = dir.string();
   const auto base = builtin_stdcell018();
+  const std::string prefix = design + "." + flow_kind_name(kind) + ".";
+  std::map<std::string, std::string> hashes;
   StageTimings timings;
   if (kind == FlowKind::kSecure) {
-    timings = run_secure_flow(circuit, base, opts).timings;
+    const SecureFlowResult r = run_secure_flow(circuit, base, opts);
+    timings = r.timings;
+    if (with_traces) {
+      hashes[prefix + "traces"] = des_traces_hash(compile_power_model(r), true);
+    }
   } else {
-    timings = run_regular_flow(circuit, base, opts).timings;
+    const RegularFlowResult r = run_regular_flow(circuit, base, opts);
+    timings = r.timings;
+    if (with_traces) {
+      hashes[prefix + "traces"] =
+          des_traces_hash(compile_power_model(r), false);
+    }
   }
 
   const ArtifactStore store(dir.string());
-  std::map<std::string, std::string> hashes;
   for (int i = 0; i < kNumFlowStages; ++i) {
     const FlowStage s = static_cast<FlowStage>(i);
     if (timings.outcome(s) == CacheOutcome::kNotRun) continue;
@@ -98,8 +132,7 @@ std::map<std::string, std::string> run_and_hash(const std::string& design,
     EXPECT_TRUE(f.good()) << "missing checkpoint " << path;
     std::ostringstream ss;
     ss << f.rdbuf();
-    hashes[design + "." + flow_kind_name(kind) + "." + flow_stage_name(s)] =
-        hash_hex(fnv1a(ss.str()));
+    hashes[prefix + flow_stage_name(s)] = hash_hex(fnv1a(ss.str()));
   }
   fs::remove_all(dir);
   return hashes;
@@ -132,8 +165,8 @@ std::map<std::string, std::string> run_all() {
   // The paper's DES module is the smallest design whose routing reaches
   // the serial tail and window escalation; its route_stats checkpoint
   // serializes expanded_nodes, so these hashes pin the exact A* pop order.
-  hashes.merge(run_and_hash("des", des, FlowKind::kSecure));
-  hashes.merge(run_and_hash("des", des, FlowKind::kRegular));
+  hashes.merge(run_and_hash("des", des, FlowKind::kSecure, true));
+  hashes.merge(run_and_hash("des", des, FlowKind::kRegular, true));
   hashes.merge(report_hashes());
   return hashes;
 }
