@@ -1,12 +1,14 @@
 // The statistical leakage-assessment engine: accumulator throughput
-// (traces/s through the streaming CPA and TVLA statistics), the
-// shard-merge cost, and the full DES assessment — CPA ranking, TVLA
-// verdict and MTD on both flows at the calibrated attack point, with the
-// cold-vs-warm trace-cache replay speedup.
+// (traces/s through the streaming CPA and TVLA statistics) and the full
+// DES assessment — CPA ranking, TVLA verdict and MTD on both flows at the
+// calibrated attack point, with the cold-vs-warm trace-cache replay
+// speedup.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <span>
 
 #include "bench_util.h"
 #include "leakage/accumulators.h"
@@ -54,11 +56,16 @@ int main(int argc, char** argv) {
   const HypothesisFn hyp = des_hypothesis(PowerModel::kHammingDistance);
 
   bench::header("throughput", "streaming statistics, synthetic traces");
-  CpaOptions serial;
-  serial.parallelism.n_threads = 1;
-  const double cpa_ser_ms =
-      wall_ms([&] { accumulate_cpa(traces, hyp, serial); });
-  const double cpa_par_ms = wall_ms([&] { accumulate_cpa(traces, hyp, {}); });
+  // CPA folds 100-trace blocks, the assessment's default block width.
+  const auto cpa_fold = [&](const Parallelism& par) {
+    CpaAccumulator acc(kDesKeyGuesses, kSamples);
+    for (std::size_t b = 0; b < traces.size(); b += 100) {
+      const std::size_t n = std::min<std::size_t>(100, traces.size() - b);
+      fold_cpa(acc, std::span(traces).subspan(b, n), hyp, par);
+    }
+  };
+  const double cpa_ser_ms = wall_ms([&] { cpa_fold(Parallelism{1}); });
+  const double cpa_par_ms = wall_ms([&] { cpa_fold({}); });
   const int n_par = Parallelism{}.resolved_threads();
   bench::row("CPA  %d traces x %d samples x 64 guesses: "
              "%.0f ms @ 1 thread (%.0f traces/s), %.0f ms @ %d threads",
@@ -78,16 +85,6 @@ int main(int argc, char** argv) {
   bench::row("TVLA %d traces x %d samples: %.0f ms (%.0f traces/s)", kTraces,
              kSamples, tvla_ms, kTraces / tvla_ms * 1e3);
   report.metric("tvla.traces_per_s", kTraces / tvla_ms * 1e3);
-
-  // Shard merge: the fixed cost of combining two accumulated halves.
-  CpaAccumulator a = accumulate_cpa(traces, hyp, {});
-  const CpaAccumulator b = a;
-  const double merge_ms = wall_ms([&] {
-    for (int i = 0; i < 1000; ++i) a.merge(b);
-  });
-  bench::row("merge 64x%d-sample accumulators: %.1f us each", kSamples,
-             merge_ms);
-  report.metric("merge.us", merge_ms);
 
   // --- the full DES assessment at the calibrated attack point ---
   bench::DesDesigns d = bench::build_des_designs();

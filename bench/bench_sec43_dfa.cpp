@@ -65,13 +65,13 @@ int main() {
     first = false;
     // Two normal cycles establish valid state, then the glitched cycle.
     ports.drive(sim, 5, 21, 46);
-    sim.run_cycle();
+    sim.step_cycle();
     ports.drive(sim, static_cast<std::uint32_t>(rng.next_below(16)),
                 static_cast<std::uint32_t>(rng.next_below(64)), 46);
-    sim.run_cycle();
+    sim.step_cycle();
     ports.drive(sim, static_cast<std::uint32_t>(rng.next_below(16)),
                 static_cast<std::uint32_t>(rng.next_below(64)), 46);
-    sim.run_cycle(period);
+    sim.step_cycle(period);
     const auto alarms = monitor.check(sim);
     bench::row("%-14.0f %10zu %14s", period, alarms.size(),
                alarms.empty() ? "ok" : "ALARM");

@@ -46,7 +46,7 @@ int main() {
   for (int i = 0; i < 2; ++i) {
     drive(sim, static_cast<std::uint32_t>(rng.next_below(16)),
           static_cast<std::uint32_t>(rng.next_below(64)), 46);
-    sim.run_cycle();
+    sim.step_cycle();
   }
 
   std::printf("%-8s %-12s %-10s %s\n", "cycle", "period", "alarms",
@@ -57,7 +57,7 @@ int main() {
     // The attacker glitches cycle 5: the clock runs 10x too fast, the
     // evaluation wave cannot reach the registers before capture.
     const bool glitch = cycle == 5;
-    sim.run_cycle(glitch ? 800.0 : 0.0);
+    sim.step_cycle(glitch ? 800.0 : 0.0);
     const auto alarms = monitor.check(sim);
     std::printf("%-8d %-12s %-10zu %s\n", cycle,
                 glitch ? "800 ps !" : "8000 ps", alarms.size(),

@@ -75,76 +75,53 @@ CpaAccumulator::CpaAccumulator(int n_guesses, int n_samples)
       m2_h_(static_cast<std::size_t>(n_guesses), 0.0),
       c_(static_cast<std::size_t>(n_guesses) *
              static_cast<std::size_t>(n_samples),
-         0.0),
-      dt_old_(static_cast<std::size_t>(n_samples), 0.0) {
+         0.0) {
   SECFLOW_CHECK(n_guesses > 1, "CPA needs at least 2 key guesses");
   SECFLOW_CHECK(n_samples > 0, "CPA needs at least 1 sample");
 }
 
 void CpaAccumulator::add(const double* samples, const double* hypotheses) {
-  ++n_;
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  const std::size_t S = mean_t_.size();
-  const std::size_t G = mean_h_.size();
-  // Trace moments; keep the pre-update deviations for the co-moment rows.
-  for (std::size_t s = 0; s < S; ++s) {
-    const double x = samples[s];
-    const double d = x - mean_t_[s];
-    dt_old_[s] = d;
-    mean_t_[s] += d * inv_n;
-    m2_t_[s] += d * (x - mean_t_[s]);
-  }
-  // Hypothesis moments and the co-moment matrix.  The pairwise-exact
-  // cross update is C += (h - mean_h_new) * (t - mean_t_old).
-  for (std::size_t g = 0; g < G; ++g) {
-    const double h = hypotheses[g];
-    const double dh = h - mean_h_[g];
-    mean_h_[g] += dh * inv_n;
-    m2_h_[g] += dh * (h - mean_h_[g]);
-    const double dh_new = h - mean_h_[g];
-    double* row = c_.data() + g * S;
-    for (std::size_t s = 0; s < S; ++s) row[s] += dh_new * dt_old_[s];
-  }
+  fold(1, &samples, hypotheses, Parallelism{1});
 }
 
-void CpaAccumulator::merge(const CpaAccumulator& o) {
-  SECFLOW_CHECK(n_guesses() == o.n_guesses() && n_samples() == o.n_samples(),
-                "CPA merge: shape mismatch");
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    n_ = o.n_;
-    mean_t_ = o.mean_t_;
-    m2_t_ = o.m2_t_;
-    mean_h_ = o.mean_h_;
-    m2_h_ = o.m2_h_;
-    c_ = o.c_;
-    return;
-  }
-  const double na = static_cast<double>(n_), nb = static_cast<double>(o.n_);
-  const double nt = na + nb;
-  const double w = na * nb / nt;
+void CpaAccumulator::fold(std::size_t n, const double* const* samples,
+                          const double* hypotheses, const Parallelism& par) {
   const std::size_t S = mean_t_.size();
   const std::size_t G = mean_h_.size();
-  // Co-moments first: they need the pre-merge means of both sides.
-  for (std::size_t g = 0; g < G; ++g) {
-    const double dh = o.mean_h_[g] - mean_h_[g];
-    double* row = c_.data() + g * S;
-    const double* orow = o.c_.data() + g * S;
+  // Trace moments in trace order; keep every trace's pre-update deviations
+  // for the co-moment rows.
+  dt_old_.resize(n * S);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double inv_n = 1.0 / static_cast<double>(n_ + i + 1);
+    double* dt = dt_old_.data() + i * S;
     for (std::size_t s = 0; s < S; ++s) {
-      row[s] += orow[s] + dh * (o.mean_t_[s] - mean_t_[s]) * w;
+      const double x = samples[i][s];
+      const double d = x - mean_t_[s];
+      dt[s] = d;
+      mean_t_[s] += d * inv_n;
+      m2_t_[s] += d * (x - mean_t_[s]);
     }
   }
-  for (std::size_t s = 0; s < S; ++s) {
-    const double d = o.mean_t_[s] - mean_t_[s];
-    mean_t_[s] += d * (nb / nt);
-    m2_t_[s] += o.m2_t_[s] + d * d * w;
-  }
-  for (std::size_t g = 0; g < G; ++g) {
-    const double d = o.mean_h_[g] - mean_h_[g];
-    mean_h_[g] += d * (nb / nt);
-    m2_h_[g] += o.m2_h_[g] + d * d * w;
-  }
-  n_ += o.n_;
+  // Hypothesis moments and the co-moment matrix: each guess owns its
+  // moments and row and adds the traces in order, so any split of the
+  // guesses across threads gives the serial result.  The pairwise-exact
+  // cross update is C += (h - mean_h_new) * (t - mean_t_old).
+  parallel_for(G, par, [&](std::size_t g_begin, std::size_t g_end) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double inv_n = 1.0 / static_cast<double>(n_ + i + 1);
+      const double* dt = dt_old_.data() + i * S;
+      for (std::size_t g = g_begin; g < g_end; ++g) {
+        const double h = hypotheses[i * G + g];
+        const double dh = h - mean_h_[g];
+        mean_h_[g] += dh * inv_n;
+        m2_h_[g] += dh * (h - mean_h_[g]);
+        const double dh_new = h - mean_h_[g];
+        double* row = c_.data() + g * S;
+        for (std::size_t s = 0; s < S; ++s) row[s] += dh_new * dt[s];
+      }
+    }
+  });
+  n_ += n;
 }
 
 double CpaAccumulator::correlation(int guess, int sample) const {

@@ -5,24 +5,27 @@
 // statistics — nothing here ever holds a trace matrix.  Each accumulator
 // keeps O(state) running moments, updated per trace with the Welford
 // recurrences (catastrophic-cancellation-free, unlike naive sum /
-// sum-of-squares), and supports an exact pairwise merge (Chan et al.) so
-// shards accumulated independently combine into the same statistics.
+// sum-of-squares).
 //
-// Determinism contract (DESIGN.md §14): callers shard the trace stream
-// into fixed-width index ranges (kLeakageShardTraces, independent of the
-// thread count), accumulate each shard serially in index order, and merge
-// the shard accumulators in ascending shard order.  Both the in-shard
-// update order and the merge order are therefore thread-count-invariant,
-// which makes every derived statistic bit-identical at any
-// SECFLOW_THREADS.
+// Determinism contract (DESIGN.md §14), bit-identical statistics at any
+// SECFLOW_THREADS:
+//  * Welch (TVLA): callers shard the trace stream into fixed-width index
+//    ranges (kLeakageShardTraces, independent of the thread count),
+//    accumulate each shard serially in index order, and merge the shard
+//    accumulators (Chan et al.) in ascending shard order.
+//  * CPA: one accumulator folds the stream in trace order; a fold splits
+//    the key guesses, never the traces, across threads, so every moment
+//    sees the same updates in the same order as serial add() calls.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "base/parallel.h"
+
 namespace secflow {
 
-/// Fixed shard width (traces per shard) of the deterministic
+/// Fixed shard width (traces per shard) of TVLA's deterministic
 /// shard-and-merge scheme.  A constant, never derived from the thread
 /// count: thread counts change which worker computes a shard, never the
 /// shard boundaries or the merge order.
@@ -72,13 +75,10 @@ class WelchAccumulator {
 
 /// Streaming Pearson-correlation state for CPA: per-sample trace moments,
 /// per-guess hypothesis moments, and the (guess x sample) co-moment
-/// matrix, all maintained with one-pass pairwise-mergeable recurrences.
-/// State is O(guesses * samples) regardless of the trace count.
+/// matrix, all maintained with one-pass recurrences.  State is
+/// O(guesses * samples) regardless of the trace count.
 class CpaAccumulator {
  public:
-  /// Empty shell (0 guesses / 0 samples) so accumulators can live in
-  /// containers; usable only as an assignment target.
-  CpaAccumulator() = default;
   CpaAccumulator(int n_guesses, int n_samples);
 
   int n_guesses() const { return static_cast<int>(mean_h_.size()); }
@@ -88,7 +88,12 @@ class CpaAccumulator {
   /// Fold in one trace: `samples` has n_samples() entries, `hypotheses`
   /// the predicted leakage per key guess (n_guesses() entries).
   void add(const double* samples, const double* hypotheses);
-  void merge(const CpaAccumulator& o);
+
+  /// Fold in `n` traces in order: trace i's samples at samples[i], its
+  /// hypotheses at hypotheses[i * n_guesses() + g].  The guess sweep runs
+  /// on `par`; the result is bit-identical to n add() calls.
+  void fold(std::size_t n, const double* const* samples,
+            const double* hypotheses, const Parallelism& par = {});
 
   /// Pearson correlation between guess g's hypothesis and sample s
   /// across every trace folded in so far; 0 when either variance
@@ -103,7 +108,8 @@ class CpaAccumulator {
   std::vector<double> mean_t_, m2_t_;  ///< per sample
   std::vector<double> mean_h_, m2_h_;  ///< per guess
   std::vector<double> c_;              ///< co-moments, guess-major [g*S + s]
-  std::vector<double> dt_old_;         ///< per-sample scratch for add()
+  /// Fold workspace: each trace's pre-update sample deviations, [i*S + s].
+  std::vector<double> dt_old_;
 };
 
 }  // namespace secflow

@@ -146,8 +146,8 @@ std::vector<CpaMeasurement> fetch_block(
   return out;
 }
 
-/// Fetch [0, n) in fixed `step`-wide blocks (the MTD feed granularity, so
-/// CPA, GE and MTD address identical cache entries for shared ranges).
+/// Fetch [begin, end) in fixed `step`-wide blocks (the MTD check
+/// granularity, the block width of every phase).
 std::vector<CpaMeasurement> fetch_range(
     const CompiledSimModel& model, TraceCache& cache, const char* purpose,
     const LeakageSetup& s, bool differential, std::uint64_t stream_base,
@@ -205,7 +205,7 @@ SimTrace generic_tvla_trace(PowerSimulator& sim, Rng& rng,
                             const LeakageSetup& s, bool fixed) {
   for (const DesBitPorts& lane : lanes) drive_lane(sim, lane, rng.next_bool());
   sim.settle();
-  sim.run_cycle();
+  sim.step_cycle();
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     const bool rnd = rng.next_bool();  // consumed in both classes
     drive_lane(sim, lanes[i], fixed ? fixed_bits[i] != 0 : rnd);
@@ -259,29 +259,12 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
   return out;
 }
 
-CpaOptions cpa_options(const LeakageSetup& s) {
-  CpaOptions opts;
-  opts.n_guesses = kDesKeyGuesses;
-  opts.parallelism = s.parallelism;
-  return opts;
-}
-
-CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
-                         const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const TraceTask& task) {
-  Span span("leakage.cpa", "leakage");
-  span.arg("traces", s.cpa_traces);
-  span.arg("model", power_model_name(s.model));
-  const std::vector<CpaMeasurement> traces =
-      fetch_range(model, cache, "cpa", s, differential, 0, 0, s.cpa_traces,
-                  std::max(s.mtd.step, 1), task);
-  const CpaAccumulator acc = accumulate_cpa(traces, hyp, cpa_options(s));
+CpaSummary cpa_summary(const CpaAccumulator& acc, const LeakageSetup& s) {
   const GuessRanking ranking = rank_guesses(acc.scores());
-
   CpaSummary out;
   out.present = true;
   out.model = power_model_name(s.model);
-  out.n_traces = static_cast<std::int64_t>(traces.size());
+  out.n_traces = static_cast<std::int64_t>(acc.n());
   out.best_guess = ranking.best_guess;
   out.best_score = ranking.best_score;
   out.runner_up_score = ranking.runner_up_score;
@@ -294,6 +277,67 @@ CpaSummary run_cpa_phase(const CompiledSimModel& model, TraceCache& cache,
                    LogField("correct_rank", out.correct_rank),
                    LogField("disclosed", out.disclosed));
   return out;
+}
+
+MtdSummary mtd_summary(const MtdResult& result, const LeakageSetup& s) {
+  MtdSummary out;
+  out.present = true;
+  out.mtd = result.mtd;
+  out.max_traces = s.mtd.max_traces;
+  out.step = s.mtd.step;
+  out.persist = s.mtd.persist;
+  out.traces_fed = result.traces_fed;
+  out.disclosed = result.disclosed;
+  for (int c : result.checkpoints) out.checkpoints.push_back(c);
+  for (int r : result.ranks) out.ranks.push_back(r);
+  Metrics::global().gauge_max(
+      "leakage.mtd", static_cast<double>(result.mtd < 0 ? s.mtd.max_traces
+                                                        : result.mtd));
+  SECFLOW_LOG_INFO("leakage", "MTD done", LogField("mtd", result.mtd),
+                   LogField("traces_fed", result.traces_fed));
+  return out;
+}
+
+/// CPA and MTD in one pass over the CPA trace stream (stream_base 0):
+/// each step-wide block is fetched once and folded in trace order; the
+/// CPA summary is read at cpa_traces and MTD's rank at each of its
+/// checkpoints.  The pass runs past cpa_traces only while MTD still needs
+/// traces.  Fills r.cpa, and r.mtd when MTD is on.
+void run_cpa_mtd_pass(const CompiledSimModel& model, TraceCache& cache,
+                      const LeakageSetup& s, bool differential,
+                      const HypothesisFn& hyp, const TraceTask& task,
+                      LeakageReport& r) {
+  Span span("leakage.cpa", "leakage");
+  span.arg("traces", s.cpa_traces);
+  span.arg("mtd_max_traces", s.with_mtd ? s.mtd.max_traces : 0);
+  span.arg("model", power_model_name(s.model));
+  SECFLOW_CHECK(s.cpa_traces > 0, "CPA: no traces to accumulate");
+  std::optional<MtdTracker> mtd;
+  if (s.with_mtd) mtd.emplace(s.mtd, s.key);
+  const auto mtd_live = [&] { return mtd && !mtd->done(); };
+  const int step = std::max(s.mtd.step, 1);
+  CpaAccumulator acc(kDesKeyGuesses, model.samples_per_cycle());
+  int n = 0;  // traces folded
+  while (n < s.cpa_traces || mtd_live()) {
+    const int limit = mtd_live() ? std::max(s.cpa_traces, s.mtd.max_traces)
+                                 : s.cpa_traces;
+    const std::vector<CpaMeasurement> block =
+        fetch_block(model, cache, "cpa", s, differential, 0, n,
+                    std::min(n + step, limit), task);
+    // Fold up to each trace count a verdict is read at, read it, go on.
+    for (std::size_t i = 0; i < block.size();) {
+      int stop = n + static_cast<int>(block.size() - i);
+      if (n < s.cpa_traces) stop = std::min(stop, s.cpa_traces);
+      if (mtd_live()) stop = std::min(stop, mtd->next_checkpoint());
+      const std::size_t k = static_cast<std::size_t>(stop - n);
+      fold_cpa(acc, std::span(block).subspan(i, k), hyp, s.parallelism);
+      i += k;
+      n = stop;
+      if (n == s.cpa_traces) r.cpa = cpa_summary(acc, s);
+      if (mtd_live() && n == mtd->next_checkpoint()) mtd->check(acc);
+    }
+  }
+  if (mtd) r.mtd = mtd_summary(mtd->result(), s);
 }
 
 GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
@@ -311,24 +355,20 @@ GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
   // from each other and from the CPA/MTD range [0, range).
   const std::uint64_t range = static_cast<std::uint64_t>(
       std::max(std::max(s.cpa_traces, s.mtd.max_traces), s.tvla_traces));
+  const int step = std::max(s.mtd.step, 1);
   std::vector<double> rank_sum(grid.size(), 0.0);
   std::vector<double> success(grid.size(), 0.0);
   for (int k = 0; k < s.ge_campaigns; ++k) {
     const std::uint64_t stream_base = range * static_cast<std::uint64_t>(k + 1);
-    CpaAccumulator acc;
-    bool have_shape = false;
+    CpaAccumulator acc(kDesKeyGuesses, model.samples_per_cycle());
     int fed = 0;
     for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-      std::vector<CpaMeasurement> chunk =
-          fetch_range(model, cache, "ge", s, differential, stream_base, fed,
-                      grid[gi], std::max(s.mtd.step, 1), task);
-      if (!have_shape) {
-        acc = CpaAccumulator(kDesKeyGuesses,
-                             static_cast<int>(chunk.front().samples.size()));
-        have_shape = true;
+      for (; fed < grid[gi]; fed = std::min(fed + step, grid[gi])) {
+        fold_cpa(acc,
+                 fetch_block(model, cache, "ge", s, differential, stream_base,
+                             fed, std::min(fed + step, grid[gi]), task),
+                 hyp, s.parallelism);
       }
-      acc.merge(accumulate_cpa(chunk, hyp, cpa_options(s)));
-      fed = grid[gi];
       const GuessRanking ranking = rank_guesses(acc.scores());
       const int rank = ranking.rank_of(static_cast<int>(s.key));
       rank_sum[gi] += rank;
@@ -345,38 +385,6 @@ GeSummary run_ge_phase(const CompiledSimModel& model, TraceCache& cache,
     out.success_rate.push_back(success[gi] /
                                static_cast<double>(s.ge_campaigns));
   }
-  return out;
-}
-
-MtdSummary run_mtd_phase(const CompiledSimModel& model, TraceCache& cache,
-                         const LeakageSetup& s, bool differential,
-                         const HypothesisFn& hyp, const TraceTask& task) {
-  Span span("leakage.mtd", "leakage");
-  span.arg("max_traces", s.mtd.max_traces);
-  const TraceFeeder feeder = [&](int begin, int end) {
-    // stream_base 0: the same trace stream the CPA phase used, so warm
-    // cache blocks are shared between the two phases.
-    return fetch_range(model, cache, "cpa", s, differential, 0, begin, end,
-                       std::max(s.mtd.step, 1), task);
-  };
-  const MtdResult result =
-      estimate_mtd(feeder, hyp, s.key, s.mtd, cpa_options(s));
-
-  MtdSummary out;
-  out.present = true;
-  out.mtd = result.mtd;
-  out.max_traces = s.mtd.max_traces;
-  out.step = s.mtd.step;
-  out.persist = s.mtd.persist;
-  out.traces_fed = result.traces_fed;
-  out.disclosed = result.disclosed;
-  for (int c : result.checkpoints) out.checkpoints.push_back(c);
-  for (int r : result.ranks) out.ranks.push_back(r);
-  Metrics::global().gauge_max(
-      "leakage.mtd", static_cast<double>(result.mtd < 0 ? s.mtd.max_traces
-                                                        : result.mtd));
-  SECFLOW_LOG_INFO("leakage", "MTD done", LogField("mtd", result.mtd),
-                   LogField("traces_fed", result.traces_fed));
   return out;
 }
 
@@ -421,12 +429,9 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
                                std::uint64_t) {
       return des_trace(sim, rng, ports, setup.key, setup.noise_ma);
     };
-    r.cpa = run_cpa_phase(model, cache, setup, differential, hyp, task);
+    run_cpa_mtd_pass(model, cache, setup, differential, hyp, task, r);
     if (setup.ge_campaigns > 0) {
       r.ge = run_ge_phase(model, cache, setup, differential, hyp, task);
-    }
-    if (setup.with_mtd) {
-      r.mtd = run_mtd_phase(model, cache, setup, differential, hyp, task);
     }
   }
   r.trace_cache_hits = cache.hits;

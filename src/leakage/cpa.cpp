@@ -1,110 +1,61 @@
 #include "leakage/cpa.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/error.h"
 
 namespace secflow {
-namespace {
 
-// Fold traces [begin, end) serially in index order into a fresh
-// accumulator.  Shared by the sharded batch path and the streaming MTD
-// path so both produce the same in-shard update order.
-CpaAccumulator accumulate_shard(const std::vector<CpaMeasurement>& traces,
-                                std::size_t begin, std::size_t end,
-                                const HypothesisFn& hypothesis,
-                                int n_guesses, int n_samples) {
-  CpaAccumulator acc(n_guesses, n_samples);
-  std::vector<double> hyp(static_cast<std::size_t>(n_guesses));
-  for (std::size_t i = begin; i < end; ++i) {
+void fold_cpa(CpaAccumulator& acc, std::span<const CpaMeasurement> traces,
+              const HypothesisFn& hypothesis, const Parallelism& par) {
+  const std::size_t n_guesses = static_cast<std::size_t>(acc.n_guesses());
+  std::vector<const double*> samples(traces.size());
+  std::vector<double> hyp(traces.size() * n_guesses);
+  for (std::size_t i = 0; i < traces.size(); ++i) {
     const CpaMeasurement& m = traces[i];
-    SECFLOW_CHECK(m.samples.size() == static_cast<std::size_t>(n_samples),
-                  "CPA trace " + std::to_string(i) + ": " +
+    SECFLOW_CHECK(m.samples.size() == static_cast<std::size_t>(acc.n_samples()),
+                  "CPA trace " + std::to_string(acc.n() + i) + ": " +
                       std::to_string(m.samples.size()) +
-                      " samples, expected " + std::to_string(n_samples));
-    for (int g = 0; g < n_guesses; ++g) {
-      hyp[static_cast<std::size_t>(g)] =
+                      " samples, expected " +
+                      std::to_string(acc.n_samples()));
+    samples[i] = m.samples.data();
+    for (std::size_t g = 0; g < n_guesses; ++g) {
+      hyp[i * n_guesses + g] =
           hypothesis(m.ct, m.prev_ct, static_cast<std::uint32_t>(g));
     }
-    acc.add(m.samples.data(), hyp.data());
   }
-  return acc;
+  acc.fold(traces.size(), samples.data(), hyp.data(), par);
 }
 
-}  // namespace
-
-CpaAccumulator accumulate_cpa(const std::vector<CpaMeasurement>& traces,
-                              const HypothesisFn& hypothesis,
-                              const CpaOptions& opts) {
-  SECFLOW_CHECK(!traces.empty(), "CPA: no traces to accumulate");
-  SECFLOW_CHECK(opts.n_guesses > 1, "CPA needs at least 2 key guesses");
-  const int n_samples = static_cast<int>(traces.front().samples.size());
-  SECFLOW_CHECK(n_samples > 0, "CPA: empty trace");
-
-  const std::size_t n_shards =
-      (traces.size() + kLeakageShardTraces - 1) / kLeakageShardTraces;
-  std::vector<CpaAccumulator> shards = parallel_map(
-      n_shards, opts.parallelism, [&](std::size_t shard) {
-        const std::size_t begin = shard * kLeakageShardTraces;
-        const std::size_t end =
-            std::min(begin + kLeakageShardTraces, traces.size());
-        return accumulate_shard(traces, begin, end, hypothesis,
-                                opts.n_guesses, n_samples);
-      });
-  // Serial ascending-order merge: the reduction tree never depends on the
-  // thread count, so the result is bit-identical at any SECFLOW_THREADS.
-  CpaAccumulator total = std::move(shards.front());
-  for (std::size_t i = 1; i < shards.size(); ++i) total.merge(shards[i]);
-  return total;
-}
-
-MtdResult estimate_mtd(const TraceFeeder& feeder,
-                       const HypothesisFn& hypothesis,
-                       std::uint32_t correct_key, const MtdOptions& mtd,
-                       const CpaOptions& opts) {
-  SECFLOW_CHECK(mtd.step > 0, "MTD step must be positive");
-  SECFLOW_CHECK(mtd.max_traces >= mtd.step,
+MtdTracker::MtdTracker(const MtdOptions& opts, std::uint32_t correct_key)
+    : opts_(opts), correct_key_(correct_key) {
+  SECFLOW_CHECK(opts.step > 0, "MTD step must be positive");
+  SECFLOW_CHECK(opts.max_traces >= opts.step,
                 "MTD budget smaller than one step");
-  SECFLOW_CHECK(mtd.persist > 0, "MTD persist must be positive");
+  SECFLOW_CHECK(opts.persist > 0, "MTD persist must be positive");
+}
 
-  MtdResult out;
-  CpaAccumulator acc;  // shaped on the first batch
-  bool have_shape = false;
-  DisclosureRun run;
-  for (int fed = 0; fed < mtd.max_traces;) {
-    const int begin = fed;
-    const int end = std::min(fed + mtd.step, mtd.max_traces);
-    std::vector<CpaMeasurement> batch = feeder(begin, end);
-    SECFLOW_CHECK(static_cast<int>(batch.size()) == end - begin,
-                  "MTD feeder returned " + std::to_string(batch.size()) +
-                      " traces for [" + std::to_string(begin) + ", " +
-                      std::to_string(end) + ")");
-    if (!have_shape) {
-      SECFLOW_CHECK(!batch.front().samples.empty(), "MTD: empty trace");
-      acc = CpaAccumulator(opts.n_guesses,
-                           static_cast<int>(batch.front().samples.size()));
-      have_shape = true;
-    }
-    // Streaming: each batch is folded via the same shard machinery, then
-    // merged onto the running total in arrival (= index) order.
-    CpaAccumulator batch_acc =
-        accumulate_cpa(batch, hypothesis, opts);
-    acc.merge(batch_acc);
-    fed = end;
-    out.traces_fed = fed;
+int MtdTracker::next_checkpoint() const {
+  return std::min(result_.traces_fed + opts_.step, opts_.max_traces);
+}
 
-    const GuessRanking ranking = rank_guesses(acc.scores());
-    out.checkpoints.push_back(fed);
-    out.ranks.push_back(ranking.rank_of(static_cast<int>(correct_key)));
-    // Early stop once the run persisted: no need to burn the remaining
-    // budget.  A run still alive at the budget is credited too (the budget
-    // cut it short), the DPA checkpoints' persist-to-last rule.
-    if (run.check(fed, ranking.disclosed(correct_key)) >= mtd.persist) break;
-  }
-  out.mtd = run.mtd();
-  out.disclosed = out.mtd >= 0;
-  return out;
+void MtdTracker::check(const CpaAccumulator& acc) {
+  const int traces = next_checkpoint();
+  SECFLOW_CHECK(!done_, "MTD run already done");
+  SECFLOW_CHECK(acc.n() == static_cast<std::uint64_t>(traces),
+                "MTD checkpoint at " + std::to_string(traces) +
+                    " traces, accumulator holds " + std::to_string(acc.n()));
+  const GuessRanking ranking = rank_guesses(acc.scores());
+  result_.traces_fed = traces;
+  result_.checkpoints.push_back(traces);
+  result_.ranks.push_back(ranking.rank_of(static_cast<int>(correct_key_)));
+  // Early stop once the run persisted: no need to burn the remaining
+  // budget.  A run still alive at the budget is credited too (the budget
+  // cut it short), the DPA checkpoints' persist-to-last rule.
+  const int run = run_.check(traces, ranking.disclosed(correct_key_));
+  done_ = run >= opts_.persist || traces >= opts_.max_traces;
+  result_.mtd = run_.mtd();
+  result_.disclosed = result_.mtd >= 0;
 }
 
 bool mtd_exceeds(int later, int later_budget, int earlier) {

@@ -2,21 +2,21 @@
 //
 // Each measurement carries the recorded supply-current samples plus the
 // two ciphertext observables (target and previous encryption) a
-// Hamming-weight or Hamming-distance hypothesis needs.  accumulate_cpa
-// shards the measurements into fixed-width index ranges, folds each shard
-// serially into its own CpaAccumulator on the shared thread pool, and
-// merges the shards in ascending order — bit-identical statistics at any
-// SECFLOW_THREADS (see leakage/accumulators.h for the contract).
+// Hamming-weight or Hamming-distance hypothesis needs.  fold_cpa folds a
+// block of measurements into one CpaAccumulator in trace order, with the
+// key-guess sweep on the shared thread pool — bit-identical statistics
+// at any SECFLOW_THREADS and for any block split (see
+// leakage/accumulators.h).
 //
 // rank_guesses (sca/selection.h) ranks the accumulated per-guess
-// distinguisher scores; estimate_mtd feeds traces incrementally through a
-// private accumulator and stops early once disclosure has persisted,
-// giving the measurements-to-disclosure figure without simulating the
-// full budget.
+// distinguisher scores; MtdTracker applies the measurements-to-disclosure
+// rule to the same growing accumulator, checkpoint by checkpoint, and
+// says when disclosure has persisted, so an MTD estimate need not
+// simulate the full budget.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "base/parallel.h"
@@ -32,29 +32,15 @@ struct CpaMeasurement {
   std::uint32_t prev_ct = 0;  ///< packed ciphertext of the previous one
 };
 
-struct CpaOptions {
-  int n_guesses = kDesKeyGuesses;
-  /// Shard accumulation parallelism; results are bit-identical for any
-  /// thread count.
-  Parallelism parallelism;
-};
-
-/// Accumulate every measurement under `hypothesis` (sharded, merged in
-/// deterministic order).  Throws Error on empty input or ragged traces.
-CpaAccumulator accumulate_cpa(const std::vector<CpaMeasurement>& traces,
-                              const HypothesisFn& hypothesis,
-                              const CpaOptions& opts);
-
-/// Produces the measurements for trace indices [begin, end) — from the
-/// simulator, a checkpoint cache, or disk.  Indices are absolute, so a
-/// feeder backed by Rng::stream(seed, i) yields the same trace for index
-/// i regardless of the batch boundaries it is called with.
-using TraceFeeder =
-    std::function<std::vector<CpaMeasurement>(int begin, int end)>;
+/// Fold `traces` into `acc` in order under `hypothesis`; the guess sweep
+/// runs on `par`.  Throws Error on a trace whose sample count is not
+/// acc.n_samples().
+void fold_cpa(CpaAccumulator& acc, std::span<const CpaMeasurement> traces,
+              const HypothesisFn& hypothesis, const Parallelism& par = {});
 
 struct MtdOptions {
   int max_traces = 2000;  ///< give up (key hidden) beyond this budget
-  int step = 100;         ///< feed/check granularity
+  int step = 100;         ///< check granularity
   /// Early stop once disclosure has held for this many consecutive
   /// checkpoints.  Disclosure still reaching the last checkpoint counts
   /// (the DPA checkpoints' rule); a run broken before either bound
@@ -72,13 +58,31 @@ struct MtdResult {
   std::vector<int> ranks;        ///< correct-key rank at each checkpoint
 };
 
-/// Incremental MTD estimation: feed `step` traces at a time into a
-/// streaming accumulator, rank after each batch, stop early once
-/// disclosure persisted `persist` checkpoints.
-MtdResult estimate_mtd(const TraceFeeder& feeder,
-                       const HypothesisFn& hypothesis,
-                       std::uint32_t correct_key, const MtdOptions& mtd,
-                       const CpaOptions& opts = {});
+/// The MTD rule over one growing CPA accumulator: the correct key is
+/// ranked every `step` traces and at the budget, and the run is done once
+/// disclosure has persisted `persist` checkpoints or the budget is spent.
+class MtdTracker {
+ public:
+  /// Throws Error on a non-positive step or persist, or a budget smaller
+  /// than one step.
+  MtdTracker(const MtdOptions& opts, std::uint32_t correct_key);
+
+  /// Trace count the next checkpoint is read at.
+  int next_checkpoint() const;
+  bool done() const { return done_; }
+
+  /// Rank `acc`, which must hold exactly next_checkpoint() traces.
+  void check(const CpaAccumulator& acc);
+
+  const MtdResult& result() const { return result_; }
+
+ private:
+  MtdOptions opts_;
+  std::uint32_t correct_key_;
+  DisclosureRun run_;
+  MtdResult result_;
+  bool done_ = false;
+};
 
 /// True when `later` dominates `earlier` as an MTD figure: -1 (hidden at
 /// budget `later_budget`) dominates any disclosed count within the

@@ -78,17 +78,17 @@ SimTrace des_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
   ports.drive(sim, ports.pl, prev_pl);
   ports.drive(sim, ports.pr, prev_pr);
   sim.settle();
-  sim.run_cycle();
+  sim.step_cycle();
   ports.drive(sim, ports.pl, pl);
   ports.drive(sim, ports.pr, pr);
-  sim.run_cycle();
+  sim.step_cycle();
   SimTrace out;
   out.cycle = sim.run_cycle();
   // The previous encryption's result lands in the CL/CR output registers
   // one cycle before the target's.
   const std::uint32_t prev_ct =
       ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
-  sim.run_cycle();
+  sim.step_cycle();
   const std::uint32_t ct =
       ports.read(sim, ports.cl) | (ports.read(sim, ports.cr) << 4);
   out.observable = ct | (prev_ct << 10);

@@ -87,7 +87,7 @@ void PowerSimulator::schedule(double t, NetId net, bool value) {
 }
 
 void PowerSimulator::deposit_charge(CycleTrace& trace, double t_ps,
-                                    std::size_t net_idx) const {
+                                    std::size_t net_idx) {
   // Exponential pulse i(t) = (Q/tau) e^{-(t-t0)/tau}, discretized so the
   // sampled sum carries exactly Q.  fC per ps is mA.
   //
@@ -113,18 +113,21 @@ void PowerSimulator::deposit_charge(CycleTrace& trace, double t_ps,
   // f at the first bin's right edge; thereafter advanced by the recurrence.
   double f_next = std::exp(-((bin + 1) * dt - t_ps) / tau_ps);
   double remaining = charge_fc;
-  for (int k = bin; k < n && remaining > 1e-9; ++k) {
+  int k = bin;
+  for (; k < n && remaining > 1e-9; ++k) {
     const double q = charge_fc * (f_prev - f_next);
     trace.current_ma[static_cast<std::size_t>(k)] += q / dt;
     remaining -= q;
     f_prev = f_next;
     f_next *= decay;
   }
+  charge_bins_ += static_cast<std::uint64_t>(k - bin);
 }
 
 void PowerSimulator::apply_event(const Event& ev, CycleTrace* trace,
                                  double t_offset) {
   const std::size_t idx = ev.net.index();
+  ++events_applied_;
   --pending_[idx];
   if (net_val_[idx] == (ev.value ? 1 : 0)) return;
   net_val_[idx] = ev.value ? 1 : 0;
@@ -179,12 +182,20 @@ void PowerSimulator::capture_flops(bool rising) {
 }
 
 CycleTrace PowerSimulator::run_cycle(double period_ps) {
-  const double period =
-      period_ps > 0.0 ? period_ps : model_.nominal_period_ps();
-  const PowerSimOptions& opts = model_.options();
   CycleTrace trace;
   trace.current_ma.assign(
       static_cast<std::size_t>(model_.samples_per_cycle()), 0.0);
+  cycle(period_ps, &trace);
+  return trace;
+}
+
+void PowerSimulator::step_cycle(double period_ps) { cycle(period_ps, nullptr); }
+
+// One clock cycle; a null `trace` books no power (step_cycle).
+void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
+  const double period =
+      period_ps > 0.0 ? period_ps : model_.nominal_period_ps();
+  const PowerSimOptions& opts = model_.options();
   const double start = now_ps_;
 
   // Rising edge.
@@ -197,7 +208,7 @@ CycleTrace PowerSimulator::run_cycle(double period_ps) {
              input_val_[di.port.index()] != 0);
   }
   now_ps_ = start;
-  drain_until(start + period / 2, &trace, start);
+  drain_until(start + period / 2, trace, start);
   now_ps_ = start + period / 2;
   mid_val_ = net_val_;
 
@@ -211,9 +222,8 @@ CycleTrace PowerSimulator::run_cycle(double period_ps) {
       schedule(now_ps_ + opts.input_delay_ps, di.net, false);
     }
   }
-  drain_until(start + period, &trace, start);
+  drain_until(start + period, trace, start);
   now_ps_ = start + period;
-  return trace;
 }
 
 bool PowerSimulator::net_value(const std::string& net) const {

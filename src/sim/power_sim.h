@@ -22,6 +22,7 @@
 // a private model for tests and examples.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +66,12 @@ class PowerSimulator {
   /// current trace.
   CycleTrace run_cycle(double period_ps = 0.0);
 
+  /// Advance one clock cycle exactly as run_cycle does, but book no power:
+  /// no charge deposit, no energy, no sample vector (settle()'s path).
+  /// Power booking never feeds back into logic state, so nets, flops and
+  /// the evaluate-phase snapshot end up as run_cycle would leave them.
+  void step_cycle(double period_ps = 0.0);
+
   /// Settled value of a net / output port after the last cycle.
   bool net_value(const std::string& net) const;
   bool net_value(NetId net) const;
@@ -85,6 +92,12 @@ class PowerSimulator {
   const Netlist& netlist() const { return model_.netlist(); }
   const CompiledSimModel& model() const { return model_; }
 
+  /// Work counters since construction (reset() keeps them): events the
+  /// event loop applied, and supply-current sample bins charge was
+  /// deposited into.
+  std::uint64_t events_applied() const { return events_applied_; }
+  std::uint64_t charge_bins() const { return charge_bins_; }
+
  private:
   struct Event {
     double time_ps;
@@ -96,10 +109,10 @@ class PowerSimulator {
     }
   };
 
+  void cycle(double period_ps, CycleTrace* trace);
   void schedule(double t, NetId net, bool value);
   void apply_event(const Event& ev, CycleTrace* trace, double t_offset);
-  void deposit_charge(CycleTrace& trace, double t_ps,
-                      std::size_t net_idx) const;
+  void deposit_charge(CycleTrace& trace, double t_ps, std::size_t net_idx);
   void capture_flops(bool rising);
   void drain_until(double t_end, CycleTrace* trace, double t_offset = 0.0);
   void push_event(Event ev);
@@ -117,6 +130,8 @@ class PowerSimulator {
   std::vector<char> capture_scratch_;  // per-flop captured values
   long seq_ = 0;
   double now_ps_ = 0.0;
+  std::uint64_t events_applied_ = 0;
+  std::uint64_t charge_bins_ = 0;
 };
 
 /// Energy statistics over a set of per-cycle energies: the paper's

@@ -32,6 +32,8 @@ std::vector<SimTrace> simulate_traces(const CompiledSimModel& model,
         }
         Metrics::global().add("sim.traces",
                               static_cast<std::uint64_t>(end - begin));
+        Metrics::global().add("sim.events", sim.events_applied());
+        Metrics::global().add("sim.charge_bins", sim.charge_bins());
       });
   return out;
 }

@@ -1,17 +1,20 @@
 // The statistical leakage-assessment subsystem: streaming accumulators
-// against naive two-pass references, shard-and-merge determinism across
-// thread counts, CPA / TVLA / MTD semantics on synthetic leakage, and the
-// end-to-end DES assertion of the paper's headline claim — the secure
-// flow's MTD exceeds the regular flow's under the same attack.
+// against naive two-pass references, fold and shard-and-merge determinism
+// across thread counts, CPA / TVLA / MTD semantics on synthetic leakage,
+// and the end-to-end DES assertion of the paper's headline claim — the
+// secure flow's MTD exceeds the regular flow's under the same attack.
 //
 // The binary is registered once with ctest (not per-case) because the
 // end-to-end cases share an expensive fixture: both flows on the DES
 // module plus trace synthesis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <span>
 
 #include "base/error.h"
 #include "base/rng.h"
@@ -196,8 +199,47 @@ TEST(CpaAccumulator, NumericallyStableUnderLargeOffset) {
   EXPECT_GT(acc.correlation(0, 0), 0.99);
 }
 
+TEST(CpaAccumulator, FoldMatchesSerialAddBitForBit) {
+  // The fold splits the guesses, never the traces, across threads: every
+  // correlation equals the serial add() result bit for bit, for ragged
+  // (37) and round (200) blocks at any thread count.
+  const int kGuesses = kDesKeyGuesses, kSamples = 16, kTraces = 400;
+  Rng rng(21);
+  std::vector<std::vector<double>> samples(kTraces);
+  std::vector<double> hyps;
+  CpaAccumulator serial(kGuesses, kSamples);
+  for (std::vector<double>& t : samples) {
+    t.resize(kSamples);
+    for (double& x : t) x = 3.0 + rng.next_gaussian();
+    const std::size_t first = hyps.size();
+    for (int g = 0; g < kGuesses; ++g) hyps.push_back(rng.next_gaussian());
+    serial.add(t.data(), hyps.data() + first);
+  }
+  std::vector<const double*> rows;
+  for (const std::vector<double>& t : samples) rows.push_back(t.data());
+  for (int threads : {1, 2, 8}) {
+    for (std::size_t block : {std::size_t{37}, std::size_t{200}}) {
+      Parallelism par;
+      par.n_threads = threads;
+      CpaAccumulator folded(kGuesses, kSamples);
+      for (std::size_t b = 0; b < rows.size(); b += block) {
+        const std::size_t n = std::min(block, rows.size() - b);
+        folded.fold(n, rows.data() + b, hyps.data() + b * kGuesses, par);
+      }
+      ASSERT_EQ(folded.n(), serial.n());
+      for (int g = 0; g < kGuesses; ++g) {
+        for (int s = 0; s < kSamples; ++s) {
+          ASSERT_EQ(folded.correlation(g, s), serial.correlation(g, s))
+              << "guess " << g << " sample " << s << ", " << block
+              << "-trace blocks @ " << threads << " threads";
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
-// Shard-and-merge determinism: bit-identical at any thread count.
+// Fold and shard-and-merge determinism: bit-identical at any thread count.
 
 std::vector<CpaMeasurement> synthetic_traces(int n, std::uint64_t seed) {
   std::vector<CpaMeasurement> traces;
@@ -218,19 +260,23 @@ std::vector<CpaMeasurement> synthetic_traces(int n, std::uint64_t seed) {
 }
 
 TEST(Determinism, CpaBitIdenticalAcrossThreadCounts) {
-  // 1100 traces span several 256-trace shards with a ragged tail.
+  // 1100 traces folded in 256-trace blocks with a ragged tail.
   const std::vector<CpaMeasurement> traces = synthetic_traces(1100, 23);
   const HypothesisFn hyp = des_hypothesis(PowerModel::kHammingWeight);
   std::vector<std::vector<double>> per_thread_scores;
   for (int threads : {1, 2, 4, 8}) {
-    CpaOptions opts;
-    opts.parallelism.n_threads = threads;
-    const CpaAccumulator acc = accumulate_cpa(traces, hyp, opts);
+    Parallelism par;
+    par.n_threads = threads;
+    CpaAccumulator acc(kDesKeyGuesses, 6);
+    for (std::size_t b = 0; b < traces.size(); b += 256) {
+      const std::size_t n = std::min<std::size_t>(256, traces.size() - b);
+      fold_cpa(acc, std::span(traces).subspan(b, n), hyp, par);
+    }
     per_thread_scores.push_back(acc.scores());
   }
   for (std::size_t i = 1; i < per_thread_scores.size(); ++i) {
-    // Bitwise equality of every double, not approximate equality: the
-    // shard width and merge order never depend on the thread count.
+    // Bitwise equality of every double, not approximate equality: threads
+    // split the guesses, never the trace order.
     EXPECT_EQ(per_thread_scores[i], per_thread_scores[0])
         << "thread count #" << i << " diverged";
   }
@@ -280,12 +326,28 @@ TEST(CpaRanking, RankAndDisclosureSemantics) {
   EXPECT_FALSE(r.disclosed(2));  // wrong best guess
 }
 
-TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {
+/// Run the MTD rule the way the assessment's pass does: fetch the traces
+/// up to the next checkpoint as one block, fold it into the one
+/// accumulator, check, until the rule is done.  Counts the blocks.
+MtdResult run_mtd(
+    const std::function<std::vector<CpaMeasurement>(int, int)>& block_at,
+    std::size_t n_samples, const MtdOptions& opts, int* blocks) {
   const HypothesisFn hyp = des_hypothesis(PowerModel::kHammingWeight);
+  CpaAccumulator acc(kDesKeyGuesses, static_cast<int>(n_samples));
+  MtdTracker mtd(opts, 46);
+  while (!mtd.done()) {
+    fold_cpa(acc, block_at(static_cast<int>(acc.n()), mtd.next_checkpoint()),
+             hyp);
+    ++*blocks;
+    mtd.check(acc);
+  }
+  return mtd.result();
+}
+
+TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {
   const std::vector<CpaMeasurement> pool = synthetic_traces(2000, 31);
   int fed_calls = 0;
-  const TraceFeeder feeder = [&](int begin, int end) {
-    ++fed_calls;
+  const auto block_at = [&](int begin, int end) {
     return std::vector<CpaMeasurement>(pool.begin() + begin,
                                        pool.begin() + end);
   };
@@ -293,7 +355,7 @@ TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {
   mtd.max_traces = 2000;
   mtd.step = 100;
   mtd.persist = 3;
-  const MtdResult r = estimate_mtd(feeder, hyp, 46, mtd);
+  const MtdResult r = run_mtd(block_at, 6, mtd, &fed_calls);
   EXPECT_TRUE(r.disclosed);
   EXPECT_GT(r.mtd, 0);
   EXPECT_LE(r.mtd, r.traces_fed);
@@ -306,8 +368,7 @@ TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {
 }
 
 TEST(Mtd, PureNoiseStaysHidden) {
-  const HypothesisFn hyp = des_hypothesis(PowerModel::kHammingWeight);
-  const TraceFeeder feeder = [](int begin, int end) {
+  const auto block_at = [](int begin, int end) {
     std::vector<CpaMeasurement> batch;
     for (int i = begin; i < end; ++i) {
       Rng rng = Rng::stream(37, static_cast<std::uint64_t>(i));
@@ -322,10 +383,12 @@ TEST(Mtd, PureNoiseStaysHidden) {
   MtdOptions mtd;
   mtd.max_traces = 600;
   mtd.step = 200;
-  const MtdResult r = estimate_mtd(feeder, hyp, 46, mtd);
+  int fed_calls = 0;
+  const MtdResult r = run_mtd(block_at, 2, mtd, &fed_calls);
   EXPECT_FALSE(r.disclosed);
   EXPECT_EQ(r.mtd, -1);
   EXPECT_EQ(r.traces_fed, 600);
+  EXPECT_EQ(fed_calls, r.traces_fed / mtd.step);
 }
 
 TEST(Mtd, ExceedsComparison) {
@@ -481,6 +544,25 @@ TEST_F(DesLeakage, WarmCacheReplaysAndStatisticsAreThreadInvariant) {
     EXPECT_EQ(reports[i].cpa, reports[0].cpa);
     EXPECT_EQ(reports[i].mtd, reports[0].mtd);
   }
+}
+
+TEST_F(DesLeakage, CpaAndMtdShareOneFetchOfEveryBlock) {
+  // CPA 400 and MTD 600 in one pass over the trace stream: MTD's first
+  // two checkpoints read the blocks CPA folded, so a cold cache simulates
+  // each of the three blocks once and replays none.
+  LeakageSetup s = setup(0);
+  s.cache_dir = cache_dir_ + "_one_pass";
+  std::filesystem::remove_all(s.cache_dir);
+  s.base_key = regular_->timings.key(FlowStage::kExtraction);
+  s.with_tvla = false;
+  const LeakageReport r = assess_des_leakage(
+      regular_->rtl, regular_->caps, /*differential=*/false, s);
+  std::filesystem::remove_all(s.cache_dir);
+  EXPECT_EQ(r.cpa.n_traces, 400);
+  EXPECT_EQ(r.mtd.checkpoints, (std::vector<std::int64_t>{200, 400, 600}));
+  EXPECT_EQ(r.mtd.traces_fed, 600);
+  EXPECT_EQ(r.trace_cache_hits, 0);
+  EXPECT_EQ(r.trace_cache_misses, 3);
 }
 
 TEST_F(DesLeakage, GuessingEntropyCurvesConvergeOnRegularFlow) {

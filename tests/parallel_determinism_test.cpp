@@ -14,6 +14,7 @@
 #include "base/rng.h"
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
+#include "obs/metrics.h"
 #include "sca/dpa_experiment.h"
 #include "sim/trace_sim.h"
 #include "synth/techmap.h"
@@ -82,6 +83,29 @@ TEST_F(ParallelDeterminism, SimulateTracesBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(par[i].cycle.current_ma, serial[i].cycle.current_ma)
           << "trace " << i << " @ " << threads << " threads";
     }
+  }
+}
+
+TEST_F(ParallelDeterminism, SimWorkCountersMatchAcrossThreadCounts) {
+  // sim.events and sim.charge_bins are summed per chunk; the totals
+  // count work, so they may not depend on how traces split into chunks.
+  Metrics& m = Metrics::global();
+  const bool was_enabled = m.enabled();
+  m.set_enabled(true);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> per_thread;
+  for (int threads : {1, 2, 8}) {
+    m.reset();
+    encrypt_traces(*rtl_, 24, threads);
+    const MetricsSnapshot snap = m.snapshot();
+    per_thread.emplace_back(snap.counters.at("sim.events"),
+                            snap.counters.at("sim.charge_bins"));
+  }
+  m.reset();
+  m.set_enabled(was_enabled);
+  EXPECT_GT(per_thread[0].first, 0u);
+  EXPECT_GT(per_thread[0].second, 0u);
+  for (std::size_t i = 1; i < per_thread.size(); ++i) {
+    EXPECT_EQ(per_thread[i], per_thread[0]) << "thread count #" << i;
   }
 }
 

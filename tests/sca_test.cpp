@@ -407,8 +407,8 @@ TEST(Selection, DpaAndCpaRecoverTheSameKeyThroughTheSharedCore) {
   const DpaResult dr = dpa.analyze(key);
   EXPECT_EQ(dr.best_guess, static_cast<int>(key));
   EXPECT_TRUE(dr.disclosed);
-  const CpaAccumulator acc = accumulate_cpa(
-      cpa_traces, des_hypothesis(PowerModel::kHammingWeight), {});
+  CpaAccumulator acc(kDesKeyGuesses, 8);
+  fold_cpa(acc, cpa_traces, des_hypothesis(PowerModel::kHammingWeight));
   const GuessRanking cr = rank_guesses(acc.scores());
   EXPECT_EQ(cr.best_guess, static_cast<int>(key));
   EXPECT_EQ(cr.rank_of(static_cast<int>(key)), 1);

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "base/rng.h"
+#include "crypto/des.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/netlist_ops.h"
 #include "synth/hdl.h"
@@ -231,6 +233,99 @@ TEST_F(SimTest, GlitchPeriodTruncatesEvaluation) {
   fast.run_cycle(200.0);
   EXPECT_TRUE(slow.output("y"));
   EXPECT_FALSE(fast.output("y"));
+}
+
+/// Drive two simulators of `nl` with the same random inputs, one booking
+/// every cycle (run_cycle) and one stepping it (step_cycle), and compare
+/// their logic state after each cycle; then record one cycle on both.
+/// `period_ps` (0 = nominal) applies to every cycle.
+void expect_stepping_matches_booking(const Netlist& nl,
+                                     const PowerSimOptions& opts,
+                                     double period_ps) {
+  PowerSimulator booked(nl, {}, opts);
+  PowerSimulator stepped(nl, {}, opts);
+  std::vector<PortId> inputs;
+  for (PortId p : nl.port_ids()) {
+    if (nl.port(p).dir == PinDir::kInput && booked.model().is_data_input(p)) {
+      inputs.push_back(p);
+    }
+  }
+  Rng rng(5);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    for (PortId p : inputs) {
+      const bool v = rng.next_bool();
+      booked.set_input(p, v);
+      stepped.set_input(p, v);
+    }
+    booked.run_cycle(period_ps);
+    stepped.step_cycle(period_ps);
+    for (NetId n : nl.net_ids()) {
+      ASSERT_EQ(stepped.net_value(n), booked.net_value(n))
+          << nl.net(n).name << " after cycle " << cycle;
+    }
+    for (PortId p : nl.port_ids()) {
+      if (nl.port(p).dir != PinDir::kOutput) continue;
+      ASSERT_EQ(stepped.output_at_eval(p), booked.output_at_eval(p))
+          << nl.port(p).name << " after cycle " << cycle;
+    }
+    for (InstId i : nl.instance_ids()) {
+      if (nl.cell_of(i).kind != CellKind::kFlop) continue;
+      ASSERT_EQ(stepped.flop_state(i), booked.flop_state(i))
+          << nl.instance(i).name << " after cycle " << cycle;
+    }
+  }
+  const CycleTrace a = booked.run_cycle(period_ps);
+  const CycleTrace b = stepped.run_cycle(period_ps);
+  EXPECT_EQ(b.current_ma, a.current_ma);
+  EXPECT_EQ(b.energy_pj, a.energy_pj);
+  EXPECT_EQ(b.transitions, a.transitions);
+  EXPECT_GT(a.transitions, 0);
+}
+
+TEST(Sim, StepCycleMatchesRunCycleState) {
+  const auto lib = builtin_stdcell018();
+  const Netlist des = technology_map(make_des_dpa_circuit(), lib);
+  expect_stepping_matches_booking(des, {}, 0.0);
+  // A period override (the DFA glitch path) truncates both alike.
+  expect_stepping_matches_booking(des, {}, 1500.0);
+
+  // A WDDL netlist: precharge wave, negedge masters, eval snapshot.
+  WddlLibrary wlib(lib);
+  const Netlist rtl = technology_map(parse_hdl(R"(
+    module m (input clk, input [2:0] d, output [2:0] q, output y);
+      reg [2:0] r;
+      always @(posedge clk) r <= d ^ r;
+      assign q = r;
+      assign y = (d[0] & r[1]) | d[2];
+    endmodule)"), lib);
+  const Netlist diff =
+      expand_differential(substitute_cells(rtl, wlib).fat, wlib);
+  PowerSimOptions wddl;
+  wddl.precharge_inputs = true;
+  expect_stepping_matches_booking(diff, wddl, 0.0);
+  expect_stepping_matches_booking(diff, wddl, 2500.0);
+}
+
+TEST(Sim, StepCycleCountsEventsButNoChargeBins) {
+  const Netlist des =
+      technology_map(make_des_dpa_circuit(), builtin_stdcell018());
+  PowerSimulator sim(des, {});
+  const auto drive_pl = [&](bool v) {
+    for (int i = 0; i < 4; ++i) sim.set_input("pl_" + std::to_string(i), v);
+  };
+  drive_pl(true);
+  EXPECT_GT(sim.run_cycle().energy_pj, 0.0);
+  const std::uint64_t events = sim.events_applied();
+  const std::uint64_t bins = sim.charge_bins();
+  EXPECT_GT(events, 0u);
+  EXPECT_GT(bins, 0u);
+  drive_pl(false);
+  sim.step_cycle();
+  EXPECT_GT(sim.events_applied(), events);
+  EXPECT_EQ(sim.charge_bins(), bins);
+  // The counters count work, not state: reset() keeps them.
+  sim.reset();
+  EXPECT_EQ(sim.charge_bins(), bins);
 }
 
 TEST(EnergyStatsTest, Formulas) {
