@@ -7,7 +7,10 @@
 // synthesis, substitution, placement, routing, decomposition or extraction
 // shows up as a per-stage hash mismatch, keyed `<design>.<flow>.<stage>`.
 // `des.<flow>.traces` pins the attack's input: the supply-current traces
-// the DES trace task records on each golden DES layout.  The same file
+// the DES trace task records on each golden DES layout.  The annealer is
+// pinned beyond the default seed: `des_seed<N>.<flow>.placement` hashes the
+// DES placement checkpoint at placement seeds 2, 3 and 7, and `aes1.secure.*`
+// runs one AES S-box through the secure flow up to placement.  The same file
 // pins the report writers: `report.<schema>` hashes the JSON bytes of the
 // fixed sample reports in report_samples.h.
 //
@@ -28,6 +31,7 @@
 
 #include "ckpt/hash.h"
 #include "ckpt/store.h"
+#include "crypto/aes.h"
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
 #include "report_samples.h"
@@ -93,16 +97,16 @@ std::string des_traces_hash(const CompiledSimModel& model,
   return hash_hex(h.digest());
 }
 
-/// Run one flow on one design and hash every executed stage's checkpoint,
-/// keyed `<design>.<flow>.<stage>`; `with_traces` adds the layout's
-/// `<design>.<flow>.traces` digest.
+/// Run one flow on one design under `opts` and hash every executed stage's
+/// checkpoint, keyed `<design>.<flow>.<stage>`; `with_traces` adds the
+/// layout's `<design>.<flow>.traces` digest.
 std::map<std::string, std::string> run_and_hash(const std::string& design,
                                                 const AigCircuit& circuit,
                                                 FlowKind kind,
-                                                bool with_traces = false) {
+                                                bool with_traces = false,
+                                                FlowOptions opts = {}) {
   const fs::path dir = fs::path(::testing::TempDir()) / "flow_golden_cache";
   fs::remove_all(dir);
-  FlowOptions opts;
   opts.cache_dir = dir.string();
   const auto base = builtin_stdcell018();
   const std::string prefix = design + "." + flow_kind_name(kind) + ".";
@@ -167,6 +171,25 @@ std::map<std::string, std::string> run_all() {
   // serializes expanded_nodes, so these hashes pin the exact A* pop order.
   hashes.merge(run_and_hash("des", des, FlowKind::kSecure, true));
   hashes.merge(run_and_hash("des", des, FlowKind::kRegular, true));
+  // Placement alone at more annealing seeds: each op of the des_flow
+  // benchmark places with a seed of its own.  Only the placement line is
+  // new; the upstream stages repeat the default run's checkpoints.
+  FlowOptions place_only;
+  place_only.stop_after = FlowStage::kPlacement;
+  for (const std::uint64_t seed : {2, 3, 7}) {
+    place_only.place.seed = seed;
+    const std::string design = "des_seed" + std::to_string(seed);
+    for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+      const std::string key =
+          design + "." + flow_kind_name(kind) + ".placement";
+      hashes[key] =
+          run_and_hash(design, des, kind, false, place_only).at(key);
+    }
+  }
+  // One AES S-box: a fat netlist four times the DES one.
+  place_only.place.seed = PlaceOptions{}.seed;
+  hashes.merge(run_and_hash("aes1", make_aes_sbox_array(1), FlowKind::kSecure,
+                            false, place_only));
   hashes.merge(report_hashes());
   return hashes;
 }
