@@ -23,6 +23,10 @@
 // plus the fat L-route + decomposition throughput sweep across design
 // sizes (differential pairs = fat nets).
 //
+// The bench also places the fat DES it routes, so it reports the placer
+// too: `place.ms` is the median of 5 default placements, and the annealer's
+// accepted and stale-recosted proposal counts pin its move sequence.
+//
 // `--json <path>` writes the metrics as BENCH_route.json for CI trending.
 #include <chrono>
 #include <string>
@@ -32,6 +36,7 @@
 #include "crypto/aes.h"
 #include "crypto/des.h"
 #include "lef/lef.h"
+#include "obs/metrics.h"
 #include "pnr/def.h"
 #include "pnr/decompose.h"
 #include "pnr/place.h"
@@ -104,7 +109,23 @@ int main(int argc, char** argv) {
   bench::JsonReport report("router_scale", argc, argv);
 
   bench::header("route-maze", "maze router at module scale (fat DES)");
+  Metrics::global().set_enabled(true);
   const FatDesign des = make_fat_des();
+  const MetricsSnapshot placed = Metrics::global().snapshot();
+  const auto counter = [&](const char* name) {
+    const auto it = placed.counters.find(name);
+    return it == placed.counters.end() ? 0.0 : static_cast<double>(it->second);
+  };
+  const double place_ms = bench::median_ms(
+      5, [&] { place_design(des.fat, des.fat_lef); });
+  bench::row("  placement: %.1f ms (median of 5), %.0f swaps accepted, "
+             "%.0f stale proposals re-costed",
+             place_ms, counter("pnr.place.sa_accepted"),
+             counter("pnr.place.sa_stale_reevals"));
+  report.metric("place.ms", place_ms);
+  report.metric("place.sa_accepted", counter("pnr.place.sa_accepted"));
+  report.metric("place.sa_stale_reevals",
+                counter("pnr.place.sa_stale_reevals"));
   bench::row("  %-22s %8s %6s %10s %12s", "configuration", "ms", "iters",
              "expanded", "wirelength");
 

@@ -1,6 +1,5 @@
 // Parallel execution primitives for the flow's embarrassingly parallel
-// hot loops (trace synthesis, DPA guess sweeps, SA move evaluation,
-// coupling extraction).
+// hot loops (trace synthesis, DPA guess sweeps, coupling extraction).
 //
 // Design rules, chosen so every caller stays bit-identical to its serial
 // execution:
@@ -30,7 +29,7 @@
 namespace secflow {
 
 /// Per-call parallelism knob carried by the option structs of every
-/// parallelized stage (PlaceOptions, ExtractOptions, DesDpaSetup, ...).
+/// parallelized stage (ExtractOptions, DesDpaSetup, LeakageSetup, ...).
 struct Parallelism {
   /// Threads to use; 0 = auto (SECFLOW_THREADS env var, else hardware).
   int n_threads = 0;

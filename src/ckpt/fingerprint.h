@@ -29,7 +29,7 @@ std::uint64_t fingerprint(const CellLibrary& lib);
 
 std::uint64_t fingerprint(const Process018& p);
 std::uint64_t fingerprint(const SynthConstraints& c);
-/// Excludes PlaceOptions::parallelism (does not change the placement).
+/// Every member: each one changes the placement.
 std::uint64_t fingerprint(const PlaceOptions& o);
 /// Every member: each one changes the routed geometry.
 std::uint64_t fingerprint(const RouteOptions& o);

@@ -31,14 +31,13 @@ std::string clock_net_name(const Netlist& nl) {
   return {};
 }
 
-/// The options a run of `kind` actually uses.  Stage option structs whose
-/// thread count is on auto (0) inherit the flow-level Parallelism, so one
-/// knob controls the whole flow while an explicit per-stage setting still
+/// The options a run of `kind` actually uses.  Extraction, when its thread
+/// count is on auto (0), inherits the flow-level Parallelism, so one knob
+/// controls the whole flow while an explicit extraction setting still
 /// wins; the secure flow synthesizes to the WDDL gate whitelist unless the
 /// caller restricted the cells itself.
 FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
-  if (o.place.parallelism.n_threads == 0) o.place.parallelism = o.parallelism;
   if (o.extract.parallelism.n_threads == 0)
     o.extract.parallelism = o.parallelism;
   if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty())
@@ -462,6 +461,9 @@ void FlowOptions::validate() const {
   require(place.sa_moves_per_instance >= 0,
           "FlowOptions: place.sa_moves_per_instance must be >= 0");
   require(place.sa_batch >= 1, "FlowOptions: place.sa_batch must be >= 1");
+  require(place.margin_tracks >= 0,
+          "FlowOptions: place.margin_tracks must be >= 0 — a negative "
+          "margin puts the core outside the die");
   require(extract.coupling_max_sep_um >= 0.0,
           "FlowOptions: extract.coupling_max_sep_um must be >= 0");
   require(extract.variation_sigma >= 0.0,
@@ -478,8 +480,7 @@ void FlowOptions::validate() const {
           "FlowOptions: route.window_escalation must be >= 2 — the search "
           "window must grow on escalation or congested nets never reach "
           "full-grid search");
-  require(parallelism.n_threads >= 0 && place.parallelism.n_threads >= 0 &&
-              extract.parallelism.n_threads >= 0,
+  require(parallelism.n_threads >= 0 && extract.parallelism.n_threads >= 0,
           "FlowOptions: thread counts must be >= 0 (0 = auto)");
   require(!(resume_from && cache_dir.empty()),
           "FlowOptions: resume_from requires cache_dir — the skipped "

@@ -106,8 +106,8 @@ struct FlowOptions {
   /// triple width/pitch and emit a grounded shield wire beside every
   /// differential pair during decomposition (costs silicon area).
   bool shielded_pairs = false;
-  /// Parallelism applied to every parallel stage (placement annealing,
-  /// extraction) whose own option struct leaves the thread count on auto.
+  /// Parallelism applied to extraction when its own option struct leaves
+  /// the thread count on auto.
   Parallelism parallelism;
 
   /// Stage-artifact checkpoint directory.  Non-empty enables per-stage

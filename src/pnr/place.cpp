@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <utility>
 
 #include "base/error.h"
 #include "base/rng.h"
@@ -19,19 +19,34 @@ namespace {
 struct PlacerState {
   std::vector<std::vector<std::size_t>> rows;   // instance indices
   std::vector<std::size_t> row_of;              // per instance
+  std::vector<std::size_t> slot_of;             // position in its row
   std::vector<std::int64_t> x_of;               // packed x [DBU]
   std::vector<std::int64_t> width;              // per instance
 };
 
 void pack_row(PlacerState& st, std::size_t row, std::int64_t pitch) {
   std::int64_t x = 0;
-  for (std::size_t idx : st.rows[row]) {
+  for (std::size_t k = 0; k < st.rows[row].size(); ++k) {
+    const std::size_t idx = st.rows[row][k];
     // Snap each origin up to the track grid.
     x = ((x + pitch - 1) / pitch) * pitch;
     st.x_of[idx] = x;
+    st.slot_of[idx] = k;
     x += st.width[idx];
   }
 }
+
+/// Bounding box of a net's pins; hpwl() is its half perimeter.
+struct PinBox {
+  std::int64_t lx = INT64_MAX, ly = INT64_MAX, hx = INT64_MIN, hy = INT64_MIN;
+  void add(const Point& p) {
+    lx = std::min(lx, p.x);
+    hx = std::max(hx, p.x);
+    ly = std::min(ly, p.y);
+    hy = std::max(hy, p.y);
+  }
+  std::int64_t hpwl() const { return (hx - lx) + (hy - ly); }
+};
 
 }  // namespace
 
@@ -40,6 +55,9 @@ Floorplan make_floorplan(const Netlist& nl, const LefLibrary& lef,
   SECFLOW_CHECK(opts.fill_factor > 0.0 && opts.fill_factor <= 1.0,
                 "fill factor out of range");
   SECFLOW_CHECK(opts.aspect_ratio > 0.0, "aspect ratio out of range");
+  SECFLOW_CHECK(opts.margin_tracks >= 0,
+                "margin_tracks must be >= 0: a negative margin puts the "
+                "core outside the die");
   const std::int64_t snap = lef.track_pitch_dbu();
   double cell_area = 0.0;     // um^2, with widths snapped to the track grid
   std::int64_t row_h = 0;
@@ -80,25 +98,27 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
                        const PlaceOptions& opts) {
   Floorplan fp = make_floorplan(nl, lef, opts);
   const std::int64_t pitch = lef.track_pitch_dbu();
+  // Instance ids are dense: insts[i].index() == i.
   const std::vector<InstId> insts = nl.instance_ids();
   const std::size_t n = insts.size();
+  std::vector<const LefMacro*> macro_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    macro_of[i] = &lef.macro(nl.cell_of(insts[i]).name);
+  }
 
   PlacerState st;
   st.rows.resize(static_cast<std::size_t>(fp.n_rows));
   st.row_of.resize(n);
+  st.slot_of.resize(n);
   st.x_of.resize(n);
   st.width.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.width[i] = lef.macro(nl.cell_of(insts[i]).name).width_dbu;
-  }
+  for (std::size_t i = 0; i < n; ++i) st.width[i] = macro_of[i]->width_dbu;
 
   // Initial order: BFS over net connectivity from the first instance, so
   // tightly connected cells land in nearby slots (serpentine fill).
   std::vector<std::size_t> order;
   {
     std::vector<bool> seen(n, false);
-    std::unordered_map<std::int32_t, std::size_t> index_of;
-    for (std::size_t i = 0; i < n; ++i) index_of[insts[i].value()] = i;
     for (std::size_t start = 0; start < n; ++start) {
       if (seen[start]) continue;
       std::deque<std::size_t> queue{start};
@@ -112,7 +132,7 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
           if (!net.valid()) continue;
           if (nl.net(net).pins.size() > 12) continue;  // skip clock-like nets
           for (const PinRef& p : nl.net(net).pins) {
-            const std::size_t j = index_of.at(p.inst.value());
+            const std::size_t j = p.inst.index();
             if (!seen[j]) {
               seen[j] = true;
               queue.push_back(j);
@@ -160,67 +180,49 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
   }
   for (std::size_t r = 0; r < st.rows.size(); ++r) pack_row(st, r, pitch);
 
-  auto origin_of = [&](std::size_t idx) {
-    return Point{fp.core.lo.x + st.x_of[idx],
-                 fp.core.lo.y + static_cast<std::int64_t>(st.row_of[idx]) *
-                                    fp.row_height_dbu};
-  };
-  std::unordered_map<std::int32_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < n; ++i) index_of[insts[i].value()] = i;
-
   // Simulated annealing: swap two instances (re-pack their rows).  Each
-  // temperature step proposes a fixed batch of candidate swaps; all
-  // candidates are costed read-only against the same placement snapshot
-  // (in parallel when enabled), then commits run serially in proposal
-  // order, skipping candidates whose rows an earlier commit of the batch
-  // already moved (their costs are stale).  The batch structure and all
-  // RNG draws are independent of the thread count, so the refined
-  // placement is bit-identical from 1 to N threads.
+  // temperature step proposes a fixed batch of candidate swaps and costs
+  // every candidate against the placement at the start of the batch; the
+  // commits then run in proposal order, and a candidate whose rows an
+  // earlier commit of the batch moved is re-costed against the current
+  // placement first.  These batch rules, not the cost code, define the
+  // layout.
   if (opts.sa_moves_per_instance > 0 && n > 2) {
     Span sa_span("place.sa", "pnr");
     sa_span.arg("instances", static_cast<std::uint64_t>(n));
     Rng rng(opts.seed);
-    // Nets touching each instance, for incremental cost.
-    std::vector<std::vector<NetId>> nets_of(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const NetId net : nl.instance(insts[i]).conns) {
-        if (net.valid()) nets_of[i].push_back(net);
+
+    // Cost tables, built once.  Costed net k (a net with >= 2 pins) has
+    // its pins as (instance, LEF pin offset) in pins[pin_begin[k] ..
+    // pin_begin[k + 1]); nets_of[i] lists the costed nets of instance i,
+    // once per connected pin.  Nets with fewer pins cost 0: left out.
+    struct NetPin {
+      std::size_t inst;
+      Point offset;
+    };
+    std::vector<NetPin> pins;
+    std::vector<std::size_t> pin_begin{0};
+    std::vector<std::vector<std::size_t>> nets_of(n);
+    for (const NetId net : nl.net_ids()) {
+      const Net& nn = nl.net(net);
+      if (nn.pins.size() < 2) continue;
+      for (const PinRef& p : nn.pins) {
+        const std::size_t i = p.inst.index();
+        pins.push_back(
+            {i, macro_of[i]->pins[static_cast<std::size_t>(p.pin)].offset});
+        nets_of[i].push_back(pin_begin.size() - 1);
       }
+      pin_begin.push_back(pins.size());
     }
 
-    // Cost of the nets touching a and b under a position lookup
-    // (idx -> x, row), so a candidate can be evaluated without mutating
-    // the shared placement state.
-    auto local_cost = [&](std::size_t a, std::size_t b, const auto& pos_of) {
-      std::int64_t c = 0;
-      auto one_net = [&](NetId net) {
-        const Net& nn = nl.net(net);
-        if (nn.pins.size() < 2) return std::int64_t{0};
-        std::int64_t lx = INT64_MAX, ly = INT64_MAX, hx = INT64_MIN,
-                     hy = INT64_MIN;
-        for (const PinRef& p : nn.pins) {
-          const std::size_t i = index_of.at(p.inst.value());
-          const LefMacro& m = lef.macro(nl.cell_of(p.inst).name);
-          const auto [x, row] = pos_of(i);
-          const Point pos =
-              Point{fp.core.lo.x + x,
-                    fp.core.lo.y +
-                        static_cast<std::int64_t>(row) * fp.row_height_dbu} +
-              m.pins[static_cast<std::size_t>(p.pin)].offset;
-          lx = std::min(lx, pos.x);
-          hx = std::max(hx, pos.x);
-          ly = std::min(ly, pos.y);
-          hy = std::max(hy, pos.y);
-        }
-        return (hx - lx) + (hy - ly);
-      };
-      for (NetId net : nets_of[a]) c += one_net(net);
-      for (NetId net : nets_of[b]) c += one_net(net);
-      return c;
+    // Scratch overlay for one candidate: the hypothetical (x, y) of every
+    // instance in the two repacked rows, valid where stamp == move.
+    struct Hypo {
+      std::uint64_t stamp = 0;
+      Point at;
     };
-    const auto global_pos = [&](std::size_t i) {
-      return std::pair<std::int64_t, std::size_t>(st.x_of[i], st.row_of[i]);
-    };
+    std::vector<Hypo> hypo(n);
+    std::uint64_t move = 0;
 
     struct Proposal {
       std::size_t a = 0, b = 0;
@@ -229,48 +231,49 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
       bool feasible = false;
     };
 
-    // Read-only evaluation of swapping a and b: repack copies of their
-    // rows and cost the touched nets against hypothetical positions.
+    // Costs swapping a and b without touching the placement: repack their
+    // rows into the overlay from the first changed slot on, then cost the
+    // nets of a and of b (a net on both counts twice) before and after.
+    // The core origin cancels out of every half perimeter, so positions
+    // are core-relative.
     auto evaluate = [&](Proposal& p) {
-      const std::size_t ra = st.row_of[p.a], rb = st.row_of[p.b];
-      std::vector<std::size_t> row_u = st.rows[ra];
-      std::vector<std::size_t> row_v = ra == rb ? std::vector<std::size_t>{}
-                                                : st.rows[rb];
-      if (ra == rb) {
-        const auto ia = std::find(row_u.begin(), row_u.end(), p.a);
-        const auto ib = std::find(row_u.begin(), row_u.end(), p.b);
-        std::iter_swap(ia, ib);
-      } else {
-        *std::find(row_u.begin(), row_u.end(), p.a) = p.b;
-        *std::find(row_v.begin(), row_v.end(), p.b) = p.a;
-      }
-      auto pack_local = [&](const std::vector<std::size_t>& row,
-                            std::vector<std::int64_t>& xs) {
-        xs.resize(row.size());
-        std::int64_t x = 0;
-        for (std::size_t k = 0; k < row.size(); ++k) {
+      ++move;
+      auto repack = [&](std::size_t r, std::size_t from) {
+        const std::vector<std::size_t>& row = st.rows[r];
+        std::int64_t x = st.x_of[row[from]];
+        for (std::size_t k = from; k < row.size(); ++k) {
+          std::size_t i = row[k];
+          i = i == p.a ? p.b : i == p.b ? p.a : i;
           x = ((x + pitch - 1) / pitch) * pitch;
-          xs[k] = x;
-          x += st.width[row[k]];
+          hypo[i] = {move, {x, static_cast<std::int64_t>(r) *
+                                   fp.row_height_dbu}};
+          x += st.width[i];
         }
-        return row.empty() || x <= fp.row_width_dbu;
+        return x <= fp.row_width_dbu;
       };
-      std::vector<std::int64_t> xu, xv;
-      p.feasible = pack_local(row_u, xu) && pack_local(row_v, xv);
+      const std::size_t ra = st.row_of[p.a], rb = st.row_of[p.b];
+      const std::size_t sa = st.slot_of[p.a], sb = st.slot_of[p.b];
+      p.feasible = ra == rb ? repack(ra, std::min(sa, sb))
+                            : repack(ra, sa) && repack(rb, sb);
       if (!p.feasible) return;
-      auto hypo_pos = [&](std::size_t i) {
-        for (std::size_t k = 0; k < row_u.size(); ++k) {
-          if (row_u[k] == i) return std::pair<std::int64_t, std::size_t>(
-              xu[k], ra);
+      std::int64_t before = 0, after = 0;
+      for (const std::size_t inst : {p.a, p.b}) {
+        for (const std::size_t k : nets_of[inst]) {
+          PinBox now, then;
+          for (std::size_t q = pin_begin[k]; q < pin_begin[k + 1]; ++q) {
+            const NetPin& pin = pins[q];
+            const Point at{st.x_of[pin.inst],
+                           static_cast<std::int64_t>(st.row_of[pin.inst]) *
+                               fp.row_height_dbu};
+            const Hypo& h = hypo[pin.inst];
+            now.add(at + pin.offset);
+            then.add((h.stamp == move ? h.at : at) + pin.offset);
+          }
+          before += now.hpwl();
+          after += then.hpwl();
         }
-        for (std::size_t k = 0; k < row_v.size(); ++k) {
-          if (row_v[k] == i) return std::pair<std::int64_t, std::size_t>(
-              xv[k], rb);
-        }
-        return global_pos(i);
-      };
-      p.delta = static_cast<double>(local_cost(p.a, p.b, hypo_pos) -
-                                    local_cost(p.a, p.b, global_pos));
+      }
+      p.delta = static_cast<double>(after - before);
     };
 
     const long total_moves =
@@ -291,22 +294,15 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
         p.b = rng.next_below(n);
         p.accept_u = rng.next_double();
       }
-      parallel_for(k_count, opts.parallelism,
-                   [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t k = begin; k < end; ++k) {
-                       if (proposals[k].a != proposals[k].b) {
-                         evaluate(proposals[k]);
-                       }
-                     }
-                   });
+      for (Proposal& p : proposals) {
+        if (p.a != p.b) evaluate(p);
+      }
       std::fill(row_dirty.begin(), row_dirty.end(), 0);
       std::uint64_t accepted = 0, stale = 0;
       for (Proposal& p : proposals) {
         const std::size_t ra = st.row_of[p.a], rb = st.row_of[p.b];
-        // An earlier commit of this batch moved a row this proposal
-        // costed against: its parallel evaluation is stale, so redo it
-        // serially against the current state (deterministic — staleness
-        // depends only on proposal order, never on thread scheduling).
+        // An earlier commit of this batch moved a row this proposal was
+        // costed against: re-cost it against the current placement.
         if (p.a != p.b && (row_dirty[ra] || row_dirty[rb])) {
           evaluate(p);
           ++stale;
@@ -317,11 +313,8 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
              p.accept_u < std::exp(-p.delta / temperature));
         if (keep) {
           ++accepted;
-          auto& row_a = st.rows[ra];
-          auto& row_b = st.rows[rb];
-          const auto ia = std::find(row_a.begin(), row_a.end(), p.a);
-          const auto ib = std::find(row_b.begin(), row_b.end(), p.b);
-          std::iter_swap(ia, ib);
+          std::swap(st.rows[ra][st.slot_of[p.a]],
+                    st.rows[rb][st.slot_of[p.b]]);
           std::swap(st.row_of[p.a], st.row_of[p.b]);
           pack_row(st, ra, pitch);
           if (rb != ra) pack_row(st, rb, pitch);
@@ -344,9 +337,11 @@ DefDesign place_design(const Netlist& nl, const LefLibrary& lef,
   d.row_height_dbu = fp.row_height_dbu;
   d.track_pitch_dbu = pitch;
   for (std::size_t i = 0; i < n; ++i) {
-    d.components.push_back(DefComponent{nl.instance(insts[i]).name,
-                                        nl.cell_of(insts[i]).name,
-                                        origin_of(i)});
+    d.components.push_back(DefComponent{
+        nl.instance(insts[i]).name, nl.cell_of(insts[i]).name,
+        Point{fp.core.lo.x + st.x_of[i],
+              fp.core.lo.y + static_cast<std::int64_t>(st.row_of[i]) *
+                                 fp.row_height_dbu}});
   }
   for (NetId net : nl.net_ids()) {
     d.nets.push_back(DefNet{nl.net(net).name, {}, {}});
@@ -360,19 +355,13 @@ std::int64_t placement_hpwl(const Netlist& nl, const LefLibrary& lef,
   for (NetId net : nl.net_ids()) {
     const Net& nn = nl.net(net);
     if (nn.pins.size() < 2) continue;
-    std::int64_t lx = INT64_MAX, ly = INT64_MAX, hx = INT64_MIN,
-                 hy = INT64_MIN;
+    PinBox box;
     for (const PinRef& p : nn.pins) {
       const CellType& type = nl.cell_of(p.inst);
-      const Point pos = d.pin_position(
-          lef, nl.instance(p.inst).name,
-          type.pins[static_cast<std::size_t>(p.pin)].name);
-      lx = std::min(lx, pos.x);
-      hx = std::max(hx, pos.x);
-      ly = std::min(ly, pos.y);
-      hy = std::max(hy, pos.y);
+      box.add(d.pin_position(lef, nl.instance(p.inst).name,
+                             type.pins[static_cast<std::size_t>(p.pin)].name));
     }
-    total += (hx - lx) + (hy - ly);
+    total += box.hpwl();
   }
   return total;
 }

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "base/parallel.h"
 #include "netlist/netlist.h"
 #include "pnr/def.h"
 
@@ -19,17 +18,14 @@ struct PlaceOptions {
   std::uint64_t seed = 1;     ///< annealing seed (deterministic runs)
   /// Annealing moves per instance; 0 disables refinement.
   int sa_moves_per_instance = 60;
-  /// Extra routing margin around the core, in track pitches.
+  /// Extra routing margin around the core, in track pitches (>= 0).
   int margin_tracks = 8;
-  /// Candidate swaps proposed per temperature step.  All candidates of a
-  /// step are evaluated read-only (in parallel when `parallelism` allows)
-  /// against the same placement snapshot; commits then run serially in
-  /// proposal order, skipping proposals whose rows an earlier commit of
-  /// the same step already touched.  The batch structure is fixed, so the
-  /// refined placement is identical for any thread count.
+  /// Candidate swaps proposed per temperature step.  Every candidate of a
+  /// step is costed against the placement at the start of the step;
+  /// commits then run in proposal order, and a candidate whose rows an
+  /// earlier commit of the same step moved is re-costed first.  The batch
+  /// size is part of the algorithm: changing it changes the layout.
   int sa_batch = 16;
-  /// Candidate-evaluation parallelism.
-  Parallelism parallelism;
 };
 
 /// Compute die and row geometry for `nl` under `opts`.

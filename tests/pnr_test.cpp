@@ -110,6 +110,19 @@ TEST_F(PnrTest, PlacementIsLegal) {
   }
 }
 
+TEST_F(PnrTest, NegativeMarginIsRejected) {
+  const Netlist nl = map_hdl(kSmallDesign);
+  const LefLibrary lef = generate_lef(*lib_, {});
+  PlaceOptions opts;
+  opts.margin_tracks = -8;
+  EXPECT_THROW(place_design(nl, lef, opts), Error);
+  opts.margin_tracks = 0;  // die == core: every component still inside
+  const DefDesign d = place_design(nl, lef, opts);
+  for (const DefComponent& c : d.components) {
+    EXPECT_TRUE(d.die.contains(c.origin)) << c.name;
+  }
+}
+
 TEST_F(PnrTest, AnnealingImprovesOrEqualsWirelength) {
   const Netlist nl = map_hdl(kSmallDesign);
   const LefLibrary lef = generate_lef(*lib_, {});
