@@ -10,7 +10,10 @@
 // the DES trace task records on each golden DES layout.  The annealer is
 // pinned beyond the default seed: `des_seed<N>.<flow>.placement` hashes the
 // DES placement checkpoint at placement seeds 2, 3 and 7, and `aes1.secure.*`
-// runs one AES S-box through the secure flow up to placement.  The same file
+// runs one AES S-box through the secure flow up to placement.  Extraction is
+// pinned beyond the default options: `des_corner.secure.extraction` under a
+// 2 % process corner, `des_sep3.<flow>.extraction` with a 3 um coupling
+// window.  The same file
 // pins the report writers: `report.<schema>` hashes the JSON bytes of the
 // fixed sample reports in report_samples.h.
 //
@@ -171,20 +174,38 @@ std::map<std::string, std::string> run_all() {
   // serializes expanded_nodes, so these hashes pin the exact A* pop order.
   hashes.merge(run_and_hash("des", des, FlowKind::kSecure, true));
   hashes.merge(run_and_hash("des", des, FlowKind::kRegular, true));
+  // Runs that differ from the default one in a single stage keep only
+  // that stage's line; the upstream stages repeat the default run's
+  // checkpoints.
+  const auto add_stage_line = [&](const std::string& design, FlowKind kind,
+                                  const FlowOptions& opts, FlowStage stage) {
+    const std::string key = design + "." + flow_kind_name(kind) + "." +
+                            flow_stage_name(stage);
+    hashes[key] = run_and_hash(design, des, kind, false, opts).at(key);
+  };
   // Placement alone at more annealing seeds: each op of the des_flow
-  // benchmark places with a seed of its own.  Only the placement line is
-  // new; the upstream stages repeat the default run's checkpoints.
+  // benchmark places with a seed of its own.
   FlowOptions place_only;
   place_only.stop_after = FlowStage::kPlacement;
   for (const std::uint64_t seed : {2, 3, 7}) {
     place_only.place.seed = seed;
     const std::string design = "des_seed" + std::to_string(seed);
     for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
-      const std::string key =
-          design + "." + flow_kind_name(kind) + ".placement";
-      hashes[key] =
-          run_and_hash(design, des, kind, false, place_only).at(key);
+      add_stage_line(design, kind, place_only, FlowStage::kPlacement);
     }
+  }
+  // Extraction beyond the default options: a 2 % process corner on the
+  // secure layout, and a 3 um coupling window, which reaches wires five
+  // tracks apart, on both layouts.
+  FlowOptions corner;
+  corner.extract.variation_sigma = 0.02;
+  corner.extract.seed = 11;
+  add_stage_line("des_corner", FlowKind::kSecure, corner,
+                 FlowStage::kExtraction);
+  FlowOptions sep3;
+  sep3.extract.coupling_max_sep_um = 3.0;
+  for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+    add_stage_line("des_sep3", kind, sep3, FlowStage::kExtraction);
   }
   // One AES S-box: a fat netlist four times the DES one.
   place_only.place.seed = PlaceOptions{}.seed;
