@@ -21,7 +21,9 @@
 // configurations below are >200x faster than that.
 //
 // plus the fat L-route + decomposition throughput sweep across design
-// sizes (differential pairs = fat nets).
+// sizes (differential pairs = fat nets), which also extracts each
+// decomposed layout: `quick.sboxes<N>_extract_ms` times one extraction and
+// `quick.sboxes<N>_coupled_pairs` counts the net pairs it couples.
 //
 // The bench also places the fat DES it routes, so it reports the placer
 // too: `place.ms` is the median of 5 default placements, and the annealer's
@@ -35,6 +37,7 @@
 #include "bench_util.h"
 #include "crypto/aes.h"
 #include "crypto/des.h"
+#include "extract/extract.h"
 #include "lef/lef.h"
 #include "obs/metrics.h"
 #include "pnr/def.h"
@@ -156,9 +159,11 @@ int main(int argc, char** argv) {
   report.metric("maze.expanded_nodes",
                 static_cast<double>(optimized.stats.expanded_nodes));
 
-  bench::header("route-scale", "fat L-route + decompose vs design size");
+  bench::header("route-scale",
+                "fat L-route + decompose, then extract, vs design size");
   const Process018 pr;
-  bench::row("  %-8s %10s %10s", "sboxes", "pairs", "ms");
+  bench::row("  %-8s %10s %10s %12s %14s", "sboxes", "pairs", "ms",
+             "extract ms", "coupled pairs");
   for (const int n_boxes : {1, 4, 16}) {
     const FatDesign d = make_fat_aes(n_boxes);
     const auto t0 = std::chrono::steady_clock::now();
@@ -167,10 +172,20 @@ int main(int argc, char** argv) {
     const DefDesign diff = decompose_interconnect(
         def, um_to_dbu(pr.wire_pitch_um), um_to_dbu(pr.wire_width_um));
     const double ms = ms_since(t0);
-    bench::row("  %-8d %10zu %10.1f", n_boxes, def.nets.size(), ms);
-    report.metric("quick.sboxes" + std::to_string(n_boxes) + "_ms", ms);
-    report.metric("quick.sboxes" + std::to_string(n_boxes) + "_pairs",
-                  static_cast<double>(diff.nets.size() / 2));
+    const Netlist diff_nl = expand_differential(d.fat, *d.wlib);
+    const auto t1 = std::chrono::steady_clock::now();
+    const Extraction ex = extract_parasitics(diff, diff_nl);
+    const double extract_ms = ms_since(t1);
+    std::size_t couplings = 0;
+    for (const auto& [name, p] : ex.nets) couplings += p.couplings.size();
+    const std::size_t coupled_pairs = couplings / 2;
+    bench::row("  %-8d %10zu %10.1f %12.1f %14zu", n_boxes, def.nets.size(),
+               ms, extract_ms, coupled_pairs);
+    const std::string key = "quick.sboxes" + std::to_string(n_boxes);
+    report.metric(key + "_ms", ms);
+    report.metric(key + "_pairs", static_cast<double>(diff.nets.size() / 2));
+    report.metric(key + "_extract_ms", extract_ms);
+    report.metric(key + "_coupled_pairs", static_cast<double>(coupled_pairs));
   }
 
   report.note("design", "des_dpa fat (WDDL)");

@@ -1,5 +1,5 @@
-// Parallel execution primitives for the flow's embarrassingly parallel
-// hot loops (trace synthesis, DPA guess sweeps, coupling extraction).
+// Parallel execution primitives for the attack engine's embarrassingly
+// parallel hot loops (trace synthesis, DPA and CPA guess sweeps, TVLA).
 //
 // Design rules, chosen so every caller stays bit-identical to its serial
 // execution:
@@ -29,7 +29,7 @@
 namespace secflow {
 
 /// Per-call parallelism knob carried by the option structs of every
-/// parallelized stage (ExtractOptions, DesDpaSetup, LeakageSetup, ...).
+/// parallelized engine (DesDpaSetup, LeakageSetup, TvlaOptions, ...).
 struct Parallelism {
   /// Threads to use; 0 = auto (SECFLOW_THREADS env var, else hardware).
   int n_threads = 0;

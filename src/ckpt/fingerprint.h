@@ -33,7 +33,7 @@ std::uint64_t fingerprint(const SynthConstraints& c);
 std::uint64_t fingerprint(const PlaceOptions& o);
 /// Every member: each one changes the routed geometry.
 std::uint64_t fingerprint(const RouteOptions& o);
-/// Excludes ExtractOptions::parallelism; includes the process constants.
+/// Every member, the process constants included.
 std::uint64_t fingerprint(const ExtractOptions& o);
 
 }  // namespace secflow

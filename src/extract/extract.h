@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/parallel.h"
 #include "base/rng.h"
 #include "base/units.h"
 #include "lef/lef.h"
@@ -35,17 +34,18 @@ struct NetParasitics {
 
 struct ExtractOptions {
   Process018 process;
-  /// Ignore lateral coupling beyond this separation.
+  /// Ignore lateral coupling beyond this separation; at most
+  /// kMaxCouplingSepUm.
   double coupling_max_sep_um = 1.2;
   /// Relative 1-sigma process variation applied to every net's caps
   /// (deterministic per seed).  0 disables.
   double variation_sigma = 0.0;
   std::uint64_t seed = 7;
-  /// Per-net RC and same-layer coupling scans run as independent tasks;
-  /// pairwise couplings are merged serially in net order afterwards, so
-  /// the extraction is bit-identical for any thread count.
-  Parallelism parallelism;
 };
+
+/// The widest legal coupling window [um]: far wider than any die, and
+/// small enough that its conversion to DBU cannot overflow.
+inline constexpr double kMaxCouplingSepUm = 1e6;
 
 struct Extraction {
   std::unordered_map<std::string, NetParasitics> nets;
@@ -59,7 +59,9 @@ struct Extraction {
 
 /// Extract parasitics for every routed net of `design`.  Pin caps come
 /// from `nl` (nets matched by name; nets absent from the netlist get wire
-/// caps only).
+/// caps only).  Coupling comes from an index of the wire segments by layer,
+/// orientation and track, built once per call; throws Error when
+/// `opts.coupling_max_sep_um` is outside [0, kMaxCouplingSepUm].
 Extraction extract_parasitics(const DefDesign& design, const Netlist& nl,
                               const ExtractOptions& opts = {});
 

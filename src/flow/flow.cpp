@@ -31,15 +31,11 @@ std::string clock_net_name(const Netlist& nl) {
   return {};
 }
 
-/// The options a run of `kind` actually uses.  Extraction, when its thread
-/// count is on auto (0), inherits the flow-level Parallelism, so one knob
-/// controls the whole flow while an explicit extraction setting still
-/// wins; the secure flow synthesizes to the WDDL gate whitelist unless the
-/// caller restricted the cells itself.
+/// The options a run of `kind` actually uses: the secure flow synthesizes
+/// to the WDDL gate whitelist unless the caller restricted the cells
+/// itself.
 FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
-  if (o.extract.parallelism.n_threads == 0)
-    o.extract.parallelism = o.parallelism;
   if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty())
     o.synth = wddl_synth_constraints();
   return o;
@@ -464,8 +460,10 @@ void FlowOptions::validate() const {
   require(place.margin_tracks >= 0,
           "FlowOptions: place.margin_tracks must be >= 0 — a negative "
           "margin puts the core outside the die");
-  require(extract.coupling_max_sep_um >= 0.0,
-          "FlowOptions: extract.coupling_max_sep_um must be >= 0");
+  require(extract.coupling_max_sep_um >= 0.0 &&
+              extract.coupling_max_sep_um <= kMaxCouplingSepUm,
+          "FlowOptions: extract.coupling_max_sep_um must be in [0, 1e6] um "
+          "— a wider window overflows its conversion to DBU");
   require(extract.variation_sigma >= 0.0,
           "FlowOptions: extract.variation_sigma must be >= 0");
   require(route.via_cost >= 0,
@@ -480,8 +478,8 @@ void FlowOptions::validate() const {
           "FlowOptions: route.window_escalation must be >= 2 — the search "
           "window must grow on escalation or congested nets never reach "
           "full-grid search");
-  require(parallelism.n_threads >= 0 && extract.parallelism.n_threads >= 0,
-          "FlowOptions: thread counts must be >= 0 (0 = auto)");
+  require(parallelism.n_threads >= 0,
+          "FlowOptions: parallelism.n_threads must be >= 0 (0 = auto)");
   require(!(resume_from && cache_dir.empty()),
           "FlowOptions: resume_from requires cache_dir — the skipped "
           "stages' artifacts must come from the checkpoint store");

@@ -106,8 +106,8 @@ struct FlowOptions {
   /// triple width/pitch and emit a grounded shield wire beside every
   /// differential pair during decomposition (costs silicon area).
   bool shielded_pairs = false;
-  /// Parallelism applied to extraction when its own option struct leaves
-  /// the thread count on auto.
+  /// Only recorded as the report's thread count (StageTimings::n_threads):
+  /// every stage of the flow runs on the calling thread.
   Parallelism parallelism;
 
   /// Stage-artifact checkpoint directory.  Non-empty enables per-stage

@@ -204,6 +204,16 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
               })");
             }).find("place.margin_tracks must be >= 0"),
             std::string::npos);
+  // So is a coupling window whose DBU conversion would overflow.
+  EXPECT_NE(error_message([] {
+              parse_campaign_spec(R"({
+                "schema": "secflow.campaign/1", "name": "x",
+                "jobs": [{"circuit": {"builtin": "des-dpa"}, "flow": "secure",
+                          "options": {"extract":
+                                      {"coupling_max_sep_um": 1e300}}}]
+              })");
+            }).find("extract.coupling_max_sep_um must be in [0, 1e6] um"),
+            std::string::npos);
   // A window that cannot grow is rejected by FlowOptions::validate, and
   // the message names the member; so is a non-boolean incremental.
   EXPECT_NE(error_message([] {

