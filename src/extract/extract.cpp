@@ -30,7 +30,10 @@ struct TrackSegment {
 };
 
 /// Wire a of net i runs beside wire b of net j (i < j) for `run` DBU at
-/// centre-line distance `sep`.
+/// centre-line distance `sep`.  The term keeps run and sep, not its value,
+/// so the sum evaluates the all-pairs scan's expression as one statement
+/// and a compiler that contracts it into a fused multiply-add does so the
+/// same way.
 struct CouplingTerm {
   std::uint32_t i = 0, j = 0, a = 0, b = 0;
   std::int64_t run = 0, sep = 0;

@@ -59,9 +59,8 @@ struct Extraction {
 
 /// Extract parasitics for every routed net of `design`.  Pin caps come
 /// from `nl` (nets matched by name; nets absent from the netlist get wire
-/// caps only).  Coupling comes from an index of the wire segments by layer,
-/// orientation and track, built once per call; throws Error when
-/// `opts.coupling_max_sep_um` is outside [0, kMaxCouplingSepUm].
+/// caps only).  Throws Error when `opts.coupling_max_sep_um` is outside
+/// [0, kMaxCouplingSepUm].
 Extraction extract_parasitics(const DefDesign& design, const Netlist& nl,
                               const ExtractOptions& opts = {});
 
