@@ -1,5 +1,6 @@
 // Parallel execution primitives for the attack engine's embarrassingly
-// parallel hot loops (trace synthesis, DPA and CPA guess sweeps, TVLA).
+// parallel hot loops (trace synthesis, DPA and CPA guess sweeps) and the
+// campaign's job scheduler.
 //
 // Design rules, chosen so every caller stays bit-identical to its serial
 // execution:
@@ -29,7 +30,7 @@
 namespace secflow {
 
 /// Per-call parallelism knob carried by the option structs of every
-/// parallelized engine (DesDpaSetup, LeakageSetup, TvlaOptions, ...).
+/// parallelized engine (DesDpaSetup, LeakageSetup, ...).
 struct Parallelism {
   /// Threads to use; 0 = auto (SECFLOW_THREADS env var, else hardware).
   int n_threads = 0;
@@ -85,17 +86,5 @@ class ThreadPool {
 /// is rethrown on the caller after all workers quiesce.
 void parallel_for(std::size_t n, const Parallelism& par,
                   const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Deterministic map: out[i] = fn(i).  Each slot is written exactly once,
-/// so the result is identical for any thread count.
-template <typename Fn>
-auto parallel_map(std::size_t n, const Parallelism& par, Fn&& fn)
-    -> std::vector<decltype(fn(std::size_t{}))> {
-  std::vector<decltype(fn(std::size_t{}))> out(n);
-  parallel_for(n, par, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
-  });
-  return out;
-}
 
 }  // namespace secflow

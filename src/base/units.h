@@ -20,6 +20,11 @@ inline constexpr std::int64_t um_to_dbu(double um) {
                                    (um >= 0 ? 0.5 : -0.5));
 }
 
+/// The coarsest legal routing pitch [um]: far coarser than any process,
+/// and small enough that every DBU coordinate derived from it stays far
+/// from overflow.
+inline constexpr double kMaxWirePitchUm = 1e3;
+
 /// Representative 0.18 um, 1.8 V process constants.  Values are of the
 /// magnitude published for 180 nm nodes (ITRS 2001/2003); they give
 /// dimensionally consistent energy numbers, not vendor-exact ones.

@@ -33,11 +33,11 @@ std::string clock_net_name(const Netlist& nl) {
 
 /// The options a run of `kind` actually uses: the secure flow synthesizes
 /// to the WDDL gate whitelist unless the caller restricted the cells
-/// itself.
+/// itself, under the caller's cut limits either way.
 FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
   FlowOptions o = opts;
   if (kind == FlowKind::kSecure && o.synth.allowed_cells.empty())
-    o.synth = wddl_synth_constraints();
+    o.synth.allowed_cells = wddl_synth_constraints().allowed_cells;
   return o;
 }
 
@@ -450,8 +450,9 @@ void FlowOptions::validate() const {
   require(!(shielded_pairs && route_mode == RouteMode::kQuickLShaped),
           "FlowOptions: shielded_pairs requires RouteMode::kDetailed — quick "
           "L-shaped routing produces no conflict-checked geometry to shield");
-  require(place.aspect_ratio > 0.0,
-          "FlowOptions: place.aspect_ratio must be > 0");
+  require(place.aspect_ratio >= 1e-3 && place.aspect_ratio <= 1e3,
+          "FlowOptions: place.aspect_ratio must be in [1e-3, 1e3] — a die "
+          "far taller than wide overflows its row count");
   require(place.fill_factor > 0.0 && place.fill_factor <= 1.0,
           "FlowOptions: place.fill_factor must be in (0, 1]");
   require(place.sa_moves_per_instance >= 0,
@@ -466,6 +467,35 @@ void FlowOptions::validate() const {
           "— a wider window overflows its conversion to DBU");
   require(extract.variation_sigma >= 0.0,
           "FlowOptions: extract.variation_sigma must be >= 0");
+  // A wire dimension must convert to at least 1 DBU (the LEF generator
+  // divides by the pitch in DBU) and stay bounded, so its conversion
+  // cannot overflow; a wire as wide as the pitch overlaps its neighbour.
+  const Process018& pr = extract.process;
+  const auto dbu_or_zero = [](double um) -> std::int64_t {
+    return um > 0.0 && um <= kMaxWirePitchUm ? um_to_dbu(um) : 0;
+  };
+  const std::int64_t pitch_dbu = dbu_or_zero(pr.wire_pitch_um);
+  const std::int64_t width_dbu = dbu_or_zero(pr.wire_width_um);
+  require(pitch_dbu >= 1,
+          "FlowOptions: extract.process.wire_pitch_um must be in "
+          "[0.0005, 1e3] um — a finer pitch rounds to 0 DBU");
+  require(width_dbu >= 1 && (pitch_dbu < 1 || width_dbu < pitch_dbu),
+          "FlowOptions: extract.process.wire_width_um must be at least "
+          "0.0005 um and below wire_pitch_um — a wider wire overlaps the "
+          "one on the next track");
+  require(pr.vdd_v > 0.0, "FlowOptions: extract.process.vdd_v must be > 0");
+  require(pr.wire_c_area_ff_per_um2 >= 0.0,
+          "FlowOptions: extract.process.wire_c_area_ff_per_um2 must be >= 0");
+  require(pr.wire_c_fringe_ff_per_um >= 0.0,
+          "FlowOptions: extract.process.wire_c_fringe_ff_per_um must be >= 0");
+  require(pr.wire_c_couple_ff_per_um >= 0.0,
+          "FlowOptions: extract.process.wire_c_couple_ff_per_um must be >= 0");
+  require(pr.via_c_ff >= 0.0,
+          "FlowOptions: extract.process.via_c_ff must be >= 0");
+  require(pr.wire_r_ohm_per_sq >= 0.0,
+          "FlowOptions: extract.process.wire_r_ohm_per_sq must be >= 0");
+  require(pr.via_r_ohm >= 0.0,
+          "FlowOptions: extract.process.via_r_ohm must be >= 0");
   require(route.via_cost >= 0,
           "FlowOptions: route.via_cost must be >= 0 — below -1 a via "
           "up-and-down pair has negative cost and the maze search never "

@@ -1,5 +1,6 @@
 #include "leakage/accumulators.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/error.h"
@@ -11,20 +12,6 @@ void Moment::add(double x) {
   const double d = x - mean;
   mean += d / static_cast<double>(n);
   m2 += d * (x - mean);
-}
-
-void Moment::merge(const Moment& o) {
-  if (o.n == 0) return;
-  if (n == 0) {
-    *this = o;
-    return;
-  }
-  const double na = static_cast<double>(n), nb = static_cast<double>(o.n);
-  const double nt = na + nb;
-  const double delta = o.mean - mean;
-  mean += delta * (nb / nt);
-  m2 += o.m2 + delta * delta * (na * nb / nt);
-  n += o.n;
 }
 
 double Moment::variance() const {
@@ -45,15 +32,6 @@ void WelchAccumulator::add(bool fixed_group, const double* samples) {
   for (std::size_t s = 0; s < group.size(); ++s) group[s].add(samples[s]);
 }
 
-void WelchAccumulator::merge(const WelchAccumulator& o) {
-  SECFLOW_CHECK(n_samples() == o.n_samples(),
-                "Welch merge: sample-count mismatch");
-  for (std::size_t s = 0; s < fixed_.size(); ++s) {
-    fixed_[s].merge(o.fixed_[s]);
-    random_[s].merge(o.random_[s]);
-  }
-}
-
 std::vector<double> WelchAccumulator::t_statistic() const {
   std::vector<double> t(n_samples(), 0.0);
   for (std::size_t s = 0; s < t.size(); ++s) {
@@ -66,6 +44,22 @@ std::vector<double> WelchAccumulator::t_statistic() const {
     t[s] = (f.mean - r.mean) / std::sqrt(denom2);
   }
   return t;
+}
+
+double WelchAccumulator::max_abs_t() const {
+  double best = 0.0;
+  for (double t : t_statistic()) best = std::max(best, std::fabs(t));
+  return best;
+}
+
+std::vector<std::size_t> WelchAccumulator::leaky_samples(
+    double threshold) const {
+  std::vector<std::size_t> out;
+  const std::vector<double> t = t_statistic();
+  for (std::size_t s = 0; s < t.size(); ++s) {
+    if (std::fabs(t[s]) > threshold) out.push_back(s);
+  }
+  return out;
 }
 
 CpaAccumulator::CpaAccumulator(int n_guesses, int n_samples)

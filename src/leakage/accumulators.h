@@ -7,15 +7,11 @@
 // recurrences (catastrophic-cancellation-free, unlike naive sum /
 // sum-of-squares).
 //
-// Determinism contract (DESIGN.md §14), bit-identical statistics at any
-// SECFLOW_THREADS:
-//  * Welch (TVLA): callers shard the trace stream into fixed-width index
-//    ranges (kLeakageShardTraces, independent of the thread count),
-//    accumulate each shard serially in index order, and merge the shard
-//    accumulators (Chan et al.) in ascending shard order.
-//  * CPA: one accumulator folds the stream in trace order; a fold splits
-//    the key guesses, never the traces, across threads, so every moment
-//    sees the same updates in the same order as serial add() calls.
+// Determinism (DESIGN.md §14): every accumulator folds its stream in
+// trace order, so its statistics are bit-identical for any block split
+// and at any SECFLOW_THREADS.  A CPA fold splits the key guesses, never
+// the traces, across threads, so every moment sees the same updates in
+// the same order as serial add() calls.
 #pragma once
 
 #include <cstdint>
@@ -25,12 +21,6 @@
 
 namespace secflow {
 
-/// Fixed shard width (traces per shard) of TVLA's deterministic
-/// shard-and-merge scheme.  A constant, never derived from the thread
-/// count: thread counts change which worker computes a shard, never the
-/// shard boundaries or the merge order.
-inline constexpr std::size_t kLeakageShardTraces = 256;
-
 /// Welford running mean / sum of squared deviations of one scalar stream.
 struct Moment {
   std::uint64_t n = 0;
@@ -38,21 +28,21 @@ struct Moment {
   double m2 = 0.0;  ///< sum of squared deviations from the mean
 
   void add(double x);
-  /// Fold another accumulator in (Chan et al. pairwise combination).
-  void merge(const Moment& o);
   /// Unbiased sample variance m2/(n-1); 0 when n < 2.
   double variance() const;
 
   bool operator==(const Moment&) const = default;
 };
 
-/// Per-sample Welch-t state: fixed-class and random-class moments for
-/// every sample point of the trace.
+/// Fixed-vs-random Welch-t leakage detection (TVLA, Goodwill et al.):
+/// fixed-class and random-class moments for every sample point of the
+/// trace.  One class encrypts a fixed plaintext, the other random ones;
+/// a sample whose |t| exceeds the detection threshold (4.5 by convention,
+/// ~1e-5 false-positive odds per sample under the null) betrays
+/// data-dependent power draw — first-order leakage, found without an
+/// attack model.
 class WelchAccumulator {
  public:
-  /// Empty shell (0 samples) so accumulators can live in containers;
-  /// usable only as an assignment target.
-  WelchAccumulator() = default;
   explicit WelchAccumulator(std::size_t n_samples);
 
   std::size_t n_samples() const { return fixed_.size(); }
@@ -60,13 +50,18 @@ class WelchAccumulator {
 
   /// Fold in one trace of the given class (`samples` has n_samples()).
   void add(bool fixed_group, const double* samples);
-  void merge(const WelchAccumulator& o);
 
   /// Welch's t statistic per sample:
   ///   t = (mean_f - mean_r) / sqrt(var_f/n_f + var_r/n_r).
   /// 0 where either class has fewer than 2 traces or both variances
   /// vanish (no evidence either way, not infinite evidence).
   std::vector<double> t_statistic() const;
+
+  /// max_s |t(s)| (0 when degenerate).
+  double max_abs_t() const;
+
+  /// Sample indices whose |t| exceeds `threshold`.
+  std::vector<std::size_t> leaky_samples(double threshold) const;
 
  private:
   std::vector<Moment> fixed_;

@@ -146,25 +146,9 @@ std::vector<CpaMeasurement> fetch_block(
   return out;
 }
 
-/// Fetch [begin, end) in fixed `step`-wide blocks (the MTD check
-/// granularity, the block width of every phase).
-std::vector<CpaMeasurement> fetch_range(
-    const CompiledSimModel& model, TraceCache& cache, const char* purpose,
-    const LeakageSetup& s, bool differential, std::uint64_t stream_base,
-    int begin, int end, int step, const TraceTask& task) {
-  std::vector<CpaMeasurement> all;
-  all.reserve(static_cast<std::size_t>(end - begin));
-  for (int b = begin; b < end; b += step) {
-    std::vector<CpaMeasurement> block =
-        fetch_block(model, cache, purpose, s, differential, stream_base, b,
-                    std::min(b + step, end), task);
-    for (CpaMeasurement& m : block) all.push_back(std::move(m));
-  }
-  return all;
-}
-
 /// TVLA's class of the trace at stream index `i`: fixed on even
-/// phase-relative indices, the parity run_tvla_phase labels by.
+/// phase-relative indices.  The trace tasks simulate by it and
+/// run_tvla_phase accumulates by it.
 bool tvla_fixed(std::uint64_t i) { return (i - kTvlaStreamBase) % 2 == 0; }
 
 // --- generic (model-free) input lanes -------------------------------------
@@ -229,18 +213,24 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
   span.arg("traces", s.tvla_traces);
   SECFLOW_CHECK(s.tvla_traces >= 4,
                 "TVLA needs at least 4 traces (2 per class)");
-  std::vector<CpaMeasurement> raw =
-      fetch_range(model, cache, "tvla", s, differential, kTvlaStreamBase, 0,
-                  s.tvla_traces, std::max(s.mtd.step, 1), task);
-  std::vector<TvlaTrace> traces(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    traces[i].samples = std::move(raw[i].samples);
-    traces[i].fixed = (i % 2) == 0;
+  // Each step-wide block is fetched, added to the one accumulator in
+  // trace order under its trace's class, and dropped.
+  const int step = std::max(s.mtd.step, 1);
+  WelchAccumulator acc(static_cast<std::size_t>(model.samples_per_cycle()));
+  for (int b = 0; b < s.tvla_traces; b += step) {
+    const std::vector<CpaMeasurement> block =
+        fetch_block(model, cache, "tvla", s, differential, kTvlaStreamBase, b,
+                    std::min(b + step, s.tvla_traces), task);
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      const std::uint64_t i = static_cast<std::uint64_t>(b) + k;
+      SECFLOW_CHECK(block[k].samples.size() == acc.n_samples(),
+                    "TVLA trace " + std::to_string(i) + ": " +
+                        std::to_string(block[k].samples.size()) +
+                        " samples, expected " +
+                        std::to_string(acc.n_samples()));
+      acc.add(tvla_fixed(kTvlaStreamBase + i), block[k].samples.data());
+    }
   }
-  TvlaOptions opts;
-  opts.threshold = s.tvla_threshold;
-  opts.parallelism = s.parallelism;
-  const WelchAccumulator acc = accumulate_tvla(traces, opts);
 
   TvlaSummary out;
   out.present = true;
@@ -248,9 +238,9 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
   out.n_random = static_cast<std::int64_t>(acc.n(false));
   out.n_samples = static_cast<std::int64_t>(acc.n_samples());
   out.threshold = s.tvla_threshold;
-  out.max_abs_t = tvla_max_abs_t(acc);
+  out.max_abs_t = acc.max_abs_t();
   out.leaky_samples = static_cast<std::int64_t>(
-      tvla_leaky_samples(acc, s.tvla_threshold).size());
+      acc.leaky_samples(s.tvla_threshold).size());
   out.leaks = out.max_abs_t > s.tvla_threshold;
   Metrics::global().gauge_max("leakage.tvla.max_abs_t", out.max_abs_t);
   SECFLOW_LOG_INFO("leakage", "TVLA done",

@@ -25,7 +25,6 @@
 #include "base/parallel.h"
 #include "leakage/cpa.h"
 #include "leakage/report.h"
-#include "leakage/tvla.h"
 #include "netlist/netlist.h"
 #include "sca/selection.h"
 #include "sim/power_sim.h"

@@ -1,6 +1,7 @@
 #include "lef/lef.h"
 
 #include "base/error.h"
+#include "base/strings.h"
 
 namespace secflow {
 
@@ -47,6 +48,11 @@ LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts) {
 
   const double pitch = opts.process.wire_pitch_um * opts.wire_scale;
   const double width = opts.process.wire_width_um * opts.wire_scale;
+  const std::int64_t pitch_dbu = um_to_dbu(pitch);
+  // Pins snap to the routing grid by dividing by the pitch in DBU.
+  SECFLOW_CHECK(pitch_dbu >= 1,
+                strfmt("LEF generation: wire pitch %g um rounds to %lld DBU",
+                       pitch, static_cast<long long>(pitch_dbu)));
   for (int i = 0; i < opts.n_routing_layers; ++i) {
     // M1/M3 horizontal, M2 vertical (standard HVH assignment).
     lef.add_layer(LefLayer{"M" + std::to_string(i + 1),
@@ -55,7 +61,6 @@ LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts) {
                            pitch, width});
   }
 
-  const std::int64_t pitch_dbu = um_to_dbu(pitch);
   for (CellTypeId id : cells.all()) {
     const CellType& c = cells.cell(id);
     LefMacro m;

@@ -81,6 +81,7 @@ struct LefGenOptions {
 /// Generate a physical library matching `cells`: one macro per cell with
 /// deterministically placed pins (snapped to the routing grid), plus
 /// routing layer definitions (M1 horizontal, M2 vertical, M3 horizontal).
+/// Throws Error when the scaled wire pitch rounds below 1 DBU.
 LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts);
 
 }  // namespace secflow

@@ -8,6 +8,7 @@
 
 #include "base/error.h"
 #include "base/rng.h"
+#include "base/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -72,6 +73,13 @@ Floorplan make_floorplan(const Netlist& nl, const LefLibrary& lef,
   SECFLOW_CHECK(row_h > 0, "empty netlist");
   const double core_area = cell_area / opts.fill_factor;
   const double height_um = std::sqrt(core_area / opts.aspect_ratio);
+  // The row count is cast to int: refuse a die too tall for that (a tiny
+  // aspect ratio) before the cast and the DBU conversion overflow.
+  const double rows = std::ceil(height_um / dbu_to_um(row_h));
+  SECFLOW_CHECK(rows <= 1e9,
+                strfmt("floorplan: aspect ratio %g needs %g rows, more "
+                       "than 1e9",
+                       opts.aspect_ratio, rows));
 
   Floorplan fp;
   fp.row_height_dbu = row_h;

@@ -37,6 +37,8 @@ struct Floorplan {
   std::int64_t row_width_dbu = 0;
 };
 
+/// Size the core for `nl` at opts' fill factor and aspect ratio.  Throws
+/// Error when the die would need more than 1e9 rows.
 Floorplan make_floorplan(const Netlist& nl, const LefLibrary& lef,
                          const PlaceOptions& opts);
 

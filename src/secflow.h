@@ -78,7 +78,6 @@
 #include "leakage/assess.h"
 #include "leakage/cpa.h"
 #include "leakage/report.h"
-#include "leakage/tvla.h"
 
 // Observability: flow reports, structured logs, metrics, trace spans.
 #include "obs/json.h"

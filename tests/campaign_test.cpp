@@ -204,6 +204,15 @@ TEST(CampaignSpec, RejectsUnknownAndConflictingMembers) {
               })");
             }).find("place.margin_tracks must be >= 0"),
             std::string::npos);
+  // So is an aspect ratio whose row count would overflow.
+  EXPECT_NE(error_message([] {
+              parse_campaign_spec(R"({
+                "schema": "secflow.campaign/1", "name": "x",
+                "jobs": [{"circuit": {"builtin": "des-dpa"}, "flow": "regular",
+                          "options": {"place": {"aspect_ratio": 1e-30}}}]
+              })");
+            }).find("place.aspect_ratio must be in [1e-3, 1e3]"),
+            std::string::npos);
   // So is a coupling window whose DBU conversion would overflow.
   EXPECT_NE(error_message([] {
               parse_campaign_spec(R"({

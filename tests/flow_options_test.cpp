@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "base/error.h"
 
 namespace secflow {
@@ -41,6 +45,15 @@ TEST(FlowOptionsValidate, PlacementRanges) {
   expect_invalid(o, "aspect_ratio");
   o.place.aspect_ratio = -2.0;
   expect_invalid(o, "aspect_ratio");
+  // A tiny ratio overflowed the floorplan's row count into one row.
+  o.place.aspect_ratio = 1e-30;
+  expect_invalid(o, "place.aspect_ratio");
+  o.place.aspect_ratio = 2e3;
+  expect_invalid(o, "place.aspect_ratio");
+  o.place.aspect_ratio = 1e-3;  // boundaries: legal
+  EXPECT_NO_THROW(o.validate());
+  o.place.aspect_ratio = 1e3;
+  EXPECT_NO_THROW(o.validate());
 
   o = FlowOptions{};
   o.place.fill_factor = 0.0;
@@ -85,6 +98,94 @@ TEST(FlowOptionsValidate, ExtractionRanges) {
   o = FlowOptions{};
   o.extract.variation_sigma = -1e-9;
   expect_invalid(o, "variation_sigma");
+}
+
+TEST(FlowOptionsValidate, WirePitchConvertsToAtLeastOneDbu) {
+  // generate_lef divides by the pitch in DBU: a pitch that rounds to 0
+  // DBU killed the process with SIGFPE.
+  FlowOptions o;
+  o.extract.process.wire_pitch_um = 0.0;
+  expect_invalid(o, "extract.process.wire_pitch_um");
+  o.extract.process.wire_pitch_um = 0.0004;
+  expect_invalid(o, "extract.process.wire_pitch_um");
+  o.extract.process.wire_pitch_um = -0.56;
+  expect_invalid(o, "extract.process.wire_pitch_um");
+  // Boundary: the finest legal wires, 1 DBU wide on a 2 DBU pitch.
+  o.extract.process.wire_pitch_um = 0.002;
+  o.extract.process.wire_width_um = 0.0005;
+  EXPECT_NO_THROW(o.validate());
+}
+
+TEST(FlowOptionsValidate, WireGeometryIsBounded) {
+  // Without an upper bound the DBU conversion overflows.
+  FlowOptions o;
+  for (double bad : {1e16, 1e300, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    o.extract.process.wire_pitch_um = bad;
+    expect_invalid(o, "extract.process.wire_pitch_um");
+  }
+  o.extract.process.wire_pitch_um = kMaxWirePitchUm;  // boundary: legal
+  EXPECT_NO_THROW(o.validate());
+  o.extract.process.wire_width_um = 1e16;
+  expect_invalid(o, "extract.process.wire_width_um");
+}
+
+TEST(FlowOptionsValidate, WireWidthIsBelowPitch) {
+  FlowOptions o;
+  // Wider than the 0.56 um pitch, the two rails of a pair overlap.
+  o.extract.process.wire_width_um = 0.7;
+  expect_invalid(o, "extract.process.wire_width_um");
+  o.extract.process.wire_width_um = 0.56;  // touching rails
+  expect_invalid(o, "extract.process.wire_width_um");
+  o.extract.process.wire_width_um = 0.559;  // boundary: legal
+  EXPECT_NO_THROW(o.validate());
+  o.extract.process.wire_width_um = 0.0;  // failed deep in decomposition
+  expect_invalid(o, "extract.process.wire_width_um");
+  o.extract.process.wire_width_um = 0.0004;  // rounds to 0 DBU
+  expect_invalid(o, "extract.process.wire_width_um");
+  o.extract.process.wire_width_um = 0.0005;  // boundary: 1 DBU, legal
+  EXPECT_NO_THROW(o.validate());
+  // A bad pitch is one violation, not one for the width as well.
+  o = FlowOptions{};
+  o.extract.process.wire_pitch_um = 0.0;
+  try {
+    o.validate();
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("wire_pitch_um"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("wire_width_um"), std::string::npos) << msg;
+  }
+}
+
+TEST(FlowOptionsValidate, SupplyVoltageIsPositive) {
+  FlowOptions o;
+  o.extract.process.vdd_v = 0.0;
+  expect_invalid(o, "extract.process.vdd_v");
+  o.extract.process.vdd_v = -1.8;
+  expect_invalid(o, "extract.process.vdd_v");
+  o.extract.process.vdd_v = 1e-9;  // any positive supply is legal
+  EXPECT_NO_THROW(o.validate());
+}
+
+TEST(FlowOptionsValidate, ParasiticsAreNonNegative) {
+  // A negative coupling capacitance cut the secure DES critical delay
+  // from 2,268 to 1,834 ps.
+  const std::pair<double Process018::*, const char*> members[] = {
+      {&Process018::wire_c_area_ff_per_um2, "wire_c_area_ff_per_um2"},
+      {&Process018::wire_c_fringe_ff_per_um, "wire_c_fringe_ff_per_um"},
+      {&Process018::wire_c_couple_ff_per_um, "wire_c_couple_ff_per_um"},
+      {&Process018::via_c_ff, "via_c_ff"},
+      {&Process018::wire_r_ohm_per_sq, "wire_r_ohm_per_sq"},
+      {&Process018::via_r_ohm, "via_r_ohm"},
+  };
+  for (const auto& [member, name] : members) {
+    FlowOptions o;
+    o.extract.process.*member = -1e-9;
+    expect_invalid(o, std::string("extract.process.") + name);
+    o.extract.process.*member = 0.0;  // boundary: legal
+    EXPECT_NO_THROW(o.validate()) << name;
+  }
 }
 
 TEST(FlowOptionsValidate, RoutingRanges) {

@@ -251,6 +251,22 @@ TEST(FlowSmall, ShieldedPairsEmitShieldGeometry) {
   EXPECT_GT(shield_coupling, 0.25 * total_coupling);
 }
 
+TEST(FlowSmall, SecureSynthesisHonoursCutLimits) {
+  // The secure flow fills in the WDDL cell list and keeps the caller's
+  // cut limits: a narrower cut maps another netlist under another
+  // synthesis key.
+  const auto lib = builtin_stdcell018();
+  const AigCircuit des = make_des_dpa_circuit();
+  FlowOptions opts;
+  opts.stop_after = FlowStage::kSynthesis;
+  const SecureFlowResult wide = run_secure_flow(des, lib, opts);
+  opts.synth.max_cut_size = 2;
+  const SecureFlowResult narrow = run_secure_flow(des, lib, opts);
+  EXPECT_NE(narrow.timings.key(FlowStage::kSynthesis),
+            wide.timings.key(FlowStage::kSynthesis));
+  EXPECT_NE(narrow.rtl.n_instances(), wide.rtl.n_instances());
+}
+
 TEST(FlowSmall, TimingsArePopulated) {
   const auto lib = builtin_stdcell018();
   const AigCircuit c = parse_hdl(R"(

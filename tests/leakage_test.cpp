@@ -1,6 +1,6 @@
 // The statistical leakage-assessment subsystem: streaming accumulators
-// against naive two-pass references, fold and shard-and-merge determinism
-// across thread counts, CPA / TVLA / MTD semantics on synthetic leakage,
+// against naive two-pass references, fold determinism across thread
+// counts and block splits, CPA / TVLA / MTD semantics on synthetic leakage,
 // and the end-to-end DES assertion of the paper's headline claim — the
 // secure flow's MTD exceeds the regular flow's under the same attack.
 //
@@ -24,7 +24,6 @@
 #include "leakage/assess.h"
 #include "leakage/cpa.h"
 #include "leakage/report.h"
-#include "leakage/tvla.h"
 #include "liberty/builtin_lib.h"
 #include "obs/report.h"
 #include "report_samples.h"
@@ -56,34 +55,12 @@ TEST(Moment, MatchesNaiveTwoPass) {
   EXPECT_NEAR(m.variance(), var, 1e-9);
 }
 
-TEST(Moment, MergeEqualsSequentialAtEverySplit) {
-  Rng rng(11);
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(rng.next_gaussian());
-  Moment whole;
-  for (double x : xs) whole.add(x);
-  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{99},
-                            std::size_t{199}, std::size_t{200}}) {
-    Moment a, b;
-    for (std::size_t i = 0; i < split; ++i) a.add(xs[i]);
-    for (std::size_t i = split; i < xs.size(); ++i) b.add(xs[i]);
-    a.merge(b);
-    EXPECT_EQ(a.n, whole.n);
-    EXPECT_NEAR(a.mean, whole.mean, 1e-12);
-    EXPECT_NEAR(a.m2, whole.m2, 1e-9);
-  }
-}
-
 TEST(Moment, DegenerateCases) {
   Moment m;
   EXPECT_EQ(m.variance(), 0.0);
   m.add(5.0);
   EXPECT_EQ(m.mean, 5.0);
   EXPECT_EQ(m.variance(), 0.0);  // n < 2
-  Moment empty;
-  m.merge(empty);  // merging an empty accumulator is a no-op
-  EXPECT_EQ(m.n, 1u);
-  EXPECT_EQ(m.mean, 5.0);
 }
 
 TEST(WelchAccumulator, MatchesClosedForm) {
@@ -103,22 +80,6 @@ TEST(WelchAccumulator, MatchesClosedForm) {
   // Sample 1: both classes constant — zero variance means no evidence,
   // not infinite evidence.
   EXPECT_EQ(t[1], 0.0);
-}
-
-TEST(WelchAccumulator, MergeMatchesSequential) {
-  Rng rng(13);
-  WelchAccumulator whole(4), a(4), b(4);
-  std::vector<double> t(4);
-  for (int i = 0; i < 300; ++i) {
-    for (double& s : t) s = rng.next_gaussian();
-    const bool fixed = (i % 2) == 0;
-    whole.add(fixed, t.data());
-    (i < 150 ? a : b).add(fixed, t.data());
-  }
-  a.merge(b);
-  const std::vector<double> ta = a.t_statistic();
-  const std::vector<double> tw = whole.t_statistic();
-  for (std::size_t s = 0; s < 4; ++s) EXPECT_NEAR(ta[s], tw[s], 1e-9);
 }
 
 TEST(CpaAccumulator, CorrelationMatchesNaivePearson) {
@@ -239,7 +200,7 @@ TEST(CpaAccumulator, FoldMatchesSerialAddBitForBit) {
 }
 
 // ---------------------------------------------------------------------
-// Fold and shard-and-merge determinism: bit-identical at any thread count.
+// Fold determinism: bit-identical at any thread count.
 
 std::vector<CpaMeasurement> synthetic_traces(int n, std::uint64_t seed) {
   std::vector<CpaMeasurement> traces;
@@ -283,25 +244,30 @@ TEST(Determinism, CpaBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, TvlaBitIdenticalAcrossThreadCounts) {
-  std::vector<TvlaTrace> traces;
-  for (int i = 0; i < 700; ++i) {
-    Rng rng = Rng::stream(29, static_cast<std::uint64_t>(i));
-    TvlaTrace t;
-    t.fixed = (i % 2) == 0;
-    t.samples.resize(5);
-    for (double& s : t.samples) {
-      s = rng.next_gaussian() + (t.fixed ? 0.2 : 0.0);
-    }
-    traces.push_back(std::move(t));
-  }
-  std::vector<std::vector<double>> per_thread_t;
+  // Model-free TVLA on a 4-bit design: 700 traces in 200-trace blocks
+  // with a ragged 100-trace tail, simulated cold at every thread count.
+  const RegularFlowResult flow = run_regular_flow(parse_hdl(R"(
+    module small (input clk, input [3:0] a, input [3:0] b,
+                  output [3:0] y);
+      reg [3:0] r;
+      wire [3:0] m;
+      assign m = (a & b) ^ r;
+      always @(posedge clk) r <= m | a;
+      assign y = r ^ b;
+    endmodule)"), builtin_stdcell018());
+  LeakageSetup s;
+  s.tvla_traces = 700;
+  s.mtd.step = 200;
+  std::vector<TvlaSummary> per_thread;
   for (int threads : {1, 2, 4, 8}) {
-    TvlaOptions opts;
-    opts.parallelism.n_threads = threads;
-    per_thread_t.push_back(accumulate_tvla(traces, opts).t_statistic());
+    s.parallelism.n_threads = threads;
+    per_thread.push_back(
+        assess_tvla_leakage(flow.rtl, flow.caps, /*differential=*/false, s)
+            .tvla);
   }
-  for (std::size_t i = 1; i < per_thread_t.size(); ++i) {
-    EXPECT_EQ(per_thread_t[i], per_thread_t[0]);
+  EXPECT_EQ(per_thread[0].n_fixed + per_thread[0].n_random, 700);
+  for (std::size_t i = 1; i < per_thread.size(); ++i) {
+    EXPECT_EQ(per_thread[i], per_thread[0]) << "thread count #" << i;
   }
 }
 
@@ -407,25 +373,23 @@ TEST(Mtd, ExceedsComparison) {
 }
 
 TEST(Tvla, DetectsInjectedMeanShift) {
-  std::vector<TvlaTrace> traces;
+  WelchAccumulator acc(3);
+  std::vector<double> t(3);
   for (int i = 0; i < 1000; ++i) {
     Rng rng = Rng::stream(41, static_cast<std::uint64_t>(i));
-    TvlaTrace t;
-    t.fixed = (i % 2) == 0;
-    t.samples.resize(3);
-    t.samples[0] = rng.next_gaussian();
-    t.samples[1] = rng.next_gaussian() + (t.fixed ? 0.5 : 0.0);  // leak
-    t.samples[2] = rng.next_gaussian();
-    traces.push_back(std::move(t));
+    const bool fixed = (i % 2) == 0;
+    t[0] = rng.next_gaussian();
+    t[1] = rng.next_gaussian() + (fixed ? 0.5 : 0.0);  // leak
+    t[2] = rng.next_gaussian();
+    acc.add(fixed, t.data());
   }
-  const WelchAccumulator acc = accumulate_tvla(traces, {});
-  const std::vector<double> t = acc.t_statistic();
-  EXPECT_GT(tvla_max_abs_t(acc), 4.5);
-  const std::vector<std::size_t> leaky = tvla_leaky_samples(acc, 4.5);
+  const std::vector<double> stat = acc.t_statistic();
+  EXPECT_GT(acc.max_abs_t(), 4.5);
+  const std::vector<std::size_t> leaky = acc.leaky_samples(4.5);
   ASSERT_EQ(leaky.size(), 1u);
   EXPECT_EQ(leaky[0], 1u);
-  EXPECT_GT(std::abs(t[1]), 4.5);
-  EXPECT_LT(std::abs(t[0]), 4.5);
+  EXPECT_GT(std::abs(stat[1]), 4.5);
+  EXPECT_LT(std::abs(stat[0]), 4.5);
 }
 
 // ---------------------------------------------------------------------
@@ -543,6 +507,34 @@ TEST_F(DesLeakage, WarmCacheReplaysAndStatisticsAreThreadInvariant) {
     EXPECT_EQ(reports[i].tvla, reports[0].tvla);
     EXPECT_EQ(reports[i].cpa, reports[0].cpa);
     EXPECT_EQ(reports[i].mtd, reports[0].mtd);
+  }
+}
+
+TEST_F(DesLeakage, TvlaIsBlockSplitInvariant) {
+  // TVLA adds every trace to one accumulator in trace order, so the
+  // block width moves no bit.  A 600-wide step makes the 600 traces one
+  // block, a single serial add() pass: the reference.
+  LeakageSetup s = setup(0);
+  s.cache_dir.clear();
+  s.with_cpa = false;
+  s.tvla_traces = 600;
+  const auto tvla_at = [&](int step, bool generic) {
+    s.mtd.step = step;
+    return generic ? assess_tvla_leakage(regular_->rtl, regular_->caps,
+                                         /*differential=*/false, s)
+                         .tvla
+                   : assess_des_leakage(secure_->diff, secure_->caps,
+                                        /*differential=*/true, s)
+                         .tvla;
+  };
+  for (bool generic : {false, true}) {
+    const TvlaSummary one_block = tvla_at(600, generic);
+    EXPECT_EQ(one_block.n_fixed, 300);
+    EXPECT_EQ(one_block.n_random, 300);
+    for (int step : {37, 200}) {
+      EXPECT_EQ(tvla_at(step, generic), one_block)
+          << (generic ? "generic" : "DES") << " TVLA at step " << step;
+    }
   }
 }
 

@@ -75,6 +75,18 @@ TEST_F(LefTest, FatLibraryDoublesWireGeometry) {
   EXPECT_EQ(fl.macro("INV").width_dbu, nl.macro("INV").width_dbu);
 }
 
+TEST_F(LefTest, PitchBelowOneDbuThrows) {
+  // Pins snap to the grid by dividing by the pitch in DBU: a pitch that
+  // rounds to 0 DBU ended the process with SIGFPE.
+  LefGenOptions opts;
+  for (double pitch : {0.0, 0.0004, -0.56}) {
+    opts.process.wire_pitch_um = pitch;
+    EXPECT_THROW(generate_lef(*cells_, opts), Error) << pitch;
+  }
+  opts.process.wire_pitch_um = 0.0005;  // 1 DBU
+  EXPECT_NO_THROW(generate_lef(*cells_, opts));
+}
+
 TEST_F(LefTest, FindPin) {
   const LefLibrary lef = generate_lef(*cells_, {});
   const LefMacro& inv = lef.macro("INV");

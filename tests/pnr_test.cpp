@@ -83,6 +83,18 @@ TEST_F(PnrTest, FloorplanRespectsFillFactor) {
   EXPECT_TRUE(fp.die.contains(fp.core.hi));
 }
 
+TEST_F(PnrTest, FloorplanRejectsRowCountOverflow) {
+  // A tiny aspect ratio asks for more rows than an int holds; the cast
+  // used to overflow and flip the die to a single row.
+  const Netlist nl = map_hdl(kSmallDesign);
+  const LefLibrary lef = generate_lef(*lib_, {});
+  PlaceOptions opts;
+  opts.aspect_ratio = 1e-30;
+  EXPECT_THROW(make_floorplan(nl, lef, opts), Error);
+  opts.aspect_ratio = 1e-3;  // validate()'s lowest ratio still fits
+  EXPECT_GT(make_floorplan(nl, lef, opts).n_rows, 1);
+}
+
 TEST_F(PnrTest, PlacementIsLegal) {
   const Netlist nl = map_hdl(kSmallDesign);
   const LefLibrary lef = generate_lef(*lib_, {});
