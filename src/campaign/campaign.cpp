@@ -3,21 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "base/error.h"
-#include "ckpt/hash.h"
-#include "ckpt/serialize.h"
 #include "crypto/des.h"
-#include "lef/lef_io.h"
 #include "liberty/builtin_lib.h"
-#include "netlist/verilog_writer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pnr/def.h"
 #include "sca/dpa_experiment.h"
 #include "synth/hdl.h"
 
@@ -30,16 +25,7 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void add_digest(std::vector<std::pair<std::string, std::string>>& out,
-                const char* name, const std::string& text) {
-  out.emplace_back(name, hash_hex(fnv1a(text)));
-}
-
-bool reached(const FlowArtifacts& r, FlowStage s) {
-  return static_cast<int>(r.completed_through) >= static_cast<int>(s);
-}
-
-AigCircuit elaborate(const CircuitSource& src) {
+AigCircuit elaborate_circuit(const CircuitSource& src) {
   switch (src.kind) {
     case CircuitSourceKind::kBuiltinDesDpa: return make_des_dpa_circuit();
     case CircuitSourceKind::kHdlText: return parse_hdl(src.text);
@@ -48,23 +34,39 @@ AigCircuit elaborate(const CircuitSource& src) {
   throw Error("campaign: unknown circuit source kind");
 }
 
+/// One circuit source, elaborated once for every job that names it.
+struct Elaborated {
+  std::shared_ptr<const AigCircuit> circuit;  ///< null when elaboration failed
+  std::string error;
+};
+
+Elaborated elaborate(const CircuitSource& src) {
+  try {
+    return {std::make_shared<const AigCircuit>(elaborate_circuit(src)), ""};
+  } catch (const std::exception& e) {
+    return {nullptr, e.what()};
+  }
+}
+
 /// Everything the scheduler precomputes about one job before launch.
 struct PreparedJob {
   const CampaignJob* job = nullptr;
-  FlowOptions options;                 ///< spec overrides + engine cache_dir
-  std::optional<AigCircuit> circuit;   ///< nullopt when elaboration failed
+  FlowOptions options;  ///< spec overrides + engine cache_dir
+  std::shared_ptr<const AigCircuit> circuit;  ///< null when not elaborated
   std::string prepare_error;
   std::array<std::uint64_t, kNumFlowStages> keys{};  ///< 0 = stage not run
 };
 
 PreparedJob prepare_job(const CampaignJob& job, const CampaignSpec& spec,
-                        const CellLibrary& library) {
+                        const CellLibrary& library, const Elaborated& src) {
   PreparedJob p;
   p.job = &job;
   p.options = job.options;
   p.options.cache_dir = spec.cache_dir;
+  p.circuit = src.circuit;
+  p.prepare_error = src.error;
+  if (!p.circuit) return p;
   try {
-    p.circuit = elaborate(job.circuit);
     p.keys = compute_stage_keys(job.flow, *p.circuit, library, p.options);
     // Stages past stop_after never run, so they neither produce nor
     // consume checkpoints — drop them from the dependency analysis.
@@ -135,52 +137,6 @@ JobOutcome execute_job(const PreparedJob& p,
 
 }  // namespace
 
-std::vector<std::pair<std::string, std::string>> artifact_digests(
-    const RegularFlowResult& r) {
-  std::vector<std::pair<std::string, std::string>> v;
-  add_digest(v, "rtl.v", write_verilog(r.rtl));
-  if (reached(r, FlowStage::kPlacement)) {
-    add_digest(v, "lib.lef", write_lef(r.lef));
-    add_digest(v, "design.def", write_def(r.def));
-  }
-  if (reached(r, FlowStage::kRouting)) {
-    add_digest(v, "route_stats", write_route_stats(r.route_stats));
-  }
-  if (reached(r, FlowStage::kExtraction)) {
-    add_digest(v, "extraction", write_extraction(r.extraction));
-    add_digest(v, "caps", write_cap_table(r.caps));
-    add_digest(v, "timing", write_timing_report(r.timing));
-  }
-  return v;
-}
-
-std::vector<std::pair<std::string, std::string>> artifact_digests(
-    const SecureFlowResult& r) {
-  std::vector<std::pair<std::string, std::string>> v;
-  add_digest(v, "rtl.v", write_verilog(r.rtl));
-  if (reached(r, FlowStage::kSubstitution)) {
-    add_digest(v, "fat.v", write_verilog(r.fat));
-    add_digest(v, "diff.v", write_verilog(r.diff));
-  }
-  if (reached(r, FlowStage::kPlacement)) {
-    add_digest(v, "fat_lib.lef", write_lef(r.fat_lef));
-    add_digest(v, "fat.def", write_def(r.fat_def));
-  }
-  if (reached(r, FlowStage::kRouting)) {
-    add_digest(v, "route_stats", write_route_stats(r.route_stats));
-  }
-  if (reached(r, FlowStage::kDecomposition)) {
-    add_digest(v, "diff_lib.lef", write_lef(r.lef));
-    add_digest(v, "diff.def", write_def(r.def));
-  }
-  if (reached(r, FlowStage::kExtraction)) {
-    add_digest(v, "extraction", write_extraction(r.extraction));
-    add_digest(v, "caps", write_cap_table(r.caps));
-    add_digest(v, "timing", write_timing_report(r.timing));
-  }
-  return v;
-}
-
 CampaignResult run_campaign(const CampaignSpec& spec,
                             std::shared_ptr<const CellLibrary> library) {
   spec.validate();
@@ -197,11 +153,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                    LogField("concurrency", max_concurrent));
   const auto t0 = std::chrono::steady_clock::now();
 
-  // Phase 1: elaborate circuits and compute every job's key chain.
+  // Phase 1: elaborate each distinct circuit source once, and compute
+  // every job's key chain.
+  std::map<std::pair<CircuitSourceKind, std::string>, Elaborated> sources;
   std::vector<PreparedJob> prepared;
   prepared.reserve(n);
   for (const CampaignJob& job : spec.jobs) {
-    prepared.push_back(prepare_job(job, spec, *library));
+    const auto [it, fresh] =
+        sources.try_emplace({job.circuit.kind, job.circuit.text});
+    if (fresh) it->second = elaborate(job.circuit);
+    prepared.push_back(prepare_job(job, spec, *library, it->second));
   }
 
   // Phase 2: dependency edges.  The first job holding a stage key is its

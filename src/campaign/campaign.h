@@ -40,8 +40,9 @@ struct JobOutcome {
   /// The job's flow report (with DPA section when the spec asked for an
   /// attack).  Meaningful only when ok.
   FlowReport report;
-  /// name -> 16-hex FNV digest of each serialized artifact the flow
-  /// produced (rtl.v, design.def, caps, ...), for byte-identity checks.
+  /// artifact_digests() of the job's flow result: name -> 16-hex FNV
+  /// digest of each artifact the flow produced (rtl.v, design.def, caps,
+  /// ...), for byte-identity checks.
   std::vector<std::pair<std::string, std::string>> artifacts;
 
   bool operator==(const JobOutcome&) const = default;
@@ -56,14 +57,6 @@ struct CampaignResult {
 
   bool operator==(const CampaignResult&) const = default;
 };
-
-/// Content digests of every artifact a flow produced (bounded by
-/// FlowArtifacts::completed_through).  The campaign engine records these
-/// per job; tests compare them against standalone runs.
-std::vector<std::pair<std::string, std::string>> artifact_digests(
-    const RegularFlowResult& r);
-std::vector<std::pair<std::string, std::string>> artifact_digests(
-    const SecureFlowResult& r);
 
 /// Run the whole campaign.  `library` defaults to builtin_stdcell018().
 /// Throws only on spec-level errors (validate()); per-job failures are

@@ -56,8 +56,9 @@ namespace secflow {
 
 inline constexpr const char* kCampaignSpecSchema = "secflow.campaign/1";
 
-/// Where a job's circuit comes from.  Elaboration happens inside the job
-/// (a bad HDL file fails that job, not the campaign).
+/// Where a job's circuit comes from.  The campaign elaborates each distinct
+/// source once, before any job runs; a bad HDL file fails the jobs that
+/// name it, not the campaign.
 enum class CircuitSourceKind {
   kBuiltinDesDpa,  ///< make_des_dpa_circuit() — the paper's Fig 4 module
   kHdlText,        ///< inline mini-HDL in the spec

@@ -1,9 +1,11 @@
 #include "ckpt/serialize.h"
 
 #include <algorithm>
-#include <iomanip>
+#include <charconv>
+#include <concepts>
 #include <limits>
-#include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -13,17 +15,40 @@
 namespace secflow {
 namespace {
 
-/// Output stream with the precision every serializer needs: 17 significant
-/// digits round-trip any finite double exactly through decimal text.
-std::ostringstream make_out() {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  return os;
-}
+/// The text a serializer appends to.  Numbers print through to_chars:
+/// integers in decimal, doubles as append_double() prints them.
+class Out {
+ public:
+  Out& operator<<(std::string_view s) {
+    text_ += s;
+    return *this;
+  }
+  Out& operator<<(char c) {
+    text_ += c;
+    return *this;
+  }
+  Out& operator<<(double v) {
+    append_double(text_, v);
+    return *this;
+  }
+  template <std::integral T>
+    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
+  Out& operator<<(T v) {
+    char buf[24];
+    text_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+
+  /// Moves the text out; the writer's last call.
+  std::string str() { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
 
 /// Free text that may contain spaces (but no newlines are required either):
 /// length-prefixed as `<n>:<bytes>`.
-void put_str(std::ostream& os, const std::string& s) {
+void put_str(Out& os, const std::string& s) {
   os << s.size() << ':' << s;
 }
 
@@ -76,10 +101,17 @@ void done(Lexer& lex) {
 
 }  // namespace
 
+void append_double(std::string& out, double v) {
+  char buf[32];  // "%.17g" prints at most 24 characters
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
 // --- CellLibrary -----------------------------------------------------------
 
 std::string write_cell_library(const CellLibrary& lib) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "CELLLIB ";
   put_str(os, lib.name());
   os << ' ' << lib.size() << '\n';
@@ -143,7 +175,7 @@ std::string write_extraction(const Extraction& ex) {
   std::sort(names.begin(), names.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
 
-  std::ostringstream os = make_out();
+  Out os;
   os << "EXTRACTION " << ex.nets.size() << '\n';
   for (const std::string* name : names) {
     const NetParasitics& p = ex.nets.at(*name);
@@ -196,7 +228,7 @@ std::string write_cap_table(const CapTable& caps) {
   std::sort(names.begin(), names.end(),
             [](const std::string* a, const std::string* b) { return *a < *b; });
 
-  std::ostringstream os = make_out();
+  Out os;
   os << "CAPTABLE " << caps.size() << '\n';
   for (const std::string* name : names) {
     os << "CAP " << *name << ' ' << caps.at(*name) << '\n';
@@ -225,7 +257,7 @@ CapTable parse_cap_table(const std::string& text) {
 // --- TimingReport ----------------------------------------------------------
 
 std::string write_timing_report(const TimingReport& r) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "TIMING " << r.critical_delay_ps << ' ' << r.min_period_ps << ' ';
   put_str(os, r.endpoint);
   os << '\n';
@@ -274,7 +306,7 @@ TimingReport parse_timing_report(const std::string& text) {
 // --- small stats structs ---------------------------------------------------
 
 std::string write_route_stats(const RouteStats& s) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "ROUTESTATS " << s.wirelength_dbu << ' ' << s.vias << ' '
      << s.nets_routed << ' ' << s.iterations << ' ' << s.expanded_nodes
      << ' ' << s.window_escalations << ' ' << s.full_grid_searches << ' '
@@ -299,7 +331,7 @@ RouteStats parse_route_stats(const std::string& text) {
 }
 
 std::string write_substitution_stats(const SubstitutionStats& s) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "SUBSTATS " << s.inverters_removed << ' ' << s.buffers_removed << ' '
      << s.gates_substituted << ' ' << s.flops_substituted << ' '
      << s.ties_substituted << ' ' << s.port_buffers_added << '\n';
@@ -321,7 +353,7 @@ SubstitutionStats parse_substitution_stats(const std::string& text) {
 }
 
 std::string write_lec_result(const LecResult& r) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "LEC " << (r.equivalent ? 1 : 0) << ' ' << r.compared_points << ' '
      << r.mismatches.size() << '\n';
   for (const LecMismatch& m : r.mismatches) {
@@ -354,7 +386,7 @@ LecResult parse_lec_result(const std::string& text) {
 }
 
 std::string write_check_result(const CheckResult& r) {
-  std::ostringstream os = make_out();
+  Out os;
   os << "CHECK " << (r.ok ? 1 : 0) << ' ' << r.nets_checked << ' '
      << r.pins_checked << ' ' << r.issues.size() << '\n';
   for (const CheckIssue& i : r.issues) {

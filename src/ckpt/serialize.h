@@ -23,6 +23,10 @@
 
 namespace secflow {
 
+/// Appends `v` as printf's "%.17g" — what an ostream at setprecision(17)
+/// prints: 17 significant digits, which read back as the same double.
+void append_double(std::string& out, double v);
+
 /// Full-fidelity cell library (logic functions, pins, geometry, electrical
 /// data) — enough to reparse a cached fat netlist without regenerating the
 /// WDDL compound inventory.

@@ -10,6 +10,7 @@
 #include "ckpt/hash.h"
 #include "ckpt/serialize.h"
 #include "ckpt/store.h"
+#include "lef/lef_io.h"
 #include "netlist/netlist_ops.h"
 #include "netlist/verilog_parser.h"
 #include "netlist/verilog_writer.h"
@@ -267,6 +268,113 @@ const StageRow kStages[] = {
      }},
 };
 
+/// One artifact that artifact_digests() reports for a result of type R.
+/// The row applies to a run that completed `stage` and stopped no later
+/// than `last`.
+template <class R>
+struct ArtifactRow {
+  const char* name;
+  FlowStage stage;
+  /// The section of `stage`'s checkpoint that holds the artifact's bytes;
+  /// null for a LEF library, which is never checkpointed.
+  const char* section;
+  /// The artifact's bytes, for a run that kept no digest of them.
+  std::string (*write)(const R& r);
+  FlowStage last = FlowStage::kExtraction;
+};
+
+// The artifacts of each flow kind in report order.  Routing rewrites the
+// placed layout in place, so placed.def is the layout only of a run that
+// stopped after placement.
+
+const ArtifactRow<RegularFlowResult> kRegularArtifacts[] = {
+    {"rtl.v", FlowStage::kSynthesis, "rtl.v",
+     [](const auto& r) { return write_verilog(r.rtl); }},
+    {"lib.lef", FlowStage::kPlacement, nullptr,
+     [](const auto& r) { return write_lef(r.lef); }},
+    {"design.def", FlowStage::kPlacement, "placed.def",
+     [](const auto& r) { return write_def(r.def); }, FlowStage::kPlacement},
+    {"design.def", FlowStage::kRouting, "routed.def",
+     [](const auto& r) { return write_def(r.def); }},
+    {"route_stats", FlowStage::kRouting, "route_stats",
+     [](const auto& r) { return write_route_stats(r.route_stats); }},
+    {"extraction", FlowStage::kExtraction, "extraction",
+     [](const auto& r) { return write_extraction(r.extraction); }},
+    {"caps", FlowStage::kExtraction, "caps",
+     [](const auto& r) { return write_cap_table(r.caps); }},
+    {"timing", FlowStage::kExtraction, "timing",
+     [](const auto& r) { return write_timing_report(r.timing); }},
+};
+
+const ArtifactRow<SecureFlowResult> kSecureArtifacts[] = {
+    {"rtl.v", FlowStage::kSynthesis, "rtl.v",
+     [](const auto& r) { return write_verilog(r.rtl); }},
+    {"fat.v", FlowStage::kSubstitution, "fat.v",
+     [](const auto& r) { return write_verilog(r.fat); }},
+    {"diff.v", FlowStage::kSubstitution, "diff.v",
+     [](const auto& r) { return write_verilog(r.diff); }},
+    {"fat_lib.lef", FlowStage::kPlacement, nullptr,
+     [](const auto& r) { return write_lef(r.fat_lef); }},
+    {"fat.def", FlowStage::kPlacement, "placed.def",
+     [](const auto& r) { return write_def(r.fat_def); },
+     FlowStage::kPlacement},
+    {"fat.def", FlowStage::kRouting, "routed.def",
+     [](const auto& r) { return write_def(r.fat_def); }},
+    {"route_stats", FlowStage::kRouting, "route_stats",
+     [](const auto& r) { return write_route_stats(r.route_stats); }},
+    {"diff_lib.lef", FlowStage::kDecomposition, nullptr,
+     [](const auto& r) { return write_lef(r.lef); }},
+    {"diff.def", FlowStage::kDecomposition, "diff.def",
+     [](const auto& r) { return write_def(r.def); }},
+    {"extraction", FlowStage::kExtraction, "extraction",
+     [](const auto& r) { return write_extraction(r.extraction); }},
+    {"caps", FlowStage::kExtraction, "caps",
+     [](const auto& r) { return write_cap_table(r.caps); }},
+    {"timing", FlowStage::kExtraction, "timing",
+     [](const auto& r) { return write_timing_report(r.timing); }},
+};
+
+/// The FNV-1a digest of every section of a checkpoint.
+std::vector<std::pair<std::string, std::uint64_t>> digest_sections(
+    const Artifact& a) {
+  std::vector<std::pair<std::string, std::uint64_t>> digests;
+  digests.reserve(a.sections.size());
+  for (const auto& [name, bytes] : a.sections) {
+    digests.emplace_back(name, fnv1a(bytes));
+  }
+  return digests;
+}
+
+/// The digest of one artifact of `r`: the one its stage kept of the
+/// checkpoint section, or, when the stage kept none, that of the
+/// artifact serialized now.
+template <class R>
+std::uint64_t artifact_digest(const R& r, const ArtifactRow<R>& row) {
+  const auto& kept = r.timings.section_digests[stage_idx(row.stage)];
+  if (row.section == nullptr || kept.empty()) return fnv1a(row.write(r));
+  for (const auto& [section, digest] : kept) {
+    if (section == row.section) return digest;
+  }
+  throw Error(std::string("artifact_digests: the ") +
+              flow_stage_name(row.stage) + " checkpoint has no section " +
+              row.section);
+}
+
+template <class R, std::size_t N>
+std::vector<std::pair<std::string, std::string>> digest_artifacts(
+    const R& r, const ArtifactRow<R> (&rows)[N]) {
+  const int through = static_cast<int>(r.completed_through);
+  std::vector<std::pair<std::string, std::string>> digests;
+  for (const ArtifactRow<R>& row : rows) {
+    if (through < static_cast<int>(row.stage) ||
+        through > static_cast<int>(row.last)) {
+      continue;
+    }
+    digests.emplace_back(row.name, hash_hex(artifact_digest(r, row)));
+  }
+  return digests;
+}
+
 /// Runs the kStages rows `kind` runs, in order, and owns what every stage
 /// shares: the flow and stage spans, the checkpoint lookup (a hit loads, a
 /// miss computes and saves), resume_from (a stage before the resume point
@@ -316,12 +424,15 @@ FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
     Span span(span_name.c_str(), "flow");
     if (row.prepare != nullptr) row.prepare(r);
 
+    // A checkpoint's bytes are digested while they are at hand, so
+    // artifact_digests() need not serialize the artifacts again.
     t.cache_key[i] = keys[i];
     std::optional<Artifact> hit;
     if (store) hit = store->load(name, keys[i]);
     if (hit) {
       t.cache[i] = CacheOutcome::kHit;
       row.load(r, *hit);
+      t.section_digests[i] = digest_sections(*hit);
     } else {
       SECFLOW_CHECK(!o.resume_from || i >= stage_idx(*o.resume_from),
                     std::string("FlowOptions::resume_from: no cached ") +
@@ -336,6 +447,7 @@ FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
         Artifact a(name, keys[i]);
         row.save(r, a);
         store->save(a);
+        t.section_digests[i] = digest_sections(a);
       }
     }
 
@@ -366,7 +478,7 @@ FlowArtifacts take_artifacts(FlowRun& r, LefLibrary& lef, DefDesign& def) {
           r.rs,
           std::move(r.ex),
           std::move(r.caps),
-          r.t,
+          std::move(r.t),
           std::move(r.timing),
           r.o.stop_after.value_or(FlowStage::kExtraction)};
 }
@@ -602,6 +714,16 @@ SecureFlowResult run_secure_flow(const AigCircuit& circuit,
                           r.sub_stats,
                           r.lec,
                           r.stream_check};
+}
+
+std::vector<std::pair<std::string, std::string>> artifact_digests(
+    const RegularFlowResult& r) {
+  return digest_artifacts(r, kRegularArtifacts);
+}
+
+std::vector<std::pair<std::string, std::string>> artifact_digests(
+    const SecureFlowResult& r) {
+  return digest_artifacts(r, kSecureArtifacts);
 }
 
 namespace {

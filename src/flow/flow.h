@@ -28,6 +28,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "base/parallel.h"
 #include "extract/extract.h"
@@ -151,9 +153,9 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,
     const FlowOptions& opts);
 
-/// Per-stage wall time, cache verdict and cache key of one run; every array
-/// is indexed by FlowStage, and a stage that never ran keeps 0 ms,
-/// CacheOutcome::kNotRun and key 0.
+/// Per-stage wall time, cache verdict, cache key and checkpoint digests of
+/// one run; every array is indexed by FlowStage, and a stage that never ran
+/// keeps 0 ms, CacheOutcome::kNotRun, key 0 and no digests.
 struct StageTimings {
   /// Threads the flow's parallel stages resolved to (1 = serial).
   int n_threads = 1;
@@ -165,6 +167,12 @@ struct StageTimings {
   /// Per-stage cache keys — the content addresses the checkpoint files
   /// live under.
   std::array<std::uint64_t, kNumFlowStages> cache_key{};
+  /// FNV-1a digest of every section of the checkpoint a stage loaded (kHit)
+  /// or saved (kMiss), by section name in checkpoint order, taken while
+  /// the run held the bytes.  Empty for a stage that ran without a store.
+  std::array<std::vector<std::pair<std::string, std::uint64_t>>,
+             kNumFlowStages>
+      section_digests{};
 
   double total_ms() const;
   double stage_ms(FlowStage s) const {
@@ -247,6 +255,19 @@ SecureFlowResult run_secure_flow(const AigCircuit& circuit,
 /// counterparts; XOR/XNOR allowed — their compounds exist — but INV-heavy
 /// mapping is discouraged since inverters dissolve into rail swaps).
 SynthConstraints wddl_synth_constraints();
+
+/// name -> 16-hex FNV-1a digest of the serialized bytes of every artifact a
+/// flow produced (rtl.v, design.def, caps, ...), bounded by
+/// FlowArtifacts::completed_through, for byte-identity checks.  A stage
+/// that ran against a store kept the digests of its checkpoint sections
+/// (StageTimings::section_digests), and its artifacts read them; the LEF
+/// libraries, which are never checkpointed, and every artifact of a run
+/// without a store are serialized here.  Both give the same value, since
+/// a checkpoint section is the artifact's serialization.
+std::vector<std::pair<std::string, std::string>> artifact_digests(
+    const RegularFlowResult& r);
+std::vector<std::pair<std::string, std::string>> artifact_digests(
+    const SecureFlowResult& r);
 
 /// Human-readable one-design flow report (areas, cells, wirelength).  The
 /// SecureFlowResult overload appends the secure-only artifacts and

@@ -91,6 +91,17 @@ LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts) {
       }
       // Snap to routing grid so the router can reach the pin exactly.
       lp.offset = {(x / pitch_dbu) * pitch_dbu, (y / pitch_dbu) * pitch_dbu};
+      // A pitch coarser than the pin spacing stacks pins on one grid
+      // point, where the router would join their nets.
+      for (const LefPin& other : m.pins) {
+        SECFLOW_CHECK(
+            other.offset != lp.offset,
+            strfmt("LEF generation: macro %s pins %s and %s both snap to "
+                   "(%lld, %lld) DBU at wire pitch %g um",
+                   m.name.c_str(), other.name.c_str(), lp.name.c_str(),
+                   static_cast<long long>(lp.offset.x),
+                   static_cast<long long>(lp.offset.y), pitch));
+      }
       m.pins.push_back(lp);
     }
     lef.add_macro(std::move(m));

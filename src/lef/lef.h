@@ -81,7 +81,9 @@ struct LefGenOptions {
 /// Generate a physical library matching `cells`: one macro per cell with
 /// deterministically placed pins (snapped to the routing grid), plus
 /// routing layer definitions (M1 horizontal, M2 vertical, M3 horizontal).
-/// Throws Error when the scaled wire pitch rounds below 1 DBU.
+/// Throws Error when the scaled wire pitch rounds below 1 DBU, or when it is
+/// so coarse that two pins of one macro snap to the same grid point (the
+/// message names the macro, both pins, the point and the pitch).
 LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts);
 
 }  // namespace secflow

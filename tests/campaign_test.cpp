@@ -328,11 +328,15 @@ TEST(CampaignRun, PoisonedJobFailsWithoutAbortingSiblings) {
   missing.name = "missing";
   missing.circuit = {CircuitSourceKind::kHdlFile, "/nonexistent/x.v"};
 
-  spec.jobs = {good, bad, missing};
+  // A source is elaborated once for every job naming it.
+  CampaignJob bad_again = bad;
+  bad_again.name = "bad-again";
+
+  spec.jobs = {good, bad, missing, bad_again};
   const CampaignResult r = run_campaign(spec);
-  ASSERT_EQ(r.jobs.size(), 3u);
+  ASSERT_EQ(r.jobs.size(), 4u);
   EXPECT_EQ(r.n_ok, 1);
-  EXPECT_EQ(r.n_failed, 2);
+  EXPECT_EQ(r.n_failed, 3);
 
   EXPECT_TRUE(r.jobs[0].ok);
   EXPECT_FALSE(r.jobs[0].artifacts.empty());
@@ -341,6 +345,8 @@ TEST(CampaignRun, PoisonedJobFailsWithoutAbortingSiblings) {
   EXPECT_TRUE(r.jobs[1].artifacts.empty());
   EXPECT_FALSE(r.jobs[2].ok);
   EXPECT_FALSE(r.jobs[2].error.empty());
+  EXPECT_FALSE(r.jobs[3].ok);
+  EXPECT_EQ(r.jobs[3].error, r.jobs[1].error);
 
   // A failed-campaign report still validates and round-trips.
   const std::string json = campaign_report_json(r);

@@ -1,7 +1,7 @@
 // Unit tests for the checkpoint subsystem: content hashing, the artifact
 // container, every stage serializer (save -> load -> save byte-identical;
-// netlists additionally load back LEC-equivalent), and the content-addressed
-// store.
+// netlists additionally load back LEC-equivalent; doubles print as an
+// ostream at setprecision(17) does), and the content-addressed store.
 #include "ckpt/artifact.h"
 #include "ckpt/fingerprint.h"
 #include "ckpt/hash.h"
@@ -10,8 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <vector>
 
 #include "base/error.h"
 #include "lec/lec.h"
@@ -269,6 +276,36 @@ TEST(Serialize, SmallStructsRoundTrip) {
   cr.pins_checked = 77;
   expect_second_generation_identical(cr, write_check_result,
                                      parse_check_result);
+}
+
+TEST(Serialize, DoubleFormatterPrintsWhatAStreamAtPrecision17Prints) {
+  // The serializers print doubles with to_chars; the checkpoint bytes (and
+  // so the golden hashes and cache keys of every stored artifact) were
+  // written by an ostream at setprecision(17) and must not change.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, kNan, -kNan,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      2.2250738585072009e-308,  // largest subnormal
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 1e300, -1e300, 1e-300, -1e-300,
+      0.1, 1.0 / 3.0, 0.7500000000000001, 2.7182818284590452, 1e16, 1e17,
+      9007199254740993.0, 123456789012345678.0};
+  for (int i = -1000; i <= 1000; ++i) values.push_back(i);
+  for (int e = -320; e <= 308; ++e) values.push_back(std::pow(10.0, e));
+  std::mt19937_64 bits(2025);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(std::bit_cast<double>(bits()));
+  }
+  for (const double v : values) {
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    std::string text;
+    append_double(text, v);
+    ASSERT_EQ(text, os.str()) << std::bit_cast<std::uint64_t>(v);
+  }
 }
 
 TEST(Serialize, ParsersRejectMalformedInput) {

@@ -9,16 +9,18 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/error.h"
-#include "campaign/campaign.h"
 #include "ckpt/hash.h"
 #include "ckpt/serialize.h"
 #include "ckpt/store.h"
+#include "crypto/des.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/verilog_writer.h"
 #include "synth/hdl.h"
@@ -190,30 +192,140 @@ TEST_F(FlowCkpt, WarmRunHitsEveryStage) {
   }
 }
 
-TEST_F(FlowCkpt, CachedArtifactsAreBitIdenticalToComputedOnes) {
-  const SecureFlowResult warm =
-      run_secure_flow(*circuit_, lib_, cached_opts());
-  EXPECT_EQ(write_verilog(warm.rtl), write_verilog(cold_->rtl));
-  EXPECT_EQ(write_verilog(warm.fat), write_verilog(cold_->fat));
-  EXPECT_EQ(write_verilog(warm.diff), write_verilog(cold_->diff));
-  EXPECT_EQ(write_def(warm.fat_def), write_def(cold_->fat_def));
-  EXPECT_EQ(write_def(warm.def), write_def(cold_->def));
-  EXPECT_EQ(write_extraction(warm.extraction),
-            write_extraction(cold_->extraction));
-  EXPECT_EQ(write_cap_table(warm.caps), write_cap_table(cold_->caps));
-  EXPECT_EQ(write_timing_report(warm.timing),
-            write_timing_report(cold_->timing));
-  EXPECT_EQ(write_route_stats(warm.route_stats),
-            write_route_stats(cold_->route_stats));
-  EXPECT_EQ(write_lec_result(warm.lec), write_lec_result(cold_->lec));
-  EXPECT_EQ(write_check_result(warm.stream_out_check),
-            write_check_result(cold_->stream_out_check));
-  EXPECT_EQ(write_substitution_stats(warm.sub_stats),
-            write_substitution_stats(cold_->sub_stats));
+/// Every checkpoint section a run of `kind` saves, as the re-serialization
+/// of what a warm run under `opts` loaded from it, keyed
+/// "<stage>/<section>".  The placed layout comes from a second warm run that
+/// stops after placement, since routing rewrites it.
+std::map<std::string, std::string> reserialize_warm(
+    FlowKind kind, const AigCircuit& circuit,
+    const std::shared_ptr<const CellLibrary>& lib, const FlowOptions& opts) {
+  FlowOptions placed_opts = opts;
+  placed_opts.stop_after = FlowStage::kPlacement;
+  std::map<std::string, std::string> out;
+  const auto add_common = [&out](const FlowArtifacts& r) {
+    out["synthesis/rtl.v"] = write_verilog(r.rtl);
+    out["routing/route_stats"] = write_route_stats(r.route_stats);
+    out["extraction/extraction"] = write_extraction(r.extraction);
+    out["extraction/caps"] = write_cap_table(r.caps);
+    out["extraction/timing"] = write_timing_report(r.timing);
+  };
+  if (kind == FlowKind::kRegular) {
+    const RegularFlowResult w = run_regular_flow(circuit, lib, opts);
+    expect_outcomes(w.timings, {H, N, H, H, N, H}, "regular warm");
+    add_common(w);
+    out["placement/placed.def"] =
+        write_def(run_regular_flow(circuit, lib, placed_opts).def);
+    out["routing/routed.def"] = write_def(w.def);
+    return out;
+  }
+  const SecureFlowResult w = run_secure_flow(circuit, lib, opts);
+  expect_outcomes(w.timings, {H, H, H, H, H, H}, "secure warm");
   // On a substitution hit the live compound inventory is not rebuilt; the
   // fat netlist carries the deserialized fat library instead.
-  EXPECT_EQ(warm.wlib, nullptr);
-  EXPECT_EQ(warm.fat.library().size(), cold_->fat.library().size());
+  EXPECT_EQ(w.wlib, nullptr);
+  add_common(w);
+  out["substitution/fat_lib"] = write_cell_library(w.fat.library());
+  out["substitution/fat.v"] = write_verilog(w.fat);
+  out["substitution/diff.v"] = write_verilog(w.diff);
+  out["substitution/stats"] = write_substitution_stats(w.sub_stats);
+  out["substitution/lec"] = write_lec_result(w.lec);
+  out["placement/placed.def"] =
+      write_def(run_secure_flow(circuit, lib, placed_opts).fat_def);
+  out["routing/routed.def"] = write_def(w.fat_def);
+  out["decomposition/diff.def"] = write_def(w.def);
+  out["decomposition/stream_check"] = write_check_result(w.stream_out_check);
+  return out;
+}
+
+/// Each section the cold run saved equals the re-serialization of what a
+/// warm run loaded from it.
+void expect_warm_reserializes_checkpoints(
+    FlowKind kind, const AigCircuit& circuit,
+    const std::shared_ptr<const CellLibrary>& lib, const fs::path& dir,
+    const std::string& ctx) {
+  FlowOptions opts;
+  opts.cache_dir = dir.string();
+  const std::map<std::string, std::string> warm =
+      reserialize_warm(kind, circuit, lib, opts);
+  const ArtifactStore store(dir.string());
+  const auto keys = compute_stage_keys(kind, circuit, *lib, opts);
+  std::size_t n_sections = 0;
+  for (int i = 0; i < kNumFlowStages; ++i) {
+    const FlowStage s = static_cast<FlowStage>(i);
+    if (!flow_runs_stage(kind, s)) continue;
+    const std::optional<Artifact> saved =
+        store.load(flow_stage_name(s), keys[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(saved.has_value()) << ctx << ": " << flow_stage_name(s);
+    for (const auto& [section, bytes] : saved->sections) {
+      const std::string id = std::string(flow_stage_name(s)) + "/" + section;
+      const auto it = warm.find(id);
+      ASSERT_NE(it, warm.end()) << ctx << ": " << id;
+      EXPECT_EQ(it->second, bytes) << ctx << ": " << id;
+      ++n_sections;
+    }
+  }
+  EXPECT_EQ(n_sections, warm.size()) << ctx;
+}
+
+TEST_F(FlowCkpt, CachedArtifactsAreBitIdenticalToComputedOnes) {
+  // A warm job digests the checkpoint bytes it loaded instead of
+  // re-serializing what it parsed from them; the two agree only while
+  // write(parse(bytes)) == bytes holds for every section.
+  expect_warm_reserializes_checkpoints(FlowKind::kSecure, *circuit_, lib_,
+                                       cache_dir_, "mid secure");
+  const AigCircuit des = make_des_dpa_circuit();
+  const fs::path dir = fs::path(::testing::TempDir()) / "flow_des_cache";
+  for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+    fs::remove_all(dir);
+    FlowOptions cold;
+    cold.cache_dir = dir.string();
+    if (kind == FlowKind::kSecure) {
+      run_secure_flow(des, lib_, cold);
+    } else {
+      run_regular_flow(des, lib_, cold);
+    }
+    expect_warm_reserializes_checkpoints(
+        kind, des, lib_, dir, std::string("des ") + flow_kind_name(kind));
+  }
+  fs::remove_all(dir);
+}
+
+TEST_F(FlowCkpt, DigestsFromCheckpointBytesMatchSerializedOnes) {
+  // A cold cached run digests the bytes it saves, a warm run the bytes it
+  // loads, and an uncached run serializes every artifact: all three must
+  // list the same artifacts with the same digests, at every stop_after.
+  const AigCircuit des = make_des_dpa_circuit();
+  const fs::path dir = fs::path(::testing::TempDir()) / "flow_digest_cache";
+  for (const auto& [design, circuit] :
+       {std::pair<const char*, const AigCircuit*>{"mid", circuit_},
+        {"des", &des}}) {
+    for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+      for (int i = 0; i < kNumFlowStages; ++i) {
+        const FlowStage stop = static_cast<FlowStage>(i);
+        if (!flow_runs_stage(kind, stop)) continue;
+        const std::string ctx = std::string(design) + " " +
+                                flow_kind_name(kind) + " stop_after " +
+                                flow_stage_name(stop);
+        FlowOptions uncached;
+        uncached.stop_after = stop;
+        FlowOptions cached = uncached;
+        cached.cache_dir = dir.string();
+        fs::remove_all(dir);
+        const auto digests = [&](const FlowOptions& o) {
+          return kind == FlowKind::kSecure
+                     ? artifact_digests(run_secure_flow(*circuit, lib_, o))
+                     : artifact_digests(run_regular_flow(*circuit, lib_, o));
+        };
+        const Digests cold = digests(cached);
+        const Digests warm = digests(cached);
+        const Digests plain = digests(uncached);
+        EXPECT_FALSE(plain.empty()) << ctx;
+        EXPECT_EQ(cold, plain) << ctx;
+        EXPECT_EQ(warm, plain) << ctx;
+      }
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST_F(FlowCkpt, RoutingOptionChangeRerunsRoutingOnwardOnly) {

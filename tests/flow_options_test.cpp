@@ -1,15 +1,19 @@
 // Exhaustive FlowOptions::validate() coverage: every rejection rule fires
 // with a descriptive Error, and legal configurations (including the
-// checkpoint fields) all pass.
+// checkpoint fields) all pass.  A legal option the flow still cannot
+// honour (a pitch that stacks a cell's pins) fails with an Error naming it.
 #include "flow/flow.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "base/error.h"
+#include "liberty/builtin_lib.h"
+#include "synth/hdl.h"
 
 namespace secflow {
 namespace {
@@ -303,6 +307,42 @@ TEST(FlowOptionsValidate, SingleViolationHasNoAggregateHeader) {
     EXPECT_EQ(msg.find("violations"), std::string::npos) << msg;
     EXPECT_NE(msg.find("sa_batch"), std::string::npos) << msg;
   }
+}
+
+TEST(FlowLef, PitchThatStacksPinsFailsBothFlowsNamingTheCell) {
+  // A legal but coarse pitch snaps every pin of a small cell to one grid
+  // point, where the router would join their nets; downstream, only the
+  // secure flow's stream-out check would notice, naming a rail pin rather
+  // than the cell or the pitch.
+  const AigCircuit small = parse_hdl(R"(
+    module small (input clk, input [3:0] a, input [3:0] b, output [3:0] y);
+      reg [3:0] r;
+      wire [3:0] m;
+      assign m = (a & b) ^ r;
+      always @(posedge clk) r <= m | a;
+      assign y = r ^ b;
+    endmodule)");
+  const auto lib = builtin_stdcell018();
+  FlowOptions o;
+  o.extract.process.wire_pitch_um = 50.0;
+  o.extract.process.wire_width_um = 25.0;
+  ASSERT_NO_THROW(o.validate());
+  const auto expect_stacked_pins = [](const std::function<void()>& run,
+                                      const char* flow) {
+    try {
+      run();
+      ADD_FAILURE() << flow << " flow: expected Error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("LEF generation: macro "), std::string::npos)
+          << flow << ": " << msg;
+      EXPECT_NE(msg.find("both snap to (0, 0) DBU at wire pitch"),
+                std::string::npos)
+          << flow << ": " << msg;
+    }
+  };
+  expect_stacked_pins([&] { run_regular_flow(small, lib, o); }, "regular");
+  expect_stacked_pins([&] { run_secure_flow(small, lib, o); }, "secure");
 }
 
 TEST(FlowStageApi, NamesAndCounters) {

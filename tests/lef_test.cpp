@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/error.h"
+#include "crypto/des.h"
+#include "flow/flow.h"
 #include "lef/lef_io.h"
 #include "liberty/builtin_lib.h"
 
@@ -64,8 +68,12 @@ TEST_F(LefTest, PinsDoNotOverlapWithinMacro) {
 }
 
 TEST_F(LefTest, FatLibraryDoublesWireGeometry) {
+  // At half the default pitch: on the doubled default grid the builtin
+  // cells stack pins (see FlowWireScalesKeepPinsApart).
   LefGenOptions normal;
-  LefGenOptions fat;
+  normal.process.wire_pitch_um /= 2;
+  normal.process.wire_width_um /= 2;
+  LefGenOptions fat = normal;
   fat.wire_scale = 2.0;
   const LefLibrary nl = generate_lef(*cells_, normal);
   const LefLibrary fl = generate_lef(*cells_, fat);
@@ -85,6 +93,46 @@ TEST_F(LefTest, PitchBelowOneDbuThrows) {
   }
   opts.process.wire_pitch_um = 0.0005;  // 1 DBU
   EXPECT_NO_THROW(generate_lef(*cells_, opts));
+}
+
+TEST_F(LefTest, PitchThatStacksPinsThrows) {
+  // Pins snap to the routing grid: a pitch wider than a cell's pin spacing
+  // puts every pin of the cell on one grid point, where the router would
+  // join their nets.
+  LefGenOptions opts;
+  opts.process.wire_pitch_um = 50.0;
+  opts.process.wire_width_um = 25.0;
+  try {
+    generate_lef(*cells_, opts);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("macro INV pins A and Y both snap to (0, 0) DBU at "
+                       "wire pitch 50 um"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+TEST_F(LefTest, FlowWireScalesKeepPinsApart) {
+  // At the default pitch, each library a flow places: the builtin cells at
+  // the plain scale (regular flow), and the fat cells the secure flow
+  // substitutes into the DES module at the plain, fat and shielded scales.
+  FlowOptions des_opts;
+  des_opts.stop_after = FlowStage::kSubstitution;
+  const SecureFlowResult des =
+      run_secure_flow(make_des_dpa_circuit(), cells_, des_opts);
+  EXPECT_NO_THROW(generate_lef(*cells_, {}));
+  for (const double scale : {1.0, 2.0, 3.0}) {
+    LefGenOptions opts;
+    opts.wire_scale = scale;
+    EXPECT_NO_THROW(generate_lef(des.fat.library(), opts)) << scale;
+    // The builtin cells are narrower than the fat compounds: on a fat or
+    // shielded grid NAND2/NAND3 pins share a point.
+    if (scale > 1.0) {
+      EXPECT_THROW(generate_lef(*cells_, opts), Error) << scale;
+    }
+  }
 }
 
 TEST_F(LefTest, FindPin) {
