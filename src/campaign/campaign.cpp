@@ -190,10 +190,14 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   }
 
-  // Phase 3: execute.  Ready jobs are dispatched to the pool up to the
-  // concurrency cap; each completion unblocks its dependents.  Workers
-  // never wait on other jobs (the DAG is tracked with counters), so the
-  // pool stays deadlock-free.
+  // Phase 3: execute.  Jobs run on pool workers, at most max_concurrent at
+  // once, in ready order.  A worker that finishes a job goes on with the
+  // next ready job itself; another worker is woken only for a ready job
+  // that no running worker will take, and the caller only when the last
+  // worker is done.  A wake-up waits for the sleeper's CPU, which on a
+  // loaded host takes milliseconds at random, while a warm job takes a few
+  // milliseconds in all.  Workers never wait on other jobs (the DAG is
+  // tracked with counters), so the pool stays deadlock-free.
   CampaignResult result;
   result.campaign = spec.name;
   result.jobs.resize(n);
@@ -202,7 +206,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     std::mutex mu;
     std::condition_variable done_cv;
     std::vector<std::size_t> ready;
-    int active = 0;
+    int workers = 0;   ///< pool tasks submitted and not yet returned
+    int starting = 0;  ///< of those, the ones that have not taken a job yet
     std::size_t completed = 0;
   } sched;
 
@@ -213,33 +218,47 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   ThreadPool& pool = ThreadPool::global();
   pool.ensure_workers(max_concurrent);
 
-  // Launch as many ready jobs as the cap allows.  Caller holds sched.mu;
-  // pool.submit takes only the pool's own lock, so the order is acyclic.
-  std::function<void()> launch_ready = [&] {
-    while (sched.active < max_concurrent && !sched.ready.empty()) {
+  // A worker runs ready jobs until none is left.  start_workers submits
+  // one for each ready job that no worker is about to take, up to the cap.
+  // Both run with sched.mu held; pool.submit takes only the pool's own
+  // lock, so the lock order is acyclic.
+  std::function<void()> work;
+  const auto start_workers = [&] {
+    while (sched.workers < max_concurrent &&
+           sched.ready.size() > static_cast<std::size_t>(sched.starting)) {
+      ++sched.workers;
+      ++sched.starting;
+      pool.submit(work);
+    }
+  };
+  work = [&] {
+    std::unique_lock<std::mutex> lock(sched.mu);
+    --sched.starting;
+    while (!sched.ready.empty()) {
       const std::size_t i = sched.ready.front();
       sched.ready.erase(sched.ready.begin());
-      ++sched.active;
-      pool.submit([&, i] {
-        JobOutcome out = execute_job(prepared[i], library);
-        std::lock_guard<std::mutex> inner(sched.mu);
-        result.jobs[i] = std::move(out);
-        --sched.active;
-        ++sched.completed;
-        for (const std::size_t dep : dependents[i]) {
-          if (--blockers[dep] == 0) sched.ready.push_back(dep);
-        }
-        launch_ready();
-        sched.done_cv.notify_all();
-      });
+      start_workers();
+      lock.unlock();
+      JobOutcome out = execute_job(prepared[i], library);
+      lock.lock();
+      result.jobs[i] = std::move(out);
+      ++sched.completed;
+      for (const std::size_t dep : dependents[i]) {
+        if (--blockers[dep] == 0) sched.ready.push_back(dep);
+      }
     }
+    // With no worker left and nothing ready, every job is done: a job
+    // still blocked would wait on an unfinished producer that is neither
+    // running nor ready, and producers precede their dependents.
+    if (--sched.workers == 0) sched.done_cv.notify_one();
   };
 
   {
     std::unique_lock<std::mutex> lock(sched.mu);
-    launch_ready();
-    sched.done_cv.wait(lock, [&] { return sched.completed == n; });
+    start_workers();
+    sched.done_cv.wait(lock, [&] { return sched.workers == 0; });
   }
+  SECFLOW_CHECK(sched.completed == n, "campaign: scheduler stopped early");
 
   // Record who each job waited on (stable, spec-ordered names).
   for (std::size_t producer = 0; producer < n; ++producer) {

@@ -6,18 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/error.h"
+#include "base/parallel.h"
 #include "campaign/report.h"
 #include "campaign/spec.h"
 #include "liberty/builtin_lib.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -352,6 +357,111 @@ TEST(CampaignRun, PoisonedJobFailsWithoutAbortingSiblings) {
   const std::string json = campaign_report_json(r);
   validate_campaign_report(json_parse(json));
   EXPECT_EQ(parse_campaign_report(json), r);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduling.  The tracer's campaign.job spans show when each job ran.
+
+using JobSpans = std::map<std::string, std::pair<std::int64_t, std::int64_t>>;
+
+/// Run `spec` with the global tracer on; each job's span as [start, end)
+/// in microseconds.
+JobSpans run_traced(const CampaignSpec& spec, CampaignResult& result) {
+  Tracer& tracer = Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  result = run_campaign(spec);
+  tracer.set_enabled(false);
+  JobSpans spans;
+  for (const TraceEvent& e : tracer.events()) {
+    if (e.name != "campaign.job") continue;
+    for (const auto& [key, value] : e.args) {
+      if (key == "job") spans[value] = {e.ts_us, e.ts_us + e.dur_us};
+    }
+  }
+  tracer.clear();
+  return spans;
+}
+
+TEST(CampaignRun, RunsAtMostThreadsJobsAtOnce) {
+  // Without a store no job waits on another, so all six are ready at once,
+  // and the pool has a worker for each: only the scheduler holds them to
+  // the cap.
+  ThreadPool::global().ensure_workers(6);
+  CampaignSpec spec;
+  spec.name = "cap";
+  spec.threads = 2;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    CampaignJob j;
+    j.name = "seed" + std::to_string(seed);
+    j.circuit = {CircuitSourceKind::kHdlText, kMidDesign};
+    j.flow = FlowKind::kRegular;
+    j.options.stop_after = FlowStage::kPlacement;
+    j.options.place.seed = seed;
+    spec.jobs.push_back(j);
+  }
+  CampaignResult r;
+  const JobSpans spans = run_traced(spec, r);
+  EXPECT_EQ(r.n_ok, 6);
+  ASSERT_EQ(spans.size(), 6u);
+
+  // Sweep the span edges in time order, an end before a start on a tie.
+  std::vector<std::pair<std::int64_t, int>> edges;
+  for (const auto& [name, span] : spans) {
+    edges.emplace_back(span.first, +1);
+    edges.emplace_back(span.second, -1);
+  }
+  std::sort(edges.begin(), edges.end());
+  int running = 0;
+  int most = 0;
+  for (const auto& [t, step] : edges) {
+    running += step;
+    most = std::max(most, running);
+  }
+  EXPECT_LE(most, spec.threads);
+}
+
+TEST(CampaignRun, DependentsStartAfterTheirProducersEnd) {
+  const fs::path dir = fs::path(::testing::TempDir()) / "campaign_order";
+  fs::remove_all(dir);
+  CampaignSpec spec;
+  spec.name = "order";
+  spec.cache_dir = dir.string();
+  spec.threads = 2;
+  const auto job = [](const char* name, const char* hdl,
+                      std::uint64_t place_seed) {
+    CampaignJob j;
+    j.name = name;
+    j.circuit = {CircuitSourceKind::kHdlText, hdl};
+    j.flow = FlowKind::kRegular;
+    j.options.stop_after = FlowStage::kPlacement;
+    j.options.place.seed = place_seed;
+    return j;
+  };
+  constexpr const char* kOther = R"(
+    module other (input a, input b, input c, output x);
+      assign x = (a | b) & c;
+    endmodule)";
+  // Another placement seed shares only synthesis, so each job after the
+  // first of its design waits on that one.
+  spec.jobs = {job("x", kTinyDesign, 1), job("y", kOther, 1),
+               job("x-2", kTinyDesign, 2), job("x-3", kTinyDesign, 3),
+               job("y-2", kOther, 2)};
+  CampaignResult r;
+  const JobSpans spans = run_traced(spec, r);
+  fs::remove_all(dir);
+  ASSERT_EQ(r.n_ok, 5);
+  ASSERT_EQ(spans.size(), 5u);
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(r.jobs[2].waited_on, Names{"x"});
+  EXPECT_EQ(r.jobs[3].waited_on, Names{"x"});
+  EXPECT_EQ(r.jobs[4].waited_on, Names{"y"});
+  for (const JobOutcome& j : r.jobs) {
+    for (const std::string& producer : j.waited_on) {
+      EXPECT_GE(spans.at(j.name).first, spans.at(producer).second)
+          << j.name << " started before " << producer << " ended";
+    }
+  }
 }
 
 TEST(CampaignRun, RejectsInvalidSpec) {
