@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace secflow {
 
@@ -30,6 +31,13 @@ class ParseError : public Error {
  private:
   std::string where_;
 };
+
+/// Throws one Error listing every violation a validator collected, headed
+/// by `what` ("FlowOptions", "campaign spec"): `<what>: <violation>` for
+/// one, `<what>: N violations:` and a `\n  - <violation>` line each for
+/// more.  Returns when `violations` is empty.
+void throw_violations(const std::string& what,
+                      const std::vector<std::string>& violations);
 
 [[noreturn]] void check_failed(const char* file, int line, const char* expr,
                                const std::string& msg);

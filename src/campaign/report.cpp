@@ -59,7 +59,7 @@ void fields(Io& io, R& r) {
   io.object("cache", [&] {
     io.field("hits", cache.hits);
     io.field("misses", cache.misses);
-    io.array("matrix", cache.rows, "cache matrix row", [&](auto& row) {
+    io.array("matrix", cache.rows, [&](auto& row) {
       io.field("job", row.job);
       io.field("stages", row.stages);
       io.check(row.stages.size() == kNumFlowStages,
@@ -70,7 +70,7 @@ void fields(Io& io, R& r) {
       }
     });
   });
-  io.array("jobs", r.jobs, "job", [&](auto& job) {
+  io.array("jobs", r.jobs, [&](auto& job) {
     io.field("name", job.name);
     std::string status = job.ok ? "ok" : "error";
     io.field("status", status);
@@ -100,6 +100,7 @@ CampaignResult read_report(const JsonValue& doc) {
   JsonReader io(doc, "campaign report");
   CampaignResult r;
   fields(io, r);
+  io.finish();
   return r;
 }
 

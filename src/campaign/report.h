@@ -31,8 +31,8 @@ std::string campaign_report_json(const CampaignResult& r);
 /// required members with the right types, job statuses from the known
 /// vocabulary, cache-matrix rows matching the job list, digests 16 hex
 /// digits, embedded flow reports valid.  This is parse_campaign_report
-/// on a parsed document, with the result dropped.  Throws Error naming
-/// the first violation.
+/// on a parsed document, with the result dropped.  Throws one Error
+/// naming every violation.
 void validate_campaign_report(const JsonValue& doc);
 
 /// Inverse of campaign_report_json.  Throws ParseError on malformed JSON

@@ -23,26 +23,23 @@
 //         "seed": 1,                     // optional; DPA measurement seed
 //         "dpa": {"n_measurements": 400, "noise_ma": 0.0,
 //                 "select_bit": 2, "sbox": 1, "key": 46},   // optional
-//         "options": {                   // optional FlowOptions overrides
-//           "route_mode": "quick",       // "detailed" | "quick"
-//           "shielded_pairs": true,
-//           "stop_after": "routing",
-//           "place":   {"aspect_ratio": 1.0, "fill_factor": 0.8,
-//                       "sa_moves_per_instance": 60, "sa_batch": 16,
-//                       "margin_tracks": 8, "seed": 1},
-//           "route":   {"via_cost": 3, "max_iterations": 48,
-//                       "incremental": true, "window_margin": 64,
-//                       "window_escalation": 4},
-//           "extract": {"coupling_max_sep_um": 1.2,
-//                       "variation_sigma": 0.0, "seed": 7}
+//         "options": {                   // optional; stop_after and any
+//           "stop_after": "routing",     //   knob of flow/knobs.h, nested
+//           "route_mode": "quick",       //   as its dotted path
+//           "synth":   {"max_cut_size": 4},
+//           "place":   {"seed": 3, "fill_factor": 0.7},
+//           "route":   {"via_cost": 4, "skip_nets": ["clk"]},
+//           "extract": {"variation_sigma": 0.05,
+//                       "process": {"vdd_v": 1.5}}
 //         }
 //       }
 //     ]
 //   }
 //
-// Parsing is strict: unknown members, wrong types and inconsistent
-// combinations are rejected, and ALL problems are collected into one
-// Error (one line per violation) so a bad spec is fixed in one pass.
+// The spec is read through obs/json_fields.h's JsonReader: unknown
+// members, wrong types and inconsistent combinations are rejected, and
+// ALL problems are collected into one Error (one line per violation,
+// naming its member path or job) so a bad spec is fixed in one pass.
 #pragma once
 
 #include <cstdint>

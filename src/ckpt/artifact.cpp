@@ -150,11 +150,14 @@ void write_artifact_file(const Artifact& a, const std::string& path) {
 }
 
 Artifact parse_artifact_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  // One read into a buffer sized from the file.
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   SECFLOW_CHECK(f.good(), "cannot open: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_artifact(ss.str());
+  std::string bytes(static_cast<std::size_t>(f.tellg()), '\0');
+  f.seekg(0);
+  f.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  SECFLOW_CHECK(f.good(), "cannot read: " + path);
+  return parse_artifact(bytes);
 }
 
 }  // namespace secflow

@@ -61,55 +61,4 @@ std::uint64_t fingerprint(const CellLibrary& lib) {
   return h.digest();
 }
 
-std::uint64_t fingerprint(const Process018& p) {
-  return Hasher()
-      .add(p.vdd_v)
-      .add(p.wire_c_area_ff_per_um2)
-      .add(p.wire_c_fringe_ff_per_um)
-      .add(p.wire_c_couple_ff_per_um)
-      .add(p.wire_r_ohm_per_sq)
-      .add(p.via_r_ohm)
-      .add(p.via_c_ff)
-      .add(p.wire_width_um)
-      .add(p.wire_pitch_um)
-      .digest();
-}
-
-std::uint64_t fingerprint(const SynthConstraints& c) {
-  Hasher h;
-  h.add(static_cast<std::uint64_t>(c.allowed_cells.size()));
-  for (const std::string& cell : c.allowed_cells) h.add(cell);
-  h.add(c.max_cut_size).add(c.max_cuts_per_node);
-  return h.digest();
-}
-
-std::uint64_t fingerprint(const PlaceOptions& o) {
-  return Hasher()
-      .add(o.aspect_ratio)
-      .add(o.fill_factor)
-      .add(o.seed)
-      .add(o.sa_moves_per_instance)
-      .add(o.margin_tracks)
-      .add(o.sa_batch)
-      .digest();
-}
-
-std::uint64_t fingerprint(const RouteOptions& o) {
-  Hasher h;
-  h.add(o.via_cost).add(o.max_iterations);
-  h.add(o.window_margin).add(o.window_escalation).add(o.incremental);
-  h.add(static_cast<std::uint64_t>(o.skip_nets.size()));
-  for (const std::string& n : o.skip_nets) h.add(n);
-  return h.digest();
-}
-
-std::uint64_t fingerprint(const ExtractOptions& o) {
-  return Hasher()
-      .add(fingerprint(o.process))
-      .add(o.coupling_max_sep_um)
-      .add(o.variation_sigma)
-      .add(o.seed)
-      .digest();
-}
-
 }  // namespace secflow

@@ -1,5 +1,6 @@
 #include "flow/flow.h"
 
+#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "ckpt/hash.h"
 #include "ckpt/serialize.h"
 #include "ckpt/store.h"
+#include "flow/knobs.h"
 #include "lef/lef_io.h"
 #include "netlist/netlist_ops.h"
 #include "netlist/verilog_parser.h"
@@ -43,6 +45,87 @@ FlowOptions resolve_options(FlowKind kind, const FlowOptions& opts) {
 }
 
 std::size_t stage_idx(FlowStage s) { return static_cast<std::size_t>(s); }
+
+/// Folds a knob list (flow/knobs.h) into a hash in list order: numbers,
+/// bools and names as they are, a choice as its enum value, a nested
+/// struct as its own digest.
+struct KnobHasher {
+  Hasher h;
+
+  template <class T, class... Range>
+  void knob(const char*, const T& v, const Range&...) {
+    h.add(v);
+  }
+  void knob(const char*, const std::vector<std::string>& names) {
+    h.add(static_cast<std::uint64_t>(names.size()));
+    for (const std::string& n : names) h.add(n);
+  }
+  template <class E, std::size_t N>
+  void choice(const char*, const E& v, const KnobChoice<E> (&)[N]) {
+    h.add(static_cast<int>(v));
+  }
+  template <class S>
+  void group(const char*, const S& s) {
+    KnobHasher sub;
+    knobs(sub, s);
+    h.add(sub.h.digest());
+  }
+};
+
+template <class S>
+std::uint64_t knob_digest(const S& s) {
+  KnobHasher v;
+  knobs(v, s);
+  return v.h.digest();
+}
+
+/// `v` in the shorter of its fixed and exponent spellings: 0.5, 16, 1e-3,
+/// 1e6.
+std::string bound_text(double v) {
+  char buf[64];
+  const auto spell = [&](std::chars_format fmt) {
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v, fmt).ptr);
+  };
+  const std::string fixed = spell(std::chars_format::fixed);
+  std::string e = spell(std::chars_format::scientific);  // "1e+06", "1e-03"
+  const std::size_t x = e.find('e') + 1;
+  e = e.substr(0, x) + std::to_string(std::stoi(e.substr(x)));
+  return e.size() < fixed.size() ? e : fixed;
+}
+
+/// Records every knob outside its range as `<dotted path> must be
+/// <range>`; builds no string for a knob inside it.
+struct KnobRangeCheck {
+  std::vector<std::string>& violations;
+  const KnobRangeCheck* parent = nullptr;
+  const char* name = nullptr;  ///< of this group in `parent`
+
+  std::string path(const char* key) const {
+    return parent == nullptr ? key : parent->path(name) + "." + key;
+  }
+
+  template <class T>
+  void knob(const char*, const T&) {}
+  template <class T>
+  void knob(const char* key, const T& v, KnobRange r) {
+    if (!r.contains(static_cast<double>(v))) reject(key, r);
+  }
+  void reject(const char* key, KnobRange r) {
+    std::string range =
+        r.hi == std::numeric_limits<double>::infinity()
+            ? (r.lo_open ? "> " : ">= ") + bound_text(r.lo)
+            : std::string("in ") + (r.lo_open ? "(" : "[") +
+                  bound_text(r.lo) + ", " + bound_text(r.hi) + "]";
+    violations.push_back(path(key) + " must be " + range + r.unit);
+  }
+  template <class E, std::size_t N>
+  void choice(const char*, const E&, const KnobChoice<E> (&)[N]) {}
+  template <class S>
+  void group(const char* key, const S& s) {
+    KnobRangeCheck sub{violations, this, key};
+    knobs(sub, s);
+  }
+};
 
 /// One run's artifacts.  Each stage reads what the stages before it left
 /// here and fills in its own members; members of stages that never ran
@@ -105,7 +188,7 @@ const StageRow kStages[] = {
     // secure flow, see resolve_options).
     {.stage = FlowStage::kSynthesis,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
-       h.add(fingerprint(o.synth));
+       h.add(knob_digest(o.synth));
      },
      .compute = [](FlowRun& r) {
        r.rtl = technology_map(r.circuit, r.library, r.o.synth);
@@ -159,7 +242,7 @@ const StageRow kStages[] = {
     // shield wire.
     {.stage = FlowStage::kPlacement,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind kind) {
-       h.add(fingerprint(o.place)).add(fingerprint(o.extract.process));
+       h.add(knob_digest(o.place)).add(knob_digest(o.extract.process));
        if (kind == FlowKind::kSecure) h.add(o.shielded_pairs);
      },
      .prepare = [](FlowRun& r) {
@@ -180,7 +263,7 @@ const StageRow kStages[] = {
     // Routing (fat routing in the secure flow).
     {.stage = FlowStage::kRouting,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
-       h.add(fingerprint(o.route)).add(static_cast<int>(o.route_mode));
+       h.add(knob_digest(o.route)).add(static_cast<int>(o.route_mode));
      },
      .compute = [](FlowRun& r) {
        r.rs = r.o.route_mode == RouteMode::kQuickLShaped
@@ -247,7 +330,7 @@ const StageRow kStages[] = {
     // differential one in the secure flow).
     {.stage = FlowStage::kExtraction,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind) {
-       h.add(fingerprint(o.extract));
+       h.add(knob_digest(o.extract));
      },
      .compute = [](FlowRun& r) {
        const Netlist& nl = r.secure() ? *r.diff : *r.rtl;
@@ -551,94 +634,49 @@ int StageTimings::cache_misses() const {
   return n;
 }
 
-void FlowOptions::validate() const {
-  // Every rule is checked and every failure collected, so a caller (a
-  // campaign spec with several bad overrides, say) sees the complete list
-  // in one Error instead of fixing violations one round trip at a time.
+std::vector<std::string> flow_options_violations(const FlowOptions& o) {
+  // The single-knob ranges live in the knob lists (flow/knobs.h).
   std::vector<std::string> violations;
+  KnobRangeCheck ranges{violations};
+  knobs(ranges, o);
   const auto require = [&violations](bool ok, const char* msg) {
     if (!ok) violations.emplace_back(msg);
   };
-  require(!(shielded_pairs && route_mode == RouteMode::kQuickLShaped),
-          "FlowOptions: shielded_pairs requires RouteMode::kDetailed — quick "
-          "L-shaped routing produces no conflict-checked geometry to shield");
-  require(place.aspect_ratio >= 1e-3 && place.aspect_ratio <= 1e3,
-          "FlowOptions: place.aspect_ratio must be in [1e-3, 1e3] — a die "
-          "far taller than wide overflows its row count");
-  require(place.fill_factor > 0.0 && place.fill_factor <= 1.0,
-          "FlowOptions: place.fill_factor must be in (0, 1]");
-  require(place.sa_moves_per_instance >= 0,
-          "FlowOptions: place.sa_moves_per_instance must be >= 0");
-  require(place.sa_batch >= 1, "FlowOptions: place.sa_batch must be >= 1");
-  require(place.margin_tracks >= 0,
-          "FlowOptions: place.margin_tracks must be >= 0 — a negative "
-          "margin puts the core outside the die");
-  require(extract.coupling_max_sep_um >= 0.0 &&
-              extract.coupling_max_sep_um <= kMaxCouplingSepUm,
-          "FlowOptions: extract.coupling_max_sep_um must be in [0, 1e6] um "
-          "— a wider window overflows its conversion to DBU");
-  require(extract.variation_sigma >= 0.0,
-          "FlowOptions: extract.variation_sigma must be >= 0");
+  require(!(o.shielded_pairs && o.route_mode == RouteMode::kQuickLShaped),
+          "shielded_pairs requires RouteMode::kDetailed — quick L-shaped "
+          "routing produces no conflict-checked geometry to shield");
   // A wire dimension must convert to at least 1 DBU (the LEF generator
   // divides by the pitch in DBU) and stay bounded, so its conversion
   // cannot overflow; a wire as wide as the pitch overlaps its neighbour.
-  const Process018& pr = extract.process;
+  const Process018& pr = o.extract.process;
   const auto dbu_or_zero = [](double um) -> std::int64_t {
     return um > 0.0 && um <= kMaxWirePitchUm ? um_to_dbu(um) : 0;
   };
   const std::int64_t pitch_dbu = dbu_or_zero(pr.wire_pitch_um);
   const std::int64_t width_dbu = dbu_or_zero(pr.wire_width_um);
   require(pitch_dbu >= 1,
-          "FlowOptions: extract.process.wire_pitch_um must be in "
-          "[0.0005, 1e3] um — a finer pitch rounds to 0 DBU");
+          "extract.process.wire_pitch_um must be in [0.0005, 1e3] um — a "
+          "finer pitch rounds to 0 DBU");
   require(width_dbu >= 1 && (pitch_dbu < 1 || width_dbu < pitch_dbu),
-          "FlowOptions: extract.process.wire_width_um must be at least "
-          "0.0005 um and below wire_pitch_um — a wider wire overlaps the "
-          "one on the next track");
-  require(pr.vdd_v > 0.0, "FlowOptions: extract.process.vdd_v must be > 0");
-  require(pr.wire_c_area_ff_per_um2 >= 0.0,
-          "FlowOptions: extract.process.wire_c_area_ff_per_um2 must be >= 0");
-  require(pr.wire_c_fringe_ff_per_um >= 0.0,
-          "FlowOptions: extract.process.wire_c_fringe_ff_per_um must be >= 0");
-  require(pr.wire_c_couple_ff_per_um >= 0.0,
-          "FlowOptions: extract.process.wire_c_couple_ff_per_um must be >= 0");
-  require(pr.via_c_ff >= 0.0,
-          "FlowOptions: extract.process.via_c_ff must be >= 0");
-  require(pr.wire_r_ohm_per_sq >= 0.0,
-          "FlowOptions: extract.process.wire_r_ohm_per_sq must be >= 0");
-  require(pr.via_r_ohm >= 0.0,
-          "FlowOptions: extract.process.via_r_ohm must be >= 0");
-  require(route.via_cost >= 0,
-          "FlowOptions: route.via_cost must be >= 0 — below -1 a via "
-          "up-and-down pair has negative cost and the maze search never "
-          "settles");
-  require(route.max_iterations >= 1,
-          "FlowOptions: route.max_iterations must be >= 1");
-  require(route.window_margin >= 0,
-          "FlowOptions: route.window_margin must be >= 0");
-  require(route.window_escalation >= 2,
-          "FlowOptions: route.window_escalation must be >= 2 — the search "
-          "window must grow on escalation or congested nets never reach "
-          "full-grid search");
-  require(parallelism.n_threads >= 0,
-          "FlowOptions: parallelism.n_threads must be >= 0 (0 = auto)");
-  require(!(resume_from && cache_dir.empty()),
-          "FlowOptions: resume_from requires cache_dir — the skipped "
-          "stages' artifacts must come from the checkpoint store");
-  require(!resume_from || *resume_from != FlowStage::kSynthesis,
-          "FlowOptions: resume_from = synthesis is just a full run; "
-          "leave it unset");
-  require(!(resume_from && stop_after &&
-            static_cast<int>(*stop_after) < static_cast<int>(*resume_from)),
-          "FlowOptions: stop_after precedes resume_from — no stage "
-          "would run");
+          "extract.process.wire_width_um must be at least 0.0005 um and "
+          "below wire_pitch_um — a wider wire overlaps the one on the next "
+          "track");
+  require(o.parallelism.n_threads >= 0,
+          "parallelism.n_threads must be >= 0 (0 = auto)");
+  const std::optional<FlowStage>& resume = o.resume_from;
+  require(!(resume && o.cache_dir.empty()),
+          "resume_from requires cache_dir — the skipped stages' artifacts "
+          "must come from the checkpoint store");
+  require(!resume || *resume != FlowStage::kSynthesis,
+          "resume_from = synthesis is just a full run; leave it unset");
+  require(!(resume && o.stop_after &&
+            static_cast<int>(*o.stop_after) < static_cast<int>(*resume)),
+          "stop_after precedes resume_from — no stage would run");
+  return violations;
+}
 
-  if (violations.empty()) return;
-  if (violations.size() == 1) throw Error(violations[0]);
-  std::string msg = "FlowOptions: " + std::to_string(violations.size()) +
-                    " violations:";
-  for (const std::string& v : violations) msg += "\n  - " + v;
-  throw Error(msg);
+void FlowOptions::validate() const {
+  throw_violations("FlowOptions", flow_options_violations(*this));
 }
 
 std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(

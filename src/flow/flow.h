@@ -134,11 +134,15 @@ struct FlowOptions {
 
   /// Reject inconsistent combinations with a descriptive Error before the
   /// flow spends minutes producing a silently wrong artifact.  Called by
-  /// run_regular_flow / run_secure_flow.  Every violation is collected and
-  /// reported in one Error message (one line per offending knob), so a
-  /// campaign spec with several bad overrides surfaces them all at once.
+  /// run_regular_flow / run_secure_flow.  Throws every violation of
+  /// flow_options_violations() in one Error.
   void validate() const;
 };
+
+/// Every rule `o` breaks, one line each, naming the knob by its dotted
+/// path (flow/knobs.h): a knob outside its range ("place.sa_batch must be
+/// >= 1") or an inconsistent combination.  Empty when `o` is valid.
+std::vector<std::string> flow_options_violations(const FlowOptions& o);
 
 /// The per-stage content-address chain a run of `kind` on this
 /// circuit/library/options would use, without running anything: keys[s] is

@@ -37,16 +37,49 @@ void write_file(const std::string& path, const std::string& content) {
   SECFLOW_CHECK(out.good(), "write to '" + path + "' failed");
 }
 
-/// The reproducer's oracle_options field list (obs/json_fields.h).
+constexpr const char* kReproSchema = "secflow.fuzz-repro/1";
+
+/// One failing case as the corpus stores it.
+struct Repro {
+  std::uint64_t run_seed = 0;
+  int index = 0;
+  std::uint64_t design_seed = 0;
+  std::string oracle;
+  std::string detail;
+  OracleOptions oracle_options;
+  std::uint64_t battery_digest = 0;
+  std::string hdl;
+  std::string minimized_hdl;
+  int minimized_lines = 0;
+};
+
+/// The secflow.fuzz-repro/1 field list (obs/json_fields.h).
 template <class Io, class R>
-void fields(Io& io, R& o) {
-  io.text("seed", o.seed, hash_hex, parse_hash_hex);
-  io.field("n_vectors", o.n_vectors);
-  io.field("n_cycles", o.n_cycles);
-  io.field("cap_worst_ff", o.cap_worst_ff);
-  io.field("cap_mean_ff", o.cap_mean_ff);
-  io.field("deep", o.deep);
-  io.text("inject", o.inject, fault_kind_name, parse_fault_kind);
+void fields(Io& io, R& r) {
+  std::string schema = kReproSchema;
+  io.field("schema", schema);
+  io.check(schema == kReproSchema, [&] {
+    return "unknown schema '" + schema + "' (want " + kReproSchema + ")";
+  });
+  io.text("run_seed", r.run_seed, hash_hex, parse_hash_hex);
+  io.field("index", r.index);
+  io.text("design_seed", r.design_seed, hash_hex, parse_hash_hex);
+  io.field("oracle", r.oracle);
+  io.field("detail", r.detail);
+  auto& o = r.oracle_options;
+  io.object("oracle_options", [&] {
+    io.text("seed", o.seed, hash_hex, parse_hash_hex);
+    io.field("n_vectors", o.n_vectors);
+    io.field("n_cycles", o.n_cycles);
+    io.field("cap_worst_ff", o.cap_worst_ff);
+    io.field("cap_mean_ff", o.cap_mean_ff);
+    io.field("deep", o.deep);
+    io.text("inject", o.inject, fault_kind_name, parse_fault_kind);
+  });
+  io.text("battery_digest", r.battery_digest, hash_hex, parse_hash_hex);
+  io.field("hdl", r.hdl);
+  io.field("minimized_hdl", r.minimized_hdl);
+  io.field("minimized_lines", r.minimized_lines);
 }
 
 }  // namespace
@@ -55,26 +88,15 @@ std::string write_repro_json(const FuzzProgram& original,
                              const FuzzProgram& minimized,
                              const FuzzCaseResult& c, const FuzzOptions& opts,
                              std::uint64_t battery_digest) {
-  OracleOptions oracle_opts = opts.oracles;
-  oracle_opts.seed = c.design_seed;
-  oracle_opts.deep = is_deep_oracle(c.oracle);
-  oracle_opts.inject = opts.inject;
-
-  JsonValue j = JsonValue::object();
-  j.set("schema", "secflow.fuzz-repro/1");
-  j.set("run_seed", hash_hex(opts.seed));
-  j.set("index", c.index);
-  j.set("design_seed", hash_hex(c.design_seed));
-  j.set("oracle", c.oracle);
-  j.set("detail", c.detail);
-  JsonWriter options;
-  fields(options, oracle_opts);
-  j.set("oracle_options", options.take());
-  j.set("battery_digest", hash_hex(battery_digest));
-  j.set("hdl", emit_hdl(original));
-  j.set("minimized_hdl", emit_hdl(minimized));
-  j.set("minimized_lines", hdl_line_count(minimized));
-  return json_dump(j, 2) + "\n";
+  Repro r{opts.seed, c.index, c.design_seed, c.oracle, c.detail,
+          opts.oracles, battery_digest, emit_hdl(original),
+          emit_hdl(minimized), hdl_line_count(minimized)};
+  r.oracle_options.seed = c.design_seed;
+  r.oracle_options.deep = is_deep_oracle(c.oracle);
+  r.oracle_options.inject = opts.inject;
+  JsonWriter io;
+  fields(io, r);
+  return json_dump(io.take(), 2) + "\n";
 }
 
 FuzzRunResult run_fuzz(const FuzzOptions& opts) {
@@ -153,28 +175,18 @@ FuzzRunResult run_fuzz(const FuzzOptions& opts) {
 }
 
 ReplayResult replay_repro(const std::string& path) {
-  const JsonValue j = json_parse(read_file(path));
-  const JsonValue* schema = j.find("schema");
-  SECFLOW_CHECK(schema && schema->is_string() &&
-                    schema->as_string() == "secflow.fuzz-repro/1",
-                "'" + path + "' is not a secflow.fuzz-repro/1 document");
-  const JsonValue* hdl = j.find("minimized_hdl");
-  SECFLOW_CHECK(hdl && hdl->is_string(), "repro: missing minimized_hdl");
-  const JsonValue* oo = j.find("oracle_options");
-  SECFLOW_CHECK(oo && oo->is_object(), "repro: missing oracle_options");
-  const JsonValue* stored = j.find("battery_digest");
-  SECFLOW_CHECK(stored && stored->is_string(),
-                "repro: missing battery_digest");
+  const JsonValue doc = json_parse(read_file(path));
+  const std::string doc_name = "repro '" + path + "'";
+  JsonReader io(doc, doc_name.c_str());
+  Repro stored;
+  fields(io, stored);
+  io.finish();
 
-  JsonReader options(*oo, "repro", "oracle_options");
-  OracleOptions oracle_opts;
-  fields(options, oracle_opts);
-
-  const FuzzProgram program = parse_fuzz_program(hdl->as_string());
-  const OracleReport rep = run_oracle_battery(program, oracle_opts);
+  const FuzzProgram program = parse_fuzz_program(stored.minimized_hdl);
+  const OracleReport rep = run_oracle_battery(program, stored.oracle_options);
 
   ReplayResult res;
-  res.stored_digest = parse_hash_hex(stored->as_string());
+  res.stored_digest = stored.battery_digest;
   res.replayed_digest = rep.digest();
   res.digest_match = res.stored_digest == res.replayed_digest;
   const OracleVerdict* fail = rep.first_failure();

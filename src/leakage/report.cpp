@@ -102,6 +102,7 @@ LeakageReport leakage_report_from_json(const JsonValue& doc) {
   JsonReader io(doc, "leakage report");
   LeakageReport r;
   fields(io, r);
+  io.finish();
   return r;
 }
 

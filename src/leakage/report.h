@@ -110,12 +110,12 @@ LeakageReport parse_leakage_report(const std::string& json);
 /// The report as a JSON document — what leakage_report_json serializes.
 JsonValue leakage_report_to_json(const LeakageReport& r);
 
-/// Inverse of leakage_report_to_json.  Throws Error naming the first
+/// Inverse of leakage_report_to_json.  Throws one Error naming every
 /// violation of the schema.
 LeakageReport leakage_report_from_json(const JsonValue& doc);
 
 /// Check a parsed document against the secflow.leakage-report/1 schema.
-/// Throws Error naming the first violation.
+/// Throws one Error naming every violation.
 void validate_leakage_report(const JsonValue& doc);
 
 /// Fold the assessment digest into a flow report's leakage section.

@@ -33,7 +33,7 @@ void fields(Io& io, R& r) {
   });
   io.object("timing",
             [&] { io.field("critical_delay_ps", r.critical_delay_ps); });
-  io.array("stages", r.stages, "stage", [&](auto& s) {
+  io.array("stages", r.stages, [&](auto& s) {
     io.field("name", s.name);
     io.field("ms", s.ms);
     io.field("cache", s.cache);
@@ -79,7 +79,7 @@ void fields(Io& io, R& r) {
   io.object("metrics", [&] {
     io.map("counters", r.metrics.counters);
     io.map("gauges", r.metrics.gauges);
-    io.map("histograms", r.metrics.histograms, "histogram", [&](auto& h) {
+    io.map("histograms", r.metrics.histograms, [&](auto& h) {
       io.field("count", h.count);
       io.field("sum", h.sum);
       io.field("min", h.min);
@@ -118,6 +118,7 @@ FlowReport flow_report_from_json(const JsonValue& doc) {
   JsonReader io(doc, "flow report");
   FlowReport r;
   fields(io, r);
+  io.finish();
   return r;
 }
 

@@ -129,14 +129,14 @@ FlowReport parse_flow_report(const std::string& json);
 /// per-job flow reports as objects instead of re-parsing strings.
 JsonValue flow_report_to_json(const FlowReport& r);
 
-/// Inverse of flow_report_to_json.  Throws Error naming the first
+/// Inverse of flow_report_to_json.  Throws one Error naming every
 /// violation of the schema.
 FlowReport flow_report_from_json(const JsonValue& doc);
 
 /// Check a parsed document against the secflow.flow-report/1 schema:
-/// required members present with the right types, integers in range,
-/// stage cache verdicts from the known vocabulary, metrics section
-/// well-formed.  This is flow_report_from_json with the result dropped.
+/// required members present with the right types, no unknown ones,
+/// integers in range, stage cache verdicts from the known vocabulary,
+/// metrics section well-formed.  This is flow_report_from_json with the result dropped.
 void validate_flow_report(const JsonValue& doc);
 
 /// Fold a metrics snapshot into the report (normally Metrics::global()'s,

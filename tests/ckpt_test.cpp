@@ -409,37 +409,6 @@ TEST_F(StoreTest, MislabeledEntryReadsAsMiss) {
 
 // --- fingerprints ----------------------------------------------------------
 
-TEST(Fingerprint, TracksContentNotThreads) {
-  PlaceOptions p1, p2;
-  EXPECT_EQ(fingerprint(p1), fingerprint(p2));
-  p2.sa_moves_per_instance = p1.sa_moves_per_instance + 1;
-  EXPECT_NE(fingerprint(p1), fingerprint(p2));
-
-  RouteOptions r1, r2;
-  r2.via_cost = r1.via_cost + 1;
-  EXPECT_NE(fingerprint(r1), fingerprint(r2));
-  r2 = r1;
-  r2.skip_nets = {"VSS"};
-  EXPECT_NE(fingerprint(r1), fingerprint(r2));
-  r2 = r1;
-  r2.window_margin += 1;  // search schedule changes the geometry
-  EXPECT_NE(fingerprint(r1), fingerprint(r2));
-  r2 = r1;
-  r2.window_escalation += 1;
-  EXPECT_NE(fingerprint(r1), fingerprint(r2));
-  r2 = r1;
-  r2.incremental = false;
-  EXPECT_NE(fingerprint(r1), fingerprint(r2));
-
-  ExtractOptions e1, e2;
-  e2.coupling_max_sep_um = 2.0;
-  EXPECT_NE(fingerprint(e1), fingerprint(e2));
-
-  SynthConstraints s1, s2;
-  s2.allowed_cells = {"NAND2"};
-  EXPECT_NE(fingerprint(s1), fingerprint(s2));
-}
-
 TEST(Fingerprint, CircuitAndLibraryAreStructural) {
   const auto lib = builtin_stdcell018();
   const AigCircuit a = parse_hdl(

@@ -412,6 +412,46 @@ TEST(FlowReport, ValidatorRejectsSchemaViolations) {
             std::string::npos);
 }
 
+TEST(FlowReport, ValidatorRejectsUnknownMembers) {
+  // A member the schema does not name is a typo or a foreign document,
+  // not something to drop silently; the error names it and its path.
+  const std::string good = flow_report_json(sample_report());
+  const auto rejection = [](const JsonValue& doc) -> std::string {
+    try {
+      validate_flow_report(doc);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  JsonValue extra = json_parse(good);
+  extra.set("wirelength", JsonValue(1.0));
+  EXPECT_NE(rejection(extra).find("unknown member 'wirelength'"),
+            std::string::npos) << rejection(extra);
+  JsonValue nested = json_parse(good);
+  nested.find("stages")->items()[2].set("hits", JsonValue(1));
+  EXPECT_NE(rejection(nested).find("stages[2]: unknown member 'hits'"),
+            std::string::npos) << rejection(nested);
+}
+
+TEST(FlowReport, ValidatorListsEveryViolation) {
+  JsonValue doc = json_parse(flow_report_json(sample_report()));
+  doc.find("design_stats")->set("cells", JsonValue(2.5));
+  doc.find("stages")->items()[0].set("cache", JsonValue("maybe"));
+  try {
+    validate_flow_report(doc);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("flow report: 2 violations:"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("design_stats: member 'cells' must be an integer"),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find("stages[0]: unknown stage cache verdict 'maybe'"),
+              std::string::npos) << msg;
+  }
+}
+
 TEST(FlowReport, AttachMetricsFoldsSnapshot) {
   Metrics m;
   m.set_enabled(true);
