@@ -353,7 +353,6 @@ int cmd_leakage(int argc, char** argv) {
   setup.cache_dir = args.get("cache");
 
   FlowOptions opts;
-  opts.parallelism = setup.parallelism;
   opts.cache_dir = setup.cache_dir;
   if (args.has("log")) opts.log_level = parse_log_or_throw(args.get("log"));
   Metrics::global().set_enabled(true);

@@ -25,11 +25,11 @@ inline constexpr std::int64_t um_to_dbu(double um) {
 /// from overflow.
 inline constexpr double kMaxWirePitchUm = 1e3;
 
-/// Representative 0.18 um, 1.8 V process constants.  Values are of the
+/// Representative 0.18 um interconnect constants.  Values are of the
 /// magnitude published for 180 nm nodes (ITRS 2001/2003); they give
-/// dimensionally consistent energy numbers, not vendor-exact ones.
+/// dimensionally consistent parasitics, not vendor-exact ones.  The supply
+/// voltage belongs to the power model (PowerSimOptions::vdd_v).
 struct Process018 {
-  double vdd_v = 1.8;                ///< supply voltage [V]
   double wire_c_area_ff_per_um2 = 0.04;   ///< area cap to substrate [fF/um^2]
   double wire_c_fringe_ff_per_um = 0.04;  ///< fringe cap per edge [fF/um]
   double wire_c_couple_ff_per_um = 0.08;  ///< coupling cap at min pitch [fF/um]
@@ -38,13 +38,6 @@ struct Process018 {
   double via_c_ff = 0.3;             ///< via capacitance [fF]
   double wire_width_um = 0.28;       ///< minimum routed wire width [um]
   double wire_pitch_um = 0.56;       ///< routing track pitch [um]
-
-  /// Energy to charge capacitance c_ff to vdd: E = C*V^2 (the gate then
-  /// dissipates C*V^2 total over charge+discharge; we book it at charge
-  /// time, matching a supply-current measurement).  Returns picojoules.
-  double switch_energy_pj(double c_ff) const {
-    return c_ff * vdd_v * vdd_v * 1e-3;
-  }
 };
 
 /// Clock and sampling parameters from the paper's design example:

@@ -30,7 +30,7 @@
 //           "place":   {"seed": 3, "fill_factor": 0.7},
 //           "route":   {"via_cost": 4, "skip_nets": ["clk"]},
 //           "extract": {"variation_sigma": 0.05,
-//                       "process": {"vdd_v": 1.5}}
+//                       "process": {"wire_c_couple_ff_per_um": 0.09}}
 //         }
 //       }
 //     ]

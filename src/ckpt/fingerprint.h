@@ -1,12 +1,9 @@
 // Content fingerprints of the flow's cache-key inputs.
 //
 // A stage's cache key is a hash chain: H(schema, flow kind, circuit,
-// library) -> synthesis -> ... -> extraction, each link folding in the
-// digest of the option structs that influence that stage's artifact,
-// hashed in the order of their knob lists (flow/knobs.h).  Anything that
-// cannot change the produced bytes (thread counts, verbosity) is
-// deliberately excluded, so a run with different parallelism still hits
-// the cache — the flow is bit-identical for any thread count by design.
+// library) -> synthesis -> ... -> extraction, each link folding in exactly
+// the options its stage reads (placement: the place options and the wire
+// pitch and width), in the order of their knob lists (flow/knobs.h).
 #pragma once
 
 #include <cstdint>

@@ -242,7 +242,8 @@ const StageRow kStages[] = {
     // shield wire.
     {.stage = FlowStage::kPlacement,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind kind) {
-       h.add(knob_digest(o.place)).add(knob_digest(o.extract.process));
+       const Process018& pr = o.extract.process;
+       h.add(knob_digest(o.place)).add(pr.wire_pitch_um).add(pr.wire_width_um);
        if (kind == FlowKind::kSecure) h.add(o.shielded_pairs);
      },
      .prepare = [](FlowRun& r) {
@@ -481,7 +482,6 @@ FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
   const FlowOptions& o = r.o;
   StageTimings& t = r.t;
   if (o.log_level) Logger::global().set_level(*o.log_level);
-  t.n_threads = o.parallelism.resolved_threads();
   std::optional<ArtifactStore> store;
   if (!o.cache_dir.empty()) store.emplace(o.cache_dir);
 
@@ -489,8 +489,7 @@ FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
   Span flow_span(flow_name.c_str(), "flow");
   flow_span.arg("design", circuit.name);
   SECFLOW_LOG_INFO("flow", std::string(flow_kind_name(kind)) + " flow start",
-                   LogField("design", circuit.name),
-                   LogField("threads", t.n_threads));
+                   LogField("design", circuit.name));
 
   // Cache-key chain: every stage key hashes the full upstream chain, so a
   // changed early input re-keys (and re-runs) everything downstream while
@@ -570,9 +569,7 @@ void append_common(std::ostringstream& os, const FlowArtifacts& r) {
   os << "  die:         " << r.die_area_um2() << " um^2\n";
   os << "  wirelength:  " << dbu_to_um(r.def.total_wirelength()) << " um, "
      << r.def.total_vias() << " vias\n";
-  os << "  runtime:     " << r.timings.total_ms() << " ms ("
-     << r.timings.n_threads
-     << (r.timings.n_threads == 1 ? " thread)\n" : " threads)\n");
+  os << "  runtime:     " << r.timings.total_ms() << " ms\n";
   if (r.timings.cache_hits() > 0) {
     os << "  checkpoints: " << r.timings.cache_hits() << " stage(s) loaded, "
        << r.timings.cache_misses() << " computed\n";
@@ -661,8 +658,6 @@ std::vector<std::string> flow_options_violations(const FlowOptions& o) {
           "extract.process.wire_width_um must be at least 0.0005 um and "
           "below wire_pitch_um — a wider wire overlaps the one on the next "
           "track");
-  require(o.parallelism.n_threads >= 0,
-          "parallelism.n_threads must be >= 0 (0 = auto)");
   const std::optional<FlowStage>& resume = o.resume_from;
   require(!(resume && o.cache_dir.empty()),
           "resume_from requires cache_dir — the skipped stages' artifacts "
@@ -775,7 +770,6 @@ FlowReport base_flow_report(const FlowArtifacts& r, const char* flow_kind,
   rep.flow = flow_kind;
   rep.design = r.rtl.name();
   rep.completed_through = flow_stage_name(r.completed_through);
-  rep.n_threads = r.timings.n_threads;
   rep.cells = final_netlist.n_instances();
   rep.cell_area_um2 = final_netlist.total_area_um2();
   rep.die_area_um2 = r.die_area_um2();

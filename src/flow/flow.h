@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "base/parallel.h"
 #include "extract/extract.h"
 #include "obs/log.h"
 #include "obs/report.h"
@@ -108,9 +107,6 @@ struct FlowOptions {
   /// triple width/pitch and emit a grounded shield wire beside every
   /// differential pair during decomposition (costs silicon area).
   bool shielded_pairs = false;
-  /// Only recorded as the report's thread count (StageTimings::n_threads):
-  /// every stage of the flow runs on the calling thread.
-  Parallelism parallelism;
 
   /// Stage-artifact checkpoint directory.  Non-empty enables per-stage
   /// caching: each stage's cache key hashes the upstream chain plus its own
@@ -161,8 +157,6 @@ std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
 /// one run; every array is indexed by FlowStage, and a stage that never ran
 /// keeps 0 ms, CacheOutcome::kNotRun, key 0 and no digests.
 struct StageTimings {
-  /// Threads the flow's parallel stages resolved to (1 = serial).
-  int n_threads = 1;
   /// Wall time per stage in ms.  On a kHit it measures deserialization,
   /// not computation.
   std::array<double, kNumFlowStages> ms{};

@@ -41,7 +41,6 @@ struct KnobRange {
 };
 
 constexpr KnobRange at_least(double lo) { return {.lo = lo}; }
-constexpr KnobRange above(double lo) { return {.lo = lo, .lo_open = true}; }
 
 /// One value of an enumerated knob and its name in a campaign spec.
 template <class E>
@@ -97,7 +96,6 @@ void knobs(V& v, S& o) {
 // to at least one DBU each, the width below the pitch.
 template <class V, KnobsOf<Process018> S>
 void knobs(V& v, S& p) {
-  v.knob("vdd_v", p.vdd_v, above(0.0));
   v.knob("wire_c_area_ff_per_um2", p.wire_c_area_ff_per_um2, at_least(0));
   v.knob("wire_c_fringe_ff_per_um", p.wire_c_fringe_ff_per_um, at_least(0));
   v.knob("wire_c_couple_ff_per_um", p.wire_c_couple_ff_per_um, at_least(0));
@@ -118,8 +116,8 @@ void knobs(V& v, S& o) {
   v.knob("seed", o.seed);
 }
 
-/// cache_dir, resume_from, stop_after, log_level and parallelism steer a
-/// run, not its artifacts: they are not knobs.
+/// cache_dir, resume_from, stop_after and log_level steer a run, not its
+/// artifacts: they are not knobs.
 template <class V, KnobsOf<FlowOptions> S>
 void knobs(V& v, S& o) {
   v.group("synth", o.synth);

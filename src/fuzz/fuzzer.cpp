@@ -18,7 +18,7 @@ namespace {
 /// minimizer to re-run full flows per predicate evaluation, so it gets a
 /// smaller attempt budget.
 bool is_deep_oracle(const std::string& oracle) {
-  return oracle == "secure-flow" || oracle == "flow-thread-obs-invariance" ||
+  return oracle == "secure-flow" || oracle == "flow-obs-invariance" ||
          oracle == "wddl-cap-mismatch";
 }
 

@@ -340,18 +340,16 @@ std::vector<OracleVerdict> wddl_sim_oracles(const FuzzProgram& p,
   return {std::move(pre), std::move(hot), std::move(agree)};
 }
 
-/// Deep tier: two full secure-flow runs (serial vs 2 threads with tracing
-/// and metrics enabled) must produce byte-identical artifacts, and the
+/// Deep tier: two full secure-flow runs (the second with tracing and
+/// metrics enabled) must produce byte-identical artifacts, and the
 /// extracted differential layout must satisfy the §5 matched-load bound.
 std::vector<OracleVerdict> deep_flow_oracles(
     const Built& built, const std::shared_ptr<const CellLibrary>& base,
     const OracleOptions& opts, std::string* edit, bool* injectable) {
   std::vector<OracleVerdict> out;
-  FlowOptions fopts;
-  fopts.parallelism.n_threads = 1;
   std::optional<SecureFlowResult> r1;
   try {
-    r1.emplace(run_secure_flow(built.circuit, base, fopts));
+    r1.emplace(run_secure_flow(built.circuit, base));
   } catch (const Error& e) {
     const std::string what = e.what();
     if (what.find("does not fit the evaluate half-cycle") !=
@@ -365,13 +363,11 @@ std::vector<OracleVerdict> deep_flow_oracles(
   }
 
   {
-    OracleVerdict v{"flow-thread-obs-invariance", true, ""};
+    OracleVerdict v{"flow-obs-invariance", true, ""};
     try {
-      FlowOptions fopts2 = fopts;
-      fopts2.parallelism.n_threads = 2;
       Tracer::global().set_enabled(true);
       Metrics::global().set_enabled(true);
-      SecureFlowResult r2 = run_secure_flow(built.circuit, base, fopts2);
+      SecureFlowResult r2 = run_secure_flow(built.circuit, base);
       Tracer::global().set_enabled(false);
       Metrics::global().set_enabled(false);
       const auto d1 = artifact_digests(*r1);

@@ -40,12 +40,21 @@ struct TraceCache {
   std::int64_t misses = 0;
 };
 
-TraceCache make_cache(const LeakageSetup& s) {
+/// A store without a design key would hand one design's traces to
+/// another, so the key is required with a store.  The model's options
+/// join it: a model compiled at another supply draws other traces.
+TraceCache make_cache(const CompiledSimModel& model, const LeakageSetup& s) {
   TraceCache c;
-  if (!s.cache_dir.empty()) {
-    c.store = std::make_unique<ArtifactStore>(s.cache_dir);
-  }
-  c.base = s.base_key;
+  if (s.cache_dir.empty()) return c;
+  SECFLOW_CHECK(s.base_key != 0, "LeakageSetup: a cache_dir needs a base_key "
+                                 "(the design's extraction-stage key)");
+  c.store = std::make_unique<ArtifactStore>(s.cache_dir);
+  const PowerSimOptions& o = model.options();
+  Hasher h;
+  h.add(s.base_key).add(o.sampling.clock_hz).add(o.sampling.samples_per_cycle);
+  h.add(o.vdd_v).add(o.input_delay_ps).add(o.min_tau_ps);
+  h.add(o.precharge_inputs).add(o.clock_net_delay_ps);
+  c.base = h.digest();
   return c;
 }
 
@@ -153,25 +162,20 @@ bool tvla_fixed(std::uint64_t i) { return (i - kTvlaStreamBase) % 2 == 0; }
 
 // --- generic (model-free) input lanes -------------------------------------
 
-/// One logical input bit: a single-ended port, or a *_t/*_f rail pair on
+/// One logical input bit: a single-ended data input of the model (any
+/// input but the clock, whatever it is called), or a *_t/*_f rail pair on
 /// differential netlists.
-std::vector<DesBitPorts> input_lanes(const Netlist& nl, bool differential) {
+std::vector<DesBitPorts> input_lanes(const CompiledSimModel& model,
+                                     bool differential) {
+  const Netlist& nl = model.netlist();
   std::vector<DesBitPorts> lanes;
-  for (PortId id : nl.port_ids()) {
-    const Port& p = nl.port(id);
-    if (p.dir != PinDir::kInput) continue;
-    if (p.name == "clk") continue;
-    DesBitPorts lane{id, PortId()};
-    if (differential) {
-      if (p.name.size() > 2 &&
-          p.name.compare(p.name.size() - 2, 2, "_f") == 0) {
-        continue;  // folded into its *_t partner
-      }
-      if (p.name.size() > 2 &&
-          p.name.compare(p.name.size() - 2, 2, "_t") == 0) {
-        lane.f = nl.find_port(p.name.substr(0, p.name.size() - 2) + "_f");
-      }
-    }
+  for (const CompiledSimModel::DataInput& in : model.data_inputs()) {
+    const std::string& name = nl.port(in.port).name;
+    const std::size_t n = name.size();
+    const std::string rail = differential && n > 2 ? name.substr(n - 2) : "";
+    if (rail == "_f") continue;  // folded into its *_t partner
+    DesBitPorts lane{in.port, PortId()};
+    if (rail == "_t") lane.f = nl.find_port(name.substr(0, n - 2) + "_f");
     lanes.push_back(lane);
   }
   SECFLOW_CHECK(!lanes.empty(), "TVLA: design has no drivable input lanes");
@@ -394,13 +398,14 @@ LeakageReport report_shell(const CompiledSimModel& model, bool differential,
 LeakageReport assess_des_leakage(const CompiledSimModel& model,
                                  bool differential,
                                  const LeakageSetup& setup) {
+  check_precharge(model, differential, "assess_des_leakage");
   Span span("leakage.assess", "leakage");
   span.arg("flow", differential ? "secure" : "regular");
   SECFLOW_LOG_INFO("leakage", "assessment start",
                    LogField("differential", differential),
                    LogField("cpa_traces", setup.cpa_traces),
                    LogField("tvla_traces", setup.tvla_traces));
-  TraceCache cache = make_cache(setup);
+  TraceCache cache = make_cache(model, setup);
   LeakageReport r = report_shell(model, differential, setup);
 
   const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
@@ -441,13 +446,13 @@ LeakageReport assess_des_leakage(const Netlist& nl, const CapTable& caps,
 LeakageReport assess_tvla_leakage(const CompiledSimModel& model,
                                   bool differential,
                                   const LeakageSetup& setup) {
+  check_precharge(model, differential, "assess_tvla_leakage");
   Span span("leakage.assess", "leakage");
   span.arg("flow", differential ? "secure" : "regular");
-  TraceCache cache = make_cache(setup);
+  TraceCache cache = make_cache(model, setup);
   LeakageReport r = report_shell(model, differential, setup);
 
-  const std::vector<DesBitPorts> lanes =
-      input_lanes(model.netlist(), differential);
+  const std::vector<DesBitPorts> lanes = input_lanes(model, differential);
   // The fixed-class lane pattern, drawn once per assessment from a
   // dedicated stream (constant across traces, deterministic per seed).
   Rng pattern_rng = Rng::stream(setup.seed, kFixedPatternStream);

@@ -63,14 +63,15 @@ struct LeakageSetup {
   std::string cache_dir;
   /// Content-address of the upstream flow state (normally the
   /// extraction-stage key from compute_stage_keys); chains the trace
-  /// cache to the design so a changed netlist misses cleanly.
+  /// cache to the design so a changed netlist misses cleanly.  Required
+  /// (nonzero) with a cache_dir.  The model's PowerSimOptions join it.
   std::uint64_t base_key = 0;
 
   Parallelism parallelism;
 };
 
 /// Full assessment of a reduced-DES implementation.  The model must be
-/// compiled with precharge_inputs == differential.
+/// compiled with precharge_inputs == differential (else Error).
 LeakageReport assess_des_leakage(const CompiledSimModel& model,
                                  bool differential,
                                  const LeakageSetup& setup);
@@ -83,7 +84,8 @@ LeakageReport assess_des_leakage(const Netlist& nl, const CapTable& caps,
 /// Model-free TVLA on an arbitrary design: drives every non-clock input
 /// lane (rail pairs fold into one lane on differential netlists) with
 /// fixed or fresh random values and runs the Welch-t detection test.
-/// The returned report carries only the tvla section.
+/// The returned report carries only the tvla section.  The model's
+/// precharge must match `differential`, as for assess_des_leakage.
 LeakageReport assess_tvla_leakage(const CompiledSimModel& model,
                                   bool differential,
                                   const LeakageSetup& setup);

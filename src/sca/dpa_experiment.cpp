@@ -98,9 +98,20 @@ SimTrace des_trace(PowerSimulator& sim, Rng& rng, const DesPortMap& ports,
   return out;
 }
 
+void check_precharge(const CompiledSimModel& model, bool differential,
+                     const char* caller) {
+  const bool precharge = model.options().precharge_inputs;
+  SECFLOW_CHECK(precharge == differential,
+                std::string(caller) + ": differential = " +
+                    (differential ? "true" : "false") +
+                    ", but the model was compiled with precharge_inputs = " +
+                    (precharge ? "true" : "false"));
+}
+
 DesDpaCampaign run_des_dpa_campaign(const CompiledSimModel& model,
                                     const DesDpaSetup& setup,
                                     bool differential) {
+  check_precharge(model, differential, "run_des_dpa_campaign");
   Span span("sca.dpa.campaign", "sca");
   span.arg("measurements", setup.n_measurements);
   span.arg("differential", differential ? "true" : "false");

@@ -58,6 +58,11 @@ struct DesPortMap {
                      const std::vector<DesBitPorts>& ports) const;
 };
 
+/// Throws an Error, prefixed `caller`, naming both values unless `model`
+/// precharges its inputs exactly when the attack is `differential`.
+void check_precharge(const CompiledSimModel& model, bool differential,
+                     const char* caller);
+
 /// One encryption of the paper's DPA experiment, replayed as a four-cycle
 /// mini-campaign on a reset simulator so the recorded cycle carries
 /// exactly the register activity the attacks target:
@@ -106,9 +111,9 @@ DesDpaCampaign run_des_dpa_campaign(const Netlist& nl, const CapTable& caps,
 
 /// Run the campaign against a prebuilt simulation model (compile once,
 /// attack many).  The model's options must already carry the right
-/// precharge mode (precharge_inputs == differential); all DES port names
-/// are resolved to PortIds once, so the per-trace task does no string
-/// lookups.
+/// precharge mode (precharge_inputs == differential, else Error); all DES
+/// port names are resolved to PortIds once, so the per-trace task does no
+/// string lookups.
 DesDpaCampaign run_des_dpa_campaign(const CompiledSimModel& model,
                                     const DesDpaSetup& setup,
                                     bool differential);

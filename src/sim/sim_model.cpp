@@ -81,8 +81,8 @@ CompiledSimModel::CompiledSimModel(const Netlist& nl, const CapTable& caps,
       c += type.internal_cap_ff;
       tau = std::max(tau, type.drive_res_kohm * net_cap_ff_[i]);
     }
-    charge_fc_[i] = c * opts_.process.vdd_v;
-    rise_energy_pj_[i] = opts_.process.switch_energy_pj(c);
+    charge_fc_[i] = c * opts_.vdd_v;
+    rise_energy_pj_[i] = c * opts_.vdd_v * opts_.vdd_v * 1e-3;
     tau_ps_[i] = tau;
     bin_decay_[i] = std::exp(-sample_dt_ps_ / tau);
   }

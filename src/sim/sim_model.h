@@ -36,7 +36,7 @@ using CapTable = std::unordered_map<std::string, double>;  // net -> fF
 
 struct PowerSimOptions {
   SamplingSpec sampling;
-  Process018 process;
+  double vdd_v = 1.8;  ///< supply voltage [V]
   /// Data input arrival time after the active edge [ps].
   double input_delay_ps = 100.0;
   /// Minimum current-pulse time constant [ps].
@@ -79,7 +79,9 @@ class CompiledSimModel {
   /// Supply charge drawn by a rising transition [fC]: (C_net + C_internal
   /// of the driver) * VDD.
   double charge_fc(std::size_t net_idx) const { return charge_fc_[net_idx]; }
-  /// Energy booked per rising transition [pJ].
+  /// Energy booked per rising transition [pJ]: (C_net + C_internal) *
+  /// VDD^2, the whole charge-plus-discharge dissipation, booked at charge
+  /// time as a supply-current measurement sees it.
   double rise_energy_pj(std::size_t net_idx) const {
     return rise_energy_pj_[net_idx];
   }

@@ -124,12 +124,6 @@ TEST(Units, DbuRoundTrip) {
   EXPECT_EQ(um_to_dbu(dbu_to_um(12345)), 12345);
 }
 
-TEST(Units, SwitchEnergy) {
-  Process018 p;
-  // 10 fF at 1.8 V: E = 10e-15 * 3.24 J = 32.4 fJ = 0.0324 pJ.
-  EXPECT_NEAR(p.switch_energy_pj(10.0), 0.0324, 1e-9);
-}
-
 TEST(Units, SamplingSpec) {
   SamplingSpec s;
   EXPECT_DOUBLE_EQ(s.cycle_s(), 8e-9);

@@ -365,13 +365,13 @@ TEST_F(FlowCkpt, SynthesisInputChangeInvalidatesTheWholeChain) {
             cold_->timings.key(FlowStage::kSynthesis));
 }
 
-TEST_F(FlowCkpt, ThreadCountDoesNotAffectCacheKeys) {
-  // The flow is bit-identical for any thread count, so parallelism is
-  // excluded from the fingerprints: a differently-threaded run still hits.
+TEST_F(FlowCkpt, ExtractionConstantChangeRerunsOnlyExtraction) {
+  // Placement reads the wire pitch and width of the process, and nothing
+  // else of it: a coupling constant re-extracts the same layout.
   FlowOptions opts = cached_opts();
-  opts.parallelism.n_threads = 2;
+  opts.extract.process.wire_c_couple_ff_per_um = 0.09;
   const SecureFlowResult r = run_secure_flow(*circuit_, lib_, opts);
-  expect_outcomes(r.timings, {H, H, H, H, H, H}, "2 threads");
+  expect_outcomes(r.timings, {H, H, H, H, H, M}, "coupling constant");
 }
 
 TEST_F(FlowCkpt, StopAfterThenResumeReproducesTheFullRun) {

@@ -175,16 +175,6 @@ TEST(FlowOptionsValidate, WireWidthIsBelowPitch) {
   }
 }
 
-TEST(FlowOptionsValidate, SupplyVoltageIsPositive) {
-  FlowOptions o;
-  o.extract.process.vdd_v = 0.0;
-  expect_invalid(o, "extract.process.vdd_v");
-  o.extract.process.vdd_v = -1.8;
-  expect_invalid(o, "extract.process.vdd_v");
-  o.extract.process.vdd_v = 1e-9;  // any positive supply is legal
-  EXPECT_NO_THROW(o.validate());
-}
-
 TEST(FlowOptionsValidate, ParasiticsAreNonNegative) {
   // A negative coupling capacitance cut the secure DES critical delay
   // from 2,268 to 1,834 ps.
@@ -228,15 +218,6 @@ TEST(FlowOptionsValidate, RoutingRanges) {
   o.route.window_escalation = 1;  // a non-growing window never escapes
   expect_invalid(o, "window_escalation");
   o.route.window_escalation = 2;  // boundary: legal
-  EXPECT_NO_THROW(o.validate());
-}
-
-TEST(FlowOptionsValidate, ThreadCounts) {
-  FlowOptions o;
-  o.parallelism.n_threads = -1;
-  expect_invalid(o, "thread");
-  o = FlowOptions{};
-  o.parallelism.n_threads = 16;  // explicit counts are fine
   EXPECT_NO_THROW(o.validate());
 }
 
@@ -549,12 +530,14 @@ std::map<std::string, JsonValue> knob_values(FlowOptions o) {
   return values;
 }
 
-/// The first stage whose key a knob feeds (kStages in flow.cpp).
+/// The first stage whose key a knob feeds (kStages in flow.cpp): the LEF
+/// generator reads only the wire pitch and width of the process.
 FlowStage stage_fed(const std::string& path) {
   const std::pair<const char*, FlowStage> feeds[] = {
       {"synth.", FlowStage::kSynthesis},
       {"place.", FlowStage::kPlacement},
-      {"extract.process.", FlowStage::kPlacement},
+      {"extract.process.wire_pitch_um", FlowStage::kPlacement},
+      {"extract.process.wire_width_um", FlowStage::kPlacement},
       {"shielded_pairs", FlowStage::kPlacement},
       {"route.", FlowStage::kRouting},
       {"route_mode", FlowStage::kRouting},
@@ -645,6 +628,17 @@ TEST(FlowKnobs, EveryKnobIsSetKeyedAndRangeChecked) {
   EXPECT_NE(error_of([&] { parse_campaign_spec(fast); })
                 .find("route_mode must be \"detailed\" or \"quick\""),
             std::string::npos);
+}
+
+TEST(FlowKnobs, TheSupplyVoltageIsNoFlowKnob) {
+  // The power model owns the supply (PowerSimOptions::vdd_v); no stage
+  // of the flow reads it.
+  const std::string e = error_of([] {
+    parse_campaign_spec(spec_setting("extract.process.vdd_v", JsonValue(1.5)));
+  });
+  EXPECT_NE(e.find("options.extract.process: unknown member 'vdd_v'"),
+            std::string::npos)
+      << e;
 }
 
 TEST(FlowStageApi, NamesAndCounters) {

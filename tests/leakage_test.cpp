@@ -27,6 +27,7 @@
 #include "liberty/builtin_lib.h"
 #include "obs/report.h"
 #include "report_samples.h"
+#include "sca/dpa_experiment.h"
 #include "sca/selection.h"
 #include "synth/hdl.h"
 
@@ -243,18 +244,32 @@ TEST(Determinism, CpaBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, TvlaBitIdenticalAcrossThreadCounts) {
-  // Model-free TVLA on a 4-bit design: 700 traces in 200-trace blocks
-  // with a ragged 100-trace tail, simulated cold at every thread count.
-  const RegularFlowResult flow = run_regular_flow(parse_hdl(R"(
-    module small (input clk, input [3:0] a, input [3:0] b,
-                  output [3:0] y);
+/// A 4-bit registered design clocked by `clock`.
+AigCircuit small_design(const std::string& clock) {
+  return parse_hdl("module small (input " + clock + R"(, input [3:0] a,
+                   input [3:0] b, output [3:0] y);
       reg [3:0] r;
       wire [3:0] m;
       assign m = (a & b) ^ r;
-      always @(posedge clk) r <= m | a;
+      always @(posedge )" + clock + R"() r <= m | a;
       assign y = r ^ b;
-    endmodule)"), builtin_stdcell018());
+    endmodule)");
+}
+
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Determinism, TvlaBitIdenticalAcrossThreadCounts) {
+  // Model-free TVLA on a 4-bit design: 700 traces in 200-trace blocks
+  // with a ragged 100-trace tail, simulated cold at every thread count.
+  const RegularFlowResult flow =
+      run_regular_flow(small_design("clk"), builtin_stdcell018());
   LeakageSetup s;
   s.tvla_traces = 700;
   s.mtd.step = 200;
@@ -269,6 +284,78 @@ TEST(Determinism, TvlaBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 1; i < per_thread.size(); ++i) {
     EXPECT_EQ(per_thread[i], per_thread[0]) << "thread count #" << i;
   }
+}
+
+// ---------------------------------------------------------------------
+// Generic TVLA's input lanes and the trace cache's keys.
+
+TEST(GenericTvla, DrivesTheDataInputsWhateverTheClockIsCalled) {
+  // The lanes are the model's data inputs, so a design whose clock is
+  // called ck gets the statistics of the same design clocked by clk.
+  const auto lib = builtin_stdcell018();
+  LeakageSetup s;
+  s.tvla_traces = 200;
+  const auto tvla = [&](const std::string& clock, FlowKind kind) {
+    const AigCircuit c = small_design(clock);
+    if (kind == FlowKind::kRegular) {
+      const RegularFlowResult r = run_regular_flow(c, lib);
+      return assess_tvla_leakage(compile_power_model(r), false, s).tvla;
+    }
+    const SecureFlowResult r = run_secure_flow(c, lib);
+    return assess_tvla_leakage(compile_power_model(r), true, s).tvla;
+  };
+  for (const FlowKind kind : {FlowKind::kRegular, FlowKind::kSecure}) {
+    SCOPED_TRACE(flow_kind_name(kind));
+    const TvlaSummary clk = tvla("clk", kind);
+    EXPECT_EQ(clk.n_fixed + clk.n_random, 200);
+    EXPECT_EQ(tvla("ck", kind), clk);
+  }
+}
+
+TEST(TraceCache, AStoreNeedsABaseKey) {
+  // Without a design key every design's blocks shared one key: a second
+  // 4-bit design replayed the first one's TVLA traces.
+  const RegularFlowResult flow =
+      run_regular_flow(small_design("clk"), builtin_stdcell018());
+  LeakageSetup s;
+  s.tvla_traces = 200;
+  s.cache_dir = (std::filesystem::path(::testing::TempDir()) /
+                 "secflow_trace_cache_no_key")
+                    .string();
+  const std::string msg = error_of([&] {
+    assess_tvla_leakage(flow.rtl, flow.caps, /*differential=*/false, s);
+  });
+  EXPECT_NE(msg.find("base_key"), std::string::npos) << msg;
+}
+
+TEST(TraceCache, BlocksAreKeyedByTheModelOptions) {
+  // One layout, two supplies: the second model simulates its own traces
+  // instead of replaying the first one's.
+  const RegularFlowResult flow =
+      run_regular_flow(small_design("clk"), builtin_stdcell018());
+  LeakageSetup s;
+  s.tvla_traces = 200;
+  s.mtd.step = 200;  // one block
+  s.cache_dir =
+      (std::filesystem::path(::testing::TempDir()) / "secflow_trace_cache_vdd")
+          .string();
+  std::filesystem::remove_all(s.cache_dir);
+  s.base_key = flow.timings.key(FlowStage::kExtraction);
+  PowerSimOptions low;
+  low.vdd_v = 1.5;
+  const CompiledSimModel nominal(flow.rtl, flow.caps);
+  const CompiledSimModel at_low(flow.rtl, flow.caps, low);
+  const LeakageReport cold = assess_tvla_leakage(nominal, false, s);
+  const LeakageReport other = assess_tvla_leakage(at_low, false, s);
+  const LeakageReport warm = assess_tvla_leakage(nominal, false, s);
+  std::filesystem::remove_all(s.cache_dir);
+  EXPECT_EQ(cold.trace_cache_misses, 1);
+  EXPECT_EQ(other.trace_cache_hits, 0);
+  EXPECT_EQ(other.trace_cache_misses, 1);
+  EXPECT_NE(other.tvla.max_abs_t, cold.tvla.max_abs_t);
+  EXPECT_EQ(warm.trace_cache_hits, 1);
+  EXPECT_EQ(warm.trace_cache_misses, 0);
+  EXPECT_EQ(warm.tvla, cold.tvla);
 }
 
 // ---------------------------------------------------------------------
@@ -577,6 +664,33 @@ TEST_F(DesLeakage, GuessingEntropyCurvesConvergeOnRegularFlow) {
   for (double sr : r.ge.success_rate) {
     EXPECT_GE(sr, 0.0);
     EXPECT_LE(sr, 1.0);
+  }
+}
+
+TEST_F(DesLeakage, AttackEntryPointsCheckThePrechargeMode) {
+  // A WDDL netlist simulated without its precharge wave gives wrong
+  // traces, so each entry point rejects a model whose precharge mode
+  // disagrees with `differential`, naming both values.
+  LeakageSetup s = setup(0);
+  s.cache_dir.clear();
+  const CompiledSimModel unprecharged(secure_->diff, secure_->caps);
+  const CompiledSimModel precharged = compile_power_model(*secure_);
+  for (const bool differential : {true, false}) {
+    SCOPED_TRACE(differential);
+    const CompiledSimModel& model = differential ? unprecharged : precharged;
+    const std::string want =
+        differential ? "differential = true, but the model was compiled "
+                       "with precharge_inputs = false"
+                     : "differential = false, but the model was compiled "
+                       "with precharge_inputs = true";
+    for (const std::string& msg :
+         {error_of([&] { assess_des_leakage(model, differential, s); }),
+          error_of([&] { assess_tvla_leakage(model, differential, s); }),
+          error_of([&] {
+            run_des_dpa_campaign(model, DesDpaSetup{}, differential);
+          })}) {
+      EXPECT_NE(msg.find(want), std::string::npos) << msg;
+    }
   }
 }
 
