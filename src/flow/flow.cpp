@@ -242,6 +242,7 @@ const StageRow kStages[] = {
     // shield wire.
     {.stage = FlowStage::kPlacement,
      .key = [](Hasher& h, const FlowOptions& o, FlowKind kind) {
+       // The LEF generator reads only the wire pitch and width.
        const Process018& pr = o.extract.process;
        h.add(knob_digest(o.place)).add(pr.wire_pitch_um).add(pr.wire_width_um);
        if (kind == FlowKind::kSecure) h.add(o.shielded_pairs);

@@ -312,34 +312,24 @@ TEST(GenericTvla, DrivesTheDataInputsWhateverTheClockIsCalled) {
   }
 }
 
-TEST(TraceCache, AStoreNeedsABaseKey) {
-  // Without a design key every design's blocks shared one key: a second
-  // 4-bit design replayed the first one's TVLA traces.
-  const RegularFlowResult flow =
-      run_regular_flow(small_design("clk"), builtin_stdcell018());
-  LeakageSetup s;
-  s.tvla_traces = 200;
-  s.cache_dir = (std::filesystem::path(::testing::TempDir()) /
-                 "secflow_trace_cache_no_key")
-                    .string();
-  const std::string msg = error_of([&] {
-    assess_tvla_leakage(flow.rtl, flow.caps, /*differential=*/false, s);
-  });
-  EXPECT_NE(msg.find("base_key"), std::string::npos) << msg;
-}
-
-TEST(TraceCache, BlocksAreKeyedByTheModelOptions) {
-  // One layout, two supplies: the second model simulates its own traces
-  // instead of replaying the first one's.
+TEST(TraceCache, BlocksAreKeyedByTheDesignAndTheModelOptions) {
+  // A store without a design key would hand one design's blocks to
+  // another, so it is an error.  With the key, one layout at two supplies
+  // simulates twice instead of replaying the first supply's traces.
   const RegularFlowResult flow =
       run_regular_flow(small_design("clk"), builtin_stdcell018());
   LeakageSetup s;
   s.tvla_traces = 200;
   s.mtd.step = 200;  // one block
   s.cache_dir =
-      (std::filesystem::path(::testing::TempDir()) / "secflow_trace_cache_vdd")
+      (std::filesystem::path(::testing::TempDir()) / "secflow_trace_cache")
           .string();
   std::filesystem::remove_all(s.cache_dir);
+  const std::string msg = error_of([&] {
+    assess_tvla_leakage(flow.rtl, flow.caps, /*differential=*/false, s);
+  });
+  EXPECT_NE(msg.find("base_key"), std::string::npos) << msg;
+
   s.base_key = flow.timings.key(FlowStage::kExtraction);
   PowerSimOptions low;
   low.vdd_v = 1.5;
