@@ -8,8 +8,11 @@
 // former behaviour) vs one shared model + reset ("reused").  Everything
 // runs single-threaded so the numbers are comparable on any machine.
 //
-// `--json <path>` writes the metrics as BENCH_sim.json for CI trending.
+// `--json <path>` writes the metrics as BENCH_sim.json for CI trending,
+// with the reused simulator's exact work counters over the dpa4 streams
+// (`<design>.dpa4.events`, `<design>.dpa4.charge_bins`).
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,6 +49,8 @@ struct WorkloadResult {
   double cold_tps = 0.0;    ///< traces/sec, pre-split engine per trace
   double reused_tps = 0.0;  ///< traces/sec, shared model + reset
   double checksum = 0.0;
+  std::uint64_t events = 0;       ///< reused simulator's events_applied()
+  std::uint64_t charge_bins = 0;  ///< reused simulator's charge_bins()
   double speedup() const {
     return cold_tps > 0.0 ? reused_tps / cold_tps : 0.0;
   }
@@ -79,6 +84,8 @@ WorkloadResult run_workload(const Netlist& nl, const CapTable& caps,
       r.checksum += trace(sim, ports, rng);
     }
     r.reused_tps = n_reused / seconds_since(t0);
+    r.events = sim.events_applied();
+    r.charge_bins = sim.charge_bins();
   }
   return r;
 }
@@ -139,6 +146,9 @@ void report_design(bench::JsonReport& report, const std::string& name,
                    const HotpathResult& r) {
   report_workload(report, name, "cycle", r.cycle);
   report_workload(report, name, "dpa4", r.dpa4);
+  report.metric(name + ".dpa4.events", static_cast<double>(r.dpa4.events));
+  report.metric(name + ".dpa4.charge_bins",
+                static_cast<double>(r.dpa4.charge_bins));
   report.metric(name + ".model_build_us", r.build_us);
   report.metric(name + ".reset_us", r.reset_us);
 }
@@ -175,6 +185,12 @@ int main(int argc, char** argv) {
   bench::row("shares one immutable CompiledSimModel and reset()s between");
   bench::row("traces.  'cycle' = one recorded cycle per trace; 'dpa4' = the");
   bench::row("4-cycle DPA mini-campaign.");
+  bench::row("dpa4 work (reused): regular %llu events, %llu charge bins; "
+             "secure %llu events, %llu charge bins",
+             static_cast<unsigned long long>(reg.dpa4.events),
+             static_cast<unsigned long long>(reg.dpa4.charge_bins),
+             static_cast<unsigned long long>(sec.dpa4.events),
+             static_cast<unsigned long long>(sec.dpa4.charge_bins));
   bench::row("checksums: %.3f %.3f", reg.checksum, sec.checksum);
   return 0;
 }

@@ -15,6 +15,7 @@
 #include "netlist/netlist_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/power_sim.h"
 #include "synth/hdl.h"
 #include "synth/techmap.h"
 #include "wddl/cell_substitution.h"
@@ -197,6 +198,77 @@ OracleVerdict sim_agreement_oracle(const FuzzProgram& p, const Netlist& rtl,
       b.step_clock();
     }
   }
+  return v;
+}
+
+/// The first disagreement between a stepping and a booking simulator of
+/// `nl`, "" when there is none.  Both settle on the same random inputs and
+/// get the same random inputs for `n_cycles` cycles; one steps every cycle
+/// (zero-delay whenever it may) and one books it.  Nets, flops and the
+/// outputs at the evaluate snapshot must agree after every cycle, and one
+/// recorded cycle must then agree bit for bit.
+std::string step_run_mismatch(const std::string& label, const Netlist& nl,
+                              bool precharge, Rng& rng, int n_cycles) {
+  PowerSimOptions o;
+  o.precharge_inputs = precharge;
+  const CompiledSimModel model(nl, {}, o);
+  PowerSimulator stepped(model);
+  PowerSimulator booked(model);
+  const auto drive = [&] {
+    for (const CompiledSimModel::DataInput& in : model.data_inputs()) {
+      const bool v = rng.next_bool();
+      stepped.set_input(in.port, v);
+      booked.set_input(in.port, v);
+    }
+  };
+  const auto differs = [&](const std::string& what, bool step, bool book) {
+    return label + " " + what + ": stepped=" + std::to_string(step) +
+           " booked=" + std::to_string(book);
+  };
+  drive();
+  stepped.settle();
+  booked.settle();
+  for (int cycle = 0; cycle < n_cycles; ++cycle) {
+    drive();
+    stepped.step_cycle();
+    booked.run_cycle();
+    const std::string at = "cycle " + std::to_string(cycle);
+    for (NetId n : nl.net_ids()) {
+      if (stepped.net_value(n) != booked.net_value(n))
+        return differs(at + " net " + nl.net(n).name, stepped.net_value(n),
+                       booked.net_value(n));
+    }
+    for (PortId p : nl.port_ids()) {
+      if (nl.port(p).dir != PinDir::kOutput) continue;
+      if (stepped.output_at_eval(p) != booked.output_at_eval(p))
+        return differs(at + " eval output " + nl.port(p).name,
+                       stepped.output_at_eval(p), booked.output_at_eval(p));
+    }
+    for (InstId i : nl.instance_ids()) {
+      if (nl.cell_of(i).kind != CellKind::kFlop) continue;
+      if (stepped.flop_state(i) != booked.flop_state(i))
+        return differs(at + " flop " + nl.instance(i).name,
+                       stepped.flop_state(i), booked.flop_state(i));
+    }
+  }
+  drive();
+  const CycleTrace a = stepped.run_cycle();
+  const CycleTrace b = booked.run_cycle();
+  if (a.current_ma != b.current_ma || a.energy_pj != b.energy_pj ||
+      a.transitions != b.transitions)
+    return label + " recorded cycle differs";
+  return "";
+}
+
+/// Stepped against booked power simulation, on the rtl netlist and on the
+/// differential one under the precharge wave.
+OracleVerdict step_run_oracle(const Built& built, const OracleOptions& opts) {
+  OracleVerdict v{"cross-sim-step-run", true, ""};
+  Rng rng = Rng::stream(opts.seed, 3);
+  v.detail = step_run_mismatch("rtl", built.rtl, false, rng, opts.n_cycles);
+  if (v.detail.empty())
+    v.detail = step_run_mismatch("diff", built.diff, true, rng, opts.n_cycles);
+  v.ok = v.detail.empty();
   return v;
 }
 
@@ -489,6 +561,12 @@ OracleReport run_oracle_battery(const FuzzProgram& p,
   } catch (const std::exception& e) {
     rep.verdicts.push_back(
         {"cross-sim-fat-rtl", false, std::string("exception: ") + e.what()});
+  }
+  try {
+    rep.verdicts.push_back(step_run_oracle(*built, opts));
+  } catch (const std::exception& e) {
+    rep.verdicts.push_back(
+        {"cross-sim-step-run", false, std::string("exception: ") + e.what()});
   }
 
   // --- tier 2: security invariants on the differential netlist --------------

@@ -13,8 +13,10 @@
 //                 rails), and per-pair extracted capacitance mismatch
 //                 stays under the DESIGN.md §5 bound.
 //   cross-check   LEC(fat == rtl), fat-vs-original simulation agreement on
-//                 random vectors, and differential-vs-reference lockstep
-//                 simulation over random cycles.
+//                 random vectors, differential-vs-reference lockstep
+//                 simulation over random cycles, and the power simulator's
+//                 stepped cycles against booked ones (rtl and differential
+//                 netlists).
 //
 // Every verdict is deterministic in (program, OracleOptions): details
 // embed no pointers, timings or paths, so a replay reproduces the battery
@@ -35,7 +37,7 @@ struct OracleOptions {
   /// design seed by the fuzzer, so one seed fixes the whole case).
   std::uint64_t seed = 0;
   int n_vectors = 1000;  ///< fat-vs-original agreement vectors/cycles
-  int n_cycles = 16;     ///< WDDL differential simulation cycles
+  int n_cycles = 16;     ///< WDDL and step-vs-book simulation cycles
   /// DESIGN.md §5 matched-load bound: worst and mean per-pair
   /// |C(n_t) - C(n_f)| over the extracted differential layout.
   double cap_worst_ff = 20.0;

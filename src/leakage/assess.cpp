@@ -210,9 +210,11 @@ SimTrace generic_tvla_trace(PowerSimulator& sim, Rng& rng,
 
 // --- assessment phases ----------------------------------------------------
 
+/// `purpose` keys the blocks: the DES and the generic trace tasks draw
+/// different traces from one stream range, so each needs its own.
 TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
-                           const LeakageSetup& s, bool differential,
-                           const TraceTask& task) {
+                           const char* purpose, const LeakageSetup& s,
+                           bool differential, const TraceTask& task) {
   Span span("leakage.tvla", "leakage");
   span.arg("traces", s.tvla_traces);
   SECFLOW_CHECK(s.tvla_traces >= 4,
@@ -223,8 +225,8 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
   WelchAccumulator acc(static_cast<std::size_t>(model.samples_per_cycle()));
   for (int b = 0; b < s.tvla_traces; b += step) {
     const std::vector<CpaMeasurement> block =
-        fetch_block(model, cache, "tvla", s, differential, kTvlaStreamBase, b,
-                    std::min(b + step, s.tvla_traces), task);
+        fetch_block(model, cache, purpose, s, differential, kTvlaStreamBase,
+                    b, std::min(b + step, s.tvla_traces), task);
     for (std::size_t k = 0; k < block.size(); ++k) {
       const std::uint64_t i = static_cast<std::uint64_t>(b) + k;
       SECFLOW_CHECK(block[k].samples.size() == acc.n_samples(),
@@ -416,7 +418,7 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
                        tvla_fixed(i) ? std::optional(kFixedPlaintext)
                                      : std::nullopt);
     };
-    r.tvla = run_tvla_phase(model, cache, setup, differential, task);
+    r.tvla = run_tvla_phase(model, cache, "tvla", setup, differential, task);
   }
   if (setup.with_cpa) {
     const HypothesisFn hyp = des_hypothesis(setup.model, setup.sbox);
@@ -464,7 +466,8 @@ LeakageReport assess_tvla_leakage(const CompiledSimModel& model,
     return generic_tvla_trace(sim, rng, lanes, fixed_bits, setup,
                               tvla_fixed(i));
   };
-  r.tvla = run_tvla_phase(model, cache, setup, differential, task);
+  r.tvla =
+      run_tvla_phase(model, cache, "tvla-lanes", setup, differential, task);
   r.trace_cache_hits = cache.hits;
   r.trace_cache_misses = cache.misses;
   return r;

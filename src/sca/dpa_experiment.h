@@ -70,8 +70,11 @@ void check_precharge(const CompiledSimModel& model, bool differential,
 ///   cycle 2  the target plaintext arrives at the register inputs,
 ///   cycle 3  PL/PR transition previous -> target   (the recorded trace),
 ///   cycle 4  the ciphertext reaches the CL/CR output registers.
-/// Cycles 1, 2 and 4 are stepped (PowerSimulator::step_cycle): their
-/// power is never booked.  Draws the previous PL, PR and the target PL, PR from `rng` in that
+/// The simulator settle()s first, then cycles 1, 2 and 4 are stepped
+/// (PowerSimulator::step_cycle): their power is never booked, and each
+/// runs zero-delay, applying no event, while the model's wave bound fits
+/// the half-period.  Only settle() and cycle 3 run the event loop.
+/// Draws the previous PL, PR and the target PL, PR from `rng` in that
 /// order, then `noise_ma` Gaussian noise per sample when positive.
 /// `fixed_plaintext` (packed pl | pr << 4) replaces the drawn target
 /// plaintext: TVLA's fixed class.  The observable packs the ciphertext of

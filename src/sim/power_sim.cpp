@@ -43,6 +43,7 @@ void PowerSimulator::reset() {
   heap_.clear();
   seq_ = 0;
   now_ps_ = 0.0;
+  settled_ = false;
 }
 
 void PowerSimulator::set_input(const std::string& port, bool value) {
@@ -72,6 +73,22 @@ PowerSimulator::Event PowerSimulator::pop_event() {
   const Event ev = heap_.back();
   heap_.pop_back();
   return ev;
+}
+
+bool PowerSimulator::gate_value(const CompiledSimModel::Gate& g) const {
+  // Net values are 0 or 1, so each input's bit is shifted in without a
+  // data-dependent branch.
+  const std::int32_t* inputs = model_.gate_input_nets(g);
+  std::uint64_t bits = 0;
+  for (std::int32_t k = 0; k < g.n_inputs; ++k) {
+    const std::int32_t net = inputs[k];
+    if (net >= 0) {
+      bits |= std::uint64_t{static_cast<unsigned char>(
+                  net_val_[static_cast<std::size_t>(net)])}
+              << k;
+    }
+  }
+  return g.fn.eval(bits);
 }
 
 void PowerSimulator::schedule(double t, NetId net, bool value) {
@@ -144,15 +161,7 @@ void PowerSimulator::apply_event(const Event& ev, CycleTrace* trace,
   for (const std::int32_t gid : model_.sinks_of(idx)) {
     const CompiledSimModel::Gate& g =
         model_.gates()[static_cast<std::size_t>(gid)];
-    const std::int32_t* inputs = model_.gate_input_nets(g);
-    std::uint64_t bits = 0;
-    for (std::int32_t k = 0; k < g.n_inputs; ++k) {
-      const std::int32_t net = inputs[k];
-      if (net >= 0 && net_val_[static_cast<std::size_t>(net)]) {
-        bits |= std::uint64_t{1} << k;
-      }
-    }
-    schedule(ev.time_ps + g.delay_ps, NetId(g.out_net), g.fn.eval(bits));
+    schedule(ev.time_ps + g.delay_ps, NetId(g.out_net), gate_value(g));
   }
 }
 
@@ -164,8 +173,9 @@ void PowerSimulator::drain_until(double t_end, CycleTrace* trace,
   }
 }
 
-void PowerSimulator::capture_flops(bool rising) {
-  // Capture simultaneously from current values, then schedule Q updates.
+void PowerSimulator::capture_flops(bool rising, bool zero_delay) {
+  // Capture simultaneously from current values, then schedule Q updates
+  // (or, zero-delay, set each Q to the value its event would leave).
   const std::vector<CompiledSimModel::Flop>& flops = model_.flops(rising);
   capture_scratch_.resize(flops.size());
   for (std::size_t i = 0; i < flops.size(); ++i) {
@@ -175,9 +185,36 @@ void PowerSimulator::capture_flops(bool rising) {
   const double edge = now_ps_;
   for (std::size_t i = 0; i < flops.size(); ++i) {
     const CompiledSimModel::Flop& f = flops[i];
-    const bool v = capture_scratch_[i] != 0;
-    flop_state_[f.inst.index()] = v ? 1 : 0;
-    if (f.q.valid()) schedule(edge + f.clk_to_q_ps, f.q, v);
+    const char v = capture_scratch_[i];
+    flop_state_[f.inst.index()] = v;
+    if (!f.q.valid()) continue;
+    if (zero_delay) {
+      net_val_[f.q.index()] = v;
+    } else {
+      schedule(edge + f.clk_to_q_ps, f.q, v != 0);
+    }
+  }
+}
+
+bool PowerSimulator::zero_delay_exact(double period) const {
+  return settled_ && heap_.empty() && model_.has_gate_order() &&
+         model_.wave_bound_ps() + 1.0 < period / 2;
+}
+
+void PowerSimulator::zero_delay_half(bool rising) {
+  capture_flops(rising, /*zero_delay=*/true);
+  if (model_.clock_net().valid()) {
+    net_val_[model_.clock_net().index()] = rising ? 1 : 0;
+  }
+  if (rising || model_.options().precharge_inputs) {
+    for (const CompiledSimModel::DataInput& di : model_.data_inputs()) {
+      net_val_[di.net.index()] = rising ? input_val_[di.port.index()] : 0;
+    }
+  }
+  const std::vector<CompiledSimModel::Gate>& gates = model_.gates();
+  for (const std::int32_t gid : model_.gate_order()) {
+    const CompiledSimModel::Gate& g = gates[static_cast<std::size_t>(gid)];
+    net_val_[static_cast<std::size_t>(g.out_net)] = gate_value(g) ? 1 : 0;
   }
 }
 
@@ -198,8 +235,19 @@ void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
   const PowerSimOptions& opts = model_.options();
   const double start = now_ps_;
 
+  if (trace == nullptr && zero_delay_exact(period)) {
+    // Every event of each half would drain inside it and leave each net
+    // at its zero-delay value, and nothing is booked: jump to that state.
+    zero_delay_half(/*rising=*/true);
+    now_ps_ = start + period / 2;
+    mid_val_ = net_val_;
+    zero_delay_half(/*rising=*/false);
+    now_ps_ = start + period;
+    return;
+  }
+
   // Rising edge.
-  capture_flops(/*rising=*/true);
+  capture_flops(/*rising=*/true, /*zero_delay=*/false);
   if (model_.clock_net().valid()) {
     schedule(start + opts.clock_net_delay_ps, model_.clock_net(), true);
   }
@@ -213,7 +261,7 @@ void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
   mid_val_ = net_val_;
 
   // Falling edge.
-  capture_flops(/*rising=*/false);
+  capture_flops(/*rising=*/false, /*zero_delay=*/false);
   if (model_.clock_net().valid()) {
     schedule(now_ps_ + opts.clock_net_delay_ps, model_.clock_net(), false);
   }
@@ -279,21 +327,14 @@ void PowerSimulator::settle() {
   // seed every combinational output once so gates whose inputs happen to
   // match the all-zero reset state still assume consistent values.
   for (const CompiledSimModel::Gate& g : model_.gates()) {
-    const std::int32_t* inputs = model_.gate_input_nets(g);
-    std::uint64_t bits = 0;
-    for (std::int32_t k = 0; k < g.n_inputs; ++k) {
-      const std::int32_t net = inputs[k];
-      if (net >= 0 && net_val_[static_cast<std::size_t>(net)]) {
-        bits |= std::uint64_t{1} << k;
-      }
-    }
-    schedule(now_ps_, NetId(g.out_net), g.fn.eval(bits));
+    schedule(now_ps_, NetId(g.out_net), gate_value(g));
   }
   while (!heap_.empty()) {
     const Event ev = pop_event();
     now_ps_ = std::max(now_ps_, ev.time_ps);
     apply_event(ev, nullptr, now_ps_);
   }
+  settled_ = true;
 }
 
 EnergyStats compute_energy_stats(const std::vector<double>& energies_pj) {

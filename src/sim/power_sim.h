@@ -14,6 +14,10 @@
 //          clock net -> 0; with precharge_inputs, all data inputs -> 0
 //          (the WDDL precharge wave); events propagate to t=T.
 //
+// A cycle whose power is not booked (step_cycle) skips the event loop
+// when its events provably drain inside each half: it evaluates every gate
+// once per half, zero-delay, and ends in the same logic state.
+//
 // Compile-once / simulate-many: everything derived from (netlist, caps,
 // options) lives in an immutable CompiledSimModel (sim/sim_model.h); a
 // PowerSimulator borrows the model and holds only mutable trace state, so
@@ -66,10 +70,15 @@ class PowerSimulator {
   /// current trace.
   CycleTrace run_cycle(double period_ps = 0.0);
 
-  /// Advance one clock cycle exactly as run_cycle does, but book no power:
-  /// no charge deposit, no energy, no sample vector (settle()'s path).
-  /// Power booking never feeds back into logic state, so nets, flops and
-  /// the evaluate-phase snapshot end up as run_cycle would leave them.
+  /// Advance one clock cycle to the logic state run_cycle would leave
+  /// (nets, flops, the evaluate-phase snapshot and the time), but book no
+  /// power: no charge deposit, no energy, no sample vector.  When the
+  /// simulator has settle()d since construction or reset(), no event is
+  /// in flight, the model has a gate order and its wave bound plus 1 ps
+  /// is under half the period, every event of each half would drain
+  /// inside it; the cycle then applies no event and evaluates each gate
+  /// once per half in topological order (zero-delay).  Otherwise it runs
+  /// run_cycle's event loop without a trace.
   void step_cycle(double period_ps = 0.0);
 
   /// Settled value of a net / output port after the last cycle.
@@ -86,7 +95,10 @@ class PowerSimulator {
   void set_flop_state(InstId flop, bool value);
 
   /// Force-settle current input values without booking power (testbench
-  /// initialization).
+  /// initialization): every gate is evaluated once and the event loop runs
+  /// dry, ending at its last event's time.  Afterwards every gate output
+  /// equals its function whenever no event is in flight, which is what
+  /// lets step_cycle skip the events of later cycles.
   void settle();
 
   const Netlist& netlist() const { return model_.netlist(); }
@@ -110,10 +122,13 @@ class PowerSimulator {
   };
 
   void cycle(double period_ps, CycleTrace* trace);
+  bool zero_delay_exact(double period) const;
+  void zero_delay_half(bool rising);
+  bool gate_value(const CompiledSimModel::Gate& g) const;
   void schedule(double t, NetId net, bool value);
   void apply_event(const Event& ev, CycleTrace* trace, double t_offset);
   void deposit_charge(CycleTrace& trace, double t_ps, std::size_t net_idx);
-  void capture_flops(bool rising);
+  void capture_flops(bool rising, bool zero_delay);
   void drain_until(double t_end, CycleTrace* trace, double t_offset = 0.0);
   void push_event(Event ev);
   Event pop_event();
@@ -130,6 +145,7 @@ class PowerSimulator {
   std::vector<char> capture_scratch_;  // per-flop captured values
   long seq_ = 0;
   double now_ps_ = 0.0;
+  bool settled_ = false;  // settle() ran since construction or reset()
   std::uint64_t events_applied_ = 0;
   std::uint64_t charge_bins_ = 0;
 };

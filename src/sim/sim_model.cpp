@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/error.h"
 
@@ -158,6 +159,60 @@ CompiledSimModel::CompiledSimModel(const Netlist& nl, const CapTable& caps,
     f.clk_to_q_ps = type.intrinsic_delay_ps;
     f.fn = type.function;
     (type.negedge_clock ? negedge_flops_ : posedge_flops_).push_back(f);
+  }
+
+  // Topological gate order: Kahn's algorithm over the CSR, a gate becoming
+  // ready once every CSR edge from a driving gate has been consumed.
+  const auto fanout = [&](const Gate& g) {
+    return sinks_of(static_cast<std::size_t>(g.out_net));
+  };
+  std::vector<std::int32_t> unresolved(gates_.size(), 0);
+  gate_order_.reserve(gates_.size());
+  for (const Gate& g : gates_) {
+    for (const std::int32_t sink : fanout(g))
+      ++unresolved[static_cast<std::size_t>(sink)];
+  }
+  for (std::size_t i = 0; i < gates_.size(); ++i) {
+    if (unresolved[i] == 0) gate_order_.push_back(static_cast<std::int32_t>(i));
+  }
+  for (std::size_t head = 0; head < gate_order_.size(); ++head) {
+    const Gate& g = gates_[static_cast<std::size_t>(gate_order_[head])];
+    for (const std::int32_t sink : fanout(g))
+      if (--unresolved[static_cast<std::size_t>(sink)] == 0)
+        gate_order_.push_back(sink);
+  }
+  has_gate_order_ = gate_order_.size() == gates_.size();
+  if (!has_gate_order_) {
+    gate_order_.clear();
+    wave_bound_ps_ = std::numeric_limits<double>::infinity();
+    return;
+  }
+
+  // Static wave bound: the latest arrival over every net, walking the
+  // gates in order from the edge's sources.  A net no source reaches never
+  // switches inside a half.
+  constexpr double kNever = -std::numeric_limits<double>::infinity();
+  std::vector<double> arrival(n_nets, kNever);
+  const auto source = [&](NetId net, double t) {
+    double& a = arrival[net.index()];
+    a = std::max(a, t);
+    wave_bound_ps_ = std::max(wave_bound_ps_, t);
+  };
+  if (clock_net_.valid()) source(clock_net_, opts_.clock_net_delay_ps);
+  for (const DataInput& di : data_inputs_) source(di.net, opts_.input_delay_ps);
+  for (const std::vector<Flop>* flops : {&posedge_flops_, &negedge_flops_}) {
+    for (const Flop& f : *flops)
+      if (f.q.valid()) source(f.q, f.clk_to_q_ps);
+  }
+  for (const std::int32_t gid : gate_order_) {
+    const Gate& g = gates_[static_cast<std::size_t>(gid)];
+    const std::int32_t* inputs = gate_input_nets(g);
+    double latest = kNever;
+    for (std::int32_t k = 0; k < g.n_inputs; ++k) {
+      if (inputs[k] >= 0)
+        latest = std::max(latest, arrival[static_cast<std::size_t>(inputs[k])]);
+    }
+    if (latest != kNever) source(NetId(g.out_net), latest + g.delay_ps);
   }
 }
 

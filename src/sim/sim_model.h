@@ -14,7 +14,10 @@
 //     net indices, truth table, and load-dependent delay;
 //   * flop lists split by capture edge with resolved D/Q nets;
 //   * the resolved clock port/net and the list of data-input ports;
-//   * sampling constants (sample period, samples per cycle).
+//   * sampling constants (sample period, samples per cycle);
+//   * a topological order of the compiled gates and the static wave
+//     bound (the latest an event can fire after a clock edge), which
+//     PowerSimulator::step_cycle's zero-delay path needs.
 //
 // PowerSimulator then holds only cheap mutable trace state and borrows a
 // `const CompiledSimModel&`; the model is safe to share across any number
@@ -119,6 +122,17 @@ class CompiledSimModel {
             net_sinks_.data() + net_sink_offset_[net_idx + 1]};
   }
 
+  /// Compiled-gate ids, each after every gate driving one of its inputs.
+  /// Empty, and has_gate_order() false, when the gates form a
+  /// combinational cycle.
+  bool has_gate_order() const { return has_gate_order_; }
+  const std::vector<std::int32_t>& gate_order() const { return gate_order_; }
+  /// Static wave bound [ps]: the latest an event can fire after a clock
+  /// edge, the longest source-plus-delay_ps path over the gates.  Sources
+  /// are flop Q at clk_to_q_ps, data inputs at input_delay_ps and the
+  /// clock net at clock_net_delay_ps.  Infinite without a gate order.
+  double wave_bound_ps() const { return wave_bound_ps_; }
+
   // --- flops, split by capture edge ----------------------------------------
   struct Flop {
     InstId inst;            ///< index for flop-state storage
@@ -158,6 +172,9 @@ class CompiledSimModel {
   std::vector<std::int32_t> gate_input_nets_;
   std::vector<std::int32_t> net_sink_offset_;  ///< n_nets + 1 entries
   std::vector<std::int32_t> net_sinks_;
+  std::vector<std::int32_t> gate_order_;
+  bool has_gate_order_ = false;
+  double wave_bound_ps_ = 0.0;
 
   std::vector<Flop> posedge_flops_;
   std::vector<Flop> negedge_flops_;

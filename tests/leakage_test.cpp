@@ -634,6 +634,30 @@ TEST_F(DesLeakage, CpaAndMtdShareOneFetchOfEveryBlock) {
   EXPECT_EQ(r.trace_cache_misses, 3);
 }
 
+TEST_F(DesLeakage, DesAndGenericTvlaKeepTheirOwnBlocks) {
+  // The DES task and the generic lanes draw different traces from one
+  // stream range, so against one store the generic assessment must
+  // simulate its own block instead of replaying the DES one.
+  LeakageSetup s = setup(0);
+  s.cache_dir = cache_dir_ + "_tvla_purpose";
+  std::filesystem::remove_all(s.cache_dir);
+  s.base_key = regular_->timings.key(FlowStage::kExtraction);
+  s.with_cpa = false;
+  const LeakageReport des = assess_des_leakage(
+      regular_->rtl, regular_->caps, /*differential=*/false, s);
+  const LeakageReport lanes = assess_tvla_leakage(
+      regular_->rtl, regular_->caps, /*differential=*/false, s);
+  std::filesystem::remove_all(s.cache_dir);
+  s.cache_dir.clear();
+  const LeakageReport lanes_without_store = assess_tvla_leakage(
+      regular_->rtl, regular_->caps, /*differential=*/false, s);
+  EXPECT_EQ(des.trace_cache_misses, 1);
+  EXPECT_EQ(lanes.trace_cache_hits, 0);
+  EXPECT_EQ(lanes.trace_cache_misses, 1);
+  EXPECT_EQ(lanes.tvla, lanes_without_store.tvla);
+  EXPECT_NE(lanes.tvla.max_abs_t, des.tvla.max_abs_t);
+}
+
 TEST_F(DesLeakage, GuessingEntropyCurvesConvergeOnRegularFlow) {
   LeakageSetup s = setup(0);
   s.base_key = regular_->timings.key(FlowStage::kExtraction);

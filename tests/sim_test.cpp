@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "base/rng.h"
@@ -238,12 +239,20 @@ TEST_F(SimTest, GlitchPeriodTruncatesEvaluation) {
 /// Drive two simulators of `nl` with the same random inputs, one booking
 /// every cycle (run_cycle) and one stepping it (step_cycle), and compare
 /// their logic state after each cycle; then record one cycle on both.
-/// `period_ps` (0 = nominal) applies to every cycle.
+/// `period_ps` (0 = nominal) applies to every cycle.  With `settle` both
+/// settle() first, so the stepped one may skip its events; `step_events`
+/// receives the events it applied while stepping.
 void expect_stepping_matches_booking(const Netlist& nl,
                                      const PowerSimOptions& opts,
-                                     double period_ps) {
+                                     double period_ps, bool settle = false,
+                                     std::uint64_t* step_events = nullptr) {
   PowerSimulator booked(nl, {}, opts);
   PowerSimulator stepped(nl, {}, opts);
+  if (settle) {
+    booked.settle();
+    stepped.settle();
+  }
+  const std::uint64_t settle_events = stepped.events_applied();
   std::vector<PortId> inputs;
   for (PortId p : nl.port_ids()) {
     if (nl.port(p).dir == PinDir::kInput && booked.model().is_data_input(p)) {
@@ -251,12 +260,15 @@ void expect_stepping_matches_booking(const Netlist& nl,
     }
   }
   Rng rng(5);
-  for (int cycle = 0; cycle < 12; ++cycle) {
+  const auto drive = [&] {
     for (PortId p : inputs) {
       const bool v = rng.next_bool();
       booked.set_input(p, v);
       stepped.set_input(p, v);
     }
+  };
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    drive();
     booked.run_cycle(period_ps);
     stepped.step_cycle(period_ps);
     for (NetId n : nl.net_ids()) {
@@ -274,6 +286,10 @@ void expect_stepping_matches_booking(const Netlist& nl,
           << nl.instance(i).name << " after cycle " << cycle;
     }
   }
+  if (step_events != nullptr) {
+    *step_events = stepped.events_applied() - settle_events;
+  }
+  drive();
   const CycleTrace a = booked.run_cycle(period_ps);
   const CycleTrace b = stepped.run_cycle(period_ps);
   EXPECT_EQ(b.current_ma, a.current_ma);
@@ -282,14 +298,16 @@ void expect_stepping_matches_booking(const Netlist& nl,
   EXPECT_GT(a.transitions, 0);
 }
 
-TEST(Sim, StepCycleMatchesRunCycleState) {
-  const auto lib = builtin_stdcell018();
-  const Netlist des = technology_map(make_des_dpa_circuit(), lib);
-  expect_stepping_matches_booking(des, {}, 0.0);
-  // A period override (the DFA glitch path) truncates both alike.
-  expect_stepping_matches_booking(des, {}, 1500.0);
+/// The DES module and a small WDDL netlist (precharge wave, negedge
+/// masters, eval snapshot), with the options each simulates under.
+struct StepDesigns {
+  Netlist des;
+  Netlist wddl;
+  PowerSimOptions wddl_opts;
+};
 
-  // A WDDL netlist: precharge wave, negedge masters, eval snapshot.
+StepDesigns step_designs() {
+  const auto lib = builtin_stdcell018();
   WddlLibrary wlib(lib);
   const Netlist rtl = technology_map(parse_hdl(R"(
     module m (input clk, input [2:0] d, output [2:0] q, output y);
@@ -298,12 +316,63 @@ TEST(Sim, StepCycleMatchesRunCycleState) {
       assign q = r;
       assign y = (d[0] & r[1]) | d[2];
     endmodule)"), lib);
-  const Netlist diff =
-      expand_differential(substitute_cells(rtl, wlib).fat, wlib);
-  PowerSimOptions wddl;
-  wddl.precharge_inputs = true;
-  expect_stepping_matches_booking(diff, wddl, 0.0);
-  expect_stepping_matches_booking(diff, wddl, 2500.0);
+  StepDesigns d{technology_map(make_des_dpa_circuit(), lib),
+                expand_differential(substitute_cells(rtl, wlib).fat, wlib),
+                {}};
+  d.wddl_opts.precharge_inputs = true;
+  return d;
+}
+
+TEST(Sim, StepCycleMatchesRunCycleState) {
+  // Never settled: every stepped cycle runs the event loop.
+  const StepDesigns d = step_designs();
+  expect_stepping_matches_booking(d.des, {}, 0.0);
+  // A period override (the DFA glitch path) truncates both alike.
+  expect_stepping_matches_booking(d.des, {}, 1500.0);
+  expect_stepping_matches_booking(d.wddl, d.wddl_opts, 0.0);
+  expect_stepping_matches_booking(d.wddl, d.wddl_opts, 2500.0);
+}
+
+TEST(Sim, SettledStepCycleMatchesRunCycleState) {
+  // Settled: at the nominal period every stepped cycle is zero-delay and
+  // applies no event; at a period whose half is under the wave bound the
+  // events would spill, so it falls back to the event loop.
+  const StepDesigns d = step_designs();
+  for (const auto& [nl, opts] : {std::pair(&d.des, PowerSimOptions{}),
+                                 std::pair(&d.wddl, d.wddl_opts)}) {
+    const CompiledSimModel model(*nl, {}, opts);
+    ASSERT_TRUE(model.has_gate_order());
+    ASSERT_LT(model.wave_bound_ps() + 1.0, model.nominal_period_ps() / 2);
+    std::uint64_t events = 0;
+    expect_stepping_matches_booking(*nl, opts, 0.0, /*settle=*/true, &events);
+    EXPECT_EQ(events, 0u) << nl->name();
+    const double short_period = model.wave_bound_ps();
+    expect_stepping_matches_booking(*nl, opts, short_period, /*settle=*/true,
+                                    &events);
+    EXPECT_GT(events, 0u) << nl->name();
+  }
+}
+
+TEST(Sim, CombinationalCycleKeepsTheEventLoop) {
+  // Cross-coupled NANDs (an SR latch) have no topological order, so even a
+  // settled simulator steps them through the event loop.
+  Netlist nl("latch", builtin_stdcell018());
+  const NetId s = nl.add_net("s");
+  const NetId r = nl.add_net("r");
+  const NetId q = nl.add_net("q");
+  const NetId qn = nl.add_net("qn");
+  nl.add_port("s", PinDir::kInput, s);
+  nl.add_port("r", PinDir::kInput, r);
+  nl.add_port("q", PinDir::kOutput, q);
+  add_gate(nl, "NAND2", "u1", {s, qn}, q);
+  add_gate(nl, "NAND2", "u2", {r, q}, qn);
+  const CompiledSimModel model(nl, {});
+  EXPECT_FALSE(model.has_gate_order());
+  EXPECT_TRUE(model.gate_order().empty());
+  EXPECT_EQ(model.wave_bound_ps(), std::numeric_limits<double>::infinity());
+  std::uint64_t events = 0;
+  expect_stepping_matches_booking(nl, {}, 0.0, /*settle=*/true, &events);
+  EXPECT_GT(events, 0u);
 }
 
 TEST(Sim, StepCycleCountsEventsButNoChargeBins) {
@@ -315,14 +384,41 @@ TEST(Sim, StepCycleCountsEventsButNoChargeBins) {
   };
   drive_pl(true);
   EXPECT_GT(sim.run_cycle().energy_pj, 0.0);
-  const std::uint64_t events = sim.events_applied();
+  std::uint64_t events = sim.events_applied();
   const std::uint64_t bins = sim.charge_bins();
   EXPECT_GT(events, 0u);
   EXPECT_GT(bins, 0u);
+  // Unsettled: the step runs the event loop.
   drive_pl(false);
   sim.step_cycle();
   EXPECT_GT(sim.events_applied(), events);
   EXPECT_EQ(sim.charge_bins(), bins);
+
+  // Settled, in bound: zero-delay, no event.
+  sim.settle();
+  drive_pl(true);
+  events = sim.events_applied();
+  sim.step_cycle();
+  EXPECT_EQ(sim.events_applied(), events);
+
+  // Out of bound: the half is under the wave bound.
+  drive_pl(false);
+  sim.step_cycle(sim.model().wave_bound_ps());
+  EXPECT_GT(sim.events_applied(), events);
+
+  // An event in flight: set_flop_state drives a flop's Q now.
+  sim.settle();
+  InstId flop;
+  for (InstId i : des.instance_ids()) {
+    if (des.cell_of(i).kind == CellKind::kFlop) flop = i;
+  }
+  ASSERT_TRUE(flop.valid());
+  sim.set_flop_state(flop, !sim.flop_state(flop));
+  events = sim.events_applied();
+  sim.step_cycle();
+  EXPECT_GT(sim.events_applied(), events);
+  EXPECT_EQ(sim.charge_bins(), bins);
+
   // The counters count work, not state: reset() keeps them.
   sim.reset();
   EXPECT_EQ(sim.charge_bins(), bins);
