@@ -1,5 +1,5 @@
-// The one tokenizer behind every text reader: mini-HDL, fuzz programs,
-// structural Verilog, Liberty, LEF, DEF and checkpoint payloads.
+// The one tokenizer behind every text reader: mini-HDL, structural
+// Verilog, Liberty, LEF, DEF and checkpoint payloads.
 //
 // A Lexer walks a std::string_view and hands out Tokens that are views
 // into it, each with the 1-based line and column where it starts; no token

@@ -96,10 +96,9 @@ void parallel_for(std::size_t n, const Parallelism& par,
                   const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
   const int threads = par.resolved_threads();
-  const std::size_t min_chunk = par.min_chunk == 0 ? 1 : par.min_chunk;
-  // Serial paths: single thread, tiny range, or nested inside a pool task
+  // Serial paths: single thread, one index, or nested inside a pool task
   // (running inline keeps workers non-blocking => no deadlock).
-  if (threads <= 1 || n <= min_chunk ||
+  if (threads <= 1 || n == 1 ||
       ThreadPool::global().on_worker_thread()) {
     body(0, n);
     return;
@@ -117,8 +116,8 @@ void parallel_for(std::size_t n, const Parallelism& par,
   auto ctl = std::make_shared<Control>();
   // Chunks several times smaller than a fair share let fast threads steal
   // from slow ones while keeping claim traffic low.
-  const std::size_t chunk = std::max(
-      min_chunk, n / (static_cast<std::size_t>(threads) * 8 + 1) + 1);
+  const std::size_t chunk =
+      n / (static_cast<std::size_t>(threads) * 8 + 1) + 1;
 
   auto run_chunks = [ctl, n, chunk, &body] {
     for (;;) {

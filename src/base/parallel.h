@@ -34,9 +34,6 @@ namespace secflow {
 struct Parallelism {
   /// Threads to use; 0 = auto (SECFLOW_THREADS env var, else hardware).
   int n_threads = 0;
-  /// Minimum indices per claimed chunk (amortizes per-chunk overhead for
-  /// cheap bodies).
-  std::size_t min_chunk = 1;
 
   /// The thread count this request resolves to (always >= 1).
   int resolved_threads() const;

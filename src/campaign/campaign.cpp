@@ -84,16 +84,9 @@ PreparedJob prepare_job(const CampaignJob& job, const CampaignSpec& spec,
 
 void run_dpa(const CampaignJob& job, const Netlist& nl, const CapTable& caps,
              FlowReport& report) {
-  DesDpaSetup setup;
-  setup.key = job.dpa.key;
-  setup.select_bit = job.dpa.select_bit;
-  setup.sbox = job.dpa.sbox;
-  setup.n_measurements = job.dpa.n_measurements;
-  setup.noise_ma = job.dpa.noise_ma;
-  setup.seed = job.seed;
   const DesDpaCampaign dpa = run_des_dpa_campaign(
-      nl, caps, setup, /*differential=*/job.flow == FlowKind::kSecure);
-  attach_dpa(report, dpa.dpa.analyze(setup.key), dpa.cycle_energies_pj);
+      nl, caps, job.dpa, /*differential=*/job.flow == FlowKind::kSecure);
+  attach_dpa(report, dpa.dpa.analyze(job.dpa.key), dpa.cycle_energies_pj);
 }
 
 /// One job, start to finish, with every failure folded into the outcome.

@@ -75,7 +75,7 @@ void read_job(JsonReader& io, CampaignJob& job) {
   });
   if (flow == "regular") job.flow = FlowKind::kRegular;
 
-  io.field("seed", job.seed, kOptional);
+  io.field("seed", job.dpa.seed, kOptional);
   job.has_dpa = io.object("dpa", [&] {
     io.field("n_measurements", job.dpa.n_measurements, kOptional);
     io.field("noise_ma", job.dpa.noise_ma, kOptional);
@@ -113,7 +113,7 @@ void validate_into(const CampaignSpec& spec,
     const std::optional<FlowStage>& stop = job.options.stop_after;
     require(seen.insert(job.name).second, "duplicate job name");
     if (job.has_dpa) {
-      const DpaParams& d = job.dpa;
+      const DesDpaSetup& d = job.dpa;
       require(d.n_measurements >= 1, "dpa.n_measurements must be >= 1");
       require(d.noise_ma >= 0.0, "dpa.noise_ma must be >= 0");
       // The Fig 4 attack: one bit of the PL nibble, a DES S-box, and a

@@ -48,6 +48,7 @@
 
 #include "base/parallel.h"
 #include "flow/flow.h"
+#include "sca/dpa_experiment.h"
 
 namespace secflow {
 
@@ -67,25 +68,16 @@ struct CircuitSource {
   std::string text;  ///< HDL source or file path ("" for builtins)
 };
 
-/// DPA attack parameters of one job (paper section 3 defaults).
-struct DpaParams {
-  int n_measurements = 2000;
-  double noise_ma = 0.0;
-  int select_bit = 2;
-  int sbox = 1;
-  std::uint32_t key = 46;
-};
-
 struct CampaignJob {
   std::string name;
   CircuitSource circuit;
   FlowKind flow = FlowKind::kSecure;
-  /// Seed of the DPA measurement RNG streams (layout seeds are option
-  /// overrides: place.seed / extract.seed — they change artifacts and
-  /// therefore cache keys; this one never does).
-  std::uint64_t seed = 2025;
   bool has_dpa = false;
-  DpaParams dpa;
+  /// The DPA attack (paper section 3 defaults).  Its seed, the spec's
+  /// job-level "seed", feeds the measurement RNG streams only; layout
+  /// seeds are option overrides (place.seed / extract.seed) because they
+  /// change artifacts and therefore cache keys, and this one never does.
+  DesDpaSetup dpa;
   /// Flow options after applying the spec's overrides.  cache_dir /
   /// resume_from / log_level are engine-owned and not override-able.
   FlowOptions options;

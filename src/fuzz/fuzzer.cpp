@@ -84,8 +84,8 @@ void fields(Io& io, R& r) {
 
 }  // namespace
 
-std::string write_repro_json(const FuzzProgram& original,
-                             const FuzzProgram& minimized,
+std::string write_repro_json(const HdlModule& original,
+                             const HdlModule& minimized,
                              const FuzzCaseResult& c, const FuzzOptions& opts,
                              std::uint64_t battery_digest) {
   Repro r{opts.seed, c.index, c.design_seed, c.oracle, c.detail,
@@ -107,7 +107,7 @@ FuzzRunResult run_fuzz(const FuzzOptions& opts) {
     c.index = i;
     c.design_seed = Rng::stream(opts.seed, static_cast<std::uint64_t>(i))
                         .next_u64();
-    const FuzzProgram program = generate_program(c.design_seed);
+    const HdlModule program = generate_program(c.design_seed);
 
     OracleOptions oracle_opts = opts.oracles;
     oracle_opts.seed = c.design_seed;
@@ -139,7 +139,7 @@ FuzzRunResult run_fuzz(const FuzzOptions& opts) {
     // is planted, keeps finding a site).
     OracleOptions pred_opts = oracle_opts;
     pred_opts.deep = is_deep_oracle(c.oracle);
-    const auto still_fails = [&](const FuzzProgram& cand) {
+    const auto still_fails = [&](const HdlModule& cand) {
       try {
         const OracleReport r = run_oracle_battery(cand, pred_opts);
         if (!r.injectable) return false;
@@ -149,7 +149,7 @@ FuzzRunResult run_fuzz(const FuzzOptions& opts) {
         return false;
       }
     };
-    FuzzProgram minimized = program;
+    HdlModule minimized = program;
     if (opts.minimize) {
       MinimizeOptions mopts;
       mopts.max_attempts = pred_opts.deep
@@ -182,7 +182,7 @@ ReplayResult replay_repro(const std::string& path) {
   fields(io, stored);
   io.finish();
 
-  const FuzzProgram program = parse_fuzz_program(stored.minimized_hdl);
+  const HdlModule program = parse_hdl_module(stored.minimized_hdl);
   const OracleReport rep = run_oracle_battery(program, stored.oracle_options);
 
   ReplayResult res;

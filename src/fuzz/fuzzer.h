@@ -57,9 +57,10 @@ struct FuzzRunResult {
 FuzzRunResult run_fuzz(const FuzzOptions& opts);
 
 /// Re-run a stored reproducer: parse the minimized HDL back into a
-/// program, run the identical battery and compare the battery digest
-/// bit-exactly against the stored one.  Returns the verdict of the
-/// comparison; throws Error on a malformed file.
+/// program with the flow's parser (parse_hdl_module), run the identical
+/// battery and compare the battery digest bit-exactly against the stored
+/// one.  Returns the verdict of the comparison; throws Error on a
+/// malformed file.
 struct ReplayResult {
   bool digest_match = false;
   bool still_fails = false;
@@ -70,8 +71,8 @@ struct ReplayResult {
 ReplayResult replay_repro(const std::string& path);
 
 /// Serialize one failing case (used by run_fuzz; exposed for tests).
-std::string write_repro_json(const FuzzProgram& original,
-                             const FuzzProgram& minimized,
+std::string write_repro_json(const HdlModule& original,
+                             const HdlModule& minimized,
                              const FuzzCaseResult& c, const FuzzOptions& opts,
                              std::uint64_t battery_digest);
 

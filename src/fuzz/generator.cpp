@@ -25,8 +25,8 @@ class Generator {
   Generator(std::uint64_t seed, const GeneratorOptions& opts)
       : rng_(Rng::stream(seed, 0x66757a7aull /* "fuzz" */)), opts_(opts) {}
 
-  FuzzProgram run() {
-    FuzzProgram p;
+  HdlModule run() {
+    HdlModule p;
     p.name = "fz";
     width_ = 2 + static_cast<int>(rng_.next_below(
                      static_cast<std::uint64_t>(opts_.max_width - 1)));
@@ -38,13 +38,13 @@ class Generator {
                      static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(
                          opts_.max_inputs - opts_.min_inputs + 1)));
     if (has_reset) {
-      p.ports_in.push_back({"rst", 1});
+      p.inputs.push_back({"rst", 1});
       avail_.push_back({"rst", 1, 0});
     }
     for (int i = 0; i < n_in; ++i) {
-      FuzzSignal s{"in" + std::to_string(i), pick_width()};
+      HdlSignal s{"in" + std::to_string(i), pick_width()};
       avail_.push_back({s.name, s.width, 0});
-      p.ports_in.push_back(std::move(s));
+      p.inputs.push_back(std::move(s));
     }
 
     const int n_regs =
@@ -52,17 +52,17 @@ class Generator {
                              static_cast<std::uint64_t>(opts_.max_regs)))
                    : 0;
     for (int i = 0; i < n_regs; ++i) {
-      FuzzSignal s{"r" + std::to_string(i), pick_width()};
+      HdlSignal s{"r" + std::to_string(i), pick_width()};
       avail_.push_back({s.name, s.width, 0});
       p.regs.push_back(std::move(s));
     }
-    p.has_clk = n_regs > 0;
+    if (n_regs > 0) p.clock = "clk";
 
     // Wires at ranks 1..n_wires: wire k may read anything of lower rank.
     const int n_wires = static_cast<int>(
         rng_.next_below(static_cast<std::uint64_t>(opts_.max_wires + 1)));
     for (int i = 0; i < n_wires; ++i) {
-      FuzzSignal s{"w" + std::to_string(i), pick_width()};
+      HdlSignal s{"w" + std::to_string(i), pick_width()};
       drive(p, s, /*max_rank=*/i + 1, /*seq=*/false);
       avail_.push_back({s.name, s.width, i + 1});
       p.wires.push_back(std::move(s));
@@ -73,17 +73,17 @@ class Generator {
     const int n_out = 1 + static_cast<int>(rng_.next_below(
                               static_cast<std::uint64_t>(opts_.max_outputs)));
     for (int i = 0; i < n_out; ++i) {
-      FuzzSignal s{"out" + std::to_string(i), pick_width()};
+      HdlSignal s{"out" + std::to_string(i), pick_width()};
       drive(p, s, top, /*seq=*/false);
-      p.ports_out.push_back(std::move(s));
+      p.outputs.push_back(std::move(s));
     }
 
     // Register next-state logic; a reset design clears under rst.
     for (const auto& r : p.regs) {
-      FuzzExpr next = expr(r.width, top, opts_.max_depth);
+      HdlExpr next = expr(r.width, top, opts_.max_depth);
       if (has_reset) {
-        FuzzExpr mux;
-        mux.kind = FuzzExpr::Kind::kMux;
+        HdlExpr mux;
+        mux.kind = HdlExpr::Kind::kMux;
         mux.kids.push_back(ref_expr("rst", 1));
         mux.kids.push_back(const_expr(0, r.width));
         mux.kids.push_back(std::move(next));
@@ -101,7 +101,7 @@ class Generator {
   /// Emit the assign(s) driving `s`: usually one whole-signal assign,
   /// sometimes one assign per bit (bit-granular driving is a distinct
   /// elaboration path worth fuzzing).
-  void drive(FuzzProgram& p, const FuzzSignal& s, int max_rank, bool seq) {
+  void drive(HdlModule& p, const HdlSignal& s, int max_rank, bool seq) {
     auto& list = seq ? p.seq : p.comb;
     if (s.width > 1 && rng_.next_below(4) == 0) {
       for (int b = 0; b < s.width; ++b)
@@ -111,17 +111,17 @@ class Generator {
     }
   }
 
-  FuzzExpr const_expr(std::uint64_t value, int width) {
-    FuzzExpr e;
-    e.kind = FuzzExpr::Kind::kConst;
-    e.bit = width;
+  HdlExpr const_expr(std::uint64_t value, int width) {
+    HdlExpr e;
+    e.kind = HdlExpr::Kind::kConst;
+    e.width = width;
     e.value = value & ((width >= 64) ? ~0ull : ((1ull << width) - 1));
     return e;
   }
 
-  FuzzExpr ref_expr(const std::string& name, int /*width*/) {
-    FuzzExpr e;
-    e.kind = FuzzExpr::Kind::kRef;
+  HdlExpr ref_expr(const std::string& name, int /*width*/) {
+    HdlExpr e;
+    e.kind = HdlExpr::Kind::kRef;
     e.ref = name;
     return e;
   }
@@ -129,7 +129,7 @@ class Generator {
   /// A random leaf of the requested width readable below `max_rank`:
   /// a ref of matching width, a bit-select (scalar context only), or a
   /// constant as last resort.
-  FuzzExpr leaf(int width, int max_rank) {
+  HdlExpr leaf(int width, int max_rank) {
     std::vector<const Avail*> full, wide;
     for (const auto& a : avail_) {
       if (a.rank >= max_rank) continue;
@@ -144,32 +144,32 @@ class Generator {
     const std::size_t pick = rng_.next_below(n);
     if (pick < full.size()) return ref_expr(full[pick]->name, width);
     const Avail* a = wide[pick - full.size()];
-    FuzzExpr e;
-    e.kind = FuzzExpr::Kind::kBitSel;
+    HdlExpr e;
+    e.kind = HdlExpr::Kind::kBitSel;
     e.ref = a->name;
     e.bit = static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(a->width)));
     return e;
   }
 
-  FuzzExpr expr(int width, int max_rank, int depth) {
+  HdlExpr expr(int width, int max_rank, int depth) {
     if (depth <= 0 || rng_.next_below(4) == 0) return leaf(width, max_rank);
-    FuzzExpr e;
+    HdlExpr e;
     switch (rng_.next_below(5)) {
       case 0:
-        e.kind = FuzzExpr::Kind::kNot;
+        e.kind = HdlExpr::Kind::kNot;
         e.kids.push_back(expr(width, max_rank, depth - 1));
         break;
       case 1:
-        e.kind = FuzzExpr::Kind::kAnd;
+        e.kind = HdlExpr::Kind::kAnd;
         break;
       case 2:
-        e.kind = FuzzExpr::Kind::kOr;
+        e.kind = HdlExpr::Kind::kOr;
         break;
       case 3:
-        e.kind = FuzzExpr::Kind::kXor;
+        e.kind = HdlExpr::Kind::kXor;
         break;
       case 4:
-        e.kind = FuzzExpr::Kind::kMux;
+        e.kind = HdlExpr::Kind::kMux;
         e.kids.push_back(expr(1, max_rank, depth - 1));
         e.kids.push_back(expr(width, max_rank, depth - 1));
         e.kids.push_back(expr(width, max_rank, depth - 1));
@@ -190,7 +190,7 @@ class Generator {
 
 }  // namespace
 
-FuzzProgram generate_program(std::uint64_t seed, const GeneratorOptions& opts) {
+HdlModule generate_program(std::uint64_t seed, const GeneratorOptions& opts) {
   SECFLOW_CHECK(opts.max_width >= 2 && opts.max_width <= 8,
                 "max_width out of range");
   SECFLOW_CHECK(opts.min_inputs >= 1 && opts.max_inputs >= opts.min_inputs,

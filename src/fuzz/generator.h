@@ -1,6 +1,6 @@
 // Random mini-HDL design generator.
 //
-// Produces small *sequential* FuzzPrograms — registers, synchronous
+// Produces small *sequential* HdlModules — registers, synchronous
 // resets, multi-output modules, bit-granular assigns — deterministically
 // from a seed: the same (seed, options) pair yields the same program on
 // every platform, which is what makes corpus seeds replayable.
@@ -34,7 +34,7 @@ struct GeneratorOptions {
 /// Generate a random well-formed program.  Every output bit is driven,
 /// wires are ranked so combinational assigns cannot form loops, and every
 /// register has exactly one nonblocking assignment.
-FuzzProgram generate_program(std::uint64_t seed,
-                             const GeneratorOptions& opts = {});
+HdlModule generate_program(std::uint64_t seed,
+                           const GeneratorOptions& opts = {});
 
 }  // namespace secflow

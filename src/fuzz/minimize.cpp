@@ -8,13 +8,13 @@
 namespace secflow {
 namespace {
 
-void collect_refs(const FuzzExpr& e, std::set<std::string>& out) {
+void collect_refs(const HdlExpr& e, std::set<std::string>& out) {
   if (!e.ref.empty()) out.insert(e.ref);
   for (const auto& k : e.kids) collect_refs(k, out);
 }
 
 /// Every signal referenced on a right-hand side or as a target.
-std::set<std::string> used_signals(const FuzzProgram& p) {
+std::set<std::string> used_signals(const HdlModule& p) {
   std::set<std::string> out;
   for (const auto* stmts : {&p.comb, &p.seq})
     for (const auto& st : *stmts) {
@@ -24,33 +24,33 @@ std::set<std::string> used_signals(const FuzzProgram& p) {
   return out;
 }
 
-void substitute_ref(FuzzExpr& e, const std::string& name,
-                    const FuzzExpr& repl) {
+void substitute_ref(HdlExpr& e, const std::string& name,
+                    const HdlExpr& repl) {
   if (e.ref == name &&
-      (e.kind == FuzzExpr::Kind::kRef || e.kind == FuzzExpr::Kind::kBitSel)) {
+      (e.kind == HdlExpr::Kind::kRef || e.kind == HdlExpr::Kind::kBitSel)) {
     // A bit-select of the replaced signal collapses to the replacement
     // only when the replacement is scalar-compatible; the caller passes a
     // constant, which we re-width here.
-    FuzzExpr r = repl;
-    if (e.kind == FuzzExpr::Kind::kBitSel && r.kind == FuzzExpr::Kind::kConst)
-      r.bit = 1;
+    HdlExpr r = repl;
+    if (e.kind == HdlExpr::Kind::kBitSel && r.kind == HdlExpr::Kind::kConst)
+      r.width = 1;
     e = std::move(r);
     return;
   }
   for (auto& k : e.kids) substitute_ref(k, name, repl);
 }
 
-FuzzExpr const0(int width) {
-  FuzzExpr e;
-  e.kind = FuzzExpr::Kind::kConst;
-  e.bit = width;
+HdlExpr const0(int width) {
+  HdlExpr e;
+  e.kind = HdlExpr::Kind::kConst;
+  e.width = width;
   e.value = 0;
   return e;
 }
 
 // --- expression node addressing (pre-order) ---------------------------------
 
-int count_nodes(const FuzzExpr& e) {
+int count_nodes(const HdlExpr& e) {
   int n = 1;
   for (const auto& k : e.kids) n += count_nodes(k);
   return n;
@@ -59,16 +59,16 @@ int count_nodes(const FuzzExpr& e) {
 /// Pre-order node `idx` of `e`, plus the width of its context (root width
 /// given by the caller; mux conditions and bit-selects are scalar).
 struct NodeAt {
-  FuzzExpr* node = nullptr;
+  HdlExpr* node = nullptr;
   int width = 0;
 };
 
-NodeAt find_node(FuzzExpr& e, int& idx, int width) {
+NodeAt find_node(HdlExpr& e, int& idx, int width) {
   if (idx == 0) return {&e, width};
   --idx;
   for (std::size_t k = 0; k < e.kids.size(); ++k) {
     const int kid_width =
-        (e.kind == FuzzExpr::Kind::kMux && k == 0) ? 1 : width;
+        (e.kind == HdlExpr::Kind::kMux && k == 0) ? 1 : width;
     NodeAt r = find_node(e.kids[k], idx, kid_width);
     if (r.node) return r;
   }
@@ -77,8 +77,8 @@ NodeAt find_node(FuzzExpr& e, int& idx, int width) {
 
 class Minimizer {
  public:
-  Minimizer(const FuzzProgram& p,
-            const std::function<bool(const FuzzProgram&)>& pred,
+  Minimizer(const HdlModule& p,
+            const std::function<bool(const HdlModule&)>& pred,
             const MinimizeOptions& opts)
       : cur_(p), pred_(pred), opts_(opts) {}
 
@@ -105,7 +105,7 @@ class Minimizer {
   bool exhausted() const { return attempts_ >= opts_.max_attempts; }
 
   /// One predicate evaluation; commits `cand` when it still fails.
-  bool accept(const FuzzProgram& cand) {
+  bool accept(const HdlModule& cand) {
     if (exhausted()) return false;
     ++attempts_;
     if (!pred_(cand)) return false;
@@ -115,13 +115,13 @@ class Minimizer {
 
   bool drop_outputs() {
     bool any = false;
-    for (std::size_t i = cur_.ports_out.size(); i-- > 0;) {
-      if (cur_.ports_out.size() <= 1 || exhausted()) break;
-      FuzzProgram cand = cur_;
-      const std::string name = cand.ports_out[i].name;
-      cand.ports_out.erase(cand.ports_out.begin() + i);
+    for (std::size_t i = cur_.outputs.size(); i-- > 0;) {
+      if (cur_.outputs.size() <= 1 || exhausted()) break;
+      HdlModule cand = cur_;
+      const std::string name = cand.outputs[i].name;
+      cand.outputs.erase(cand.outputs.begin() + i);
       std::erase_if(cand.comb,
-                    [&](const FuzzStmt& st) { return st.target == name; });
+                    [&](const HdlStmt& st) { return st.target == name; });
       any |= accept(cand);
     }
     return any;
@@ -133,14 +133,14 @@ class Minimizer {
     bool any = false;
     for (std::size_t i = cur_.regs.size(); i-- > 0;) {
       if (exhausted()) break;
-      FuzzProgram cand = cur_;
-      FuzzSignal reg = cand.regs[i];
+      HdlModule cand = cur_;
+      HdlSignal reg = cand.regs[i];
       cand.regs.erase(cand.regs.begin() + i);
       std::erase_if(cand.seq,
-                    [&](const FuzzStmt& st) { return st.target == reg.name; });
-      cand.ports_in.push_back(reg);
+                    [&](const HdlStmt& st) { return st.target == reg.name; });
+      cand.inputs.push_back(reg);
       if (cand.regs.empty()) {
-        cand.has_clk = false;
+        cand.clock.clear();
         cand.split_always = false;
       }
       any |= accept(cand);
@@ -154,12 +154,12 @@ class Minimizer {
     bool any = false;
     for (std::size_t i = cur_.wires.size(); i-- > 0;) {
       if (exhausted()) break;
-      FuzzProgram cand = cur_;
-      const FuzzSignal wire = cand.wires[i];
+      HdlModule cand = cur_;
+      const HdlSignal wire = cand.wires[i];
       cand.wires.erase(cand.wires.begin() + i);
       std::erase_if(cand.comb,
-                    [&](const FuzzStmt& st) { return st.target == wire.name; });
-      const FuzzExpr zero = const0(wire.width);
+                    [&](const HdlStmt& st) { return st.target == wire.name; });
+      const HdlExpr zero = const0(wire.width);
       for (auto* stmts : {&cand.comb, &cand.seq})
         for (auto& st : *stmts) substitute_ref(st.rhs, wire.name, zero);
       any |= accept(cand);
@@ -170,11 +170,11 @@ class Minimizer {
   bool drop_unused_inputs() {
     bool any = false;
     const std::set<std::string> used = used_signals(cur_);
-    for (std::size_t i = cur_.ports_in.size(); i-- > 0;) {
-      if (cur_.ports_in.size() <= 1 || exhausted()) break;
-      if (used.count(cur_.ports_in[i].name)) continue;
-      FuzzProgram cand = cur_;
-      cand.ports_in.erase(cand.ports_in.begin() + i);
+    for (std::size_t i = cur_.inputs.size(); i-- > 0;) {
+      if (cur_.inputs.size() <= 1 || exhausted()) break;
+      if (used.count(cur_.inputs[i].name)) continue;
+      HdlModule cand = cur_;
+      cand.inputs.erase(cand.inputs.begin() + i);
       any |= accept(cand);
     }
     return any;
@@ -191,14 +191,14 @@ class Minimizer {
           // Re-resolve against cur_ every iteration: accept() replaces it.
           auto& live = (stmts == &cur_.comb ? cur_.comb : cur_.seq);
           if (s >= live.size()) break;
-          FuzzStmt& st = live[s];
+          HdlStmt& st = live[s];
           const int root_w = st.target_bit >= 0
                                  ? 1
                                  : std::max(1, signal_width(cur_, st.target));
           if (idx >= count_nodes(st.rhs)) break;
           bool replaced = false;
-          for (const FuzzExpr& cand_repl : candidates(st.rhs, idx, root_w)) {
-            FuzzProgram cand = cur_;
+          for (const HdlExpr& cand_repl : candidates(st.rhs, idx, root_w)) {
+            HdlModule cand = cur_;
             auto& cstmts = (stmts == &cur_.comb ? cand.comb : cand.seq);
             int j = idx;
             NodeAt at = find_node(cstmts[s].rhs, j, root_w);
@@ -219,33 +219,33 @@ class Minimizer {
     return any;
   }
 
-  std::vector<FuzzExpr> candidates(FuzzExpr& root, int idx, int root_w) {
+  std::vector<HdlExpr> candidates(HdlExpr& root, int idx, int root_w) {
     int j = idx;
     NodeAt at = find_node(root, j, root_w);
-    std::vector<FuzzExpr> out;
+    std::vector<HdlExpr> out;
     if (!at.node) return out;
-    const FuzzExpr& e = *at.node;
+    const HdlExpr& e = *at.node;
     switch (e.kind) {
-      case FuzzExpr::Kind::kNot:
+      case HdlExpr::Kind::kNot:
         out.push_back(e.kids[0]);
         break;
-      case FuzzExpr::Kind::kAnd:
-      case FuzzExpr::Kind::kOr:
-      case FuzzExpr::Kind::kXor:
+      case HdlExpr::Kind::kAnd:
+      case HdlExpr::Kind::kOr:
+      case HdlExpr::Kind::kXor:
         out.push_back(e.kids[0]);
         out.push_back(e.kids[1]);
         break;
-      case FuzzExpr::Kind::kMux:
+      case HdlExpr::Kind::kMux:
         out.push_back(e.kids[1]);
         out.push_back(e.kids[2]);
         break;
-      case FuzzExpr::Kind::kConst:
+      case HdlExpr::Kind::kConst:
         return out;  // already minimal; constant-0 attempt below is a dup
-      case FuzzExpr::Kind::kRef:
-      case FuzzExpr::Kind::kBitSel:
+      case HdlExpr::Kind::kRef:
+      case HdlExpr::Kind::kBitSel:
         break;
     }
-    if (!(e.kind == FuzzExpr::Kind::kConst && e.value == 0))
+    if (!(e.kind == HdlExpr::Kind::kConst && e.value == 0))
       out.push_back(const0(at.width));
     return out;
   }
@@ -254,18 +254,18 @@ class Minimizer {
   /// bit-selects become plain refs, per-bit assigns fold to bit 0.
   bool scalarize() {
     bool vectors = false;
-    for (const auto* v : {&cur_.ports_in, &cur_.ports_out, &cur_.wires,
+    for (const auto* v : {&cur_.inputs, &cur_.outputs, &cur_.wires,
                           &cur_.regs})
       for (const auto& s : *v) vectors |= s.width > 1;
     if (!vectors || exhausted()) return false;
 
-    FuzzProgram cand = cur_;
-    for (auto* v : {&cand.ports_in, &cand.ports_out, &cand.wires, &cand.regs})
+    HdlModule cand = cur_;
+    for (auto* v : {&cand.inputs, &cand.outputs, &cand.wires, &cand.regs})
       for (auto& s : *v) s.width = 1;
     for (auto* stmts : {&cand.comb, &cand.seq}) {
       // Per-bit assigns to one signal collapse to the bit-0 statement.
       std::erase_if(*stmts,
-                    [](const FuzzStmt& st) { return st.target_bit > 0; });
+                    [](const HdlStmt& st) { return st.target_bit > 0; });
       for (auto& st : *stmts) {
         st.target_bit = -1;
         scalarize_expr(st.rhs);
@@ -274,19 +274,19 @@ class Minimizer {
     return accept(cand);
   }
 
-  static void scalarize_expr(FuzzExpr& e) {
-    if (e.kind == FuzzExpr::Kind::kBitSel) {
-      e.kind = FuzzExpr::Kind::kRef;
+  static void scalarize_expr(HdlExpr& e) {
+    if (e.kind == HdlExpr::Kind::kBitSel) {
+      e.kind = HdlExpr::Kind::kRef;
       e.bit = 0;
-    } else if (e.kind == FuzzExpr::Kind::kConst) {
+    } else if (e.kind == HdlExpr::Kind::kConst) {
       e.value &= 1;
-      e.bit = 1;
+      e.width = 1;
     }
     for (auto& k : e.kids) scalarize_expr(k);
   }
 
-  FuzzProgram cur_;
-  const std::function<bool(const FuzzProgram&)>& pred_;
+  HdlModule cur_;
+  const std::function<bool(const HdlModule&)>& pred_;
   MinimizeOptions opts_;
   int attempts_ = 0;
 };
@@ -294,8 +294,8 @@ class Minimizer {
 }  // namespace
 
 MinimizeResult minimize_program(
-    const FuzzProgram& p,
-    const std::function<bool(const FuzzProgram&)>& still_fails,
+    const HdlModule& p,
+    const std::function<bool(const HdlModule&)>& still_fails,
     const MinimizeOptions& opts) {
   SECFLOW_CHECK(still_fails(p),
                 "minimize_program: predicate does not hold on the input");

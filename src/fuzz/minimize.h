@@ -23,7 +23,7 @@ struct MinimizeOptions {
 };
 
 struct MinimizeResult {
-  FuzzProgram program;
+  HdlModule program;
   int attempts = 0;       ///< predicate evaluations spent
   int initial_lines = 0;  ///< hdl_line_count before
   int final_lines = 0;    ///< hdl_line_count after
@@ -33,8 +33,8 @@ struct MinimizeResult {
 /// entry (the unminimized reproducer).  Deterministic: same program, same
 /// predicate behaviour, same result.
 MinimizeResult minimize_program(
-    const FuzzProgram& p,
-    const std::function<bool(const FuzzProgram&)>& still_fails,
+    const HdlModule& p,
+    const std::function<bool(const HdlModule&)>& still_fails,
     const MinimizeOptions& opts = {});
 
 }  // namespace secflow

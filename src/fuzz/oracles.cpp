@@ -45,7 +45,7 @@ std::uint64_t OracleReport::digest() const {
 
 namespace {
 
-std::vector<std::string> blast(const FuzzSignal& s) {
+std::vector<std::string> blast(const HdlSignal& s) {
   if (s.width == 1) return {s.name};
   std::vector<std::string> out;
   for (int b = 0; b < s.width; ++b)
@@ -53,16 +53,16 @@ std::vector<std::string> blast(const FuzzSignal& s) {
   return out;
 }
 
-std::vector<std::string> input_bits(const FuzzProgram& p) {
+std::vector<std::string> input_bits(const HdlModule& p) {
   std::vector<std::string> out;
-  for (const auto& s : p.ports_in)
+  for (const auto& s : p.inputs)
     for (auto& n : blast(s)) out.push_back(std::move(n));
   return out;
 }
 
-std::vector<std::string> output_bits(const FuzzProgram& p) {
+std::vector<std::string> output_bits(const HdlModule& p) {
   std::vector<std::string> out;
-  for (const auto& s : p.ports_out)
+  for (const auto& s : p.outputs)
     for (auto& n : blast(s)) out.push_back(std::move(n));
   return out;
 }
@@ -76,7 +76,7 @@ struct Built {
   Netlist diff;
 };
 
-Built build_artifacts(const FuzzProgram& p, WddlLibrary& wlib,
+Built build_artifacts(const HdlModule& p, WddlLibrary& wlib,
                       FaultKind inject, std::string* edit, bool* injectable) {
   AigCircuit circuit = parse_hdl(emit_hdl(p));
   Netlist rtl =
@@ -115,7 +115,7 @@ DigestChain digest_chain(const AigCircuit& c, const CellLibrary& lib) {
 }
 
 OracleVerdict digest_neutral_oracle(const std::string& name,
-                                    const FuzzProgram& variant,
+                                    const HdlModule& variant,
                                     const DigestChain& base,
                                     const CellLibrary& lib) {
   OracleVerdict v{name, true, ""};
@@ -160,7 +160,7 @@ std::vector<PortId> resolve_ports(const Netlist& nl,
 
 /// Fat-vs-original lockstep simulation over random vectors (sequential
 /// designs advance the clock between vectors, so state diverges too).
-OracleVerdict sim_agreement_oracle(const FuzzProgram& p, const Netlist& rtl,
+OracleVerdict sim_agreement_oracle(const HdlModule& p, const Netlist& rtl,
                                    const Netlist& fat,
                                    const OracleOptions& opts) {
   OracleVerdict v{"cross-sim-fat-rtl", true, ""};
@@ -276,10 +276,11 @@ OracleVerdict step_run_oracle(const Built& built, const OracleOptions& opts) {
 /// three oracles: precharge-zero, rails-one-hot (exactly one switching
 /// event per pair per phase) and lockstep agreement with the single-ended
 /// reference.
-std::vector<OracleVerdict> wddl_sim_oracles(const FuzzProgram& p,
-                                            const Netlist& rtl,
-                                            const Netlist& diff,
+std::vector<OracleVerdict> wddl_sim_oracles(const HdlModule& p,
+                                            const Built& built,
                                             const OracleOptions& opts) {
+  const Netlist& rtl = built.rtl;
+  const Netlist& diff = built.diff;
   OracleVerdict pre{"wddl-precharge-zero", true, ""};
   OracleVerdict hot{"wddl-rails-one-hot", true, ""};
   OracleVerdict agree{"wddl-seq-agreement", true, ""};
@@ -287,7 +288,7 @@ std::vector<OracleVerdict> wddl_sim_oracles(const FuzzProgram& p,
   const auto ins = input_bits(p);
   const auto outs = output_bits(p);
   const bool seq = !p.regs.empty();
-  const PortId diff_clk = diff.find_port("clk");
+  const PortId diff_clk = diff.find_port(built.circuit.clock);
 
   // Resolve every rail/reference port once; the per-cycle lambdas below
   // run on ids only.
@@ -496,7 +497,7 @@ std::vector<OracleVerdict> deep_flow_oracles(
 
 }  // namespace
 
-OracleReport run_oracle_battery(const FuzzProgram& p,
+OracleReport run_oracle_battery(const HdlModule& p,
                                 const OracleOptions& opts) {
   OracleReport rep;
   auto base = builtin_stdcell018();
@@ -531,7 +532,7 @@ OracleReport run_oracle_battery(const FuzzProgram& p,
     // under the name-based correspondence.
     OracleVerdict v{"metamorphic-port-permutation", true, ""};
     try {
-      const FuzzProgram variant = permute_ports(p, opts.seed ^ 0x33);
+      const HdlModule variant = permute_ports(p, opts.seed ^ 0x33);
       const Netlist vrtl = technology_map(parse_hdl(emit_hdl(variant)),
                                           base, wddl_synth_constraints());
       v.detail = lec_detail(check_equivalence(vrtl, built->rtl));
@@ -571,7 +572,7 @@ OracleReport run_oracle_battery(const FuzzProgram& p,
 
   // --- tier 2: security invariants on the differential netlist --------------
   try {
-    for (auto& v : wddl_sim_oracles(p, built->rtl, built->diff, opts))
+    for (auto& v : wddl_sim_oracles(p, *built, opts))
       rep.verdicts.push_back(std::move(v));
   } catch (const std::exception& e) {
     rep.verdicts.push_back(

@@ -73,7 +73,7 @@ struct OracleReport {
 /// Run the battery on one program.  Never throws: infrastructure
 /// exceptions become failing verdicts (a crash on generated input is a
 /// finding, not a fuzzer error).
-OracleReport run_oracle_battery(const FuzzProgram& p,
+OracleReport run_oracle_battery(const HdlModule& p,
                                 const OracleOptions& opts = {});
 
 }  // namespace secflow

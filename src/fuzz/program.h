@@ -1,82 +1,26 @@
-// Fuzz-program AST: the differential flow-fuzzer's model of a mini-HDL
-// module (synth/hdl.h subset).
+// The fuzzer's helpers over the mini-HDL AST (synth/hdl.h).
 //
-// The fuzzer never manipulates HDL as raw text: the generator builds a
-// FuzzProgram, the metamorphic transforms permute/rename it structurally,
-// the minimizer shrinks it, and emit_hdl() prints the mini-HDL the flow
-// actually consumes.  parse_fuzz_program() inverts emit_hdl() (for the
-// emitted subset only), which makes fuzz-corpus reproducers self-contained:
-// a stored .v round-trips back into the AST so a replay can re-run every
-// oracle — including the metamorphic ones that need the structure.
-//
-// Width model: every signal is either scalar (width 1) or a [W-1:0]
-// vector; expressions carry the width of their context (binary operands
-// match, a mux condition and a bit-select are scalar).
+// The fuzzer never manipulates HDL as raw text: the generator builds an
+// HdlModule, the metamorphic transforms below permute and rename it
+// structurally, the minimizer shrinks it, and emit_hdl() prints the
+// mini-HDL the flow consumes.  A stored reproducer's .v reads back through
+// parse_hdl_module(), the flow's own parser, so a replay re-runs every
+// oracle, the metamorphic ones that need the structure included.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "synth/hdl.h"
 
 namespace secflow {
 
-struct FuzzExpr {
-  enum class Kind { kConst, kRef, kBitSel, kNot, kAnd, kOr, kXor, kMux };
-
-  Kind kind = Kind::kConst;
-  std::uint64_t value = 0;      ///< kConst: low `width` bits
-  std::string ref;              ///< kRef / kBitSel: signal name
-  int bit = 0;                  ///< kBitSel: selected bit
-  /// kNot: 1 child; kAnd/kOr/kXor: 2; kMux: 3 (cond, then, else).
-  std::vector<FuzzExpr> kids;
-
-  bool operator==(const FuzzExpr&) const = default;
-};
-
-/// One `assign` (comb) or one nonblocking `<=` (seq) statement.
-struct FuzzStmt {
-  std::string target;
-  int target_bit = -1;  ///< -1 = whole signal, else single-bit assignment
-  FuzzExpr rhs;
-
-  bool operator==(const FuzzStmt&) const = default;
-};
-
-struct FuzzSignal {
-  std::string name;
-  int width = 1;
-
-  bool operator==(const FuzzSignal&) const = default;
-};
-
-struct FuzzProgram {
-  std::string name = "fz";
-  std::vector<FuzzSignal> ports_in;   ///< data inputs (clk is implicit)
-  std::vector<FuzzSignal> ports_out;
-  std::vector<FuzzSignal> wires;
-  std::vector<FuzzSignal> regs;
-  bool has_clk = false;        ///< emit the clk port (required when regs)
-  bool split_always = false;   ///< one always block per seq statement
-  std::vector<FuzzStmt> comb;  ///< assign statements, emission order
-  std::vector<FuzzStmt> seq;   ///< nonblocking statements, emission order
-
-  bool operator==(const FuzzProgram&) const = default;
-};
-
-/// Print the program as mini-HDL (one declaration/statement per line).
-std::string emit_hdl(const FuzzProgram& p);
-
 /// Lines of emit_hdl() output — the minimizer's size objective and the
 /// "reproducer of N HDL lines" metric.
-int hdl_line_count(const FuzzProgram& p);
-
-/// Inverse of emit_hdl() for the emitted subset (strict: throws ParseError
-/// on anything the emitter would not produce, e.g. unparenthesized binary
-/// chains).  emit_hdl(parse_fuzz_program(emit_hdl(p))) == emit_hdl(p).
-FuzzProgram parse_fuzz_program(const std::string& hdl);
+int hdl_line_count(const HdlModule& p);
 
 /// Width of a declared signal; 0 when undeclared.
-int signal_width(const FuzzProgram& p, const std::string& name);
+int signal_width(const HdlModule& p, const std::string& name);
 
 // --- metamorphic transforms -------------------------------------------------
 //
@@ -89,13 +33,13 @@ int signal_width(const FuzzProgram& p, const std::string& name);
 
 /// Rename every wire (ports, regs and the module name stay — those names
 /// are part of the artifacts).
-FuzzProgram rename_wires(const FuzzProgram& p, std::uint64_t seed);
+HdlModule rename_wires(const HdlModule& p, std::uint64_t seed);
 
 /// Permute assign order, nonblocking-assignment order, wire-declaration
 /// order, and toggle whether the always block is emitted split.
-FuzzProgram shuffle_statements(const FuzzProgram& p, std::uint64_t seed);
+HdlModule shuffle_statements(const HdlModule& p, std::uint64_t seed);
 
 /// Permute the input and output port declaration orders.
-FuzzProgram permute_ports(const FuzzProgram& p, std::uint64_t seed);
+HdlModule permute_ports(const HdlModule& p, std::uint64_t seed);
 
 }  // namespace secflow

@@ -34,13 +34,15 @@ struct Moment {
   bool operator==(const Moment&) const = default;
 };
 
+/// The |t| above which TVLA calls a sample leaky: 4.5 by convention,
+/// ~1e-5 false-positive odds per sample under the null.
+inline constexpr double kTvlaThreshold = 4.5;
+
 /// Fixed-vs-random Welch-t leakage detection (TVLA, Goodwill et al.):
 /// fixed-class and random-class moments for every sample point of the
 /// trace.  One class encrypts a fixed plaintext, the other random ones;
-/// a sample whose |t| exceeds the detection threshold (4.5 by convention,
-/// ~1e-5 false-positive odds per sample under the null) betrays
-/// data-dependent power draw — first-order leakage, found without an
-/// attack model.
+/// a sample whose |t| exceeds kTvlaThreshold betrays data-dependent power
+/// draw — first-order leakage, found without an attack model.
 class WelchAccumulator {
  public:
   explicit WelchAccumulator(std::size_t n_samples);

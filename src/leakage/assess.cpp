@@ -243,11 +243,11 @@ TvlaSummary run_tvla_phase(const CompiledSimModel& model, TraceCache& cache,
   out.n_fixed = static_cast<std::int64_t>(acc.n(true));
   out.n_random = static_cast<std::int64_t>(acc.n(false));
   out.n_samples = static_cast<std::int64_t>(acc.n_samples());
-  out.threshold = s.tvla_threshold;
+  out.threshold = kTvlaThreshold;
   out.max_abs_t = acc.max_abs_t();
   out.leaky_samples = static_cast<std::int64_t>(
-      acc.leaky_samples(s.tvla_threshold).size());
-  out.leaks = out.max_abs_t > s.tvla_threshold;
+      acc.leaky_samples(kTvlaThreshold).size());
+  out.leaks = out.max_abs_t > kTvlaThreshold;
   Metrics::global().gauge_max("leakage.tvla.max_abs_t", out.max_abs_t);
   SECFLOW_LOG_INFO("leakage", "TVLA done",
                    LogField("max_abs_t", out.max_abs_t),
@@ -281,7 +281,7 @@ MtdSummary mtd_summary(const MtdResult& result, const LeakageSetup& s) {
   out.mtd = result.mtd;
   out.max_traces = s.mtd.max_traces;
   out.step = s.mtd.step;
-  out.persist = s.mtd.persist;
+  out.persist = kMtdPersist;
   out.traces_fed = result.traces_fed;
   out.disclosed = result.disclosed;
   for (int c : result.checkpoints) out.checkpoints.push_back(c);

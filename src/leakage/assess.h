@@ -38,7 +38,6 @@ struct LeakageSetup {
   // TVLA (fixed-vs-random Welch-t).
   bool with_tvla = true;
   int tvla_traces = 600;  ///< total, interleaved fixed/random by parity
-  double tvla_threshold = 4.5;
 
   // CPA key recovery (DES interface only).
   bool with_cpa = true;

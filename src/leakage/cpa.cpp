@@ -32,7 +32,6 @@ MtdTracker::MtdTracker(const MtdOptions& opts, std::uint32_t correct_key)
   SECFLOW_CHECK(opts.step > 0, "MTD step must be positive");
   SECFLOW_CHECK(opts.max_traces >= opts.step,
                 "MTD budget smaller than one step");
-  SECFLOW_CHECK(opts.persist > 0, "MTD persist must be positive");
 }
 
 int MtdTracker::next_checkpoint() const {
@@ -53,7 +52,7 @@ void MtdTracker::check(const CpaAccumulator& acc) {
   // budget.  A run still alive at the budget is credited too (the budget
   // cut it short), the DPA checkpoints' persist-to-last rule.
   const int run = run_.check(traces, ranking.disclosed(correct_key_));
-  done_ = run >= opts_.persist || traces >= opts_.max_traces;
+  done_ = run >= kMtdPersist || traces >= opts_.max_traces;
   result_.mtd = run_.mtd();
   result_.disclosed = result_.mtd >= 0;
 }

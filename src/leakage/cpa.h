@@ -38,14 +38,15 @@ struct CpaMeasurement {
 void fold_cpa(CpaAccumulator& acc, std::span<const CpaMeasurement> traces,
               const HypothesisFn& hypothesis, const Parallelism& par = {});
 
+/// An MTD run stops early once disclosure has held for this many
+/// consecutive checkpoints.  Disclosure still reaching the last checkpoint
+/// counts (the DPA checkpoints' rule); a run broken before either bound
+/// resets.
+inline constexpr int kMtdPersist = 3;
+
 struct MtdOptions {
   int max_traces = 2000;  ///< give up (key hidden) beyond this budget
   int step = 100;         ///< check granularity
-  /// Early stop once disclosure has held for this many consecutive
-  /// checkpoints.  Disclosure still reaching the last checkpoint counts
-  /// (the DPA checkpoints' rule); a run broken before either bound
-  /// resets.
-  int persist = 3;
 };
 
 struct MtdResult {
@@ -60,11 +61,11 @@ struct MtdResult {
 
 /// The MTD rule over one growing CPA accumulator: the correct key is
 /// ranked every `step` traces and at the budget, and the run is done once
-/// disclosure has persisted `persist` checkpoints or the budget is spent.
+/// disclosure has persisted kMtdPersist checkpoints or the budget is spent.
 class MtdTracker {
  public:
-  /// Throws Error on a non-positive step or persist, or a budget smaller
-  /// than one step.
+  /// Throws Error on a non-positive step or a budget smaller than one
+  /// step.
   MtdTracker(const MtdOptions& opts, std::uint32_t correct_key);
 
   /// Trace count the next checkpoint is read at.

@@ -1,32 +1,11 @@
 #include "sca/trace_io.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "base/error.h"
 
 namespace secflow {
-namespace {
-
-double parse_cell(const std::string& cell, std::size_t row, std::size_t col) {
-  const std::string where = "traces csv row " + std::to_string(row + 1) +
-                            " column " + std::to_string(col + 1);
-  SECFLOW_CHECK(!cell.empty(), where + ": empty cell (truncated record?)");
-  const char* begin = cell.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  SECFLOW_CHECK(end == begin + cell.size(),
-                where + ": not a number: '" + cell + "'");
-  SECFLOW_CHECK(std::isfinite(v),
-                where + ": non-finite sample '" + cell +
-                    "' would poison one-pass statistics");
-  return v;
-}
-
-}  // namespace
 
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& names,
@@ -49,57 +28,6 @@ void write_series_csv(const std::string& path,
     f << '\n';
   }
   SECFLOW_CHECK(f.good(), "write failed: " + path);
-}
-
-void write_traces_csv(const std::string& path,
-                      const std::vector<std::vector<double>>& traces) {
-  std::ofstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open for write: " + path);
-  for (const auto& t : traces) {
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (i) f << ',';
-      f << t[i];
-    }
-    f << '\n';
-  }
-  SECFLOW_CHECK(f.good(), "write failed: " + path);
-}
-
-std::vector<std::vector<double>> parse_traces_csv(const std::string& text) {
-  std::vector<std::vector<double>> traces;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    std::vector<double> row;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t comma = line.find(',', start);
-      const std::string cell =
-          line.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      row.push_back(parse_cell(cell, traces.size(), row.size()));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    SECFLOW_CHECK(traces.empty() || row.size() == traces.front().size(),
-                  "traces csv row " + std::to_string(traces.size() + 1) +
-                      ": " + std::to_string(row.size()) + " samples, expected " +
-                      std::to_string(traces.front().size()) +
-                      " (truncated record)");
-    traces.push_back(std::move(row));
-  }
-  return traces;
-}
-
-std::vector<std::vector<double>> read_traces_csv(const std::string& path) {
-  std::ifstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open for read: " + path);
-  std::ostringstream text;
-  text << f.rdbuf();
-  SECFLOW_CHECK(!f.bad(), "read failed: " + path);
-  return parse_traces_csv(text.str());
 }
 
 }  // namespace secflow

@@ -1,13 +1,5 @@
-// CSV import/export for power traces and per-guess series: export so DPA
-// results can be plotted outside (gnuplot/python) in the same form as the
-// paper's Fig 6, import so externally captured traces can feed the
-// statistical leakage-assessment engine (leakage/).
-//
-// The loader is strict: every row must carry the same number of samples
-// as the first (a short row is a truncated record), and every cell must
-// parse as a finite double — NaN/Inf would silently poison one-pass
-// mean/variance/correlation accumulators, so they are rejected at the
-// boundary with a clean Error naming the offending row and column.
+// CSV export for per-guess series, so DPA results can be plotted outside
+// (gnuplot/python) in the same form as the paper's Fig 6.
 #pragma once
 
 #include <string>
@@ -20,19 +12,5 @@ namespace secflow {
 void write_series_csv(const std::string& path,
                       const std::vector<std::string>& names,
                       const std::vector<std::vector<double>>& columns);
-
-/// One row per trace, one column per sample.
-void write_traces_csv(const std::string& path,
-                      const std::vector<std::vector<double>>& traces);
-
-/// Parse trace rows from CSV text (the write_traces_csv format).  Throws
-/// Error on a non-numeric or non-finite (NaN/Inf) cell, an empty cell, or
-/// a row whose sample count differs from the first row's (truncated or
-/// ragged record).  Empty input yields an empty set.
-std::vector<std::vector<double>> parse_traces_csv(const std::string& text);
-
-/// parse_traces_csv over a file's contents; throws Error when the file
-/// cannot be read.
-std::vector<std::vector<double>> read_traces_csv(const std::string& path);
 
 }  // namespace secflow

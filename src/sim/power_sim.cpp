@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/error.h"
 
 namespace secflow {
+namespace {
+
+/// Events settle() applies per net of a model with a combinational cycle
+/// before it calls the cycle an oscillation.
+constexpr std::uint64_t kSettleEventsPerNet = 1024;
+
+}  // namespace
 
 double CycleTrace::peak_ma() const {
   double p = 0.0;
@@ -329,7 +337,19 @@ void PowerSimulator::settle() {
   for (const CompiledSimModel::Gate& g : model_.gates()) {
     schedule(now_ps_, NetId(g.out_net), gate_value(g));
   }
-  while (!heap_.empty()) {
+  // Only a combinational cycle can oscillate and keep the queue from ever
+  // draining, so only a model without a gate order has a budget.
+  const std::uint64_t budget =
+      model_.has_gate_order() ? std::numeric_limits<std::uint64_t>::max()
+                              : kSettleEventsPerNet * (model_.n_nets() + 1);
+  for (std::uint64_t applied = 0; !heap_.empty(); ++applied) {
+    if (applied == budget) {
+      const Netlist& nl = model_.netlist();
+      throw Error("settle: netlist '" + nl.name() + "' did not settle in " +
+                  std::to_string(budget) + " events; net '" +
+                  nl.net(heap_.front().net).name +
+                  "' is still switching (an oscillating combinational loop)");
+    }
     const Event ev = pop_event();
     now_ps_ = std::max(now_ps_, ev.time_ps);
     apply_event(ev, nullptr, now_ps_);

@@ -98,7 +98,11 @@ class PowerSimulator {
   /// initialization): every gate is evaluated once and the event loop runs
   /// dry, ending at its last event's time.  Afterwards every gate output
   /// equals its function whenever no event is in flight, which is what
-  /// lets step_cycle skip the events of later cycles.
+  /// lets step_cycle skip the events of later cycles.  On a model without
+  /// a gate order the drain stops after a budget derived from the model
+  /// size and throws an Error naming the netlist and a net still switching
+  /// (an oscillating loop never drains); reset() before reusing the
+  /// simulator.
   void settle();
 
   const Netlist& netlist() const { return model_.netlist(); }

@@ -1,55 +1,37 @@
 #include "synth/hdl.h"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <unordered_map>
 
 #include "base/error.h"
-#include "base/lexer.h"
 
 namespace secflow {
+
+bool HdlExpr::operator==(const HdlExpr& o) const {
+  return kind == o.kind && value == o.value && width == o.width &&
+         ref == o.ref && bit == o.bit && kids == o.kids;
+}
+
+bool HdlStmt::operator==(const HdlStmt& o) const {
+  return target == o.target && target_bit == o.target_bit && rhs == o.rhs;
+}
+
+bool HdlSignal::operator==(const HdlSignal& o) const {
+  return name == o.name && width == o.width;
+}
+
+bool HdlModule::operator==(const HdlModule& o) const {
+  return name == o.name && inputs == o.inputs && outputs == o.outputs &&
+         wires == o.wires && regs == o.regs && clock == o.clock &&
+         split_always == o.split_always && comb == o.comb && seq == o.seq;
+}
+
 namespace {
-
-// --- AST ---------------------------------------------------------------------
-
-struct Expr {
-  enum Kind { kConst, kIdent, kBitSel, kNot, kBinary, kTernary } kind = kConst;
-  std::vector<bool> const_bits;  // kConst, LSB first
-  std::string ident;             // kIdent / kBitSel
-  int bit = -1;                  // kBitSel
-  char op = 0;                   // kBinary: & | ^
-  std::unique_ptr<Expr> a, b, c;
-  SourcePos pos;
-};
-
-struct Assign {
-  std::string name;
-  int bit = -1;  // -1 = whole signal
-  std::unique_ptr<Expr> rhs;
-  SourcePos pos;
-};
-
-enum class SigKind { kInput, kOutput, kWire, kReg };
-
-struct Signal {
-  SigKind kind = SigKind::kWire;
-  int width = 1;
-  SourcePos pos;  // of the declared name
-};
-
-struct Module {
-  std::string name;
-  std::vector<std::pair<std::string, Signal>> decl_order;  // ports first
-  std::unordered_map<std::string, Signal> signals;
-  std::vector<Assign> assigns;      // continuous
-  std::vector<Assign> reg_assigns;  // nonblocking, single clock domain
-  std::string clock;
-  SourcePos clock_pos;  // of the first `posedge` clock name
-};
 
 // --- parser ------------------------------------------------------------------
 
@@ -61,14 +43,13 @@ class HdlParser {
  public:
   explicit HdlParser(const std::string& text) : lex_(text, "hdl") {}
 
-  Module parse() {
-    Module m;
+  HdlModule parse() {
     lex_.expect("module");
-    m.name = name("module name").text;
+    m_.name = name("module name").text;
     lex_.expect("(");
     if (!lex_.at(")")) {
       for (;;) {
-        parse_port_decl(m);
+        parse_port_decl();
         if (lex_.at(")")) break;
         lex_.expect(",");
       }
@@ -79,19 +60,33 @@ class HdlParser {
       if (lex_.peek().kind == Token::Kind::kEnd) {
         lex_.fail("unexpected end of file");
       }
-      parse_item(m);
+      parse_item();
     }
     lex_.expect("endmodule");
-    return m;
+    if (!m_.clock.empty()) take_clock();
+    return std::move(m_);
   }
 
  private:
-  void declare(Module& m, const Token& name, Signal sig) {
+  void declare(std::vector<HdlSignal>& list, const Token& name, int width) {
     std::string n(name.text);
-    if (m.signals.contains(n)) lex_.fail(name.pos, "duplicate signal: " + n);
-    sig.pos = name.pos;
-    m.signals.emplace(n, sig);
-    m.decl_order.emplace_back(std::move(n), sig);
+    if (!declared_.insert(n).second) {
+      lex_.fail(name.pos, "duplicate signal: " + n);
+    }
+    list.push_back(HdlSignal{std::move(n), width, name.pos});
+  }
+
+  /// Moves the clock out of the data inputs.
+  void take_clock() {
+    const auto it = std::find_if(
+        m_.inputs.begin(), m_.inputs.end(),
+        [&](const HdlSignal& s) { return s.name == m_.clock; });
+    if (it == m_.inputs.end() || it->width != 1) {
+      lex_.fail(clock_use_,
+                "clock " + m_.clock + " must be a scalar input port");
+    }
+    m_.clock_pos = it->pos;
+    m_.inputs.erase(it);
   }
 
   int parse_optional_range() {
@@ -104,157 +99,143 @@ class HdlParser {
     return msb + 1;
   }
 
-  void parse_port_decl(Module& m) {
+  void parse_port_decl() {
     const Token dir = name("port direction");
     if (dir.text != "input" && dir.text != "output") {
       lex_.fail(dir.pos,
                 "expected input/output, got '" + std::string(dir.text) + "'");
     }
-    Signal sig;
-    sig.kind = dir.text == "input" ? SigKind::kInput : SigKind::kOutput;
-    sig.width = parse_optional_range();
-    declare(m, name("port name"), sig);
+    const int width = parse_optional_range();
+    declare(dir.text == "input" ? m_.inputs : m_.outputs, name("port name"),
+            width);
   }
 
-  void parse_item(Module& m) {
+  void parse_item() {
     const Token head = name("item");
     if (head.text == "wire" || head.text == "reg") {
-      Signal sig;
-      sig.kind = head.text == "wire" ? SigKind::kWire : SigKind::kReg;
-      sig.width = parse_optional_range();
+      std::vector<HdlSignal>& list = head.text == "wire" ? m_.wires : m_.regs;
+      const int width = parse_optional_range();
       for (;;) {
-        declare(m, name("signal name"), sig);
+        declare(list, name("signal name"), width);
         if (lex_.at(";")) break;
         lex_.expect(",");
       }
       lex_.expect(";");
     } else if (head.text == "assign") {
-      Assign a = parse_assign_target();
-      lex_.expect("=");
-      a.rhs = parse_expr();
-      lex_.expect(";");
-      m.assigns.push_back(std::move(a));
+      m_.comb.push_back(parse_stmt("="));
     } else if (head.text == "always") {
-      parse_always(m);
+      parse_always();
     } else {
       lex_.fail(head.pos,
                 "unsupported construct: '" + std::string(head.text) + "'");
     }
   }
 
-  Assign parse_assign_target() {
-    Assign a;
+  /// TARGET or TARGET[bit], then `op`, an expression and ';'.
+  HdlStmt parse_stmt(const char* op) {
+    HdlStmt st;
     const Token target = name("assignment target");
-    a.name = target.text;
-    a.pos = target.pos;
+    st.target = target.text;
+    st.pos = target.pos;
     if (lex_.at("[")) {
       lex_.next();
-      a.bit = lex_.number<int>("bit index", 0, kMaxBit);
+      st.target_bit = lex_.number<int>("bit index", 0, kMaxBit);
       lex_.expect("]");
     }
-    return a;
+    lex_.expect(op);
+    st.rhs = parse_expr();
+    lex_.expect(";");
+    return st;
   }
 
-  void parse_always(Module& m) {
+  void parse_always() {
     lex_.expect("@");
     lex_.expect("(");
     lex_.expect("posedge");
     const Token clk = name("clock name");
-    if (m.clock.empty()) {
-      m.clock = clk.text;
-      m.clock_pos = clk.pos;
-    } else if (m.clock != clk.text) {
+    if (m_.clock.empty()) {
+      m_.clock = clk.text;
+      clock_use_ = clk.pos;
+    } else if (m_.clock != clk.text) {
       lex_.fail(clk.pos, "multiple clock domains are not supported");
     }
     lex_.expect(")");
     const bool block = lex_.at("begin");
-    if (block) lex_.next();
+    if (block) {
+      lex_.next();
+    } else {
+      m_.split_always = true;
+    }
     do {
-      Assign a = parse_assign_target();
-      lex_.expect("<=");
-      a.rhs = parse_expr();
-      lex_.expect(";");
-      m.reg_assigns.push_back(std::move(a));
+      m_.seq.push_back(parse_stmt("<="));
     } while (block && !lex_.at("end"));
     if (block) lex_.expect("end");
   }
 
   /// A node of `kind` at the next token (its operator), which it consumes.
-  std::unique_ptr<Expr> operator_node(Expr::Kind kind, char op = 0) {
-    auto e = std::make_unique<Expr>();
-    e->kind = kind;
-    e->op = op;
-    e->pos = lex_.next().pos;
+  HdlExpr operator_node(HdlExpr::Kind kind) {
+    HdlExpr e;
+    e.kind = kind;
+    e.pos = lex_.next().pos;
     return e;
   }
 
   // Precedence (lowest first): ?: , | , ^ , & , ~/primary.
-  std::unique_ptr<Expr> parse_expr() {
-    auto cond = parse_or();
+  HdlExpr parse_expr() {
+    HdlExpr cond = parse_or();
     if (!lex_.at("?")) return cond;
-    auto e = operator_node(Expr::kTernary);
-    e->a = std::move(cond);
-    e->b = parse_expr();
+    HdlExpr e = operator_node(HdlExpr::Kind::kMux);
+    e.kids.push_back(std::move(cond));
+    e.kids.push_back(parse_expr());
     lex_.expect(":");
-    e->c = parse_expr();
+    e.kids.push_back(parse_expr());
     return e;
   }
 
-  std::unique_ptr<Expr> parse_or() {
-    auto lhs = parse_xor();
-    while (lex_.at("|")) {
-      auto e = operator_node(Expr::kBinary, '|');
-      e->a = std::move(lhs);
-      e->b = parse_xor();
+  /// A left-associative chain of `op` over operands of the next tier.
+  HdlExpr parse_chain(const char* op, HdlExpr::Kind kind,
+                      HdlExpr (HdlParser::*operand)()) {
+    HdlExpr lhs = (this->*operand)();
+    while (lex_.at(op)) {
+      HdlExpr e = operator_node(kind);
+      e.kids.push_back(std::move(lhs));
+      e.kids.push_back((this->*operand)());
       lhs = std::move(e);
     }
     return lhs;
   }
-
-  std::unique_ptr<Expr> parse_xor() {
-    auto lhs = parse_and();
-    while (lex_.at("^")) {
-      auto e = operator_node(Expr::kBinary, '^');
-      e->a = std::move(lhs);
-      e->b = parse_and();
-      lhs = std::move(e);
-    }
-    return lhs;
+  HdlExpr parse_or() {
+    return parse_chain("|", HdlExpr::Kind::kOr, &HdlParser::parse_xor);
+  }
+  HdlExpr parse_xor() {
+    return parse_chain("^", HdlExpr::Kind::kXor, &HdlParser::parse_and);
+  }
+  HdlExpr parse_and() {
+    return parse_chain("&", HdlExpr::Kind::kAnd, &HdlParser::parse_unary);
   }
 
-  std::unique_ptr<Expr> parse_and() {
-    auto lhs = parse_unary();
-    while (lex_.at("&")) {
-      auto e = operator_node(Expr::kBinary, '&');
-      e->a = std::move(lhs);
-      e->b = parse_unary();
-      lhs = std::move(e);
-    }
-    return lhs;
-  }
-
-  std::unique_ptr<Expr> parse_unary() {
+  HdlExpr parse_unary() {
     if (lex_.at("~")) {
-      auto e = operator_node(Expr::kNot);
-      e->a = parse_unary();
+      HdlExpr e = operator_node(HdlExpr::Kind::kNot);
+      e.kids.push_back(parse_unary());
       return e;
     }
     if (lex_.at("(")) {
       lex_.next();
-      auto e = parse_expr();
+      HdlExpr e = parse_expr();
       lex_.expect(")");
       return e;
     }
     if (lex_.peek().kind == Token::Kind::kNumber) return parse_literal();
     const Token id = name("expression");
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::kIdent;
-    e->ident = id.text;
-    e->pos = id.pos;
+    HdlExpr e;
+    e.kind = HdlExpr::Kind::kRef;
+    e.ref = id.text;
+    e.pos = id.pos;
     if (lex_.at("[")) {
       lex_.next();
-      e->kind = Expr::kBitSel;
-      e->bit = lex_.number<int>("bit index", 0, kMaxBit);
+      e.kind = HdlExpr::Kind::kBitSel;
+      e.bit = lex_.number<int>("bit index", 0, kMaxBit);
       lex_.expect("]");
     }
     return e;
@@ -263,11 +244,11 @@ class HdlParser {
   // A sized literal, WIDTH'<base><digits> with base b, d or h (4'b0101,
   // 6'd46, 8'h2E); '_' may separate digits.  Digits beyond WIDTH bits are
   // dropped, as in Verilog, but the value must fit 64 bits.
-  std::unique_ptr<Expr> parse_literal() {
-    auto e = std::make_unique<Expr>();
-    e->kind = Expr::kConst;
-    e->pos = lex_.peek().pos;
-    const int width = lex_.number<int>("literal width", 1, 64);
+  HdlExpr parse_literal() {
+    HdlExpr e;
+    e.kind = HdlExpr::Kind::kConst;
+    e.pos = lex_.peek().pos;
+    e.width = lex_.number<int>("literal width", 1, 64);
     lex_.expect("'");
     const Token body = lex_.next();
     const char b = body.kind == Token::Kind::kIdent ? body.text[0] : '\0';
@@ -283,18 +264,14 @@ class HdlParser {
     for (const char c : body.text.substr(1)) {
       if (c != '_') digits += c;
     }
-    std::uint64_t value = 0;
     const char* const end = digits.data() + digits.size();
-    const auto [stop, ec] = std::from_chars(digits.data(), end, value, base);
+    const auto [stop, ec] = std::from_chars(digits.data(), end, e.value, base);
     if (ec != std::errc{} || stop != end) {
       lex_.fail(body.pos, "expected base-" + std::to_string(base) +
                               " digits fitting 64 bits, got '" +
                               std::string(body.text) + "'");
     }
-    e->const_bits.resize(static_cast<std::size_t>(width));
-    for (int i = 0; i < width; ++i) {
-      e->const_bits[static_cast<std::size_t>(i)] = (value >> i) & 1;
-    }
+    if (e.width < 64) e.value &= (std::uint64_t{1} << e.width) - 1;
     return e;
   }
 
@@ -309,246 +286,224 @@ class HdlParser {
   }
 
   Lexer lex_;
+  HdlModule m_;
+  std::set<std::string> declared_;
+  SourcePos clock_use_;  ///< the first `posedge` clock name
 };
 
 // --- elaboration -------------------------------------------------------------
 
 class Elaborator {
  public:
-  explicit Elaborator(Module m) : m_(std::move(m)) {}
+  explicit Elaborator(const HdlModule& m) : m_(m) {
+    if (!m.clock.empty()) {
+      declare(HdlSignal{m.clock, 1, m.clock_pos}, SigKind::kInput);
+    }
+    for (const HdlSignal& s : m.inputs) declare(s, SigKind::kInput);
+    for (const HdlSignal& s : m.outputs) declare(s, SigKind::kNet);
+    for (const HdlSignal& s : m.wires) declare(s, SigKind::kNet);
+    for (const HdlSignal& s : m.regs) declare(s, SigKind::kReg);
+  }
 
   AigCircuit elaborate() {
     AigCircuit c;
     c.name = m_.name;
     c.clock = m_.clock.empty() ? "clk" : m_.clock;
-
-    validate_clock();
+    aig_ = &c.aig;
     index_assigns();
 
-    // Create AIG inputs for input ports (clock excluded) and register Qs.
-    for (const auto& [name, sig] : m_.decl_order) {
-      if (sig.kind == SigKind::kInput && name != m_.clock) {
-        auto& bits = values_[name];
-        bits.resize(static_cast<std::size_t>(sig.width));
-        for (int i = 0; i < sig.width; ++i) {
-          const std::string bn = circuit_bit_name(name, i, sig.width);
-          bits[static_cast<std::size_t>(i)] = c.aig.new_input(bn);
-          c.inputs.push_back(CircuitBit{bn, bits[static_cast<std::size_t>(i)]});
-        }
-        resolved_.insert(name);
-      } else if (sig.kind == SigKind::kReg) {
-        auto& bits = values_[name];
-        bits.resize(static_cast<std::size_t>(sig.width));
-        for (int i = 0; i < sig.width; ++i) {
-          const std::string bn = circuit_bit_name(name, i, sig.width);
-          bits[static_cast<std::size_t>(i)] = c.aig.new_input("reg:" + bn);
-          c.regs.push_back(CircuitReg{bn, bits[static_cast<std::size_t>(i)], 0});
-        }
-        resolved_.insert(name);
+    // AIG inputs: the input ports (clock excluded), then the register Qs.
+    for (const HdlSignal& s : m_.inputs) {
+      std::vector<AigLit>& bits = values_[s.name];
+      for (int i = 0; i < s.width; ++i) {
+        const std::string bn = circuit_bit_name(s.name, i, s.width);
+        bits.push_back(c.aig.new_input(bn));
+        c.inputs.push_back(CircuitBit{bn, bits.back()});
       }
     }
-    aig_ = &c.aig;
-
-    // Register next-states.
-    std::size_t reg_base = 0;
-    for (const auto& [name, sig] : m_.decl_order) {
-      if (sig.kind != SigKind::kReg) continue;
-      for (int i = 0; i < sig.width; ++i) {
-        const std::string bn = circuit_bit_name(name, i, sig.width);
-        CircuitReg* reg = nullptr;
-        for (std::size_t r = reg_base; r < c.regs.size(); ++r) {
-          if (c.regs[r].name == bn) {
-            reg = &c.regs[r];
-            break;
-          }
-        }
-        SECFLOW_CHECK(reg != nullptr, "internal: reg bit lost");
-        reg->next = reg_next_bit(name, sig, i);
+    for (const HdlSignal& s : m_.regs) {
+      std::vector<AigLit>& bits = values_[s.name];
+      for (int i = 0; i < s.width; ++i) {
+        const std::string bn = circuit_bit_name(s.name, i, s.width);
+        bits.push_back(c.aig.new_input("reg:" + bn));
+        c.regs.push_back(CircuitReg{bn, bits.back(), 0});
       }
     }
 
-    // Output ports.
-    for (const auto& [name, sig] : m_.decl_order) {
-      if (sig.kind != SigKind::kOutput) continue;
-      const std::vector<AigLit> bits = signal_value(name, sig.pos);
-      for (int i = 0; i < sig.width; ++i) {
-        c.outputs.push_back(
-            CircuitBit{circuit_bit_name(name, i, sig.width),
-                       bits[static_cast<std::size_t>(i)]});
+    // Register next-states, in the order the registers were created.
+    auto reg = c.regs.begin();
+    for (const HdlSignal& s : m_.regs) {
+      for (const AigLit next : driven_bits(reg_assign_, s, true)) {
+        (reg++)->next = next;
+      }
+    }
+
+    for (const HdlSignal& s : m_.outputs) {
+      const std::vector<AigLit> bits = signal_value(s.name, s.pos);
+      for (int i = 0; i < s.width; ++i) {
+        c.outputs.push_back(CircuitBit{circuit_bit_name(s.name, i, s.width),
+                                       bits[static_cast<std::size_t>(i)]});
       }
     }
     return c;
   }
 
  private:
-  void validate_clock() {
-    if (m_.clock.empty()) return;
-    const auto it = m_.signals.find(m_.clock);
-    if (it == m_.signals.end() || it->second.kind != SigKind::kInput ||
-        it->second.width != 1) {
-      fail(m_.clock_pos, "clock " + m_.clock + " must be a scalar input port");
+  /// kNet: an output port or a wire, driven by `assign`.
+  enum class SigKind { kInput, kNet, kReg };
+
+  struct Sig {
+    SigKind kind;
+    HdlSignal decl;
+  };
+
+  /// (target, bit) -> its statement; bit -1 is the whole signal.
+  using Drivers = std::map<std::pair<std::string, int>, const HdlStmt*>;
+
+  void declare(const HdlSignal& s, SigKind kind) {
+    if (!signals_.emplace(s.name, Sig{kind, s}).second) {
+      fail(s.pos, "duplicate signal: " + s.name);
     }
   }
 
   void index_assigns() {
-    for (const Assign& a : m_.assigns) {
-      const Signal& sig = signal(a.name, a.pos);
+    for (const HdlStmt& st : m_.comb) {
+      const Sig& sig = signal(st.target, st.pos);
       if (sig.kind == SigKind::kInput) {
-        fail(a.pos, "cannot assign input " + a.name);
+        fail(st.pos, "cannot assign input " + st.target);
       }
       if (sig.kind == SigKind::kReg) {
-        fail(a.pos, "reg " + a.name + " must be assigned with <=");
+        fail(st.pos, "reg " + st.target + " must be assigned with <=");
       }
-      register_target(comb_assign_, a, sig);
+      register_target(comb_assign_, st, sig.decl);
     }
-    for (const Assign& a : m_.reg_assigns) {
-      const Signal& sig = signal(a.name, a.pos);
+    for (const HdlStmt& st : m_.seq) {
+      const Sig& sig = signal(st.target, st.pos);
       if (sig.kind != SigKind::kReg) {
-        fail(a.pos, "<= target " + a.name + " must be a reg");
+        fail(st.pos, "<= target " + st.target + " must be a reg");
       }
-      register_target(reg_assign_, a, sig);
+      register_target(reg_assign_, st, sig.decl);
     }
   }
 
-  void register_target(std::map<std::pair<std::string, int>, const Assign*>& dst,
-                       const Assign& a, const Signal& sig) {
-    if (a.bit >= sig.width) {
-      fail(a.pos, "bit index out of range: " + a.name);
+  void register_target(Drivers& dst, const HdlStmt& st, const HdlSignal& s) {
+    if (st.target_bit >= s.width) {
+      fail(st.pos, "bit index out of range: " + st.target);
     }
-    const auto key = std::make_pair(a.name, a.bit);
+    const auto key = std::make_pair(st.target, st.target_bit);
+    const auto any_bit = dst.lower_bound(std::make_pair(st.target, -1));
     if (dst.contains(key) ||
-        (a.bit == -1 && has_any_bit(dst, a.name)) ||
-        (a.bit >= 0 && dst.contains(std::make_pair(a.name, -1)))) {
-      fail(a.pos, "multiple drivers for " + a.name);
+        (st.target_bit == -1 && any_bit != dst.end() &&
+         any_bit->first.first == st.target) ||
+        (st.target_bit >= 0 && dst.contains(std::make_pair(st.target, -1)))) {
+      fail(st.pos, "multiple drivers for " + st.target);
     }
-    dst.emplace(key, &a);
+    dst.emplace(key, &st);
   }
 
-  static bool has_any_bit(
-      const std::map<std::pair<std::string, int>, const Assign*>& dst,
-      const std::string& name) {
-    const auto it = dst.lower_bound(std::make_pair(name, -1));
-    return it != dst.end() && it->first.first == name;
-  }
-
-  const Signal& signal(const std::string& name, SourcePos at) {
-    const auto it = m_.signals.find(name);
-    if (it == m_.signals.end()) fail(at, "undefined signal: " + name);
+  const Sig& signal(const std::string& name, SourcePos at) {
+    const auto it = signals_.find(name);
+    if (it == signals_.end()) fail(at, "undefined signal: " + name);
     return it->second;
   }
 
-  AigLit reg_next_bit(const std::string& name, const Signal& sig, int bit) {
-    const auto whole = reg_assign_.find(std::make_pair(name, -1));
-    if (whole != reg_assign_.end()) {
-      const std::vector<AigLit> rhs = eval(*whole->second->rhs);
-      if (static_cast<int>(rhs.size()) != sig.width) {
-        fail(whole->second->pos, "width mismatch assigning " + name);
+  static const HdlStmt* driver(const Drivers& d, const std::string& name,
+                               int bit) {
+    const auto it = d.find(std::make_pair(name, bit));
+    return it == d.end() ? nullptr : it->second;
+  }
+
+  /// The bits of `s` its statements in `drivers` compute: one whole-signal
+  /// statement, or one per bit of a wire, port or (`reg`) register.
+  std::vector<AigLit> driven_bits(const Drivers& drivers, const HdlSignal& s,
+                                  bool reg) {
+    if (const HdlStmt* whole = driver(drivers, s.name, -1)) {
+      std::vector<AigLit> bits = eval(whole->rhs);
+      if (static_cast<int>(bits.size()) != s.width) {
+        fail(whole->pos, "width mismatch assigning " + s.name);
       }
-      return rhs[static_cast<std::size_t>(bit)];
+      return bits;
     }
-    const auto one = reg_assign_.find(std::make_pair(name, bit));
-    if (one == reg_assign_.end()) {
-      fail(sig.pos, "reg bit never assigned: " + name + "[" +
-                        std::to_string(bit) + "]");
+    std::vector<AigLit> bits;
+    for (int i = 0; i < s.width; ++i) {
+      const HdlStmt* one = driver(drivers, s.name, i);
+      if (one == nullptr) {
+        const std::string bit = "[" + std::to_string(i) + "]";
+        fail(s.pos, reg ? "reg bit never assigned: " + s.name + bit
+                        : "signal never assigned: " + s.name +
+                              (s.width > 1 ? bit : ""));
+      }
+      const std::vector<AigLit> rhs = eval(one->rhs);
+      if (rhs.size() != 1) {
+        fail(one->pos, "bit assignment needs 1-bit rhs: " + s.name);
+      }
+      bits.push_back(rhs[0]);
     }
-    const std::vector<AigLit> rhs = eval(*one->second->rhs);
-    if (rhs.size() != 1) {
-      fail(one->second->pos, "bit assignment needs 1-bit rhs: " + name);
-    }
-    return rhs[0];
+    return bits;
   }
 
   /// Value of a whole signal, computing wire assignments on demand; `at`
   /// is the reference or declaration that asks for it.
   std::vector<AigLit> signal_value(const std::string& name, SourcePos at) {
     const auto it = values_.find(name);
-    if (it != values_.end() && resolved_.contains(name)) return it->second;
+    if (it != values_.end()) return it->second;
     if (in_flight_.contains(name)) {
       fail(at, "combinational loop through " + name);
     }
-    const Signal& sig = signal(name, at);
+    const Sig& sig = signal(name, at);
     in_flight_.insert(name);
-    std::vector<AigLit> bits(static_cast<std::size_t>(sig.width));
-    const auto whole = comb_assign_.find(std::make_pair(name, -1));
-    if (whole != comb_assign_.end()) {
-      const std::vector<AigLit> rhs = eval(*whole->second->rhs);
-      if (static_cast<int>(rhs.size()) != sig.width) {
-        fail(whole->second->pos, "width mismatch assigning " + name);
-      }
-      bits = rhs;
-    } else {
-      for (int i = 0; i < sig.width; ++i) {
-        const auto one = comb_assign_.find(std::make_pair(name, i));
-        if (one == comb_assign_.end()) {
-          fail(sig.pos, "signal never assigned: " + name +
-                            (sig.width > 1 ? "[" + std::to_string(i) + "]" : ""));
-        }
-        const std::vector<AigLit> rhs = eval(*one->second->rhs);
-        if (rhs.size() != 1) {
-          fail(one->second->pos, "bit assignment needs 1-bit rhs: " + name);
-        }
-        bits[static_cast<std::size_t>(i)] = rhs[0];
-      }
-    }
+    std::vector<AigLit> bits = driven_bits(comb_assign_, sig.decl, false);
     in_flight_.erase(name);
     values_[name] = bits;
-    resolved_.insert(name);
     return bits;
   }
 
-  std::vector<AigLit> eval(const Expr& e) {
+  std::vector<AigLit> eval(const HdlExpr& e) {
+    using K = HdlExpr::Kind;
     switch (e.kind) {
-      case Expr::kConst: {
+      case K::kConst: {
+        if (e.width < 1 || e.width > 64) fail(e.pos, "bad literal width");
         std::vector<AigLit> bits;
-        bits.reserve(e.const_bits.size());
-        for (bool b : e.const_bits) bits.push_back(b ? kAigTrue : kAigFalse);
+        for (int i = 0; i < e.width; ++i) {
+          bits.push_back((e.value >> i) & 1 ? kAigTrue : kAigFalse);
+        }
         return bits;
       }
-      case Expr::kIdent: {
-        if (e.ident == m_.clock) {
-          fail(e.pos, "clock used in expression");
-        }
-        return signal_value(e.ident, e.pos);
-      }
-      case Expr::kBitSel: {
-        const std::vector<AigLit> v = signal_value(e.ident, e.pos);
+      case K::kRef:
+        if (e.ref == m_.clock) fail(e.pos, "clock used in expression");
+        return signal_value(e.ref, e.pos);
+      case K::kBitSel: {
+        const std::vector<AigLit> v = signal_value(e.ref, e.pos);
         if (e.bit < 0 || e.bit >= static_cast<int>(v.size())) {
-          fail(e.pos, "bit index out of range: " + e.ident);
+          fail(e.pos, "bit index out of range: " + e.ref);
         }
         return {v[static_cast<std::size_t>(e.bit)]};
       }
-      case Expr::kNot: {
-        std::vector<AigLit> v = eval(*e.a);
+      case K::kNot: {
+        std::vector<AigLit> v = eval(e.kids[0]);
         for (AigLit& l : v) l = aig_not(l);
         return v;
       }
-      case Expr::kBinary: {
-        const std::vector<AigLit> a = eval(*e.a);
-        const std::vector<AigLit> b = eval(*e.b);
-        if (a.size() != b.size()) {
-          fail(e.pos, "operand width mismatch");
-        }
+      case K::kAnd:
+      case K::kOr:
+      case K::kXor: {
+        const std::vector<AigLit> a = eval(e.kids[0]);
+        const std::vector<AigLit> b = eval(e.kids[1]);
+        if (a.size() != b.size()) fail(e.pos, "operand width mismatch");
         std::vector<AigLit> out(a.size());
         for (std::size_t i = 0; i < a.size(); ++i) {
-          switch (e.op) {
-            case '&': out[i] = aig_->land(a[i], b[i]); break;
-            case '|': out[i] = aig_->lor(a[i], b[i]); break;
-            case '^': out[i] = aig_->lxor(a[i], b[i]); break;
-            default: fail(e.pos, "bad operator");
-          }
+          out[i] = e.kind == K::kAnd  ? aig_->land(a[i], b[i])
+                   : e.kind == K::kOr ? aig_->lor(a[i], b[i])
+                                      : aig_->lxor(a[i], b[i]);
         }
         return out;
       }
-      case Expr::kTernary: {
-        const std::vector<AigLit> cond = eval(*e.a);
-        if (cond.size() != 1) {
-          fail(e.pos, "ternary condition must be 1 bit");
-        }
-        const std::vector<AigLit> t = eval(*e.b);
-        const std::vector<AigLit> f = eval(*e.c);
-        if (t.size() != f.size()) {
-          fail(e.pos, "ternary arm width mismatch");
-        }
+      case K::kMux: {
+        const std::vector<AigLit> cond = eval(e.kids[0]);
+        if (cond.size() != 1) fail(e.pos, "ternary condition must be 1 bit");
+        const std::vector<AigLit> t = eval(e.kids[1]);
+        const std::vector<AigLit> f = eval(e.kids[2]);
+        if (t.size() != f.size()) fail(e.pos, "ternary arm width mismatch");
         std::vector<AigLit> out(t.size());
         for (std::size_t i = 0; i < t.size(); ++i) {
           out[i] = aig_->lmux(cond[0], t[i], f[i]);
@@ -563,20 +518,85 @@ class Elaborator {
     throw_parse_error("hdl", at, what);
   }
 
-  Module m_;
+  const HdlModule& m_;
   Aig* aig_ = nullptr;
-  std::unordered_map<std::string, std::vector<AigLit>> values_;
-  std::set<std::string> resolved_;
+  std::unordered_map<std::string, Sig> signals_;
+  std::unordered_map<std::string, std::vector<AigLit>> values_;  ///< resolved
   std::set<std::string> in_flight_;
-  std::map<std::pair<std::string, int>, const Assign*> comb_assign_;
-  std::map<std::pair<std::string, int>, const Assign*> reg_assign_;
+  Drivers comb_assign_;
+  Drivers reg_assign_;
 };
+
+// --- emitter -----------------------------------------------------------------
+
+void emit_expr(std::ostream& os, const HdlExpr& e) {
+  using K = HdlExpr::Kind;
+  switch (e.kind) {
+    case K::kConst:
+      os << e.width << "'d" << e.value;
+      break;
+    case K::kRef:
+      os << e.ref;
+      break;
+    case K::kBitSel:
+      os << e.ref << "[" << e.bit << "]";
+      break;
+    case K::kNot:
+      os << "~";
+      emit_expr(os, e.kids[0]);
+      break;
+    case K::kAnd:
+    case K::kOr:
+    case K::kXor:
+      os << "(";
+      emit_expr(os, e.kids[0]);
+      os << (e.kind == K::kAnd ? " & " : e.kind == K::kOr ? " | " : " ^ ");
+      emit_expr(os, e.kids[1]);
+      os << ")";
+      break;
+    case K::kMux:
+      os << "(";
+      emit_expr(os, e.kids[0]);
+      os << " ? ";
+      emit_expr(os, e.kids[1]);
+      os << " : ";
+      emit_expr(os, e.kids[2]);
+      os << ")";
+      break;
+  }
+}
+
+void emit_range(std::ostream& os, const HdlSignal& s) {
+  if (s.width > 1) os << "[" << s.width - 1 << ":0] ";
+}
+
+void emit_decl(std::ostream& os, const char* cls, const HdlSignal& s) {
+  os << "  " << cls << " ";
+  emit_range(os, s);
+  os << s.name << ";\n";
+}
+
+void emit_stmt(std::ostream& os, const std::string& lead, const HdlStmt& st,
+               const char* op) {
+  os << lead << st.target;
+  if (st.target_bit >= 0) os << "[" << st.target_bit << "]";
+  os << " " << op << " ";
+  emit_expr(os, st.rhs);
+  os << ";\n";
+}
 
 }  // namespace
 
+HdlModule parse_hdl_module(const std::string& source) {
+  return HdlParser(source).parse();
+}
+
+AigCircuit elaborate_hdl(const HdlModule& m) {
+  return Elaborator(m).elaborate();
+}
+
 AigCircuit parse_hdl(const std::string& source) {
-  Module m = HdlParser(source).parse();
-  return Elaborator(std::move(m)).elaborate();
+  return elaborate_hdl(parse_hdl_module(source));
 }
 
 AigCircuit parse_hdl_file(const std::string& path) {
@@ -585,6 +605,37 @@ AigCircuit parse_hdl_file(const std::string& path) {
   std::ostringstream ss;
   ss << f.rdbuf();
   return parse_hdl(ss.str());
+}
+
+std::string emit_hdl(const HdlModule& m) {
+  std::ostringstream os;
+  os << "module " << m.name << " (";
+  const char* sep = "";
+  auto port = [&](const char* dir, const HdlSignal& s) {
+    os << sep << dir << " ";
+    sep = ", ";
+    emit_range(os, s);
+    os << s.name;
+  };
+  if (!m.clock.empty()) port("input", HdlSignal{m.clock, 1, {}});
+  for (const HdlSignal& s : m.inputs) port("input", s);
+  for (const HdlSignal& s : m.outputs) port("output", s);
+  os << ");\n";
+  for (const HdlSignal& s : m.wires) emit_decl(os, "wire", s);
+  for (const HdlSignal& s : m.regs) emit_decl(os, "reg", s);
+  for (const HdlStmt& st : m.comb) emit_stmt(os, "  assign ", st, "=");
+  const std::string always = "always @(posedge " + m.clock + ")";
+  if (m.split_always) {
+    for (const HdlStmt& st : m.seq) {
+      emit_stmt(os, "  " + always + " ", st, "<=");
+    }
+  } else if (!m.seq.empty()) {
+    os << "  " << always << " begin\n";
+    for (const HdlStmt& st : m.seq) emit_stmt(os, "    ", st, "<=");
+    os << "  end\n";
+  }
+  os << "endmodule\n";
+  return os.str();
 }
 
 }  // namespace secflow

@@ -96,7 +96,7 @@ TEST(CampaignSpec, ParsesFullDocument) {
   EXPECT_EQ(a.name, "a");
   EXPECT_EQ(a.circuit.kind, CircuitSourceKind::kBuiltinDesDpa);
   EXPECT_EQ(a.flow, FlowKind::kSecure);
-  EXPECT_EQ(a.seed, 7u);
+  EXPECT_EQ(a.dpa.seed, 7u);
   ASSERT_TRUE(a.has_dpa);
   EXPECT_EQ(a.dpa.n_measurements, 400);
   EXPECT_DOUBLE_EQ(a.dpa.noise_ma, 0.5);
@@ -710,7 +710,7 @@ TEST(CampaignDpa, RegularFlowJobCarriesDpaVerdict) {
   j.name = "des-reg";
   j.circuit = {CircuitSourceKind::kBuiltinDesDpa, ""};
   j.flow = FlowKind::kRegular;
-  j.seed = 99;
+  j.dpa.seed = 99;
   j.has_dpa = true;
   j.dpa.n_measurements = 120;
   j.options.route_mode = RouteMode::kQuickLShaped;

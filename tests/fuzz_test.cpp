@@ -34,8 +34,8 @@ std::uint64_t design_seed(std::uint64_t run_seed, std::uint64_t i) {
 
 TEST(FuzzGenerator, DeterministicInSeed) {
   for (std::uint64_t s = 0; s < 8; ++s) {
-    const FuzzProgram a = generate_program(s);
-    const FuzzProgram b = generate_program(s);
+    const HdlModule a = generate_program(s);
+    const HdlModule b = generate_program(s);
     EXPECT_EQ(a, b);
     EXPECT_EQ(emit_hdl(a), emit_hdl(b));
   }
@@ -45,15 +45,15 @@ TEST(FuzzGenerator, DeterministicInSeed) {
 TEST(FuzzGenerator, ProducesElaborableSequentialDesigns) {
   int n_seq = 0, n_reset = 0, n_multi_out = 0;
   for (std::uint64_t s = 0; s < 32; ++s) {
-    const FuzzProgram p = generate_program(s);
+    const HdlModule p = generate_program(s);
     if (!p.regs.empty()) {
-      EXPECT_TRUE(p.has_clk);
+      EXPECT_EQ(p.clock, "clk");
       ++n_seq;
     }
-    for (const FuzzSignal& in : p.ports_in) {
+    for (const HdlSignal& in : p.inputs) {
       if (in.name == "rst") ++n_reset;
     }
-    if (p.ports_out.size() > 1) ++n_multi_out;
+    if (p.outputs.size() > 1) ++n_multi_out;
     // Every generated program must elaborate through the real HDL parser.
     EXPECT_NO_THROW(parse_hdl(emit_hdl(p))) << emit_hdl(p);
   }
@@ -65,8 +65,8 @@ TEST(FuzzGenerator, ProducesElaborableSequentialDesigns) {
 
 TEST(FuzzProgram, EmitParseRoundTrip) {
   for (std::uint64_t s = 0; s < 32; ++s) {
-    const FuzzProgram p = generate_program(s);
-    const FuzzProgram q = parse_fuzz_program(emit_hdl(p));
+    const HdlModule p = generate_program(s);
+    const HdlModule q = parse_hdl_module(emit_hdl(p));
     EXPECT_EQ(p, q) << emit_hdl(p);
   }
 }
@@ -75,7 +75,7 @@ TEST(FuzzProgram, EmitParseRoundTrip) {
 
 TEST(FuzzTransforms, RenameAndShuffleAreDigestNeutral) {
   for (std::uint64_t s = 0; s < 16; ++s) {
-    const FuzzProgram p = generate_program(s);
+    const HdlModule p = generate_program(s);
     const std::uint64_t fp = fingerprint(parse_hdl(emit_hdl(p)));
     EXPECT_EQ(fp, fingerprint(parse_hdl(emit_hdl(rename_wires(p, s + 1)))));
     EXPECT_EQ(fp,
@@ -86,7 +86,7 @@ TEST(FuzzTransforms, RenameAndShuffleAreDigestNeutral) {
 TEST(FuzzTransforms, PortPermutationIsLogicallyEquivalent) {
   auto base = builtin_stdcell018();
   for (std::uint64_t s = 0; s < 8; ++s) {
-    const FuzzProgram p = generate_program(s);
+    const HdlModule p = generate_program(s);
     const Netlist a = technology_map(parse_hdl(emit_hdl(p)), base);
     const Netlist b =
         technology_map(parse_hdl(emit_hdl(permute_ports(p, s + 1))), base);
@@ -113,7 +113,7 @@ TEST(FuzzOracles, BatteryDigestIsDeterministic) {
   OracleOptions opts;
   opts.seed = design_seed(1, 0);
   opts.n_vectors = 50;
-  const FuzzProgram p = generate_program(opts.seed);
+  const HdlModule p = generate_program(opts.seed);
   EXPECT_EQ(run_oracle_battery(p, opts).digest(),
             run_oracle_battery(p, opts).digest());
 }
@@ -183,8 +183,8 @@ TEST(FuzzMinimizer, ShrinksAPinSwapReproducerToTenLinesOrFewer) {
   opts.seed = seed;
   opts.n_vectors = 200;
   opts.inject = FaultKind::kSubstitutionPinSwap;
-  const FuzzProgram p = generate_program(seed);
-  const auto still_fails = [&](const FuzzProgram& cand) {
+  const HdlModule p = generate_program(seed);
+  const auto still_fails = [&](const HdlModule& cand) {
     const OracleReport r = run_oracle_battery(cand, opts);
     if (!r.injectable) return false;
     const OracleVerdict* f = r.first_failure();
@@ -234,7 +234,7 @@ TEST(FuzzRegression, ConstantThroughInverterSurvivesSubstitutionLec) {
   opts.seed = 1;
   opts.n_vectors = 50;
   const OracleReport rep =
-      run_oracle_battery(parse_fuzz_program(src), opts);
+      run_oracle_battery(parse_hdl_module(src), opts);
   const OracleVerdict* fail = rep.first_failure();
   EXPECT_TRUE(rep.all_ok()) << (fail ? fail->oracle + ": " + fail->detail : "");
 }

@@ -397,7 +397,6 @@ TEST(Mtd, SyntheticLeakDisclosesAndEarlyStops) {
   MtdOptions mtd;
   mtd.max_traces = 2000;
   mtd.step = 100;
-  mtd.persist = 3;
   const MtdResult r = run_mtd(block_at, 6, mtd, &fed_calls);
   EXPECT_TRUE(r.disclosed);
   EXPECT_GT(r.mtd, 0);

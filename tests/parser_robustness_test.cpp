@@ -10,7 +10,6 @@
 #include "campaign/report.h"
 #include "campaign/spec.h"
 #include "ckpt/serialize.h"
-#include "fuzz/program.h"
 #include "leakage/report.h"
 #include "lef/lef_io.h"
 #include "liberty/builtin_lib.h"
@@ -20,7 +19,6 @@
 #include "obs/report.h"
 #include "pnr/def.h"
 #include "report_samples.h"
-#include "sca/trace_io.h"
 #include "synth/hdl.h"
 
 namespace secflow {
@@ -171,11 +169,6 @@ std::string sample_leakage_report_json() {
   return leakage_report_json(r);
 }
 
-const char* kTracesCsv =
-    "0.25,1.5,-0.75,2.0\n"
-    "1.0,0.5,0.0,-1.25\n"
-    "-2.0,3.5,1.75,0.5\n";
-
 const char* kHdl = R"(
 module m (input clk, input [3:0] a, output [3:0] y);
   reg [3:0] r;
@@ -184,7 +177,7 @@ module m (input clk, input [3:0] a, output [3:0] y);
 endmodule
 )";
 
-/// emit_hdl() output: the only language parse_fuzz_program accepts.
+/// A fuzz program as emit_hdl() prints it.
 const char* kFuzzProgram =
     "module fz (input clk, input [3:0] i0, input i1, output [3:0] o0, "
     "output o1);\n"
@@ -292,7 +285,7 @@ TEST(ParserRobustness, Hdl) {
 }
 
 TEST(ParserRobustness, FuzzProgram) {
-  auto parse = [](const std::string& s) { parse_fuzz_program(s); };
+  auto parse = [](const std::string& s) { parse_hdl_module(s); };
   sweep_truncations(kFuzzProgram, parse);
   sweep_mutations(kFuzzProgram, parse);
   sweep_numeric_junk(kFuzzProgram, parse);
@@ -355,40 +348,6 @@ TEST(ParserRobustness, ReportsRoundTripByteIdentical) {
   EXPECT_EQ(campaign_report_json(parse_campaign_report(campaign)), campaign);
 }
 
-TEST(ParserRobustness, TracesCsv) {
-  auto parse = [](const std::string& s) { parse_traces_csv(s); };
-  sweep_truncations(kTracesCsv, parse);
-  sweep_mutations(kTracesCsv, parse);
-  sweep_numeric_junk(kTracesCsv, parse);
-}
-
-TEST(ParserRobustness, TracesCsvRejectsNonFinite) {
-  // NaN/Inf would silently poison the one-pass accumulators; the loader
-  // must stop them at the boundary with a clean Error.
-  EXPECT_THROW(parse_traces_csv("1.0,nan,2.0\n"), Error);
-  EXPECT_THROW(parse_traces_csv("1.0,inf,2.0\n"), Error);
-  EXPECT_THROW(parse_traces_csv("1.0,-inf,2.0\n"), Error);
-  EXPECT_THROW(parse_traces_csv("nan\n"), Error);
-}
-
-TEST(ParserRobustness, TracesCsvRejectsTruncatedRecords) {
-  // Short row (truncated record), trailing comma (empty cell), and
-  // non-numeric junk must all throw, never produce a ragged matrix.
-  EXPECT_THROW(parse_traces_csv("1.0,2.0,3.0\n1.0,2.0\n"), Error);
-  EXPECT_THROW(parse_traces_csv("1.0,2.0,\n"), Error);
-  EXPECT_THROW(parse_traces_csv("1.0,2.0,x\n"), Error);
-  EXPECT_THROW(parse_traces_csv("1.0,2.0,3.0junk\n"), Error);
-}
-
-TEST(ParserRobustness, TracesCsvAcceptsValidInput) {
-  const auto traces = parse_traces_csv(kTracesCsv);
-  ASSERT_EQ(traces.size(), 3u);
-  ASSERT_EQ(traces[0].size(), 4u);
-  EXPECT_DOUBLE_EQ(traces[0][0], 0.25);
-  EXPECT_DOUBLE_EQ(traces[2][3], 0.5);
-  EXPECT_TRUE(parse_traces_csv("").empty());
-}
-
 TEST(ParserRobustness, ValidDocumentsStillParse) {
   const auto lib = builtin_stdcell018();
   EXPECT_NO_THROW(parse_verilog(kVerilog, lib));
@@ -396,7 +355,7 @@ TEST(ParserRobustness, ValidDocumentsStillParse) {
   EXPECT_NO_THROW(parse_lef(kLef));
   EXPECT_NO_THROW(parse_def(kDef));
   EXPECT_NO_THROW(parse_hdl(kHdl));
-  EXPECT_EQ(emit_hdl(parse_fuzz_program(kFuzzProgram)), kFuzzProgram);
+  EXPECT_EQ(emit_hdl(parse_hdl_module(kFuzzProgram)), kFuzzProgram);
   const std::string payload = sample_cell_library_payload();
   EXPECT_EQ(write_cell_library(parse_cell_library(payload)), payload);
   EXPECT_NO_THROW(parse_campaign_spec(kCampaignSpec));
@@ -404,7 +363,6 @@ TEST(ParserRobustness, ValidDocumentsStillParse) {
   EXPECT_NO_THROW(parse_leakage_report(sample_leakage_report_json()));
   EXPECT_NO_THROW(
       parse_campaign_report(campaign_report_json(report_samples::campaign())));
-  EXPECT_NO_THROW(parse_traces_csv(kTracesCsv));
 }
 
 /// `doc` with its one occurrence of `from` replaced by `to`.
@@ -441,7 +399,7 @@ TEST(ParserRobustness, NumbersParseWholeAndInRange) {
     const std::string doc = std::string("module m ") + body + " endmodule";
     EXPECT_THROW(hdl(doc), ParseError) << doc;
   }
-  auto fuzz = [](const std::string& s) { parse_fuzz_program(s); };
+  auto fuzz = [](const std::string& s) { parse_hdl_module(s); };
   EXPECT_THROW(fuzz(replaced(kFuzzProgram, "1'd1", "1'd99999999999999999999")),
                ParseError);
   EXPECT_THROW(fuzz(replaced(kFuzzProgram, "input [3:0] i0",
@@ -514,11 +472,11 @@ TEST(ParserRobustness, ErrorsNameLineAndColumn) {
             "hdl 3:20");
 
   EXPECT_EQ(parse_error_where([] {
-              parse_fuzz_program("module fz (input i0, output o0);\n"
-                                 "  assign o0 = (i0 + i0);\n"
-                                 "endmodule\n");
+              parse_hdl_module("module fz (input i0, output o0);\n"
+                               "  assign o0 = (i0 + i0);\n"
+                               "endmodule\n");
             }),
-            "fuzz-program 2:19");
+            "hdl 2:19");
   const auto lib = builtin_stdcell018();
   EXPECT_EQ(parse_error_where([&] {
               parse_verilog("module m (a, y);\n"

@@ -216,15 +216,6 @@ TEST(TraceIo, SeriesCsvRoundTrip) {
   EXPECT_EQ(line, "2,");
 }
 
-TEST(TraceIo, TracesCsv) {
-  const std::string path = ::testing::TempDir() + "/traces.csv";
-  write_traces_csv(path, {{1, 2}, {3, 4}});
-  std::ifstream f(path);
-  std::string line;
-  std::getline(f, line);
-  EXPECT_EQ(line, "1,2");
-}
-
 TEST(TraceIo, MismatchThrows) {
   EXPECT_THROW(write_series_csv("/tmp/x.csv", {"a"}, {}), Error);
   EXPECT_THROW(write_series_csv("/no/such/dir/x.csv", {"a"}, {{1.0}}), Error);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 
+#include "base/error.h"
 #include "base/rng.h"
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
@@ -373,6 +374,34 @@ TEST(Sim, CombinationalCycleKeepsTheEventLoop) {
   std::uint64_t events = 0;
   expect_stepping_matches_booking(nl, {}, 0.0, /*settle=*/true, &events);
   EXPECT_GT(events, 0u);
+}
+
+TEST(Sim, OscillatingLoopFailsToSettle) {
+  // A NAND2 whose output feeds its own input rings once the other input is
+  // 1: the event queue never drains, so settle() must give up, not hang.
+  Netlist nl("ring", builtin_stdcell018());
+  const NetId en = nl.add_net("en");
+  const NetId y = nl.add_net("y");
+  nl.add_port("en", PinDir::kInput, en);
+  nl.add_port("y", PinDir::kOutput, y);
+  add_gate(nl, "NAND2", "u1", {en, y}, y);
+  PowerSimulator sim(nl, {});
+  EXPECT_FALSE(sim.model().has_gate_order());
+  sim.set_input("en", true);
+  try {
+    sim.settle();
+    ADD_FAILURE() << "an oscillating loop settled";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("netlist 'ring'"), std::string::npos) << what;
+    EXPECT_NE(what.find("net 'y' is still switching"), std::string::npos)
+        << what;
+  }
+  // Held at 0, the same loop is stable and settles.
+  sim.reset();
+  sim.set_input("en", false);
+  sim.settle();
+  EXPECT_TRUE(sim.net_value(y));
 }
 
 TEST(Sim, StepCycleCountsEventsButNoChargeBins) {
