@@ -70,10 +70,13 @@ int usage() {
   return 2;
 }
 
-LogLevel parse_log_or_throw(const std::string& text) {
+/// Applies --log, when given, to the process-wide logger.
+void apply_log_option(const ArgParser& args) {
+  if (!args.has("log")) return;
+  const std::string text = args.get("log");
   const auto lvl = parse_log_level(text);
   SECFLOW_CHECK(lvl.has_value(), "unknown log level: " + text);
-  return *lvl;
+  Logger::global().set_level(*lvl);
 }
 
 int cmd_flow(int argc, char** argv) {
@@ -89,8 +92,8 @@ int cmd_flow(int argc, char** argv) {
   args.option("log", "LEVEL", "log level: debug|info|warn|error|off");
   if (!args.parse(argc, argv)) return 0;
 
+  apply_log_option(args);
   FlowOptions opts;
-  if (args.has("log")) opts.log_level = parse_log_or_throw(args.get("log"));
   if (args.has("quick-route")) opts.route_mode = RouteMode::kQuickLShaped;
   const std::string report_path = args.get("report");
   const std::string trace_path = args.get("trace");
@@ -205,10 +208,7 @@ int cmd_campaign(int argc, char** argv) {
   CampaignSpec spec = parse_campaign_spec(text.str());
   if (args.has("cache")) spec.cache_dir = args.get("cache");
   spec.threads = args.get_number("threads", spec.threads, 0, kMaxThreads);
-  if (args.has("log")) {
-    const LogLevel lvl = parse_log_or_throw(args.get("log"));
-    for (CampaignJob& job : spec.jobs) job.options.log_level = lvl;
-  }
+  apply_log_option(args);
 
   const CampaignResult result = run_campaign(spec);
   const std::string json = campaign_report_json(result);
@@ -354,7 +354,7 @@ int cmd_leakage(int argc, char** argv) {
 
   FlowOptions opts;
   opts.cache_dir = setup.cache_dir;
-  if (args.has("log")) opts.log_level = parse_log_or_throw(args.get("log"));
+  apply_log_option(args);
   Metrics::global().set_enabled(true);
 
   const AigCircuit circuit = builtin_des

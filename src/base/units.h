@@ -28,7 +28,7 @@ inline constexpr double kMaxWirePitchUm = 1e3;
 /// Representative 0.18 um interconnect constants.  Values are of the
 /// magnitude published for 180 nm nodes (ITRS 2001/2003); they give
 /// dimensionally consistent parasitics, not vendor-exact ones.  The supply
-/// voltage belongs to the power model (PowerSimOptions::vdd_v).
+/// voltage belongs to the power model (kVddV, sim/sim_model.h).
 struct Process018 {
   double wire_c_area_ff_per_um2 = 0.04;   ///< area cap to substrate [fF/um^2]
   double wire_c_fringe_ff_per_um = 0.04;  ///< fringe cap per edge [fF/um]

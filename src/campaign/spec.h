@@ -78,8 +78,8 @@ struct CampaignJob {
   /// seeds are option overrides (place.seed / extract.seed) because they
   /// change artifacts and therefore cache keys, and this one never does.
   DesDpaSetup dpa;
-  /// Flow options after applying the spec's overrides.  cache_dir /
-  /// resume_from / log_level are engine-owned and not override-able.
+  /// Flow options after applying the spec's overrides.  cache_dir is
+  /// engine-owned (the spec's shared store) and not override-able.
   FlowOptions options;
 };
 

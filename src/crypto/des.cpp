@@ -117,11 +117,4 @@ std::uint32_t des_dpa_reference(std::uint32_t pl, std::uint32_t pr,
   return cl | (pr << 4);
 }
 
-bool des_dpa_selection(std::uint32_t cl, std::uint32_t cr, std::uint32_t k,
-                       int bit, int sbox) {
-  SECFLOW_CHECK(bit >= 0 && bit < 4, "selection bit out of range");
-  const std::uint32_t predicted_pl = cl ^ des_sbox(sbox, cr ^ k);
-  return (predicted_pl >> bit) & 1;
-}
-
 }  // namespace secflow

@@ -33,9 +33,4 @@ AigCircuit make_des_dpa_circuit(const DesDpaOptions& opts = {});
 std::uint32_t des_dpa_reference(std::uint32_t pl, std::uint32_t pr,
                                 std::uint32_t k, int sbox = 1);
 
-/// The DPA selection function: predicted bit `bit` of PL from the observed
-/// ciphertext (cl, cr) under key guess `k`.
-bool des_dpa_selection(std::uint32_t cl, std::uint32_t cr, std::uint32_t k,
-                       int bit, int sbox = 1);
-
 }  // namespace secflow

@@ -16,6 +16,7 @@
 #include "netlist/netlist_ops.h"
 #include "netlist/verilog_parser.h"
 #include "netlist/verilog_writer.h"
+#include "obs/log.h"
 #include "obs/trace.h"
 
 namespace secflow {
@@ -165,8 +166,8 @@ struct FlowRun {
 
 /// One pipeline stage: the single place its cache-key link, its work and
 /// its checkpoint format are written down.  run_stages owns everything
-/// else a stage does — span, checkpoint lookup and save,
-/// resume_from/stop_after, wall time and log line.
+/// else a stage does — span, checkpoint lookup and save, stop_after, wall
+/// time and log line.
 struct StageRow {
   FlowStage stage;
   /// Folds the options this stage's artifact depends on into its key;
@@ -462,27 +463,21 @@ std::vector<std::pair<std::string, std::string>> digest_artifacts(
 
 /// Runs the kStages rows `kind` runs, in order, and owns what every stage
 /// shares: the flow and stage spans, the checkpoint lookup (a hit loads, a
-/// miss computes and saves), resume_from (a stage before the resume point
-/// must hit — recomputing it would defeat the point of resuming),
-/// stop_after, the per-stage wall time and the log lines.
+/// miss computes and saves), stop_after, the per-stage wall time and the
+/// log lines.
 FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
                    std::shared_ptr<const CellLibrary> library,
                    const FlowOptions& opts) {
   opts.validate();
-  const auto reject_unrun = [kind](const std::optional<FlowStage>& s,
-                                   const char* which) {
-    SECFLOW_CHECK(
-        !s || flow_runs_stage(kind, *s),
-        std::string("FlowOptions: ") + which + " = " + flow_stage_name(*s) +
-            " names a secure-only stage; the regular flow does not run it");
-  };
-  reject_unrun(opts.resume_from, "resume_from");
-  reject_unrun(opts.stop_after, "stop_after");
+  const std::optional<FlowStage>& stop = opts.stop_after;
+  SECFLOW_CHECK(
+      !stop || flow_runs_stage(kind, *stop),
+      std::string("FlowOptions: stop_after = ") + flow_stage_name(*stop) +
+          " names a secure-only stage; the regular flow does not run it");
 
   FlowRun r(kind, circuit, std::move(library), resolve_options(kind, opts));
   const FlowOptions& o = r.o;
   StageTimings& t = r.t;
-  if (o.log_level) Logger::global().set_level(*o.log_level);
   std::optional<ArtifactStore> store;
   if (!o.cache_dir.empty()) store.emplace(o.cache_dir);
 
@@ -517,12 +512,6 @@ FlowRun run_stages(FlowKind kind, const AigCircuit& circuit,
       row.load(r, *hit);
       t.section_digests[i] = digest_sections(*hit);
     } else {
-      SECFLOW_CHECK(!o.resume_from || i >= stage_idx(*o.resume_from),
-                    std::string("FlowOptions::resume_from: no cached ") +
-                        name + " artifact in " + o.cache_dir + " for key " +
-                        hash_hex(keys[i]) +
-                        " — run the upstream stages without resume_from "
-                        "first");
       t.cache[i] = store ? CacheOutcome::kMiss : CacheOutcome::kDisabled;
       row.compute(r);
       // Serialize only when the store keeps the result.
@@ -659,15 +648,6 @@ std::vector<std::string> flow_options_violations(const FlowOptions& o) {
           "extract.process.wire_width_um must be at least 0.0005 um and "
           "below wire_pitch_um — a wider wire overlaps the one on the next "
           "track");
-  const std::optional<FlowStage>& resume = o.resume_from;
-  require(!(resume && o.cache_dir.empty()),
-          "resume_from requires cache_dir — the skipped stages' artifacts "
-          "must come from the checkpoint store");
-  require(!resume || *resume != FlowStage::kSynthesis,
-          "resume_from = synthesis is just a full run; leave it unset");
-  require(!(resume && o.stop_after &&
-            static_cast<int>(*o.stop_after) < static_cast<int>(*resume)),
-          "stop_after precedes resume_from — no stage would run");
   return violations;
 }
 

@@ -13,8 +13,8 @@
 // Both flows run through one stage table (flow.cpp): six rows, one per
 // FlowStage, each holding the stage's cache-key link, its work and its
 // checkpoint format, run by one loop that owns spans, checkpointing,
-// resume_from/stop_after, timing and logging for every row.  The regular
-// flow skips the rows flow_runs_stage() rules out.
+// stop_after, timing and logging for every row.  The regular flow skips
+// the rows flow_runs_stage() rules out.
 //
 // Both flows return every artifact (netlists, LEFs, DEFs, extraction,
 // switched-capacitance table) so experiments can replay any stage.  The
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "extract/extract.h"
-#include "obs/log.h"
 #include "obs/report.h"
 #include "lec/lec.h"
 #include "lef/lef.h"
@@ -68,7 +67,7 @@ const char* flow_kind_name(FlowKind k);
 
 /// The pipeline stages of Fig 1, in execution order.  kSubstitution and
 /// kDecomposition exist only in the secure flow (flow_runs_stage); the
-/// regular flow rejects them as resume/stop points.
+/// regular flow rejects them as stop points.
 enum class FlowStage {
   kSynthesis = 0,
   kSubstitution,
@@ -113,20 +112,10 @@ struct FlowOptions {
   /// options, a hit deserializes the stage's artifacts and skips the work,
   /// a miss computes and saves them.  Empty disables checkpointing.
   std::string cache_dir;
-  /// First stage to actually execute.  Every stage before it MUST load from
-  /// cache_dir (Error otherwise) — use after an earlier run with stop_after
-  /// or a warm cache.  Requires cache_dir; kSynthesis is rejected (that is
-  /// just a full run — leave unset).
-  std::optional<FlowStage> resume_from;
   /// Last stage to execute; the flow returns after checkpointing it.
   /// Artifacts of later stages stay default-initialized — check
   /// FlowArtifacts::completed_through before using them.
   std::optional<FlowStage> stop_after;
-
-  /// When set, the flow applies this level to Logger::global() before
-  /// running (otherwise SECFLOW_LOG / the current level stands).  Pure
-  /// observability: excluded from cache keys, never affects artifacts.
-  std::optional<LogLevel> log_level;
 
   /// Reject inconsistent combinations with a descriptive Error before the
   /// flow spends minutes producing a silently wrong artifact.  Called by
@@ -144,10 +133,10 @@ std::vector<std::string> flow_options_violations(const FlowOptions& o);
 /// circuit/library/options would use, without running anything: keys[s] is
 /// the cache key stage `s` files its checkpoint under (0 for stages the
 /// kind never runs, see flow_runs_stage).
-/// stop_after/resume_from are ignored: the chain addresses content, not
-/// control flow.  run_regular_flow / run_secure_flow use this exact
-/// function for their cache lookups, so two option sets agreeing on a key
-/// prefix are guaranteed to share those stages' checkpoints — the campaign
+/// stop_after is ignored: the chain addresses content, not control flow.
+/// run_regular_flow / run_secure_flow use this exact function for their
+/// cache lookups, so two option sets agreeing on a key prefix are
+/// guaranteed to share those stages' checkpoints — the campaign
 /// scheduler's dependency analysis is built on that guarantee.
 std::array<std::uint64_t, kNumFlowStages> compute_stage_keys(
     FlowKind kind, const AigCircuit& circuit, const CellLibrary& library,

@@ -116,8 +116,8 @@ void knobs(V& v, S& o) {
   v.knob("seed", o.seed);
 }
 
-/// cache_dir, resume_from, stop_after and log_level steer a run, not its
-/// artifacts: they are not knobs.
+/// cache_dir and stop_after steer a run, not its artifacts: they are not
+/// knobs.
 template <class V, KnobsOf<FlowOptions> S>
 void knobs(V& v, S& o) {
   v.group("synth", o.synth);

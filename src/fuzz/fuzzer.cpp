@@ -14,9 +14,12 @@
 namespace secflow {
 namespace {
 
+/// The minimizer's predicate-evaluation budget per failure.
+constexpr int kMinimizeAttempts = 400;
+
 /// Oracles that need opts.deep to run at all; a failure in one forces the
 /// minimizer to re-run full flows per predicate evaluation, so it gets a
-/// smaller attempt budget.
+/// tenth of the attempt budget.
 bool is_deep_oracle(const std::string& oracle) {
   return oracle == "secure-flow" || oracle == "flow-obs-invariance" ||
          oracle == "wddl-cap-mismatch";
@@ -151,11 +154,9 @@ FuzzRunResult run_fuzz(const FuzzOptions& opts) {
     };
     HdlModule minimized = program;
     if (opts.minimize) {
-      MinimizeOptions mopts;
-      mopts.max_attempts = pred_opts.deep
-                               ? std::max(1, opts.minimize_attempts / 10)
-                               : opts.minimize_attempts;
-      minimized = minimize_program(program, still_fails, mopts).program;
+      const int budget =
+          pred_opts.deep ? kMinimizeAttempts / 10 : kMinimizeAttempts;
+      minimized = minimize_program(program, still_fails, budget).program;
     }
     c.minimized_lines = hdl_line_count(minimized);
 

@@ -25,10 +25,9 @@ struct FuzzOptions {
   std::string corpus_dir = "fuzz-corpus";
   FaultKind inject = FaultKind::kNone;
   bool stop_on_failure = true;
+  /// Shrink each failure before writing it: at most 400 predicate
+  /// evaluations (each re-runs the battery), 40 for a deep-tier failure.
   bool minimize = true;
-  /// Predicate-evaluation budget for the minimizer (each evaluation
-  /// re-runs the battery); deep-tier failures get a tenth of it.
-  int minimize_attempts = 400;
   /// Oracle workload knobs (vectors/cycles/§5 bounds).
   OracleOptions oracles;
 };

@@ -3,11 +3,23 @@
 #include <string>
 #include <vector>
 
-#include "base/error.h"
 #include "base/rng.h"
 
 namespace secflow {
 namespace {
+
+// Size limits of a generated design.
+constexpr int kMaxWidth = 4;  ///< vectors are [W-1:0], W in [2, kMaxWidth]
+constexpr int kMinInputs = 2;
+constexpr int kMaxInputs = 4;
+constexpr int kMaxOutputs = 3;
+constexpr int kMaxRegs = 3;
+constexpr int kMaxWires = 3;
+constexpr int kMaxDepth = 3;  ///< expression tree depth
+/// Probability a design is sequential (has >= 1 register).
+constexpr double kSeqBias = 0.8;
+/// Probability a sequential design gets a synchronous reset input.
+constexpr double kResetBias = 0.5;
 
 /// A signal the expression builder may reference, with the rank barrier
 /// that prevents combinational loops: the assign producing rank r may only
@@ -22,21 +34,21 @@ struct Avail {
 
 class Generator {
  public:
-  Generator(std::uint64_t seed, const GeneratorOptions& opts)
-      : rng_(Rng::stream(seed, 0x66757a7aull /* "fuzz" */)), opts_(opts) {}
+  explicit Generator(std::uint64_t seed)
+      : rng_(Rng::stream(seed, 0x66757a7aull /* "fuzz" */)) {}
 
   HdlModule run() {
     HdlModule p;
     p.name = "fz";
     width_ = 2 + static_cast<int>(rng_.next_below(
-                     static_cast<std::uint64_t>(opts_.max_width - 1)));
-    const bool sequential = rng_.next_double() < opts_.seq_bias;
+                     static_cast<std::uint64_t>(kMaxWidth - 1)));
+    const bool sequential = rng_.next_double() < kSeqBias;
     const bool has_reset =
-        sequential && rng_.next_double() < opts_.reset_bias;
+        sequential && rng_.next_double() < kResetBias;
 
-    const int n_in = opts_.min_inputs +
+    const int n_in = kMinInputs +
                      static_cast<int>(rng_.next_below(static_cast<std::uint64_t>(
-                         opts_.max_inputs - opts_.min_inputs + 1)));
+                         kMaxInputs - kMinInputs + 1)));
     if (has_reset) {
       p.inputs.push_back({"rst", 1});
       avail_.push_back({"rst", 1, 0});
@@ -49,7 +61,7 @@ class Generator {
 
     const int n_regs =
         sequential ? 1 + static_cast<int>(rng_.next_below(
-                             static_cast<std::uint64_t>(opts_.max_regs)))
+                             static_cast<std::uint64_t>(kMaxRegs)))
                    : 0;
     for (int i = 0; i < n_regs; ++i) {
       HdlSignal s{"r" + std::to_string(i), pick_width()};
@@ -60,7 +72,7 @@ class Generator {
 
     // Wires at ranks 1..n_wires: wire k may read anything of lower rank.
     const int n_wires = static_cast<int>(
-        rng_.next_below(static_cast<std::uint64_t>(opts_.max_wires + 1)));
+        rng_.next_below(static_cast<std::uint64_t>(kMaxWires + 1)));
     for (int i = 0; i < n_wires; ++i) {
       HdlSignal s{"w" + std::to_string(i), pick_width()};
       drive(p, s, /*max_rank=*/i + 1, /*seq=*/false);
@@ -71,7 +83,7 @@ class Generator {
     // Outputs sit above every wire; they may read anything.
     const int top = n_wires + 1;
     const int n_out = 1 + static_cast<int>(rng_.next_below(
-                              static_cast<std::uint64_t>(opts_.max_outputs)));
+                              static_cast<std::uint64_t>(kMaxOutputs)));
     for (int i = 0; i < n_out; ++i) {
       HdlSignal s{"out" + std::to_string(i), pick_width()};
       drive(p, s, top, /*seq=*/false);
@@ -80,7 +92,7 @@ class Generator {
 
     // Register next-state logic; a reset design clears under rst.
     for (const auto& r : p.regs) {
-      HdlExpr next = expr(r.width, top, opts_.max_depth);
+      HdlExpr next = expr(r.width, top, kMaxDepth);
       if (has_reset) {
         HdlExpr mux;
         mux.kind = HdlExpr::Kind::kMux;
@@ -105,9 +117,9 @@ class Generator {
     auto& list = seq ? p.seq : p.comb;
     if (s.width > 1 && rng_.next_below(4) == 0) {
       for (int b = 0; b < s.width; ++b)
-        list.push_back({s.name, b, expr(1, max_rank, opts_.max_depth)});
+        list.push_back({s.name, b, expr(1, max_rank, kMaxDepth)});
     } else {
-      list.push_back({s.name, -1, expr(s.width, max_rank, opts_.max_depth)});
+      list.push_back({s.name, -1, expr(s.width, max_rank, kMaxDepth)});
     }
   }
 
@@ -183,20 +195,14 @@ class Generator {
   }
 
   Rng rng_;
-  GeneratorOptions opts_;
   int width_ = 2;        ///< the design's vector width
   std::vector<Avail> avail_;
 };
 
 }  // namespace
 
-HdlModule generate_program(std::uint64_t seed, const GeneratorOptions& opts) {
-  SECFLOW_CHECK(opts.max_width >= 2 && opts.max_width <= 8,
-                "max_width out of range");
-  SECFLOW_CHECK(opts.min_inputs >= 1 && opts.max_inputs >= opts.min_inputs,
-                "bad input bounds");
-  SECFLOW_CHECK(opts.max_outputs >= 1, "need at least one output");
-  return Generator(seed, opts).run();
+HdlModule generate_program(std::uint64_t seed) {
+  return Generator(seed).run();
 }
 
 }  // namespace secflow

@@ -2,8 +2,8 @@
 //
 // Produces small *sequential* HdlModules — registers, synchronous
 // resets, multi-output modules, bit-granular assigns — deterministically
-// from a seed: the same (seed, options) pair yields the same program on
-// every platform, which is what makes corpus seeds replayable.
+// from a seed: the same seed yields the same program on every platform,
+// which is what makes corpus seeds replayable.
 //
 // Designs are kept shallow on purpose: the secure flow rejects circuits
 // whose critical path exceeds half the clock cycle (the WDDL precharge
@@ -17,24 +17,10 @@
 
 namespace secflow {
 
-struct GeneratorOptions {
-  int max_width = 4;   ///< vector signals are [W-1:0], W in [2, max_width]
-  int min_inputs = 2;
-  int max_inputs = 4;
-  int max_outputs = 3;
-  int max_regs = 3;
-  int max_wires = 3;
-  int max_depth = 3;   ///< expression tree depth
-  /// Probability a design is sequential (has >= 1 register).
-  double seq_bias = 0.8;
-  /// Probability a sequential design gets a synchronous reset input.
-  double reset_bias = 0.5;
-};
-
 /// Generate a random well-formed program.  Every output bit is driven,
 /// wires are ranked so combinational assigns cannot form loops, and every
-/// register has exactly one nonblocking assignment.
-HdlModule generate_program(std::uint64_t seed,
-                           const GeneratorOptions& opts = {});
+/// register has exactly one nonblocking assignment.  The size limits are
+/// constants of generator.cpp.
+HdlModule generate_program(std::uint64_t seed);
 
 }  // namespace secflow

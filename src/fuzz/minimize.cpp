@@ -79,8 +79,8 @@ class Minimizer {
  public:
   Minimizer(const HdlModule& p,
             const std::function<bool(const HdlModule&)>& pred,
-            const MinimizeOptions& opts)
-      : cur_(p), pred_(pred), opts_(opts) {}
+            int max_attempts)
+      : cur_(p), pred_(pred), max_attempts_(max_attempts) {}
 
   MinimizeResult run() {
     MinimizeResult res;
@@ -102,7 +102,7 @@ class Minimizer {
   }
 
  private:
-  bool exhausted() const { return attempts_ >= opts_.max_attempts; }
+  bool exhausted() const { return attempts_ >= max_attempts_; }
 
   /// One predicate evaluation; commits `cand` when it still fails.
   bool accept(const HdlModule& cand) {
@@ -287,7 +287,7 @@ class Minimizer {
 
   HdlModule cur_;
   const std::function<bool(const HdlModule&)>& pred_;
-  MinimizeOptions opts_;
+  int max_attempts_;
   int attempts_ = 0;
 };
 
@@ -296,10 +296,10 @@ class Minimizer {
 MinimizeResult minimize_program(
     const HdlModule& p,
     const std::function<bool(const HdlModule&)>& still_fails,
-    const MinimizeOptions& opts) {
+    int max_attempts) {
   SECFLOW_CHECK(still_fails(p),
                 "minimize_program: predicate does not hold on the input");
-  return Minimizer(p, still_fails, opts).run();
+  return Minimizer(p, still_fails, max_attempts).run();
 }
 
 }  // namespace secflow

@@ -16,12 +16,6 @@
 
 namespace secflow {
 
-struct MinimizeOptions {
-  /// Upper bound on predicate evaluations (each one re-runs the oracle
-  /// battery, which for deep-tier failures means full flow runs).
-  int max_attempts = 2000;
-};
-
 struct MinimizeResult {
   HdlModule program;
   int attempts = 0;       ///< predicate evaluations spent
@@ -29,12 +23,14 @@ struct MinimizeResult {
   int final_lines = 0;    ///< hdl_line_count after
 };
 
-/// Shrink `p` while `still_fails` holds.  `still_fails(p)` must be true on
-/// entry (the unminimized reproducer).  Deterministic: same program, same
-/// predicate behaviour, same result.
+/// Shrink `p` while `still_fails` holds, evaluating it at most
+/// `max_attempts` times (each evaluation re-runs the oracle battery, which
+/// for deep-tier failures means full flow runs).  `still_fails(p)` must be
+/// true on entry (the unminimized reproducer).  Deterministic: same
+/// program, same predicate behaviour, same result.
 MinimizeResult minimize_program(
     const HdlModule& p,
     const std::function<bool(const HdlModule&)>& still_fails,
-    const MinimizeOptions& opts = {});
+    int max_attempts);
 
 }  // namespace secflow

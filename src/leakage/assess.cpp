@@ -42,7 +42,7 @@ struct TraceCache {
 
 /// A store without a design key would hand one design's traces to
 /// another, so the key is required with a store.  The model's options
-/// join it: a model compiled at another supply draws other traces.
+/// join it: a model compiled at another sample rate draws other traces.
 TraceCache make_cache(const CompiledSimModel& model, const LeakageSetup& s) {
   TraceCache c;
   if (s.cache_dir.empty()) return c;
@@ -52,8 +52,7 @@ TraceCache make_cache(const CompiledSimModel& model, const LeakageSetup& s) {
   const PowerSimOptions& o = model.options();
   Hasher h;
   h.add(s.base_key).add(o.sampling.clock_hz).add(o.sampling.samples_per_cycle);
-  h.add(o.vdd_v).add(o.input_delay_ps).add(o.min_tau_ps);
-  h.add(o.precharge_inputs).add(o.clock_net_delay_ps);
+  h.add(o.precharge_inputs);
   c.base = h.digest();
   return c;
 }
@@ -305,11 +304,10 @@ void run_cpa_mtd_pass(const CompiledSimModel& model, TraceCache& cache,
                       LeakageReport& r) {
   Span span("leakage.cpa", "leakage");
   span.arg("traces", s.cpa_traces);
-  span.arg("mtd_max_traces", s.with_mtd ? s.mtd.max_traces : 0);
+  span.arg("mtd_max_traces", s.mtd.max_traces);
   span.arg("model", power_model_name(s.model));
-  SECFLOW_CHECK(s.cpa_traces > 0, "CPA: no traces to accumulate");
   std::optional<MtdTracker> mtd;
-  if (s.with_mtd) mtd.emplace(s.mtd, s.key);
+  if (s.mtd.max_traces > 0) mtd.emplace(s.mtd, s.key);
   const auto mtd_live = [&] { return mtd && !mtd->done(); };
   const int step = std::max(s.mtd.step, 1);
   CpaAccumulator acc(kDesKeyGuesses, model.samples_per_cycle());
@@ -401,6 +399,13 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
                                  bool differential,
                                  const LeakageSetup& setup) {
   check_precharge(model, differential, "assess_des_leakage");
+  // A budget of 0 turns its phase off; a negative one is a caller's error.
+  SECFLOW_CHECK(setup.tvla_traces >= 0 && setup.cpa_traces >= 0 &&
+                    setup.mtd.max_traces >= 0,
+                "LeakageSetup: negative trace budget (tvla_traces " +
+                    std::to_string(setup.tvla_traces) + ", cpa_traces " +
+                    std::to_string(setup.cpa_traces) + ", mtd.max_traces " +
+                    std::to_string(setup.mtd.max_traces) + ")");
   Span span("leakage.assess", "leakage");
   span.arg("flow", differential ? "secure" : "regular");
   SECFLOW_LOG_INFO("leakage", "assessment start",
@@ -411,7 +416,7 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
   LeakageReport r = report_shell(model, differential, setup);
 
   const DesPortMap ports = DesPortMap::resolve(model.netlist(), differential);
-  if (setup.with_tvla) {
+  if (setup.tvla_traces > 0) {
     const TraceTask task = [&](PowerSimulator& sim, Rng& rng,
                                std::uint64_t i) {
       return des_trace(sim, rng, ports, setup.key, setup.noise_ma,
@@ -420,7 +425,7 @@ LeakageReport assess_des_leakage(const CompiledSimModel& model,
     };
     r.tvla = run_tvla_phase(model, cache, "tvla", setup, differential, task);
   }
-  if (setup.with_cpa) {
+  if (setup.cpa_traces > 0) {
     const HypothesisFn hyp = des_hypothesis(setup.model, setup.sbox);
     const TraceTask task = [&](PowerSimulator& sim, Rng& rng,
                                std::uint64_t) {

@@ -35,22 +35,22 @@ struct LeakageSetup {
   std::uint64_t seed = 2025;
   std::string design;  ///< report label
 
-  // TVLA (fixed-vs-random Welch-t).
-  bool with_tvla = true;
+  // Each phase runs when its budget is positive; 0 turns it off.
+
+  // TVLA (fixed-vs-random Welch-t): at least 4 traces when on.
   int tvla_traces = 600;  ///< total, interleaved fixed/random by parity
 
   // CPA key recovery (DES interface only).
-  bool with_cpa = true;
   int cpa_traces = 800;
   std::uint32_t key = 46;  ///< the paper's secret key
   int sbox = 1;
   PowerModel model = PowerModel::kHammingDistance;
 
-  // Success-rate / guessing-entropy curves; 0 campaigns disables.
+  // Success-rate / guessing-entropy curves over quarters of the CPA
+  // budget, so they run only with CPA; 0 campaigns disables.
   int ge_campaigns = 0;
 
-  // MTD estimation (requires with_cpa).
-  bool with_mtd = true;
+  // MTD estimation on the CPA stream; mtd.max_traces is its budget.
   MtdOptions mtd;
 
   /// Gaussian measurement noise per sample [mA].  TVLA needs a nonzero

@@ -53,7 +53,7 @@ LefLibrary generate_lef(const CellLibrary& cells, const LefGenOptions& opts) {
   SECFLOW_CHECK(pitch_dbu >= 1,
                 strfmt("LEF generation: wire pitch %g um rounds to %lld DBU",
                        pitch, static_cast<long long>(pitch_dbu)));
-  for (int i = 0; i < opts.n_routing_layers; ++i) {
+  for (int i = 0; i < kRoutingLayers; ++i) {
     // M1/M3 horizontal, M2 vertical (standard HVH assignment).
     lef.add_layer(LefLayer{"M" + std::to_string(i + 1),
                            (i % 2 == 0) ? LayerDir::kHorizontal

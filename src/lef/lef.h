@@ -70,17 +70,20 @@ class LefLibrary {
   std::unordered_map<std::string, std::size_t> macro_by_name_;
 };
 
+/// Routing layers of a generated library (M1..M5).
+inline constexpr int kRoutingLayers = 5;
+
 /// Options controlling physical library generation.
 struct LefGenOptions {
   Process018 process;
-  int n_routing_layers = 5;
   /// Multiply wire width and pitch (2.0 generates the fat library).
   double wire_scale = 1.0;
 };
 
 /// Generate a physical library matching `cells`: one macro per cell with
 /// deterministically placed pins (snapped to the routing grid), plus
-/// routing layer definitions (M1 horizontal, M2 vertical, M3 horizontal).
+/// kRoutingLayers routing layer definitions (M1 horizontal, M2 vertical,
+/// alternating upward).
 /// Throws Error when the scaled wire pitch rounds below 1 DBU, or when it is
 /// so coarse that two pins of one macro snap to the same grid point (the
 /// message names the macro, both pins, the point and the pitch).

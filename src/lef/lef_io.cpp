@@ -139,12 +139,4 @@ LefLibrary parse_lef(const std::string& text, const std::string& name) {
   return lib;
 }
 
-LefLibrary parse_lef_file(const std::string& path) {
-  std::ifstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_lef(ss.str(), path);
-}
-
 }  // namespace secflow

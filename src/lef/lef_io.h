@@ -26,6 +26,5 @@ std::string write_lef(const LefLibrary& lib);
 void write_lef_file(const LefLibrary& lib, const std::string& path);
 
 LefLibrary parse_lef(const std::string& text, const std::string& name = "lef");
-LefLibrary parse_lef_file(const std::string& path);
 
 }  // namespace secflow

@@ -1,6 +1,5 @@
 #include "liberty/liberty_parser.h"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
 
@@ -192,14 +191,6 @@ class LibertyParser {
 
 std::shared_ptr<CellLibrary> parse_liberty(const std::string& text) {
   return LibertyParser(text).parse();
-}
-
-std::shared_ptr<CellLibrary> parse_liberty_file(const std::string& path) {
-  std::ifstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_liberty(ss.str());
 }
 
 std::string write_liberty(const CellLibrary& lib) {

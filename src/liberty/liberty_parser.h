@@ -34,9 +34,6 @@ namespace secflow {
 /// Parse Liberty-lite text into a validated CellLibrary.
 std::shared_ptr<CellLibrary> parse_liberty(const std::string& text);
 
-/// Parse a Liberty-lite file.
-std::shared_ptr<CellLibrary> parse_liberty_file(const std::string& path);
-
 /// Render a CellLibrary back to Liberty-lite text (round-trips through
 /// parse_liberty; used for the flow's lib.v artifact and tests).
 std::string write_liberty(const CellLibrary& lib);

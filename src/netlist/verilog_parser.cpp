@@ -1,8 +1,5 @@
 #include "netlist/verilog_parser.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "base/error.h"
 #include "base/lexer.h"
 
@@ -119,15 +116,6 @@ Netlist parse_verilog(const std::string& text,
                       std::shared_ptr<const CellLibrary> library) {
   SECFLOW_CHECK(library != nullptr, "parse_verilog needs a library");
   return Parser(text, std::move(library)).parse();
-}
-
-Netlist parse_verilog_file(const std::string& path,
-                           std::shared_ptr<const CellLibrary> library) {
-  std::ifstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_verilog(ss.str(), std::move(library));
 }
 
 }  // namespace secflow

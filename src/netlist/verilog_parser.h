@@ -22,8 +22,4 @@ namespace secflow {
 Netlist parse_verilog(const std::string& text,
                       std::shared_ptr<const CellLibrary> library);
 
-/// Parse a file; throws Error/ParseError.
-Netlist parse_verilog_file(const std::string& path,
-                           std::shared_ptr<const CellLibrary> library);
-
 }  // namespace secflow

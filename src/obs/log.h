@@ -2,9 +2,9 @@
 //
 // Library code logs through Logger::global() instead of printing to
 // stderr, so verbosity is one knob (`SECFLOW_LOG` environment variable,
-// or FlowOptions::log_level per run) and every line carries structured
-// key=value fields a human or a script can grep.  The default level is
-// `warn`: a normal run prints nothing.
+// or Logger::global().set_level(), which the CLI's --log calls) and
+// every line carries structured key=value fields a human or a script can
+// grep.  The default level is `warn`: a normal run prints nothing.
 //
 // Cost contract: a suppressed log statement is one relaxed atomic load —
 // no field formatting, no allocation, no lock.  The SECFLOW_LOG_* macros

@@ -3,14 +3,6 @@
 #include <algorithm>
 
 namespace secflow {
-namespace {
-
-std::uint64_t next_registry_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 void HistogramStat::observe(double v) {
   if (count == 0) {
@@ -23,121 +15,60 @@ void HistogramStat::observe(double v) {
   sum += v;
 }
 
-void HistogramStat::merge(const HistogramStat& o) {
-  if (o.count == 0) return;
-  if (count == 0) {
-    *this = o;
-    return;
-  }
-  min = std::min(min, o.min);
-  max = std::max(max, o.max);
-  count += o.count;
-  sum += o.sum;
-}
-
-struct Metrics::Shard {
-  std::mutex mu;  ///< owner thread vs snapshot()/reset(), never two writers
-  std::map<std::string, std::uint64_t, std::less<>> counters;
-  std::map<std::string, double, std::less<>> gauges;
-  std::map<std::string, HistogramStat, std::less<>> histograms;
-};
-
-namespace {
-
-/// Thread-local shard cache.  Keyed by the registry's process-unique id
-/// (never recycled), so an entry left behind by a destroyed registry can
-/// never be mistaken for a shard of a new registry at the same address.
-struct ShardRef {
-  std::uint64_t registry_id;
-  void* shard;  ///< Metrics::Shard*, opaque here (the type is private)
-};
-thread_local std::vector<ShardRef> t_shards;
-
-}  // namespace
-
 Metrics& Metrics::global() {
   static Metrics* m = new Metrics();
   return *m;
 }
 
-Metrics::Metrics() : id_(next_registry_id()) {}
-
-Metrics::~Metrics() = default;
-
-Metrics::Shard& Metrics::local_shard() {
-  for (const ShardRef& ref : t_shards) {
-    if (ref.registry_id == id_) return *static_cast<Shard*>(ref.shard);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  t_shards.push_back(ShardRef{id_, shard});
-  return *shard;
-}
-
 void Metrics::add(std::string_view counter, std::uint64_t delta) {
   if (!enabled()) return;
-  Shard& s = local_shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.counters.find(counter);
-  if (it != s.counters.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = counters_.find(counter);
+  if (it != counters_.end()) {
     it->second += delta;
   } else {
-    s.counters.emplace(std::string(counter), delta);
+    counters_.emplace(std::string(counter), delta);
   }
 }
 
 void Metrics::gauge_max(std::string_view gauge, double v) {
   if (!enabled()) return;
-  Shard& s = local_shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.gauges.find(gauge);
-  if (it != s.gauges.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = gauges_.find(gauge);
+  if (it != gauges_.end()) {
     it->second = std::max(it->second, v);
   } else {
-    s.gauges.emplace(std::string(gauge), v);
+    gauges_.emplace(std::string(gauge), v);
   }
 }
 
 void Metrics::observe(std::string_view histogram, double v) {
   if (!enabled()) return;
-  Shard& s = local_shard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.histograms.find(histogram);
-  if (it != s.histograms.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = histograms_.find(histogram);
+  if (it != histograms_.end()) {
     it->second.observe(v);
   } else {
     HistogramStat h;
     h.observe(v);
-    s.histograms.emplace(std::string(histogram), h);
+    histograms_.emplace(std::string(histogram), h);
   }
 }
 
 MetricsSnapshot Metrics::snapshot() const {
   MetricsSnapshot out;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    for (const auto& [name, v] : shard->counters) out.counters[name] += v;
-    for (const auto& [name, v] : shard->gauges) {
-      const auto [it, inserted] = out.gauges.emplace(name, v);
-      if (!inserted) it->second = std::max(it->second, v);
-    }
-    for (const auto& [name, h] : shard->histograms) {
-      out.histograms[name].merge(h);
-    }
-  }
+  out.counters.insert(counters_.begin(), counters_.end());
+  out.gauges.insert(gauges_.begin(), gauges_.end());
+  out.histograms.insert(histograms_.begin(), histograms_.end());
   return out;
 }
 
 void Metrics::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    shard->counters.clear();
-    shard->gauges.clear();
-    shard->histograms.clear();
-  }
+  counters_.clear();
+  gauges_.clear();
+  histograms_.clear();
 }
 
 }  // namespace secflow

@@ -1,18 +1,18 @@
-// Metrics registry: counters, gauges and histograms, sharded per thread.
+// Metrics registry: counters, gauges and histograms under one lock.
 //
-// Hot loops under `parallel_for` record into a private per-thread shard
-// (one uncontended mutex each, taken only by its owning thread and by
-// snapshot()), so instrumentation never serializes workers against each
-// other.  snapshot() merges all shards into one name-sorted view — the
-// shard-and-merge structure makes aggregation deterministic:
+// Every record call takes the registry's one mutex, as a Span takes the
+// tracer's: the instrumented call sites record a few thousand values per
+// flow or attack run, about as many as the spans of that run.
+// snapshot() copies the three name-sorted maps:
 //
 //  * counters sum 64-bit integers (exact and commutative, so totals are
 //    identical at any SECFLOW_THREADS),
-//  * histogram count/min/max merge commutatively and are exact; the
-//    running `sum` of doubles can differ in final ulps across thread
-//    counts (floating-point addition is not associative),
+//  * histogram count/min/max are exact; the running `sum` of doubles
+//    follows the order writers take the lock, so it can differ in final
+//    ulps across thread counts (floating-point addition is not
+//    associative),
 //  * gauges aggregate by maximum (the only order-free choice for
-//    last-value semantics across racing shards).
+//    last-value semantics across racing writers).
 //
 // Everything is off by default: a disabled registry's record methods are
 // one relaxed atomic load and a return — cheap enough to leave in the
@@ -22,11 +22,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace secflow {
 
@@ -37,7 +35,6 @@ struct HistogramStat {
   double max = 0.0;
 
   void observe(double v);
-  void merge(const HistogramStat& o);
   double mean() const { return count == 0 ? 0.0 : sum / double(count); }
   bool operator==(const HistogramStat&) const = default;
 };
@@ -60,8 +57,7 @@ class Metrics {
   /// Disabled until someone (CLI --report, a bench, a test) enables it.
   static Metrics& global();
 
-  Metrics();
-  ~Metrics();
+  Metrics() = default;
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
@@ -77,21 +73,19 @@ class Metrics {
   /// Record one histogram observation.
   void observe(std::string_view histogram, double v);
 
-  /// Merge every shard (deterministic; see file comment).  Safe to call
-  /// concurrently with writers — each shard is locked while read.
+  /// A copy of every recorded value (see file comment).  Safe to call
+  /// concurrently with writers.
   MetricsSnapshot snapshot() const;
 
-  /// Drop all recorded values (shards stay registered).
+  /// Drop all recorded values.
   void reset();
 
  private:
-  struct Shard;
-  Shard& local_shard();
-
   std::atomic<bool> enabled_{false};
-  const std::uint64_t id_;  ///< process-unique, guards thread-local caches
-  mutable std::mutex mu_;   ///< protects shards_ (the vector, not contents)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;  ///< guards the three maps
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, double, std::less<>> gauges_;
+  std::map<std::string, HistogramStat, std::less<>> histograms_;
 };
 
 }  // namespace secflow

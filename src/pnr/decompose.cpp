@@ -22,7 +22,7 @@ DefDesign decompose_interconnect(const DefDesign& fat,
   diff.components = fat.components;  // same placement, differential macros
 
   DefNet shield;
-  shield.name = opts.shield_net;
+  shield.name = kShieldNet;
 
   for (const DefNet& net : fat.nets) {
     if (single.contains(net.name)) {

@@ -22,14 +22,15 @@ struct DecomposeOptions {
   /// Nets kept single-ended (clock, power); width-reduced but not split.
   std::vector<std::string> single_ended_nets;
   /// The paper's "shielded lines" option: emit a grounded shield wire at
-  /// (+2p, +2p) alongside every differential pair, so cross-talk couples
-  /// to a static net instead of a neighbouring pair.  Requires the fat
-  /// wires to have been routed with wire_scale = 3 (three fine tracks per
-  /// fat wire: t rail, f rail, shield).
+  /// (+2p, +2p) alongside every differential pair, on the kShieldNet net,
+  /// so cross-talk couples to a static net instead of a neighbouring pair.
+  /// Requires the fat wires to have been routed with wire_scale = 3 (three
+  /// fine tracks per fat wire: t rail, f rail, shield).
   bool add_shields = false;
-  /// Name of the shield net ("VSS" by convention).
-  std::string shield_net = "VSS";
 };
+
+/// The grounded net every shield wire belongs to.
+inline constexpr const char* kShieldNet = "VSS";
 
 /// Decompose a routed fat design.  `fine_pitch`/`fine_width` come from the
 /// normal (non-fat) wire definition.

@@ -206,12 +206,4 @@ DefDesign parse_def(const std::string& text) {
   return d;
 }
 
-DefDesign parse_def_file(const std::string& path) {
-  std::ifstream f(path);
-  SECFLOW_CHECK(f.good(), "cannot open: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parse_def(ss.str());
-}
-
 }  // namespace secflow

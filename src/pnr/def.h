@@ -65,6 +65,5 @@ struct DefDesign {
 std::string write_def(const DefDesign& d);
 void write_def_file(const DefDesign& d, const std::string& path);
 DefDesign parse_def(const std::string& text);
-DefDesign parse_def_file(const std::string& path);
 
 }  // namespace secflow

@@ -39,19 +39,16 @@ std::string render_design(const DefDesign& d, const RenderOptions& opts) {
   // Wires.
   for (const DefNet& net : d.nets) {
     for (const Segment& s : net.wires) {
-      const char ch = opts.show_layers
-                          ? static_cast<char>('1' + s.layer)
-                          : (s.horizontal() ? '-' : '|');
       if (s.horizontal()) {
         const int r = to_row(s.a.y);
         const int ca = to_col(std::min(s.a.x, s.b.x));
         const int cb = to_col(std::max(s.a.x, s.b.x));
-        for (int c = ca; c <= cb; ++c) put(r, c, ch);
+        for (int c = ca; c <= cb; ++c) put(r, c, '-');
       } else {
         const int c = to_col(s.a.x);
         const int ra = to_row(std::max(s.a.y, s.b.y));
         const int rb = to_row(std::min(s.a.y, s.b.y));
-        for (int r = ra; r <= rb; ++r) put(r, c, ch);
+        for (int r = ra; r <= rb; ++r) put(r, c, '|');
       }
     }
     for (const DefVia& v : net.vias) {

@@ -10,7 +10,6 @@ namespace secflow {
 
 struct RenderOptions {
   int max_cols = 100;   ///< character budget; geometry is downsampled
-  bool show_layers = false;  ///< label wires 1/2/3 instead of - and |
 };
 
 /// Render components ('#' outlines) and wires ('-', '|', '+' at vias).

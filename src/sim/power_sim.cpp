@@ -240,7 +240,6 @@ void PowerSimulator::step_cycle(double period_ps) { cycle(period_ps, nullptr); }
 void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
   const double period =
       period_ps > 0.0 ? period_ps : model_.nominal_period_ps();
-  const PowerSimOptions& opts = model_.options();
   const double start = now_ps_;
 
   if (trace == nullptr && zero_delay_exact(period)) {
@@ -257,10 +256,10 @@ void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
   // Rising edge.
   capture_flops(/*rising=*/true, /*zero_delay=*/false);
   if (model_.clock_net().valid()) {
-    schedule(start + opts.clock_net_delay_ps, model_.clock_net(), true);
+    schedule(start + kClockNetDelayPs, model_.clock_net(), true);
   }
   for (const CompiledSimModel::DataInput& di : model_.data_inputs()) {
-    schedule(start + opts.input_delay_ps, di.net,
+    schedule(start + kInputDelayPs, di.net,
              input_val_[di.port.index()] != 0);
   }
   now_ps_ = start;
@@ -271,11 +270,11 @@ void PowerSimulator::cycle(double period_ps, CycleTrace* trace) {
   // Falling edge.
   capture_flops(/*rising=*/false, /*zero_delay=*/false);
   if (model_.clock_net().valid()) {
-    schedule(now_ps_ + opts.clock_net_delay_ps, model_.clock_net(), false);
+    schedule(now_ps_ + kClockNetDelayPs, model_.clock_net(), false);
   }
-  if (opts.precharge_inputs) {
+  if (model_.options().precharge_inputs) {
     for (const CompiledSimModel::DataInput& di : model_.data_inputs()) {
-      schedule(now_ps_ + opts.input_delay_ps, di.net, false);
+      schedule(now_ps_ + kInputDelayPs, di.net, false);
     }
   }
   drain_until(start + period, trace, start);

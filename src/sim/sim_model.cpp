@@ -76,14 +76,14 @@ CompiledSimModel::CompiledSimModel(const Netlist& nl, const CapTable& caps,
   for (NetId id : nl.net_ids()) {
     const std::size_t i = id.index();
     double c = net_cap_ff_[i];
-    double tau = opts_.min_tau_ps;
+    double tau = kMinTauPs;
     if (const auto drv = nl.driver(id)) {
       const CellType& type = nl.cell_of(drv->inst);
       c += type.internal_cap_ff;
       tau = std::max(tau, type.drive_res_kohm * net_cap_ff_[i]);
     }
-    charge_fc_[i] = c * opts_.vdd_v;
-    rise_energy_pj_[i] = c * opts_.vdd_v * opts_.vdd_v * 1e-3;
+    charge_fc_[i] = c * kVddV;
+    rise_energy_pj_[i] = c * kVddV * kVddV * 1e-3;
     tau_ps_[i] = tau;
     bin_decay_[i] = std::exp(-sample_dt_ps_ / tau);
   }
@@ -198,8 +198,8 @@ CompiledSimModel::CompiledSimModel(const Netlist& nl, const CapTable& caps,
     a = std::max(a, t);
     wave_bound_ps_ = std::max(wave_bound_ps_, t);
   };
-  if (clock_net_.valid()) source(clock_net_, opts_.clock_net_delay_ps);
-  for (const DataInput& di : data_inputs_) source(di.net, opts_.input_delay_ps);
+  if (clock_net_.valid()) source(clock_net_, kClockNetDelayPs);
+  for (const DataInput& di : data_inputs_) source(di.net, kInputDelayPs);
   for (const std::vector<Flop>* flops : {&posedge_flops_, &negedge_flops_}) {
     for (const Flop& f : *flops)
       if (f.q.valid()) source(f.q, f.clk_to_q_ps);

@@ -37,19 +37,22 @@ namespace secflow {
 
 using CapTable = std::unordered_map<std::string, double>;  // net -> fF
 
+/// The power model's fixed operating point (the paper's 0.18 um process).
+/// Supply voltage [V].
+inline constexpr double kVddV = 1.8;
+/// Data input arrival time after the active edge [ps]; STA uses it too.
+inline constexpr double kInputDelayPs = 100.0;
+/// Minimum current-pulse time constant [ps].
+inline constexpr double kMinTauPs = 30.0;
+/// Delay from the ideal clock edge to the clock *net* transition seen by
+/// gates (clock-tree insertion delay).  Must exceed the flop clk->q delay
+/// so WDDL output AND gates open on the new slave value.
+inline constexpr double kClockNetDelayPs = 250.0;
+
 struct PowerSimOptions {
   SamplingSpec sampling;
-  double vdd_v = 1.8;  ///< supply voltage [V]
-  /// Data input arrival time after the active edge [ps].
-  double input_delay_ps = 100.0;
-  /// Minimum current-pulse time constant [ps].
-  double min_tau_ps = 30.0;
   /// Drive all data input ports to 0 at the falling edge (WDDL mode).
   bool precharge_inputs = false;
-  /// Delay from the ideal clock edge to the clock *net* transition seen by
-  /// gates (clock-tree insertion delay).  Must exceed the flop clk->q
-  /// delay so WDDL output AND gates open on the new slave value.
-  double clock_net_delay_ps = 250.0;
 };
 
 class CompiledSimModel {
@@ -129,8 +132,8 @@ class CompiledSimModel {
   const std::vector<std::int32_t>& gate_order() const { return gate_order_; }
   /// Static wave bound [ps]: the latest an event can fire after a clock
   /// edge, the longest source-plus-delay_ps path over the gates.  Sources
-  /// are flop Q at clk_to_q_ps, data inputs at input_delay_ps and the
-  /// clock net at clock_net_delay_ps.  Infinite without a gate order.
+  /// are flop Q at clk_to_q_ps, data inputs at kInputDelayPs and the
+  /// clock net at kClockNetDelayPs.  Infinite without a gate order.
   double wave_bound_ps() const { return wave_bound_ps_; }
 
   // --- flops, split by capture edge ----------------------------------------

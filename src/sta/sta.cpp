@@ -22,8 +22,7 @@ double net_load_ff(const Netlist& nl, NetId id, const CapTable& caps) {
 
 }  // namespace
 
-TimingReport analyze_timing(const Netlist& nl, const CapTable& caps,
-                            const TimingOptions& opts) {
+TimingReport analyze_timing(const Netlist& nl, const CapTable& caps) {
   TimingReport report;
   const std::size_t n = nl.n_nets();
   report.net_arrival_ps.assign(n, 0.0);
@@ -35,7 +34,7 @@ TimingReport analyze_timing(const Netlist& nl, const CapTable& caps,
   for (PortId pid : nl.port_ids()) {
     const Port& p = nl.port(pid);
     if (p.dir != PinDir::kInput) continue;
-    report.net_arrival_ps[p.net.index()] = opts.input_delay_ps;
+    report.net_arrival_ps[p.net.index()] = kInputDelayPs;
   }
   for (InstId iid : nl.instance_ids()) {
     const CellType& type = nl.cell_of(iid);
@@ -45,10 +44,8 @@ TimingReport analyze_timing(const Netlist& nl, const CapTable& caps,
     const NetId q =
         nl.instance(iid).conns[static_cast<std::size_t>(out_pin)];
     if (!q.valid()) continue;
-    const double t = type.kind == CellKind::kFlop
-                         ? (opts.clk_to_q_ps > 0.0 ? opts.clk_to_q_ps
-                                                   : type.intrinsic_delay_ps)
-                         : 0.0;
+    const double t =
+        type.kind == CellKind::kFlop ? type.intrinsic_delay_ps : 0.0;
     report.net_arrival_ps[q.index()] =
         std::max(report.net_arrival_ps[q.index()], t);
     net_driver[q.index()] = iid;

@@ -16,14 +16,6 @@
 
 namespace secflow {
 
-struct TimingOptions {
-  /// Input-port data arrival after the active edge [ps] (matches the
-  /// power simulator's input_delay_ps).
-  double input_delay_ps = 100.0;
-  /// Clock-to-Q of sequential sources [ps]; 0 = use each flop's intrinsic.
-  double clk_to_q_ps = 0.0;
-};
-
 struct PathNode {
   std::string instance;  ///< driving instance ("<port>" for port sources)
   std::string net;
@@ -41,9 +33,10 @@ struct TimingReport {
 };
 
 /// Analyze `nl` with per-net loads from `caps` (falls back to pin caps for
-/// missing nets, like the power simulator).
-TimingReport analyze_timing(const Netlist& nl, const CapTable& caps,
-                            const TimingOptions& opts = {});
+/// missing nets, like the power simulator).  Input ports arrive at the
+/// power simulator's kInputDelayPs and each flop's Q at its cell's
+/// intrinsic delay.
+TimingReport analyze_timing(const Netlist& nl, const CapTable& caps);
 
 /// Render a human-readable critical-path report.
 std::string timing_report_text(const TimingReport& r);

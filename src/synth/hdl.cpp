@@ -63,6 +63,11 @@ class HdlParser {
       parse_item();
     }
     lex_.expect("endmodule");
+    const Token& rest = lex_.peek();
+    if (rest.kind != Token::Kind::kEnd) {
+      lex_.fail(rest.pos, "unexpected text after endmodule: '" +
+                              std::string(rest.text) + "'");
+    }
     if (!m_.clock.empty()) take_clock();
     return std::move(m_);
   }
@@ -361,8 +366,31 @@ class Elaborator {
   using Drivers = std::map<std::pair<std::string, int>, const HdlStmt*>;
 
   void declare(const HdlSignal& s, SigKind kind) {
-    if (!signals_.emplace(s.name, Sig{kind, s}).second) {
-      fail(s.pos, "duplicate signal: " + s.name);
+    const auto [it, fresh] = signals_.emplace(s.name, Sig{kind, s});
+    if (!fresh) fail(s.pos, "duplicate signal: " + s.name);
+    check_bit_names(it->second.decl);
+  }
+
+  /// Bit i of a vector `a` is named a_i in the circuit, so `a[1]` and a
+  /// scalar `a_1` would name one net twice; the later declaration fails.
+  void check_bit_names(const HdlSignal& s) {
+    const auto label = [](const HdlSignal& sig, int bit) {
+      return sig.width == 1 ? sig.name
+                            : sig.name + "[" + std::to_string(bit) + "]";
+    };
+    for (int i = 0; i < s.width; ++i) {
+      const std::string name = circuit_bit_name(s.name, i, s.width);
+      const auto [it, fresh] = bit_owner_.emplace(name, std::pair(&s, i));
+      if (fresh) continue;
+      const auto [other, other_bit] = it->second;
+      const bool s_later = std::pair(other->pos.line, other->pos.column) <
+                           std::pair(s.pos.line, s.pos.column);
+      const HdlSignal& later = s_later ? s : *other;
+      const HdlSignal& earlier = s_later ? *other : s;
+      fail(later.pos, "signal " + label(later, s_later ? i : other_bit) +
+                          " collides with " +
+                          label(earlier, s_later ? other_bit : i) +
+                          ": both bit-blast to " + name);
     }
   }
 
@@ -521,6 +549,9 @@ class Elaborator {
   const HdlModule& m_;
   Aig* aig_ = nullptr;
   std::unordered_map<std::string, Sig> signals_;
+  /// Bit-blasted name -> the signal and bit it names.
+  std::unordered_map<std::string, std::pair<const HdlSignal*, int>>
+      bit_owner_;
   std::unordered_map<std::string, std::vector<AigLit>> values_;  ///< resolved
   std::set<std::string> in_flight_;
   Drivers comb_assign_;

@@ -6,6 +6,7 @@
 #include "crypto/des.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/netlist_ops.h"
+#include "sca/selection.h"
 #include "synth/techmap.h"
 
 namespace secflow {
@@ -50,12 +51,10 @@ TEST(DesDpa, ReferenceAndSelectionAgree) {
     for (std::uint32_t pr = 0; pr < 64; pr += 11) {
       for (std::uint32_t k : {0u, 46u, 63u}) {
         const std::uint32_t ct = des_dpa_reference(pl, pr, k);
-        const std::uint32_t cl = ct & 0xF;
         const std::uint32_t cr = (ct >> 4) & 0x3F;
         EXPECT_EQ(cr, pr);
         for (int bit = 0; bit < 4; ++bit) {
-          EXPECT_EQ(des_dpa_selection(cl, cr, k, bit),
-                    ((pl >> bit) & 1) != 0)
+          EXPECT_EQ(des_selection(bit)(ct, k), ((pl >> bit) & 1) != 0)
               << pl << ' ' << pr << ' ' << k << " bit " << bit;
         }
       }
@@ -72,8 +71,7 @@ TEST(DesDpa, WrongKeyPredictionIsWrongSomewhere) {
     for (std::uint32_t pr = 0; pr < 64 && !differs; ++pr) {
       const std::uint32_t ct = des_dpa_reference(5, pr, k);
       for (int bit = 0; bit < 4; ++bit) {
-        if (des_dpa_selection(ct & 0xF, (ct >> 4) & 0x3F, g, bit) !=
-            (((5u >> bit) & 1) != 0)) {
+        if (des_selection(bit)(ct, g) != (((5u >> bit) & 1) != 0)) {
           differs = true;
         }
       }

@@ -401,12 +401,12 @@ TEST_F(FlowCkpt, StopAfterThenResumeReproducesTheFullRun) {
   ASSERT_TRUE(placed.has_value());
   EXPECT_EQ(write_def(head.fat_def), placed->section("placed.def"));
 
-  // Second half: resume from routing; the prefix must load, not recompute.
+  // Second half: a warm run on the same store; the prefix must load, not
+  // recompute.
   FlowOptions second;
   second.cache_dir = dir.string();
-  second.resume_from = FlowStage::kRouting;
   const SecureFlowResult tail = run_secure_flow(*circuit_, lib_, second);
-  expect_outcomes(tail.timings, {H, H, H, M, M, M}, "resume_from");
+  expect_outcomes(tail.timings, {H, H, H, M, M, M}, "warm");
   EXPECT_EQ(tail.completed_through, FlowStage::kExtraction);
   // The stitched run equals the one-shot cold run: layout and caps bit for
   // bit; timing up to net enumeration order (net_arrival_ps is NetId-
@@ -463,34 +463,23 @@ TEST_F(FlowCkpt, StopAfterAndResumeFromEveryStageOfBothFlows) {
       }
       if (k + 1 == stages.size()) continue;  // stopped after the last stage
 
-      // Resuming at the next stage loads the prefix and finishes the run
-      // with the one-shot run's artifacts.
+      // A warm run on the same store loads the prefix, resumes at the
+      // next stage and finishes with the one-shot run's artifacts.
       const FlowStage resume = stages[k + 1];
       FlowOptions tail_opts;
       tail_opts.cache_dir = dir.string();
-      tail_opts.resume_from = resume;
       const RunSummary tail = run_flow(kind, *circuit_, lib_, tail_opts);
       for (int i = 0; i < kNumFlowStages; ++i) {
         const FlowStage s = static_cast<FlowStage>(i);
         const CacheOutcome want =
             !flow_runs_stage(kind, s) ? N : (s < resume ? H : M);
         EXPECT_EQ(tail.timings.outcome(s), want)
-            << ctx << ", resume_from: " << flow_stage_name(s);
+            << ctx << ", warm: " << flow_stage_name(s);
       }
       EXPECT_EQ(tail.completed_through, FlowStage::kExtraction) << ctx;
       EXPECT_EQ(tail.digests, one_shot.digests) << ctx;
     }
   }
-  fs::remove_all(dir);
-}
-
-TEST_F(FlowCkpt, ResumeAgainstAnEmptyCacheThrows) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "flow_empty_cache";
-  fs::remove_all(dir);
-  FlowOptions opts;
-  opts.cache_dir = dir.string();
-  opts.resume_from = FlowStage::kRouting;
-  EXPECT_THROW(run_secure_flow(*circuit_, lib_, opts), Error);
   fs::remove_all(dir);
 }
 
@@ -515,8 +504,7 @@ TEST_F(FlowCkpt, RegularFlowRejectsSecureOnlyStages) {
   FlowOptions opts = cached_opts();
   opts.stop_after = FlowStage::kSubstitution;
   EXPECT_THROW(run_regular_flow(*circuit_, lib_, opts), Error);
-  opts.stop_after.reset();
-  opts.resume_from = FlowStage::kDecomposition;
+  opts.stop_after = FlowStage::kDecomposition;
   EXPECT_THROW(run_regular_flow(*circuit_, lib_, opts), Error);
 }
 

@@ -226,45 +226,19 @@ TEST(FlowOptionsValidate, CacheFieldsAcceptLegalCombinations) {
   o.cache_dir = "/tmp/ckpt";
   EXPECT_NO_THROW(o.validate());
 
-  o.stop_after = FlowStage::kPlacement;  // stop without resume
+  o.stop_after = FlowStage::kPlacement;
   EXPECT_NO_THROW(o.validate());
 
-  o.resume_from = FlowStage::kPlacement;  // resume == stop: one stage runs
-  EXPECT_NO_THROW(o.validate());
-
-  o.resume_from = FlowStage::kSubstitution;
   o.stop_after = FlowStage::kExtraction;
   EXPECT_NO_THROW(o.validate());
 
-  o.resume_from.reset();
-  o.stop_after = FlowStage::kSynthesis;  // stop_after alone, first stage
+  o.stop_after = FlowStage::kSynthesis;  // the first stage
   EXPECT_NO_THROW(o.validate());
 
   // stop_after does not require a cache directory (nothing to load).
   o = FlowOptions{};
   o.stop_after = FlowStage::kRouting;
   EXPECT_NO_THROW(o.validate());
-}
-
-TEST(FlowOptionsValidate, ResumeWithoutCacheDirIsRejected) {
-  FlowOptions o;
-  o.resume_from = FlowStage::kRouting;
-  expect_invalid(o, "cache_dir");
-}
-
-TEST(FlowOptionsValidate, ResumeFromSynthesisIsRejected) {
-  FlowOptions o;
-  o.cache_dir = "/tmp/ckpt";
-  o.resume_from = FlowStage::kSynthesis;
-  expect_invalid(o, "synthesis");
-}
-
-TEST(FlowOptionsValidate, StopBeforeResumeIsRejected) {
-  FlowOptions o;
-  o.cache_dir = "/tmp/ckpt";
-  o.resume_from = FlowStage::kRouting;
-  o.stop_after = FlowStage::kPlacement;
-  expect_invalid(o, "stop_after");
 }
 
 TEST(FlowOptionsValidate, AggregatesAllViolationsIntoOneError) {
@@ -275,7 +249,8 @@ TEST(FlowOptionsValidate, AggregatesAllViolationsIntoOneError) {
   o.place.fill_factor = 2.0;
   o.place.sa_batch = 0;
   o.extract.variation_sigma = -0.5;
-  o.resume_from = FlowStage::kRouting;  // without cache_dir
+  o.shielded_pairs = true;  // with quick routing: a cross-knob rule
+  o.route_mode = RouteMode::kQuickLShaped;
   try {
     o.validate();
     FAIL() << "expected Error";
@@ -286,7 +261,7 @@ TEST(FlowOptionsValidate, AggregatesAllViolationsIntoOneError) {
     EXPECT_NE(msg.find("fill_factor"), std::string::npos) << msg;
     EXPECT_NE(msg.find("sa_batch"), std::string::npos) << msg;
     EXPECT_NE(msg.find("variation_sigma"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("cache_dir"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("shielded_pairs"), std::string::npos) << msg;
   }
 }
 
@@ -631,8 +606,8 @@ TEST(FlowKnobs, EveryKnobIsSetKeyedAndRangeChecked) {
 }
 
 TEST(FlowKnobs, TheSupplyVoltageIsNoFlowKnob) {
-  // The power model owns the supply (PowerSimOptions::vdd_v); no stage
-  // of the flow reads it.
+  // The power model owns the supply (kVddV, a constant); no stage of
+  // the flow reads it.
   const std::string e = error_of([] {
     parse_campaign_spec(spec_setting("extract.process.vdd_v", JsonValue(1.5)));
   });

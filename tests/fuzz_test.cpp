@@ -190,7 +190,7 @@ TEST(FuzzMinimizer, ShrinksAPinSwapReproducerToTenLinesOrFewer) {
     const OracleVerdict* f = r.first_failure();
     return f != nullptr && f->oracle == oracle;
   };
-  const MinimizeResult m = minimize_program(p, still_fails, {});
+  const MinimizeResult m = minimize_program(p, still_fails, 2000);
   EXPECT_TRUE(still_fails(m.program));
   EXPECT_LE(m.final_lines, m.initial_lines);
   EXPECT_LE(m.final_lines, 10) << emit_hdl(m.program);

@@ -257,5 +257,63 @@ TEST(Hdl, ErrorBitOutOfRange) {
                ParseError);
 }
 
+/// The ParseError `source` throws, as where() and what().
+std::pair<std::string, std::string> parse_error(const std::string& source) {
+  try {
+    parse_hdl(source);
+  } catch (const ParseError& e) {
+    return {e.where(), e.what()};
+  }
+  ADD_FAILURE() << "no ParseError for:\n" << source;
+  return {};
+}
+
+TEST(Hdl, RejectsTextAfterEndmodule) {
+  const std::string one =
+      "module a (input x, output y);\n  assign y = x;\nendmodule\n";
+  EXPECT_NO_THROW(parse_hdl(one));
+  EXPECT_NO_THROW(parse_hdl(one + "// trailing comment\n\n"));
+  const auto [where, what] = parse_error(one + "this is not hdl ;;; ((\n");
+  EXPECT_EQ(where, "hdl 4:1");
+  EXPECT_NE(what.find("after endmodule: 'this'"), std::string::npos) << what;
+  // A second module is trailing text too, named at its first token.
+  EXPECT_EQ(parse_error(one + "  module b (); endmodule\n").first,
+            "hdl 4:3");
+}
+
+TEST(Hdl, RejectsCollidingBitNames) {
+  // Bit 1 of `a` bit-blasts to a_1, the name of the second input; the
+  // error names both signals at the second declaration.
+  const auto [where, what] = parse_error(
+      "module m (input [1:0] a, input a_1, output y);\n"
+      "  assign y = a[1] ^ a_1;\nendmodule\n");
+  EXPECT_EQ(where, "hdl 1:32");
+  EXPECT_NE(what.find("signal a_1 collides with a[1]"), std::string::npos)
+      << what;
+  // The later declaration is the error whichever kind comes first.
+  EXPECT_EQ(parse_error("module m (input clk, output [1:0] y);\n"
+                        "  reg a_0;\n  reg [1:0] a;\n"
+                        "  always @(posedge clk) begin a_0 <= 1'b0; "
+                        "a <= 2'b0; end\n"
+                        "  assign y = a;\nendmodule\n")
+                .first,
+            "hdl 3:13");
+  const auto wire = parse_error(
+      "module m (input w_1, output y);\n  wire [1:0] w;\n"
+      "  assign w[0] = w_1;\n  assign w[1] = w_1;\n"
+      "  assign y = w[0];\nendmodule\n");
+  EXPECT_EQ(wire.first, "hdl 2:14");
+  EXPECT_NE(wire.second.find("signal w[1] collides with w_1"),
+            std::string::npos)
+      << wire.second;
+  const auto port = parse_error(
+      "module m (input a, output [1:0] o, output o_0);\n"
+      "  assign o[0] = a;\n  assign o[1] = a;\n  assign o_0 = a;\n"
+      "endmodule\n");
+  EXPECT_NE(port.second.find("signal o_0 collides with o[0]"),
+            std::string::npos)
+      << port.second;
+}
+
 }  // namespace
 }  // namespace secflow

@@ -314,8 +314,8 @@ TEST(GenericTvla, DrivesTheDataInputsWhateverTheClockIsCalled) {
 
 TEST(TraceCache, BlocksAreKeyedByTheDesignAndTheModelOptions) {
   // A store without a design key would hand one design's blocks to
-  // another, so it is an error.  With the key, one layout at two supplies
-  // simulates twice instead of replaying the first supply's traces.
+  // another, so it is an error.  With the key, one layout at two sample
+  // rates simulates twice instead of replaying the first rate's traces.
   const RegularFlowResult flow =
       run_regular_flow(small_design("clk"), builtin_stdcell018());
   LeakageSetup s;
@@ -331,12 +331,12 @@ TEST(TraceCache, BlocksAreKeyedByTheDesignAndTheModelOptions) {
   EXPECT_NE(msg.find("base_key"), std::string::npos) << msg;
 
   s.base_key = flow.timings.key(FlowStage::kExtraction);
-  PowerSimOptions low;
-  low.vdd_v = 1.5;
+  PowerSimOptions coarse;
+  coarse.sampling.samples_per_cycle = 400;
   const CompiledSimModel nominal(flow.rtl, flow.caps);
-  const CompiledSimModel at_low(flow.rtl, flow.caps, low);
+  const CompiledSimModel at_coarse(flow.rtl, flow.caps, coarse);
   const LeakageReport cold = assess_tvla_leakage(nominal, false, s);
-  const LeakageReport other = assess_tvla_leakage(at_low, false, s);
+  const LeakageReport other = assess_tvla_leakage(at_coarse, false, s);
   const LeakageReport warm = assess_tvla_leakage(nominal, false, s);
   std::filesystem::remove_all(s.cache_dir);
   EXPECT_EQ(cold.trace_cache_misses, 1);
@@ -592,7 +592,7 @@ TEST_F(DesLeakage, TvlaIsBlockSplitInvariant) {
   // block, a single serial add() pass: the reference.
   LeakageSetup s = setup(0);
   s.cache_dir.clear();
-  s.with_cpa = false;
+  s.cpa_traces = 0;
   s.tvla_traces = 600;
   const auto tvla_at = [&](int step, bool generic) {
     s.mtd.step = step;
@@ -622,7 +622,7 @@ TEST_F(DesLeakage, CpaAndMtdShareOneFetchOfEveryBlock) {
   s.cache_dir = cache_dir_ + "_one_pass";
   std::filesystem::remove_all(s.cache_dir);
   s.base_key = regular_->timings.key(FlowStage::kExtraction);
-  s.with_tvla = false;
+  s.tvla_traces = 0;
   const LeakageReport r = assess_des_leakage(
       regular_->rtl, regular_->caps, /*differential=*/false, s);
   std::filesystem::remove_all(s.cache_dir);
@@ -641,7 +641,7 @@ TEST_F(DesLeakage, DesAndGenericTvlaKeepTheirOwnBlocks) {
   s.cache_dir = cache_dir_ + "_tvla_purpose";
   std::filesystem::remove_all(s.cache_dir);
   s.base_key = regular_->timings.key(FlowStage::kExtraction);
-  s.with_cpa = false;
+  s.cpa_traces = 0;
   const LeakageReport des = assess_des_leakage(
       regular_->rtl, regular_->caps, /*differential=*/false, s);
   const LeakageReport lanes = assess_tvla_leakage(
@@ -660,8 +660,8 @@ TEST_F(DesLeakage, DesAndGenericTvlaKeepTheirOwnBlocks) {
 TEST_F(DesLeakage, GuessingEntropyCurvesConvergeOnRegularFlow) {
   LeakageSetup s = setup(0);
   s.base_key = regular_->timings.key(FlowStage::kExtraction);
-  s.with_tvla = false;
-  s.with_mtd = false;
+  s.tvla_traces = 0;
+  s.mtd.max_traces = 0;
   s.ge_campaigns = 2;
   const LeakageReport r = assess_des_leakage(
       regular_->rtl, regular_->caps, /*differential=*/false, s);

@@ -488,7 +488,7 @@ TEST(ObsFlow, ArtifactsBitIdenticalWithObservabilityOnOrOff) {
   Metrics::global().set_enabled(true);
   const LogLevel saved = Logger::global().level();
   Logger::global().set_sink([](LogLevel, std::string_view) {});
-  opts.log_level = LogLevel::kTrace;
+  Logger::global().set_level(LogLevel::kTrace);
   const SecureFlowResult on = run_secure_flow(circuit, lib, opts);
   Tracer::global().set_enabled(false);
   Metrics::global().set_enabled(false);

@@ -42,14 +42,6 @@ TEST(Render, RespectsColumnBudget) {
   }
 }
 
-TEST(Render, LayerLabelsMode) {
-  RenderOptions opts;
-  opts.show_layers = true;
-  const std::string pic = render_design(tiny_design(), opts);
-  EXPECT_NE(pic.find('1'), std::string::npos);  // M1 segment
-  EXPECT_NE(pic.find('2'), std::string::npos);  // M2 segment
-}
-
 TEST(Render, WireEndpointsLandAtExpectedCells) {
   RenderOptions opts;
   opts.max_cols = 101;  // 100 dbu per column on the 10000-wide die

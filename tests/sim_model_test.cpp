@@ -203,16 +203,16 @@ TEST_F(ParallelSimModel, RecurrenceDepositMatchesClosedFormAndConservesQ) {
   const NetId y = nl.find_net("y");
   ASSERT_TRUE(a.valid());
   ASSERT_TRUE(y.valid());
-  ASSERT_EQ(model.tau_ps(a.index()), opts.min_tau_ps);
-  ASSERT_GT(model.tau_ps(y.index()), opts.min_tau_ps);
+  ASSERT_EQ(model.tau_ps(a.index()), kMinTauPs);
+  ASSERT_GT(model.tau_ps(y.index()), kMinTauPs);
   ASSERT_EQ(model.gates().size(), 1u);
 
   const double dt = model.sample_dt_ps();
   const int n = model.samples_per_cycle();
   ASSERT_EQ(t.current_ma.size(), static_cast<std::size_t>(n));
-  // Event times: the input arrives at input_delay; the buffer output
+  // Event times: the input arrives at kInputDelayPs; the buffer output
   // follows after its compiled load-dependent delay.
-  const double t_a = opts.input_delay_ps;
+  const double t_a = kInputDelayPs;
   const double t_y = t_a + model.gates()[0].delay_ps;
   const std::vector<double> exp_a = closed_form_deposit(
       n, dt, t_a, model.charge_fc(a.index()), model.tau_ps(a.index()));

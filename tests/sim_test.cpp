@@ -66,7 +66,7 @@ TEST_F(SimTest, RisingTransitionBooksCharge) {
   // Sampled charge equals booked energy / VDD (pulse fully inside cycle).
   const PowerSimOptions opts;
   const double q_fc = trace_charge_fc(t, opts.sampling.sample_dt_s() * 1e12);
-  EXPECT_NEAR(q_fc * opts.vdd_v * 1e-3, t.energy_pj,
+  EXPECT_NEAR(q_fc * kVddV * 1e-3, t.energy_pj,
               t.energy_pj * 0.02);
 }
 

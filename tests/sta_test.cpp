@@ -28,9 +28,9 @@ TEST_F(StaTest, SingleGateDelay) {
   CapTable caps;
   // Fix the loads so the expected delay is computable by hand.
   for (NetId id : nl.net_ids()) caps[nl.net(id).name] = 10.0;
-  TimingOptions opts;
-  opts.input_delay_ps = 100.0;
-  const TimingReport r = analyze_timing(nl, caps, opts);
+  // Inputs arrive at the power simulator's input delay.
+  ASSERT_EQ(kInputDelayPs, 100.0);
+  const TimingReport r = analyze_timing(nl, caps);
   // Path: input (100) -> NAND2 (32 + 4.6*10 = 78) -> BUF (45 + 3.2*10 = 77).
   EXPECT_NEAR(r.critical_delay_ps, 100.0 + 78.0 + 77.0, 1e-6);
   EXPECT_EQ(r.endpoint, "port y");
