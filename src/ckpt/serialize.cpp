@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <charconv>
 #include <concepts>
+#include <cstdint>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,88 +17,270 @@
 namespace secflow {
 namespace {
 
-/// The text a serializer appends to.  Numbers print through to_chars:
-/// integers in decimal, doubles as append_double() prints them.
-class Out {
- public:
-  Out& operator<<(std::string_view s) {
-    text_ += s;
-    return *this;
-  }
-  Out& operator<<(char c) {
-    text_ += c;
-    return *this;
-  }
-  Out& operator<<(double v) {
-    append_double(text_, v);
-    return *this;
-  }
-  template <std::integral T>
-    requires(!std::same_as<T, bool> && !std::same_as<T, char>)
-  Out& operator<<(T v) {
-    char buf[24];
-    text_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-    return *this;
-  }
+// A field list names each line of a payload once, in order, and speaks to
+// either walker through:
+//   io.key(kw)                a new line, headed by the keyword `kw`
+//   io.field(v...)            integers; doubles, as append_double prints
+//                             them; bools, as 0 or 1; and LogicFns, as
+//                             their arity and then 16 hex digits
+//   io.choice(v, last, what)  an enumerator, as its value in [0, last]
+//   io.text(s), io.word(s)    free text, as `<n>:<n bytes>`; a name
+//   io.records(kw, xs, body)  the count xs.size(); then per element a line
+//                             `kw` whose fields body(x) names
+//   io.map(kw, m, body)       records over a name -> value map, each line
+//                             `kw <name>` and body(value), in name order;
+//                             the reader rejects a repeated name
+// Every field is a space and its text; a line ends where the next begins.
 
-  /// Moves the text out; the writer's last call.
-  std::string str() { return std::move(text_); }
+/// Prints a field list.
+class Writer {
+ public:
+  void key(std::string_view kw) {
+    if (!text_.empty()) text_ += '\n';
+    text_ += kw;
+  }
+  template <class... T>
+  void field(const T&... v) {
+    (put(v), ...);
+  }
+  template <class E>
+  void choice(E v, E, std::string_view) {
+    put(static_cast<int>(v));
+  }
+  void text(const std::string& s) {
+    put(s.size());
+    (text_ += ':') += s;
+  }
+  void word(std::string_view s) { (text_ += ' ') += s; }
+  template <class V, class Body>
+  void records(std::string_view kw, const V& xs, Body&& body) {
+    put(xs.size());
+    for (const auto& x : xs) {
+      key(kw);
+      body(x);
+    }
+  }
+  template <class Map, class Body>
+  void map(std::string_view kw, const Map& m, Body&& body) {
+    std::vector<const typename Map::value_type*> sorted;
+    for (const auto& e : m) sorted.push_back(&e);
+    std::ranges::sort(sorted, {}, [](auto* e) -> auto& { return e->first; });
+    records(kw, sorted, [&](auto* e) {
+      word(e->first);
+      body(e->second);
+    });
+  }
+  /// The payload; the writer's last call.
+  std::string take() {
+    text_ += '\n';
+    return std::move(text_);
+  }
 
  private:
+  template <class T>
+  void put(T v) {
+    text_ += ' ';
+    if constexpr (std::is_same_v<T, bool>) {
+      text_ += v ? '1' : '0';
+    } else if constexpr (std::is_floating_point_v<T>) {
+      append_double(text_, v);
+    } else {
+      char buf[24];
+      text_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+  }
+  void put(const LogicFn& f) {
+    put(f.n_inputs());
+    word(hash_hex(f.table()));
+  }
+
   std::string text_;
 };
 
-/// Free text that may contain spaces (but no newlines are required either):
-/// length-prefixed as `<n>:<bytes>`.
-void put_str(Out& os, const std::string& s) {
-  os << s.size() << ':' << s;
-}
-
-// Payload readers: keywords and punctuation are tokens, names and numbers
-// whitespace-separated words, and put_str strings length-prefixed bytes.
-
-template <typename T>
-T integer(Lexer& lex) {
-  return lex.number<T>(lex.word(), "integer", std::numeric_limits<T>::min(),
-                       std::numeric_limits<T>::max());
-}
-
-double real(Lexer& lex) {
-  return lex.number<double>(lex.word(), "number",
-                            std::numeric_limits<double>::lowest(),
-                            std::numeric_limits<double>::max());
-}
-
-bool flag(Lexer& lex) {
-  return lex.number<int>(lex.word(), "0/1 flag", 0, 1) == 1;
-}
-
-/// A record count, bounded by the size of the payload that holds them.
-std::size_t count(Lexer& lex, std::string_view text) {
-  return lex.number<std::size_t>(lex.word(), "count", 0, text.size());
-}
-
-/// Inverse of put_str.
-std::string sized_str(Lexer& lex) {
-  const std::size_t n = lex.number<std::size_t>(
-      "string length", 0, std::numeric_limits<std::size_t>::max());
-  lex.expect(":");
-  return std::string(lex.take(n));
-}
-
-std::uint64_t hash(Lexer& lex) {
-  const Token t = lex.word();
-  try {
-    return parse_hash_hex(t.text);
-  } catch (const ParseError& e) {
-    lex.fail(t.pos, e.what());
+/// Parses a field list with the Lexer, naming the payload `format` in every
+/// ParseError: keywords are tokens, names and numbers whitespace-separated
+/// words, and text length-prefixed bytes.
+class Reader {
+ public:
+  Reader(std::string_view text, std::string_view format)
+      : lex_(text, format), size_(text.size()) {}
+  void key(std::string_view kw) { lex_.expect(kw); }
+  template <class... T>
+  void field(T&... v) {
+    (get(v), ...);
   }
+  template <class E>
+  void choice(E& v, E last, std::string_view what) {
+    v = static_cast<E>(number(what, 0, static_cast<int>(last)));
+  }
+  void text(std::string& s) {
+    const auto n = lex_.number<std::size_t>("string length", 0, SIZE_MAX);
+    lex_.expect(":");
+    s = lex_.take(n);
+  }
+  void word(std::string& s) { s = lex_.word().text; }
+  template <class V, class Body>
+  void records(std::string_view kw, V& xs, Body&& body) {
+    const std::size_t n = count();
+    xs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      key(kw);
+      body(xs.emplace_back());
+    }
+  }
+  template <class Map, class Body>
+  void map(std::string_view kw, Map& m, Body&& body) {
+    const std::size_t n = count();
+    m.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      key(kw);
+      const Token name = lex_.word();
+      const auto [at, added] = m.try_emplace(std::string(name.text));
+      if (!added) lex_.fail(name.pos, "duplicate net '" + at->first + "'");
+      body(at->second);
+    }
+  }
+  /// Rejects anything after the payload; the reader's last call.
+  void done() {
+    if (lex_.peek().kind != Token::Kind::kEnd) {
+      lex_.fail("trailing data '" + std::string(lex_.peek().text) + "'");
+    }
+  }
+
+ private:
+  /// The next word as a T in [lo, hi]; `what` names it in the error.
+  template <class T>
+  T number(std::string_view what, T lo, T hi) {
+    return lex_.number<T>(lex_.word(), what, lo, hi);
+  }
+  template <class T>
+  void get(T& v) {
+    using Lim = std::numeric_limits<T>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = number("0/1 flag", 0, 1) == 1;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = number("number", Lim::lowest(), Lim::max());
+    } else {
+      v = number("integer", Lim::min(), Lim::max());
+    }
+  }
+  void get(LogicFn& f) {
+    int n_inputs = 0;
+    get(n_inputs);
+    const Token t = lex_.word();
+    try {
+      f = LogicFn(n_inputs, parse_hash_hex(t.text));
+    } catch (const ParseError& e) {
+      lex_.fail(t.pos, e.what());
+    }
+  }
+  /// A record count, bounded by the size of the payload that holds them.
+  std::size_t count() { return number<std::size_t>("count", 0, size_); }
+
+  Lexer lex_;
+  std::size_t size_;
+};
+
+/// A `T`, const when a field list walks it to print it.
+template <class U, class T>
+concept Of = std::same_as<std::remove_const_t<U>, T>;
+
+// --- one field list per payload format --------------------------------------
+
+/// A cell library: its name, then its cells in id order.
+void fields(auto& io, Of<std::string> auto& name,
+            Of<std::vector<CellType>> auto& cells) {
+  io.key("CELLLIB");
+  io.text(name);
+  io.records("CELL", cells, [&](auto& c) {
+    io.word(c.name);
+    io.choice(c.kind, CellKind::kTie, "cell kind");
+    io.field(c.negedge_clock, c.function, c.area_um2, c.width_um,
+             c.height_um, c.intrinsic_delay_ps, c.drive_res_kohm,
+             c.internal_cap_ff);
+    io.records("PIN", c.pins, [&](auto& p) {
+      io.word(p.name);
+      io.choice(p.dir, PinDir::kOutput, "pin direction");
+      io.field(p.cap_ff);
+    });
+  });
 }
 
-void done(Lexer& lex) {
-  if (lex.peek().kind != Token::Kind::kEnd) {
-    lex.fail("trailing data '" + std::string(lex.peek().text) + "'");
-  }
+void fields(auto& io, Of<Extraction> auto& ex) {
+  io.key("EXTRACTION");
+  io.map("NET", ex.nets, [&](auto& p) {
+    io.field(p.wire_cap_ff, p.pin_cap_ff, p.coupling_cap_ff, p.res_kohm);
+    io.records("COUPLE", p.couplings, [&](auto& c) {
+      io.word(c.first);
+      io.field(c.second);
+    });
+  });
+}
+
+void fields(auto& io, Of<CapTable> auto& caps) {
+  io.key("CAPTABLE");
+  io.map("CAP", caps, [&](auto& ff) { io.field(ff); });
+}
+
+void fields(auto& io, Of<TimingReport> auto& r) {
+  io.key("TIMING");
+  io.field(r.critical_delay_ps, r.min_period_ps);
+  io.text(r.endpoint);
+  io.key("PATH");
+  io.records("NODE", r.critical_path, [&](auto& n) {
+    io.text(n.instance);
+    io.text(n.net);
+    io.field(n.arrival_ps);
+  });
+  io.key("ARRIVALS");
+  io.records("A", r.net_arrival_ps, [&](auto& a) { io.field(a); });
+}
+
+void fields(auto& io, Of<RouteStats> auto& s) {
+  io.key("ROUTESTATS");
+  io.field(s.wirelength_dbu, s.vias, s.nets_routed, s.iterations,
+           s.expanded_nodes, s.window_escalations, s.full_grid_searches,
+           s.nets_ripped);
+}
+
+void fields(auto& io, Of<SubstitutionStats> auto& s) {
+  io.key("SUBSTATS");
+  io.field(s.inverters_removed, s.buffers_removed, s.gates_substituted,
+           s.flops_substituted, s.ties_substituted, s.port_buffers_added);
+}
+
+void fields(auto& io, Of<LecResult> auto& r) {
+  io.key("LEC");
+  io.field(r.equivalent, r.compared_points);
+  io.records("MISMATCH", r.mismatches, [&](auto& m) {
+    io.text(m.what);
+    io.text(m.counterexample);
+  });
+}
+
+void fields(auto& io, Of<CheckResult> auto& r) {
+  io.key("CHECK");
+  io.field(r.ok, r.nets_checked, r.pins_checked);
+  io.records("ISSUE", r.issues, [&](auto& i) {
+    io.text(i.net);
+    io.text(i.what);
+  });
+}
+
+/// The payload that the field list of `x...` prints.
+template <class... T>
+std::string write_payload(const T&... x) {
+  Writer io;
+  fields(io, x...);
+  return io.take();
+}
+
+/// Parses `text`, named `format` in every ParseError, into `x...`.
+template <class... T>
+void read_payload(std::string_view text, std::string_view format, T&... x) {
+  Reader io(text, format);
+  fields(io, x...);
+  io.done();
 }
 
 }  // namespace
@@ -108,315 +292,36 @@ void append_double(std::string& out, double v) {
                       .ptr);
 }
 
-// --- CellLibrary -----------------------------------------------------------
-
 std::string write_cell_library(const CellLibrary& lib) {
-  Out os;
-  os << "CELLLIB ";
-  put_str(os, lib.name());
-  os << ' ' << lib.size() << '\n';
-  for (const CellTypeId id : lib.all()) {
-    const CellType& c = lib.cell(id);
-    os << "CELL " << c.name << ' ' << static_cast<int>(c.kind) << ' '
-       << (c.negedge_clock ? 1 : 0) << ' ' << c.function.n_inputs() << ' '
-       << hash_hex(c.function.table()) << ' ' << c.area_um2 << ' ' << c.width_um << ' '
-       << c.height_um << ' ' << c.intrinsic_delay_ps << ' '
-       << c.drive_res_kohm << ' ' << c.internal_cap_ff << ' ' << c.pins.size()
-       << '\n';
-    for (const PinDef& p : c.pins) {
-      os << "PIN " << p.name << ' ' << (p.dir == PinDir::kOutput ? 1 : 0)
-         << ' ' << p.cap_ff << '\n';
-    }
-  }
-  return os.str();
+  return write_payload(lib.name(), lib.cells());
 }
-
 CellLibrary parse_cell_library(const std::string& text) {
-  Lexer lex(text, "ckpt:cell_library");
-  lex.expect("CELLLIB");
-  CellLibrary lib(sized_str(lex));
-  const std::size_t n = count(lex, text);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("CELL");
-    CellType c;
-    c.name = lex.word().text;
-    c.kind = static_cast<CellKind>(lex.number<int>(lex.word(), "cell kind", 0, 2));
-    c.negedge_clock = flag(lex);
-    const int fn_inputs = integer<int>(lex);
-    c.function = LogicFn(fn_inputs, hash(lex));
-    c.area_um2 = real(lex);
-    c.width_um = real(lex);
-    c.height_um = real(lex);
-    c.intrinsic_delay_ps = real(lex);
-    c.drive_res_kohm = real(lex);
-    c.internal_cap_ff = real(lex);
-    const std::size_t npins = count(lex, text);
-    for (std::size_t p = 0; p < npins; ++p) {
-      lex.expect("PIN");
-      PinDef pin;
-      pin.name = lex.word().text;
-      pin.dir = flag(lex) ? PinDir::kOutput : PinDir::kInput;
-      pin.cap_ff = real(lex);
-      c.pins.push_back(std::move(pin));
-    }
-    lib.add(std::move(c));
-  }
-  done(lex);
+  std::string name;
+  std::vector<CellType> cells;
+  read_payload(text, "ckpt:cell_library", name, cells);
+  CellLibrary lib(std::move(name));
+  for (CellType& c : cells) lib.add(std::move(c));
   lib.validate();
   return lib;
 }
 
-// --- Extraction ------------------------------------------------------------
-
-std::string write_extraction(const Extraction& ex) {
-  std::vector<const std::string*> names;
-  names.reserve(ex.nets.size());
-  for (const auto& [name, p] : ex.nets) names.push_back(&name);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-
-  Out os;
-  os << "EXTRACTION " << ex.nets.size() << '\n';
-  for (const std::string* name : names) {
-    const NetParasitics& p = ex.nets.at(*name);
-    os << "NET " << *name << ' ' << p.wire_cap_ff << ' ' << p.pin_cap_ff
-       << ' ' << p.coupling_cap_ff << ' ' << p.res_kohm << ' '
-       << p.couplings.size() << '\n';
-    for (const auto& [other, cc] : p.couplings) {
-      os << "COUPLE " << other << ' ' << cc << '\n';
-    }
+// write_<name> and parse_<name> of a payload read straight into its type,
+// named "ckpt:<name>" in its ParseErrors.
+#define SECFLOW_PAYLOAD(T, name)                                    \
+  std::string write_##name(const T& x) { return write_payload(x); } \
+  T parse_##name(const std::string& text) {                         \
+    T x;                                                            \
+    read_payload(text, "ckpt:" #name, x);                           \
+    return x;                                                       \
   }
-  return os.str();
-}
 
-Extraction parse_extraction(const std::string& text) {
-  Lexer lex(text, "ckpt:extraction");
-  lex.expect("EXTRACTION");
-  const std::size_t n = count(lex, text);
-  Extraction ex;
-  ex.nets.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("NET");
-    const Token name = lex.word();
-    NetParasitics p;
-    p.wire_cap_ff = real(lex);
-    p.pin_cap_ff = real(lex);
-    p.coupling_cap_ff = real(lex);
-    p.res_kohm = real(lex);
-    const std::size_t nc = count(lex, text);
-    p.couplings.reserve(nc);
-    for (std::size_t c = 0; c < nc; ++c) {
-      lex.expect("COUPLE");
-      const std::string_view other = lex.word().text;
-      const double cc = real(lex);
-      p.couplings.emplace_back(other, cc);
-    }
-    if (!ex.nets.emplace(name.text, std::move(p)).second) {
-      lex.fail(name.pos, "duplicate net '" + std::string(name.text) + "'");
-    }
-  }
-  done(lex);
-  return ex;
-}
-
-// --- CapTable --------------------------------------------------------------
-
-std::string write_cap_table(const CapTable& caps) {
-  std::vector<const std::string*> names;
-  names.reserve(caps.size());
-  for (const auto& [name, ff] : caps) names.push_back(&name);
-  std::sort(names.begin(), names.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-
-  Out os;
-  os << "CAPTABLE " << caps.size() << '\n';
-  for (const std::string* name : names) {
-    os << "CAP " << *name << ' ' << caps.at(*name) << '\n';
-  }
-  return os.str();
-}
-
-CapTable parse_cap_table(const std::string& text) {
-  Lexer lex(text, "ckpt:cap_table");
-  lex.expect("CAPTABLE");
-  const std::size_t n = count(lex, text);
-  CapTable caps;
-  caps.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("CAP");
-    const Token name = lex.word();
-    const double ff = real(lex);
-    if (!caps.emplace(name.text, ff).second) {
-      lex.fail(name.pos, "duplicate net '" + std::string(name.text) + "'");
-    }
-  }
-  done(lex);
-  return caps;
-}
-
-// --- TimingReport ----------------------------------------------------------
-
-std::string write_timing_report(const TimingReport& r) {
-  Out os;
-  os << "TIMING " << r.critical_delay_ps << ' ' << r.min_period_ps << ' ';
-  put_str(os, r.endpoint);
-  os << '\n';
-  os << "PATH " << r.critical_path.size() << '\n';
-  for (const PathNode& n : r.critical_path) {
-    os << "NODE ";
-    put_str(os, n.instance);
-    os << ' ';
-    put_str(os, n.net);
-    os << ' ' << n.arrival_ps << '\n';
-  }
-  os << "ARRIVALS " << r.net_arrival_ps.size() << '\n';
-  for (const double a : r.net_arrival_ps) os << "A " << a << '\n';
-  return os.str();
-}
-
-TimingReport parse_timing_report(const std::string& text) {
-  Lexer lex(text, "ckpt:timing_report");
-  TimingReport r;
-  lex.expect("TIMING");
-  r.critical_delay_ps = real(lex);
-  r.min_period_ps = real(lex);
-  r.endpoint = sized_str(lex);
-  lex.expect("PATH");
-  const std::size_t np = count(lex, text);
-  r.critical_path.reserve(np);
-  for (std::size_t i = 0; i < np; ++i) {
-    lex.expect("NODE");
-    PathNode n;
-    n.instance = sized_str(lex);
-    n.net = sized_str(lex);
-    n.arrival_ps = real(lex);
-    r.critical_path.push_back(std::move(n));
-  }
-  lex.expect("ARRIVALS");
-  const std::size_t na = count(lex, text);
-  r.net_arrival_ps.reserve(na);
-  for (std::size_t i = 0; i < na; ++i) {
-    lex.expect("A");
-    r.net_arrival_ps.push_back(real(lex));
-  }
-  done(lex);
-  return r;
-}
-
-// --- small stats structs ---------------------------------------------------
-
-std::string write_route_stats(const RouteStats& s) {
-  Out os;
-  os << "ROUTESTATS " << s.wirelength_dbu << ' ' << s.vias << ' '
-     << s.nets_routed << ' ' << s.iterations << ' ' << s.expanded_nodes
-     << ' ' << s.window_escalations << ' ' << s.full_grid_searches << ' '
-     << s.nets_ripped << '\n';
-  return os.str();
-}
-
-RouteStats parse_route_stats(const std::string& text) {
-  Lexer lex(text, "ckpt:route_stats");
-  lex.expect("ROUTESTATS");
-  RouteStats s;
-  s.wirelength_dbu = integer<std::int64_t>(lex);
-  s.vias = integer<int>(lex);
-  s.nets_routed = integer<int>(lex);
-  s.iterations = integer<int>(lex);
-  s.expanded_nodes = integer<std::int64_t>(lex);
-  s.window_escalations = integer<int>(lex);
-  s.full_grid_searches = integer<int>(lex);
-  s.nets_ripped = integer<std::int64_t>(lex);
-  done(lex);
-  return s;
-}
-
-std::string write_substitution_stats(const SubstitutionStats& s) {
-  Out os;
-  os << "SUBSTATS " << s.inverters_removed << ' ' << s.buffers_removed << ' '
-     << s.gates_substituted << ' ' << s.flops_substituted << ' '
-     << s.ties_substituted << ' ' << s.port_buffers_added << '\n';
-  return os.str();
-}
-
-SubstitutionStats parse_substitution_stats(const std::string& text) {
-  Lexer lex(text, "ckpt:substitution_stats");
-  lex.expect("SUBSTATS");
-  SubstitutionStats s;
-  s.inverters_removed = integer<int>(lex);
-  s.buffers_removed = integer<int>(lex);
-  s.gates_substituted = integer<int>(lex);
-  s.flops_substituted = integer<int>(lex);
-  s.ties_substituted = integer<int>(lex);
-  s.port_buffers_added = integer<int>(lex);
-  done(lex);
-  return s;
-}
-
-std::string write_lec_result(const LecResult& r) {
-  Out os;
-  os << "LEC " << (r.equivalent ? 1 : 0) << ' ' << r.compared_points << ' '
-     << r.mismatches.size() << '\n';
-  for (const LecMismatch& m : r.mismatches) {
-    os << "MISMATCH ";
-    put_str(os, m.what);
-    os << ' ';
-    put_str(os, m.counterexample);
-    os << '\n';
-  }
-  return os.str();
-}
-
-LecResult parse_lec_result(const std::string& text) {
-  Lexer lex(text, "ckpt:lec_result");
-  lex.expect("LEC");
-  LecResult r;
-  r.equivalent = flag(lex);
-  r.compared_points = integer<int>(lex);
-  const std::size_t n = count(lex, text);
-  r.mismatches.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("MISMATCH");
-    LecMismatch m;
-    m.what = sized_str(lex);
-    m.counterexample = sized_str(lex);
-    r.mismatches.push_back(std::move(m));
-  }
-  done(lex);
-  return r;
-}
-
-std::string write_check_result(const CheckResult& r) {
-  Out os;
-  os << "CHECK " << (r.ok ? 1 : 0) << ' ' << r.nets_checked << ' '
-     << r.pins_checked << ' ' << r.issues.size() << '\n';
-  for (const CheckIssue& i : r.issues) {
-    os << "ISSUE ";
-    put_str(os, i.net);
-    os << ' ';
-    put_str(os, i.what);
-    os << '\n';
-  }
-  return os.str();
-}
-
-CheckResult parse_check_result(const std::string& text) {
-  Lexer lex(text, "ckpt:check_result");
-  lex.expect("CHECK");
-  CheckResult r;
-  r.ok = flag(lex);
-  r.nets_checked = integer<int>(lex);
-  r.pins_checked = integer<int>(lex);
-  const std::size_t n = count(lex, text);
-  r.issues.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lex.expect("ISSUE");
-    CheckIssue issue;
-    issue.net = sized_str(lex);
-    issue.what = sized_str(lex);
-    r.issues.push_back(std::move(issue));
-  }
-  done(lex);
-  return r;
-}
+SECFLOW_PAYLOAD(Extraction, extraction)
+SECFLOW_PAYLOAD(CapTable, cap_table)
+SECFLOW_PAYLOAD(TimingReport, timing_report)
+SECFLOW_PAYLOAD(RouteStats, route_stats)
+SECFLOW_PAYLOAD(SubstitutionStats, substitution_stats)
+SECFLOW_PAYLOAD(LecResult, lec_result)
+SECFLOW_PAYLOAD(CheckResult, check_result)
+#undef SECFLOW_PAYLOAD
 
 }  // namespace secflow

@@ -22,19 +22,6 @@
 namespace secflow {
 namespace {
 
-/// The clock net name of a mapped netlist (net driving flop CK pins), or
-/// empty for combinational designs.
-std::string clock_net_name(const Netlist& nl) {
-  for (InstId iid : nl.instance_ids()) {
-    const CellType& type = nl.cell_of(iid);
-    if (type.kind != CellKind::kFlop) continue;
-    const NetId ck =
-        nl.instance(iid).conns[static_cast<std::size_t>(type.ck_pin())];
-    if (ck.valid()) return nl.net(ck).name;
-  }
-  return {};
-}
-
 /// The options a run of `kind` actually uses: the secure flow synthesizes
 /// to the WDDL gate whitelist unless the caller restricted the cells
 /// itself, under the caller's cut limits either way.
@@ -298,8 +285,9 @@ const StageRow kStages[] = {
        const Process018& pr = r.o.extract.process;
        DecomposeOptions dopts;
        dopts.add_shields = r.o.shielded_pairs;
-       const std::string clk = clock_net_name(*r.fat);
-       if (!clk.empty()) dopts.single_ended_nets.push_back(clk);
+       if (const NetId clk = r.fat->clock_net(); clk.valid()) {
+         dopts.single_ended_nets.push_back(r.fat->net(clk).name);
+       }
        r.diff_def = decompose_interconnect(r.def, um_to_dbu(pr.wire_pitch_um),
                                           um_to_dbu(pr.wire_width_um), dopts);
 

@@ -81,6 +81,8 @@ class CellLibrary {
 
   /// All ids, in insertion order.
   std::vector<CellTypeId> all() const;
+  /// All cells, in id order.
+  const std::vector<CellType>& cells() const { return cells_; }
 
   /// Verify internal consistency (single output, function arity matches
   /// input count, flop pin roles present).  Throws Error on violation.

@@ -260,6 +260,24 @@ int Netlist::count_kind(CellKind kind) const {
   return n;
 }
 
+NetId Netlist::clock_net() const {
+  NetId clock;
+  for (const Instance& in : insts_) {
+    const CellType& type = library_->cell(in.cell);
+    if (type.kind != CellKind::kFlop) continue;
+    const NetId ck = in.conns[static_cast<std::size_t>(type.ck_pin())];
+    if (!ck.valid()) {
+      throw Error("netlist " + name_ + ": flop " + in.name + " has no clock");
+    }
+    if (clock.valid() && ck != clock) {
+      throw Error("netlist " + name_ + ": flops on two clock nets, " +
+                  nets_[clock.index()].name + " and " + nets_[ck.index()].name);
+    }
+    clock = ck;
+  }
+  return clock;
+}
+
 void Netlist::validate() const {
   for (std::size_t i = 0; i < nets_.size(); ++i) {
     const NetId id(static_cast<std::int32_t>(i));

@@ -95,6 +95,10 @@ class Netlist {
   std::vector<PinRef> sinks(NetId id) const;
   /// Number of instance input pins + output ports on the net.
   int fanout(NetId id) const;
+  /// The net on every flop's CK pin; invalid when there is no flop.  Throws
+  /// Error, naming this netlist, when a flop's CK is unconnected or the
+  /// flops sit on two clock nets.
+  NetId clock_net() const;
 
   // --- derived ------------------------------------------------------------
   /// Instances in topological order: combinational gates ordered so every

@@ -18,18 +18,8 @@ CompiledSimModel::CompiledSimModel(const Netlist& nl, const CapTable& caps,
   samples_per_cycle_ = opts_.sampling.samples_per_cycle;
   nominal_period_ps_ = opts_.sampling.cycle_s() * 1e12;
 
-  // Clock resolution (moved from the per-instance PowerSimulator ctor; the
-  // invariants are the same: one clock net, driven by an input port).
-  for (InstId iid : nl.instance_ids()) {
-    const CellType& type = nl.cell_of(iid);
-    if (type.kind != CellKind::kFlop) continue;
-    const NetId ck =
-        nl.instance(iid).conns[static_cast<std::size_t>(type.ck_pin())];
-    SECFLOW_CHECK(ck.valid(), "flop without clock net");
-    SECFLOW_CHECK(!clock_net_.valid() || clock_net_ == ck,
-                  "multiple clock nets");
-    clock_net_ = ck;
-  }
+  // One clock net, driven by an input port.
+  clock_net_ = nl.clock_net();
   if (clock_net_.valid()) {
     const auto port = nl.driving_port(clock_net_);
     SECFLOW_CHECK(port.has_value(), "clock must be driven by an input port");

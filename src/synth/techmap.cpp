@@ -281,6 +281,11 @@ class Mapper {
 
   // --- cover extraction ----------------------------------------------------
   void build_netlist() {
+    // Port and clock names are taken before any internal net is named, so
+    // an internal name never claims an output port's name first.
+    for (const CircuitBit& b : c_.inputs) reserved_.insert(b.name);
+    for (const CircuitBit& b : c_.outputs) reserved_.insert(b.name);
+    if (!c_.regs.empty()) reserved_.insert(c_.clock);
     // Ports.
     for (const CircuitBit& in : c_.inputs) {
       const NetId net = nl_.add_net(in.name);
@@ -293,13 +298,13 @@ class Mapper {
       nl_.add_port(c_.clock, PinDir::kInput, clock_net);
     }
     for (const CircuitReg& r : c_.regs) {
-      const NetId q = nl_.add_net(r.name + "_q");
+      const NetId q = internal_net(r.name + "_q");
       net_of_[key(aig_node(r.q), 0)] = q;
     }
     // Register D inputs and instances.
     for (const CircuitReg& r : c_.regs) {
       const NetId d = materialize(r.next);
-      add_flop(nl_, "DFF", r.name + "_reg", d, clock_net,
+      add_flop(nl_, "DFF", instance_name(r.name + "_reg"), d, clock_net,
                net_of_.at(key(aig_node(r.q), 0)));
     }
     // Output ports: each gets its own net; BUF when the driving literal
@@ -309,7 +314,7 @@ class Mapper {
       const NetId port_net = nl_.add_net(out.name);
       nl_.add_port(out.name, PinDir::kOutput, port_net);
       SECFLOW_CHECK(matcher_.buf().valid(), "library must provide BUF");
-      add_gate(nl_, "BUF", "obuf_" + out.name, {src}, port_net);
+      add_gate(nl_, "BUF", instance_name("obuf_" + out.name), {src}, port_net);
     }
   }
 
@@ -329,8 +334,8 @@ class Mapper {
     NetId& net = one ? const1_ : const0_;
     if (!net.valid()) {
       const std::string cell = one ? "TIE1" : "TIE0";
-      net = nl_.add_net(one ? "const1" : "const0");
-      add_gate(nl_, cell, one ? "tie1" : "tie0", {}, net);
+      net = internal_net(one ? "const1" : "const0");
+      add_gate(nl_, cell, instance_name(one ? "tie1" : "tie0"), {}, net);
     }
     return net;
   }
@@ -370,9 +375,30 @@ class Mapper {
     return net;
   }
 
-  NetId new_net() { return nl_.add_net("n" + std::to_string(net_counter_++)); }
+  NetId new_net() { return internal_net("n" + std::to_string(net_counter_++)); }
   std::string new_inst(const std::string& prefix) {
-    return prefix + std::to_string(inst_counter_++);
+    return instance_name(prefix + std::to_string(inst_counter_++));
+  }
+
+  /// A new internal net named `base`, or `base` with the first free suffix
+  /// when a port, the clock or another net holds that name.
+  NetId internal_net(const std::string& base) {
+    return nl_.add_net(free_name(base, [&](const std::string& n) {
+      return reserved_.contains(n) || nl_.find_net(n).valid();
+    }));
+  }
+  /// `base`, or `base` with the first suffix no instance holds.
+  std::string instance_name(const std::string& base) const {
+    return free_name(base, [&](const std::string& n) {
+      return nl_.find_instance(n).valid();
+    });
+  }
+  /// `base`, or `base` with the first suffix _1, _2, ... that `taken` is
+  /// false for.
+  static std::string free_name(const std::string& base, const auto& taken) {
+    std::string name = base;
+    for (int k = 1; taken(name); ++k) name = base + "_" + std::to_string(k);
+    return name;
   }
 
   const AigCircuit& c_;
@@ -384,6 +410,7 @@ class Mapper {
   std::vector<std::array<double, 2>> cost_;
   std::vector<std::array<Choice, 2>> choice_;
   std::unordered_map<std::uint64_t, NetId> net_of_;
+  std::unordered_set<std::string> reserved_;  ///< port and clock names
   NetId const0_, const1_;
   int net_counter_ = 0;
   int inst_counter_ = 0;

@@ -101,16 +101,7 @@ class Substituter {
 
  private:
   void find_clock() {
-    for (InstId iid : rtl_.instance_ids()) {
-      const CellType& type = rtl_.cell_of(iid);
-      if (type.kind != CellKind::kFlop) continue;
-      const NetId ck = rtl_.instance(iid).conns[
-          static_cast<std::size_t>(type.ck_pin())];
-      SECFLOW_CHECK(ck.valid(), "flop without clock");
-      SECFLOW_CHECK(!clock_.valid() || clock_ == ck,
-                    "multiple clock nets in " + rtl_.name());
-      clock_ = ck;
-    }
+    clock_ = rtl_.clock_net();
     if (clock_.valid()) {
       // The clock must not feed data pins: WDDL keeps it single-ended.
       for (const PinRef& p : rtl_.net(clock_).pins) {
@@ -265,15 +256,8 @@ class Expander {
 
  private:
   void find_clock() {
-    for (InstId iid : fat_.instance_ids()) {
-      const CellType& type = fat_.cell_of(iid);
-      if (type.kind != CellKind::kFlop) continue;
-      const NetId ck =
-          fat_.instance(iid).conns[static_cast<std::size_t>(type.ck_pin())];
-      clock_ = ck;
-      clock_name_ = fat_.net(ck).name;
-      return;
-    }
+    clock_ = fat_.clock_net();
+    if (clock_.valid()) clock_name_ = fat_.net(clock_).name;
   }
 
   bool design_has_ties() const {

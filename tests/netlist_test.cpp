@@ -167,6 +167,38 @@ TEST_F(NetlistTest, FanoutCountsSinksAndOutputPorts) {
   EXPECT_EQ(nl.fanout(a), 1);
 }
 
+/// The what() of the Error clock_net() throws, or "no error".
+std::string clock_net_error(const Netlist& nl) {
+  try {
+    nl.clock_net();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST_F(NetlistTest, ClockNetIsTheNetOnEveryFlopClockPin) {
+  Netlist nl("top", lib_);
+  const NetId a = nl.add_net("a");
+  const NetId y = nl.add_net("y");
+  add_gate(nl, "INV", "u1", {a}, y);
+  EXPECT_FALSE(nl.clock_net().valid());  // no flop, no clock
+
+  const NetId clk = nl.add_net("clk");
+  add_flop(nl, "DFF", "r1", y, clk, nl.add_net("q1"));
+  add_flop(nl, "DFF", "r2", a, clk, nl.add_net("q2"));
+  EXPECT_EQ(nl.clock_net(), clk);
+
+  add_flop(nl, "DFF", "r3", a, nl.add_net("clk2"), nl.add_net("q3"));
+  EXPECT_EQ(clock_net_error(nl),
+            "netlist top: flops on two clock nets, clk and clk2");
+
+  Netlist open("open_ck", lib_);
+  const InstId r = open.add_instance("r", lib_->find("DFF"));
+  open.connect(r, lib_->cell("DFF").d_pin(), open.add_net("d"));
+  EXPECT_EQ(clock_net_error(open), "netlist open_ck: flop r has no clock");
+}
+
 TEST_F(NetlistTest, CellHistogram) {
   Netlist nl("top", lib_);
   const NetId a = nl.add_net("a");

@@ -6,6 +6,9 @@
 // reports.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "base/error.h"
 #include "campaign/report.h"
 #include "campaign/spec.h"
@@ -191,10 +194,53 @@ const char* kFuzzProgram =
     "  end\n"
     "endmodule\n";
 
-/// A checkpoint payload with every field kind: length-prefixed string,
-/// counts, flags, hex table, reals and names.
-std::string sample_cell_library_payload() {
-  return write_cell_library(*parse_liberty(kLiberty));
+/// A checkpoint payload as its own writer prints it, and what the writer
+/// prints of what the parser reads from a text.
+struct PayloadSample {
+  std::string doc;
+  std::function<std::string(const std::string&)> reparse;
+};
+
+template <class T>
+PayloadSample payload_sample(const T& x, std::string (*write)(const T&),
+                             T (*parse)(const std::string&)) {
+  return {write(x), [=](const std::string& s) { return write(parse(s)); }};
+}
+
+/// One sample of each of the eight checkpoint payload formats, together
+/// holding every field kind: length-prefixed strings, counts, flags, an
+/// enumerator, hex tables, reals, names and records nested in records.
+std::vector<PayloadSample> checkpoint_payload_samples() {
+  Extraction ex;
+  ex.nets["a"] = {1.5, 0.25, 0.125, 0.0625, {{"b", 0.1}, {"c", 0.025}}};
+  ex.nets["b"] = {2.0, 0.5, 0.1, 3e-05, {{"a", 0.1}}};
+  ex.nets["c"] = {0.75, 0.0, 0.025, 0.01, {{"a", 0.025}}};
+  TimingReport timing;
+  timing.critical_delay_ps = 812.5;
+  timing.min_period_ps = 912.5;
+  timing.endpoint = "r_reg D";
+  timing.critical_path = {{"<port>", "a", 100.0}, {"g1", "n1", 412.25}};
+  timing.net_arrival_ps = {100.0, 412.25, 812.5};
+  const LecResult lec{false, 12, {{"y", "a=1 b=0"}}};
+  CheckResult check;
+  check.ok = false;
+  check.nets_checked = 40;
+  check.pins_checked = 96;
+  check.issues = {{"n1", "open pin g1/A"}};
+  return {
+      payload_sample(*parse_liberty(kLiberty), write_cell_library,
+                     parse_cell_library),
+      payload_sample(ex, write_extraction, parse_extraction),
+      payload_sample(CapTable{{"a", 1.25}, {"b", 3.5}}, write_cap_table,
+                     parse_cap_table),
+      payload_sample(timing, write_timing_report, parse_timing_report),
+      payload_sample(RouteStats{12345, 67, 8, 3, 45678, 2, 1, 9},
+                     write_route_stats, parse_route_stats),
+      payload_sample(SubstitutionStats{1, 2, 3, 4, 5, 6},
+                     write_substitution_stats, parse_substitution_stats),
+      payload_sample(lec, write_lec_result, parse_lec_result),
+      payload_sample(check, write_check_result, parse_check_result),
+  };
 }
 
 /// Parse every strict prefix; each must throw (or, for a few formats,
@@ -292,11 +338,12 @@ TEST(ParserRobustness, FuzzProgram) {
 }
 
 TEST(ParserRobustness, CheckpointPayload) {
-  const std::string doc = sample_cell_library_payload();
-  auto parse = [](const std::string& s) { parse_cell_library(s); };
-  sweep_truncations(doc, parse);
-  sweep_mutations(doc, parse);
-  sweep_numeric_junk(doc, parse);
+  for (const PayloadSample& sample : checkpoint_payload_samples()) {
+    SCOPED_TRACE(sample.doc);
+    sweep_truncations(sample.doc, sample.reparse);
+    sweep_mutations(sample.doc, sample.reparse);
+    sweep_numeric_junk(sample.doc, sample.reparse);
+  }
 }
 
 TEST(ParserRobustness, CampaignSpec) {
@@ -356,8 +403,9 @@ TEST(ParserRobustness, ValidDocumentsStillParse) {
   EXPECT_NO_THROW(parse_def(kDef));
   EXPECT_NO_THROW(parse_hdl(kHdl));
   EXPECT_EQ(emit_hdl(parse_hdl_module(kFuzzProgram)), kFuzzProgram);
-  const std::string payload = sample_cell_library_payload();
-  EXPECT_EQ(write_cell_library(parse_cell_library(payload)), payload);
+  for (const PayloadSample& sample : checkpoint_payload_samples()) {
+    EXPECT_EQ(sample.reparse(sample.doc), sample.doc);
+  }
   EXPECT_NO_THROW(parse_campaign_spec(kCampaignSpec));
   EXPECT_NO_THROW(parse_flow_report(sample_flow_report_json()));
   EXPECT_NO_THROW(parse_leakage_report(sample_leakage_report_json()));

@@ -4,6 +4,7 @@
 
 #include "base/error.h"
 #include "base/rng.h"
+#include "flow/flow.h"
 #include "liberty/builtin_lib.h"
 #include "netlist/netlist_ops.h"
 #include "synth/hdl.h"
@@ -242,6 +243,45 @@ TEST_F(TechmapTest, SharedLogicIsReused) {
     if (name == "AND2" || name == "NAND2") and_like += cnt;
   }
   EXPECT_EQ(and_like, 1);
+}
+
+TEST_F(TechmapTest, InternalNamesSkipTheDesignsOwnNames) {
+  // Each design gives a port the name the mapper would give an internal
+  // net or instance: n<k>, <reg>_q, const1, <reg>_reg beside obuf_<port>.
+  const char* const kDesigns[] = {
+      "module m (input n0, input a, input b, output y);\n"
+      "  assign y = (n0 & a) | b;\n"
+      "endmodule\n",
+      "module m (input a, input b, input c, output n0);\n"
+      "  assign n0 = (a & b) | c;\n"
+      "endmodule\n",
+      "module m (input clk, input a, input r_q, output y);\n"
+      "  reg r;\n"
+      "  always @(posedge clk) begin\n"
+      "    r <= a ^ r_q;\n"
+      "  end\n"
+      "  assign y = r;\n"
+      "endmodule\n",
+      "module m (input const1, input a, output y, output z);\n"
+      "  assign y = a & const1;\n"
+      "  assign z = 1'b1;\n"
+      "endmodule\n",
+      "module m (input clk, input a, output a_reg, output y);\n"
+      "  reg obuf_a;\n"
+      "  always @(posedge clk) begin\n"
+      "    obuf_a <= a;\n"
+      "  end\n"
+      "  assign a_reg = ~a;\n"
+      "  assign y = obuf_a;\n"
+      "endmodule\n",
+  };
+  for (const char* hdl : kDesigns) {
+    SCOPED_TRACE(hdl);
+    const AigCircuit c = parse_hdl(hdl);
+    check_equivalent(c, technology_map(c, lib_));
+    EXPECT_NO_THROW(run_regular_flow(c, lib_));
+    EXPECT_NO_THROW(run_secure_flow(c, lib_));
+  }
 }
 
 }  // namespace
